@@ -40,6 +40,7 @@ from .grouping import (
     ABSENT,
     EXHAUSTED,
     FOUND,
+    ColoringMismatch,
     GroupingWalk,
     GroupingWitness,
     LSpec,

@@ -38,6 +38,7 @@ from .formula import (
 from .grouping import (
     ABSENT,
     FOUND,
+    ColoringMismatch,
     GroupingWitness,
     LSpec,
     MalformedWitness,
@@ -308,7 +309,10 @@ def cmd_grouping_find(args) -> Outcome:
     sentence = load_sentence(args)
     l0 = load_lspec(args.l0, sentence)
     l1 = load_lspec(args.l1, sentence)
-    out = find_grouping(z, f, l0, l1, sentence, make_budget(args))
+    try:
+        out = find_grouping(z, f, l0, l1, sentence, make_budget(args))
+    except ColoringMismatch as err:
+        raise UsageError(f"{args.coloring}: {err}") from err
     if out.status == FOUND:
         payload = {"result": "found", "blocks": [[str(v) for v in b] for b in out.witness.blocks]}
         if args.witness_out:

@@ -159,12 +159,21 @@ class SearchOutcome:
     detail: str = ""
 
 
-class GroupingWalk:
-    """Generator-backed walk over all groupings of f on z.
+class ColoringMismatch(ValueError):
+    """The coloring cannot color the pairs of the set being searched."""
 
-    Blocks are arbitrary subsets, built by a start/extend/skip walk over
-    the elements with cross-monochromaticity and apartness pruning; a walk
-    that finishes without budget trouble has enumerated every grouping.
+
+class GroupingWalk:
+    """Generator-backed walk over the groupings of f on z.
+
+    Blocks are built by a start/extend/skip walk over the elements with
+    cross-monochromaticity and apartness pruning.  With `minimal`, an open
+    block that can already be closed is never extended: no block then has a
+    proper prefix satisfying l0, and every grouping whose blocks are minimal
+    l0-sets is still visited.  Otherwise blocks are arbitrary subsets and
+    every grouping is visited.  A walk that finishes without budget trouble
+    has enumerated all groupings of its kind.  The walk keeps its own stack,
+    so its depth is not bounded by the interpreter's recursion limit.
     """
 
     def __init__(
@@ -175,23 +184,38 @@ class GroupingWalk:
         l1: LSpec,
         sentence: Pi03Sentence,
         budget: Budget,
+        minimal: bool = False,
     ):
         if f.arity != 2:
-            raise ValueError("grouping search expects a pair coloring")
+            raise ColoringMismatch("grouping search expects a pair coloring")
+        if not z.subset_of(f.domain):
+            raise ColoringMismatch("the coloring's domain does not cover the set")
         if z.elements and z.minimum < sentence.floor():
             raise PreconditionError("set minimum below the sentence's admissible floor")
         self.z, self.f, self.l0, self.l1, self.sentence = z, f, l0, l1, sentence
         self.budget = budget
+        self.minimal = minimal
         self.ceiling_hit = False
         self.min_blocks = _min_block_count(l1, z)
 
     def witnesses(self):
         if self.min_blocks is not None and self.min_blocks > len(self.z):
             return
-        yield from self._walk(0, [], [], None, fresh=False)
+        # each frame is the generator of one walk node; it yields witnesses
+        # and the arguments of its children, in the order a recursive walk
+        # would visit them
+        stack = [self._node(0, (), (), None, False)]
+        while stack:
+            item = next(stack[-1], None)
+            if item is None:
+                stack.pop()
+            elif isinstance(item, GroupingWitness):
+                yield item
+            else:
+                stack.append(self._node(*item))
 
     def _closeable(self, blocks, current) -> bool:
-        cur = FinSet(tuple(current))
+        cur = FinSet(current)
         if not self.l0.holds(cur):
             return False
         if blocks:
@@ -225,7 +249,8 @@ class GroupingWalk:
             out.append(c)
         return out
 
-    def _walk(self, i, blocks, current, cur_cross, fresh):
+    def _node(self, i, blocks, current, cur_cross, fresh):
+        """One walk node: blocks are closed, current is the open block."""
         self.budget.tick()
         elems = self.z.elements
         if self.min_blocks is not None:
@@ -235,10 +260,10 @@ class GroupingWalk:
         closeable = None
         if fresh:
             # a candidate family is tested once, right after it changed
-            candidate = list(blocks)
+            candidate = blocks
             if current:
                 closeable = self._closeable(blocks, current)
-                candidate = blocks + [tuple(current)] if closeable else None
+                candidate = blocks + (current,) if closeable else None
             if candidate is not None:
                 w = self._hit(candidate)
                 if w is not None:
@@ -253,22 +278,20 @@ class GroupingWalk:
             if closeable is None:
                 closeable = self._closeable(blocks, current)
             if closeable:
-                base = blocks + [tuple(current)]
+                base = blocks + (current,)
             else:
                 ok = False
         if ok:
             cross = self._cross_ok(base, v, None)
             if cross is not None and _apart_start_ok(base, v, self.sentence):
-                yield from self._walk(i + 1, base, [v], cross, True)
-        # extend the open block
-        if current:
+                yield i + 1, base, (v,), cross, True
+        # extend the open block; a minimal block stops once it can close
+        if current and not (self.minimal and closeable):
             cross = self._cross_ok(blocks, v, cur_cross)
             if cross is not None and _apart_extension_ok(blocks, current, v, self.sentence):
-                current.append(v)
-                yield from self._walk(i + 1, blocks, current, cross, True)
-                current.pop()
+                yield i + 1, blocks, current + (v,), cross, True
         # skip v
-        yield from self._walk(i + 1, blocks, current, cur_cross, False)
+        yield i + 1, blocks, current, cur_cross, False
 
 
 def find_grouping(
@@ -281,13 +304,20 @@ def find_grouping(
 ) -> SearchOutcome:
     """First grouping of f over z, or a definitive absence/exhaustion.
 
+    The walk never extends a block that could close, which still reaches
+    every grouping whose blocks are minimal l0-sets.  That loses nothing:
+    shrinking every block of a grouping to a minimal l0-subset keeps l0,
+    cross-monochromaticity and apartness (both closed under subsets), and
+    every transversal of the shrunk family is one of the original, so l1
+    holds too.
+
     A completed walk with no hit proves absence; running out of budget (or
     an undecidable transversal check) is reported as exhausted, never as
     absence.
     """
     budget = budget_or_unlimited(budget)
     budget.enter("grouping search")
-    walk = GroupingWalk(z, f, l0, l1, sentence, budget)
+    walk = GroupingWalk(z, f, l0, l1, sentence, budget, minimal=True)
     try:
         w = next(walk.witnesses(), None)
     except BudgetExceeded:
@@ -298,7 +328,8 @@ def find_grouping(
                 EXHAUSTED, steps=budget.spent, detail="transversal ceiling blocked some candidates"
             )
         return SearchOutcome(ABSENT, steps=budget.spent)
-    assert is_grouping(w, l0, l1, sentence)
+    if not is_grouping(w, l0, l1, sentence):
+        raise RuntimeError("grouping walk produced a family that is not a grouping")
     return SearchOutcome(FOUND, witness=w, steps=budget.spent)
 
 

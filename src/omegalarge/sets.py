@@ -10,6 +10,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_FLOOR = 3
@@ -126,25 +127,35 @@ class ColoringTable:
     """Total coloring of increasing arity-tuples over a finite domain.
 
     The flat table lists colors in lexicographic tuple order, matching the
-    serialized form, so enumeration and round-tripping are trivial.
+    serialized form, so enumeration and round-tripping are trivial.  A
+    lookup maps values to domain positions and reads the table at the
+    lexicographic rank of the position tuple, so no per-tuple index is
+    built.
     """
 
     domain: FinSet
     arity: int
     colors: int
     table: tuple[int, ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _pos: dict = field(init=False, repr=False, compare=False)
+    _row: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        tuples = list(combinations(self.domain.elements, self.arity))
-        if len(self.table) != len(tuples):
+        if self.arity < 0:
+            raise ValueError("arity must be non-negative")
+        n = len(self.domain)
+        expected = comb(n, self.arity)
+        if len(self.table) != expected:
             raise ValueError(
-                f"table has {len(self.table)} entries, expected {len(tuples)}"
+                f"table has {len(self.table)} entries, expected {expected}"
             )
         for c in self.table:
             if not 0 <= c < self.colors:
                 raise ValueError(f"color {c} out of range 0..{self.colors - 1}")
-        self._index.update(zip(tuples, self.table))
+        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.domain.elements)})
+        # pair (i, j) sits at rank i*(2n-i-1)/2 + j-i-1: the row offset plus j
+        rows = (i * (2 * n - i - 1) // 2 - i - 1 for i in range(n)) if self.arity == 2 else ()
+        object.__setattr__(self, "_row", tuple(rows))
 
     @classmethod
     def from_function(
@@ -159,14 +170,26 @@ class ColoringTable:
 
     @classmethod
     def random(cls, domain: FinSet, arity: int, colors: int, rng) -> "ColoringTable":
-        n = sum(1 for _ in combinations(domain.elements, arity))
+        n = comb(len(domain), arity)
         return cls(domain, arity, colors, tuple(rng.randrange(colors) for _ in range(n)))
 
     def __call__(self, *values: int) -> int:
-        key = tuple(values)
-        if key not in self._index:
-            raise KeyError(f"tuple {key} not in coloring domain")
-        return self._index[key]
+        pos = self._pos
+        k = len(values)
+        try:
+            if k == self.arity == 2:
+                i, j = pos[values[0]], pos[values[1]]
+                if i < j:
+                    return self.table[self._row[i] + j]
+            elif k == self.arity == 1:
+                return self.table[pos[values[0]]]
+            elif k == self.arity:
+                ps = [pos[v] for v in values]
+                if all(a < b for a, b in zip(ps, ps[1:])):
+                    return self.table[_lex_rank(ps, len(pos))]
+        except KeyError:
+            pass
+        raise KeyError(f"tuple {tuple(values)} not in coloring domain")
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
         return combinations(self.domain.elements, self.arity)
@@ -193,6 +216,17 @@ class ColoringTable:
         obj = json.loads(text)
         domain = FinSet(tuple(int(s) for s in obj["domain"]), floor)
         return cls(domain, int(obj["arity"]), int(obj["colors"]), tuple(obj["table"]))
+
+
+def _lex_rank(ps: list[int], n: int) -> int:
+    """Rank of the increasing positions ps among len(ps)-subsets of range(n).
+
+    Combinatorial number system: the tuples that agree with ps before slot
+    t and are larger at t pick their last k - t positions above ps[t], and
+    summing over t counts every tuple that comes after ps.
+    """
+    k = len(ps)
+    return comb(n, k) - 1 - sum(comb(n - 1 - p, k - t) for t, p in enumerate(ps))
 
 
 def restrict_coloring(f: ColoringTable, g: FinSet) -> ColoringTable:

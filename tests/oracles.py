@@ -2,7 +2,9 @@
 
 Everything here re-derives answers straight from the definitions, sharing
 no search logic with the package: largeness by enumerating block
-decompositions over all subsets, formulas by ground substitution.
+decompositions over all subsets, formulas by ground substitution.  The one
+exception is the recursive grouping walk, a replaced traversal kept as the
+reference for the one that replaced it.
 """
 
 from __future__ import annotations
@@ -230,6 +232,66 @@ def plain_decompositions(values: tuple[int, ...], n: int, limit: int = 16):
 
     rec(0, [])
     return found
+
+
+# ---------------------------------------------------------------------------
+# The recursive grouping walk that GroupingWalk's explicit stack replaced
+# ---------------------------------------------------------------------------
+
+
+def recursive_grouping_witnesses(walk):
+    """Witnesses of a GroupingWalk, visited by plain generator recursion.
+
+    This is the walk as it was before it kept its own stack; it reuses the
+    walk's block checks so that only the traversal is compared.  Its depth
+    grows with the set, so it suits small sets only.
+    """
+    from omegalarge.grouping import _apart_extension_ok, _apart_start_ok
+
+    elems = walk.z.elements
+
+    def rec(i, blocks, current, cur_cross, fresh):
+        walk.budget.tick()
+        if walk.min_blocks is not None:
+            open_now = 1 if current else 0
+            if len(blocks) + open_now + (len(elems) - i) < walk.min_blocks:
+                return
+        closeable = None
+        if fresh:
+            candidate = list(blocks)
+            if current:
+                closeable = walk._closeable(blocks, current)
+                candidate = blocks + [tuple(current)] if closeable else None
+            if candidate is not None:
+                w = walk._hit(candidate)
+                if w is not None:
+                    yield w
+        if i == len(elems):
+            return
+        v = elems[i]
+        base, ok = blocks, True
+        if current:
+            if closeable is None:
+                closeable = walk._closeable(blocks, current)
+            if closeable:
+                base = blocks + [tuple(current)]
+            else:
+                ok = False
+        if ok:
+            cross = walk._cross_ok(base, v, None)
+            if cross is not None and _apart_start_ok(base, v, walk.sentence):
+                yield from rec(i + 1, base, [v], cross, True)
+        if current and not (walk.minimal and closeable):
+            cross = walk._cross_ok(blocks, v, cur_cross)
+            if cross is not None and _apart_extension_ok(blocks, current, v, walk.sentence):
+                current.append(v)
+                yield from rec(i + 1, blocks, current, cross, True)
+                current.pop()
+        yield from rec(i + 1, blocks, current, cur_cross, False)
+
+    if walk.min_blocks is not None and walk.min_blocks > len(elems):
+        return
+    yield from rec(0, [], [], None, False)
 
 
 # ---------------------------------------------------------------------------

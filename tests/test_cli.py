@@ -133,6 +133,18 @@ def test_grouping_absent(tmp_path, capsys):
     assert code == 1
 
 
+def test_grouping_find_rejects_a_coloring_that_misses_the_set(tmp_path, capsys):
+    f = ColoringTable.from_function(FinSet.interval(3, 10), 2, 2, lambda x, y: 0)
+    coloring = write_coloring(tmp_path, "f.json", f)
+    x = write_set(tmp_path, "x.txt", range(3, 12))
+    code, out, err = run(
+        capsys, "grouping", "find", "--set", x, "--coloring", coloring,
+        "--l0", "card:1", "--l1", "card:2", "--format", "json",
+    )
+    assert code == 3
+    assert out == "" and "does not cover" in err
+
+
 def test_gamma_large_exit_codes(tmp_path, capsys):
     x = write_set(tmp_path, "x.txt", [3, 4, 5, 6])
     base = ["gamma", "large", "--set", x, "--gamma", "rt12"]

@@ -1,14 +1,19 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from omegalarge import grouping
 from omegalarge.budget import Budget
 from omegalarge.formula import TOP, Pi03Sentence, parse
 from omegalarge.grouping import (
     ABSENT,
     EXHAUSTED,
     FOUND,
+    ColoringMismatch,
+    GroupingWalk,
     GroupingWitness,
     LSpec,
     MalformedWitness,
@@ -20,7 +25,7 @@ from omegalarge.grouping import (
 from omegalarge.largeness import LargenessSpec, verify_certificate
 from omegalarge.sets import ColoringTable, FinSet
 
-from oracles import BruteForcePlain
+from oracles import BruteForcePlain, recursive_grouping_witnesses
 
 
 def pair_coloring(domain, fn):
@@ -231,3 +236,81 @@ def test_witness_json_roundtrip():
     w = GroupingWitness((FinSet((4, 5)), FinSet((9, 10))), f)
     again = GroupingWitness.from_json(w.to_json(), f)
     assert again.blocks == w.blocks
+
+
+# -- the walk: explicit stack, minimal blocks --------------------------------
+
+SENTENCES = [TOP, Pi03Sentence(parse("x < y or z < y")), Pi03Sentence(parse("y < x"))]
+
+
+def _lspec(kind, sentence):
+    if kind[0] == "card":
+        return LSpec.card(kind[1])
+    return LSpec.largeness(LargenessSpec(kind[1], kind[2], sentence))
+
+
+LSPEC_KINDS = [("card", 1), ("card", 2), ("card", 3), ("omega", 1, 1), ("omega", 0, 2)]
+
+
+@st.composite
+def walk_inputs(draw, max_size):
+    values = draw(st.lists(st.integers(3, 13), max_size=max_size, unique=True))
+    z = FinSet(tuple(sorted(values)))
+    f = ColoringTable.random(z, 2, 2, draw(st.randoms(use_true_random=False)))
+    sentence = draw(st.sampled_from(SENTENCES))
+    l0 = _lspec(draw(st.sampled_from(LSPEC_KINDS)), sentence)
+    l1 = _lspec(draw(st.sampled_from(LSPEC_KINDS)), sentence)
+    return z, f, l0, l1, sentence
+
+
+def _blocks(witnesses, limit):
+    return [tuple(b.elements for b in w.blocks) for w in islice(witnesses, limit)]
+
+
+@given(walk_inputs(max_size=8), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_walk_matches_recursive_walk(inputs, minimal):
+    # same witnesses in the same order, after the same number of steps
+    stacked = GroupingWalk(*inputs, Budget(None), minimal=minimal)
+    recursive = GroupingWalk(*inputs, Budget(None), minimal=minimal)
+    assert _blocks(stacked.witnesses(), 200) == _blocks(
+        recursive_grouping_witnesses(recursive), 200
+    )
+    assert stacked.budget.spent == recursive.budget.spent
+
+
+@given(walk_inputs(max_size=11))
+@settings(max_examples=150, deadline=None)
+def test_minimal_walk_decides_like_full_walk(inputs):
+    z, f, l0, l1, sentence = inputs
+    full = next(GroupingWalk(*inputs, Budget(None)).witnesses(), None)
+    out = find_grouping(z, f, l0, l1, sentence)
+    assert out.status == (FOUND if full is not None else ABSENT)
+    if out.status == FOUND:
+        for b in out.witness.blocks:  # no block extends one that satisfies l0
+            assert not any(l0.holds(FinSet(b.elements[:j])) for j in range(1, len(b)))
+
+
+def test_walk_is_deeper_than_the_recursion_limit():
+    # the one block is built by 1499 extensions, one walk level each
+    z = interval(3, 1502)
+    f = pair_coloring(z, lambda x, y: 0)
+    out = find_grouping(z, f, LSpec.card(len(z)), LSpec.card(1), TOP)
+    assert out.status == FOUND and out.witness.blocks == (z,)
+
+
+def test_walk_rejects_a_coloring_that_misses_the_set():
+    f = pair_coloring(interval(3, 10), lambda x, y: 0)
+    with pytest.raises(ColoringMismatch):
+        find_grouping(interval(3, 11), f, LSpec.card(1), LSpec.card(2), TOP)
+    g = ColoringTable.from_function(interval(3, 10), 1, 2, lambda x: 0)
+    with pytest.raises(ColoringMismatch):
+        find_grouping(interval(3, 10), g, LSpec.card(1), LSpec.card(2), TOP)
+
+
+def test_find_grouping_rechecks_its_witness(monkeypatch):
+    z = interval(3, 10)
+    f = pair_coloring(z, lambda x, y: 0)
+    monkeypatch.setattr(grouping, "is_grouping", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        find_grouping(z, f, LSpec.card(1), LSpec.card(2), TOP)

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegalarge.sets import (
     ColoringTable,
@@ -96,3 +98,29 @@ def test_restrict_coloring_functorial():
                     direct = restrict_coloring(f, h_vals)
                     via_g = restrict_coloring(fg, FinSet(h_idx, floor=0))
                     assert direct.table == via_g.table
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=200), max_size=9, unique=True),
+    st.integers(min_value=0, max_value=4),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_coloring_lookup_matches_lexicographic_table(values, arity, rng):
+    # domains are arbitrary sets, not intervals, so positions and values differ
+    dom = FinSet(tuple(sorted(values)), floor=0)
+    f = ColoringTable.random(dom, arity, 3, rng)
+    tuples = list(combinations(dom.elements, arity))
+    assert len(tuples) == len(f.table)
+    for t, c in zip(tuples, f.table):
+        assert f(*t) == c
+    outside = max(values, default=0) + 1
+    bad = [t[:-1] + (outside,) for t in tuples if t]  # out of domain
+    bad += list(combinations(dom.elements, arity + 1))  # wrong arity
+    if arity:
+        bad += list(combinations(dom.elements, arity - 1))
+    bad += [t[::-1] for t in tuples if len(t) >= 2]  # decreasing
+    bad += [t[:1] + t[:-1] for t in tuples if len(t) >= 2]  # repeated
+    for t in bad:
+        with pytest.raises(KeyError):
+            f(*t)
