@@ -95,6 +95,6 @@ from .ramsey import (
     is_large_gamma,
     is_n_dense,
 )
-from .sets import ColoringTable, FinSet, SparsityPolicy, is_sparse, restrict_coloring
+from .sets import ColoringTable, FinSet, SparsityPolicy, is_sparse, is_transitive, restrict_coloring
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 definite truth or success, 1 definite falsity or proven
-absence, 2 inconclusive or out of budget, 3 usage or input errors.  With
---format json a machine-readable result object is always printed.
+absence, 2 inconclusive or out of budget, 3 usage or input errors, 4
+internal errors.  With --format json a machine-readable result object is
+printed for every exit but 3.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .budget import Budget, BudgetExceeded
@@ -95,44 +97,24 @@ class Outcome:
 # ---------------------------------------------------------------------------
 
 
-def load_set(args, attr: str = "set") -> FinSet:
-    path = getattr(args, attr, None)
-    interval = getattr(args, "interval", None) if attr == "set" else None
-    if interval:
+def load_set(args) -> FinSet:
+    if args.interval:
         try:
-            lo, hi = interval.split(":")
+            lo, hi = args.interval.split(":")
             return FinSet.interval(int(lo), int(hi), floor=args.floor)
         except ValueError as err:
-            raise UsageError(f"bad --interval {interval!r}: expected LO:HI") from err
-    if not path:
+            raise UsageError(f"bad --interval {args.interval!r}: expected LO:HI") from err
+    if not args.set:
         raise UsageError("a set is required (--set FILE or --interval LO:HI)")
-    return _parse_set_file(path, args.floor)
+    return read_set(args.set, args.floor)
 
 
-def _parse_set_file(path: str, floor: int) -> FinSet:
+def read_set(path: str, floor: int) -> FinSet:
     try:
-        text = open(path).read()
-    except OSError as err:
+        with open(path) as fh:
+            return FinSet.parse(fh.read(), floor, source=path)
+    except (OSError, ValueError) as err:
         raise UsageError(str(err)) from err
-    stripped = text.strip()
-    if stripped.startswith("["):
-        try:
-            values = [int(s) for s in json.loads(stripped)]
-        except (json.JSONDecodeError, ValueError) as err:
-            raise UsageError(f"{path}: bad JSON set: {err}") from err
-    else:
-        values = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                values.append(int(line))
-            except ValueError as err:
-                raise UsageError(f"{path}:{lineno}: not a decimal numeral: {line!r}") from err
-    try:
-        return FinSet(tuple(values), floor)
-    except ValueError as err:
-        raise UsageError(f"{path}: {err}") from err
 
 
 def load_sentence(args) -> Pi03Sentence:
@@ -231,7 +213,8 @@ def cmd_large_check(args) -> Outcome:
         if args.mode == "greedy":
             return Outcome(2, {"result": "not-found", "mode": "greedy"}, "greedy search found no witness")
         return Outcome(1, {"result": "not-large"}, "not large: no decomposition exists")
-    assert verify_certificate(x, cert, spec, paranoid=args.paranoid)
+    if not verify_certificate(x, cert, spec, paranoid=args.paranoid):
+        raise RuntimeError("the search returned a certificate that fails re-verification")
     if args.cert_out:
         with open(args.cert_out, "w") as fh:
             fh.write(cert.to_json())
@@ -285,7 +268,7 @@ def cmd_large_decompose(args) -> Outcome:
 
 
 def cmd_large_fuse(args) -> Outcome:
-    sets = [_parse_set_file(p, args.floor) for p in args.blocks]
+    sets = [read_set(p, args.floor) for p in args.blocks]
     sentence = load_sentence(args)
     out = fuse(sets[0], sets[1:], args.a, args.b, sentence, budget=make_budget(args))
     payload = {
@@ -296,8 +279,8 @@ def cmd_large_fuse(args) -> Outcome:
 
 
 def cmd_apart(args) -> Outcome:
-    x = _parse_set_file(args.x, args.floor)
-    y = _parse_set_file(args.y, args.floor)
+    x = read_set(args.x, args.floor)
+    y = read_set(args.y, args.floor)
     sentence = load_sentence(args)
     ok = t_apart(x, y, sentence)
     return Outcome(0 if ok else 1, {"apart": ok}, "apart" if ok else "not apart")
@@ -567,8 +550,6 @@ def _common(p, theta=True, budget=True, coloring=False):
     p.add_argument("--floor", type=int, default=3, help="least admissible element")
     p.add_argument("--format", choices=["human", "json"], default="human")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=1,
-                   help="cap on internal parallelism; results never depend on it")
     if budget:
         p.add_argument("--budget", type=int, default=None, help="search step budget")
     if theta:
@@ -757,9 +738,6 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 3
-    if getattr(args, "threads", 1) < 1:
-        print("usage error: --threads must be at least 1", file=sys.stderr)
-        return 3
     try:
         outcome = args.handler(args)
     except UsageError as err:
@@ -772,6 +750,10 @@ def main(argv=None) -> int:
         outcome = Outcome(2, {"result": "exhausted", "reason": str(err)}, str(err))
     except SizeOverflow as err:
         outcome = Outcome(2, {"result": "overflow", "reason": str(err)}, str(err))
+    except Exception as err:  # a fault of the program must never read as "false"
+        traceback.print_exc()
+        reason = f"{type(err).__name__}: {err}"
+        outcome = Outcome(4, {"result": "internal-error", "reason": reason}, f"internal error: {reason}")
     if args.format == "json":
         print(json.dumps({"command": args.command, "exit": outcome.code, **outcome.payload}))
     else:

@@ -156,9 +156,10 @@ def pigeonhole_extract(
         used_fallback = True
         out, color, out_cert = _color_class_fallback(x, cert.blocks[0], f, b, sentence, budget)
 
-    bad = [v for v in out if f(v) != color]
-    assert not bad, "output is not homogeneous"
-    assert out_cert is not None and verify_certificate(out, out_cert, LargenessSpec(b, 1, sentence))
+    if any(f(v) != color for v in out):
+        raise RuntimeError("extracted subset is not homogeneous")
+    if out_cert is None or not verify_certificate(out, out_cert, LargenessSpec(b, 1, sentence)):
+        raise RuntimeError("extracted subset failed its certificate re-check")
     # held means every regrouping step on the successful inductive path had
     # the sparsity counting inequality; moot when the fallback was used
     counting_held = all(flags) and not used_fallback
@@ -321,32 +322,12 @@ def fuse(
         assert len(children) == head
         return tuple(vals), Block(0, len(vals), Node(head, tuple(children)))
 
-    out_vals: list[int] = [family[0].maximum]
-    offsets = {}
-    for s in range(1, len(family)):
-        offsets[s] = len(out_vals)
-        out_vals.extend(family[s].elements)
-
-    mblock = mcert.blocks[0]
-    if b == 0:
-        inner = member_certs[1]
-        off = offsets[1]
-        top = Block(off + inner.lo, off + inner.hi, shift_cert(inner.cert, off))
-    else:
-        node = mblock.cert
-        assert isinstance(node, Node)
-        head = family[0].maximum
-        assert len(node.children) >= head, "maxima certificate too thin for the head"
-        children = []
-        for z in node.children[:head]:
-            sub_vals, sub_block = w_assemble(z, b - 1)
-            pos = offsets[z.lo] + len(family[z.lo]) - 1
-            assert tuple(out_vals[pos: pos + len(sub_vals)]) == sub_vals
-            children.append(Block(pos + sub_block.lo, pos + sub_block.hi, shift_cert(sub_block.cert, pos)))
-        top = Block(0, len(out_vals), Node(head, tuple(children)))
-
-    fused = FinSet(tuple(out_vals))
+    # widened to the whole family, so later members past the maxima
+    # certificate's block still belong to the fused set
+    out_vals, top = w_assemble(Block(0, len(family), mcert.blocks[0].cert), b)
+    fused = FinSet(out_vals)
     certificate = Certificate(a + b, 1, (top,))
     spec_out = LargenessSpec(a + b, 1, sentence)
-    assert verify_certificate(fused, certificate, spec_out), "assembled certificate failed re-check"
+    if not verify_certificate(fused, certificate, spec_out):
+        raise RuntimeError("assembled certificate failed re-check")
     return FuseResult(fused, certificate)

@@ -784,7 +784,7 @@ _HEREDITARY = set(BUILTIN_PSI0)
 
 
 def _psi0_builtin(name: str, table) -> bool:
-    from .sets import ColoringTable
+    from .sets import ColoringTable, is_transitive
 
     assert isinstance(table, ColoringTable)
     if name == PSI_TRUE:
@@ -794,18 +794,12 @@ def _psi0_builtin(name: str, table) -> bool:
     # the remaining builtins read pairs
     if table.arity != 2:
         raise ValueError(f"{name} applies to arity-2 colorings only")
-    idx = table.domain.elements
     if name == MONOTONE_ASCENDING:
         return all(c == 1 for c in table.table)
     if name == MONOTONE_DESCENDING:
         return all(c == 0 for c in table.table)
     if name == TRANSITIVE:
-        for i in range(len(idx)):
-            for j in range(i + 1, len(idx)):
-                for k in range(j + 1, len(idx)):
-                    if table(idx[i], idx[j]) == table(idx[j], idx[k]) != table(idx[i], idx[k]):
-                        return False
-        return True
+        return is_transitive(table, table.domain.elements)
     raise ValueError(f"unknown builtin {name!r}")
 
 

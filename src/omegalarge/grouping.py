@@ -412,31 +412,41 @@ def _subset_search(
             return False
         return len(chosen) + pool >= need
 
-    def dfs(i: int, chosen: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], Certificate]]:
-        budget.tick()
-        if chosen and (anchor is None or chosen[0] == anchor):
-            cert = accept_fn(chosen)
-            if cert is not None:
-                return chosen, cert
-        if i == len(elems) or not bound_ok(chosen, i):
-            return None
-        v = elems[i]
-        if (anchor is None or chosen or v == anchor) and compatible(chosen, v):
-            out = dfs(i + 1, chosen + (v,))
-            if out is not None:
-                return out
-        if anchor is not None and not chosen and v == anchor:
-            return None  # anchored searches must include the anchor first
-        return dfs(i + 1, chosen)
-
     try:
-        out = dfs(0, ())
+        out = _include_first_dfs(elems, budget, compatible, accept_fn, bound_ok, anchor)
     except BudgetExceeded:
         return SearchOutcome(EXHAUSTED, steps=budget.spent)
     if out is None:
         return SearchOutcome(ABSENT, steps=budget.spent)
     chosen, cert = out
     return SearchOutcome(FOUND, subset=FinSet(chosen), certificate=cert, steps=budget.spent)
+
+
+def _include_first_dfs(
+    elems: list[int], budget: Budget, compatible, accept, bound_ok, anchor: Optional[int]
+) -> Optional[tuple[tuple[int, ...], Certificate]]:
+    """The first accepted subset of elems in include-first order, and its
+    certificate.  A node is (next index, chosen so far), one budget step
+    each; its include child is pushed last, so the whole include subtree is
+    walked before the skip child.  The stack keeps deep sets off the
+    interpreter's recursion limit."""
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    while stack:
+        i, chosen = stack.pop()
+        budget.tick()
+        if chosen and (anchor is None or chosen[0] == anchor):
+            cert = accept(chosen)
+            if cert is not None:
+                return chosen, cert
+        if i == len(elems) or not bound_ok(chosen, i):
+            continue
+        v = elems[i]
+        # anchored searches must include the anchor first
+        if anchor is None or chosen or v != anchor:
+            stack.append((i + 1, chosen))
+        if (anchor is None or chosen or v == anchor) and compatible(chosen, v):
+            stack.append((i + 1, chosen + (v,)))
+    return None
 
 
 def find_homogeneous(

@@ -424,7 +424,8 @@ class _Searcher:
         if n == 0:
             return Leaf(self.xs[s])
         children = self.place(s + 1, e, n - 1, self.xs[s], -1)
-        assert children is not None, "e_star promised a fitting decomposition"
+        if children is None:
+            raise RuntimeError("e_star promised a fitting decomposition")
         return Node(self.xs[s], children)
 
 

@@ -29,7 +29,7 @@ from .largeness import (
     check_large,
     verify_certificate,
 )
-from .sets import ColoringTable, FinSet, restrict_coloring
+from .sets import ColoringTable, FinSet, is_transitive
 
 TRUE = "true"
 FALSE = "false"
@@ -313,17 +313,11 @@ def em_extract(
     constants = constants if constants is not None else EmConstants.faithful(max(n, 1))
     result = _em_level(x, f, n, sentence, budget, constants)
     if result.status == FOUND:
-        table = restrict_coloring(f, result.subset)
-        idx = table.domain.elements
-        for i in range(len(idx)):
-            for j in range(i + 1, len(idx)):
-                for k in range(j + 1, len(idx)):
-                    assert not (
-                        table(idx[i], idx[j]) == table(idx[j], idx[k]) != table(idx[i], idx[k])
-                    ), "output not transitive"
+        if not is_transitive(f, result.subset.elements):
+            raise RuntimeError("extracted subset is not transitive")
         spec = LargenessSpec(n, 1, sentence)
-        assert result.certificate is not None
-        assert verify_certificate(result.subset, result.certificate, spec)
+        if result.certificate is None or not verify_certificate(result.subset, result.certificate, spec):
+            raise RuntimeError("extracted subset failed its certificate re-check")
     return result
 
 
@@ -391,16 +385,6 @@ class QTotalityError(ValueError):
     pass
 
 
-def _is_transitive(x: FinSet, f: ColoringTable) -> bool:
-    e = x.elements
-    for i in range(len(e)):
-        for j in range(i + 1, len(e)):
-            for k in range(j + 1, len(e)):
-                if f(e[i], e[j]) == f(e[j], e[k]) != f(e[i], e[k]):
-                    return False
-    return True
-
-
 def ads_q_coloring(
     x: FinSet,
     f: ColoringTable,
@@ -422,7 +406,7 @@ def ads_q_coloring(
         raise PreconditionError("expects a pair coloring")
     if successor not in (DROP_MAX, DROP_MIN):
         raise ValueError(f"unknown successor reading {successor!r}")
-    if not _is_transitive(x, f):
+    if not is_transitive(f, x.elements):
         raise PreconditionError("coloring is not transitive on the set")
     budget = budget_or_unlimited(budget)
     budget.enter("interval recoloring")
@@ -514,7 +498,7 @@ def ads_extract(
     budget: Budget | None = None,
 ) -> SearchOutcome:
     """Homogeneous large subset of a transitive instance (direct search)."""
-    if not _is_transitive(x, f):
+    if not is_transitive(f, x.elements):
         raise PreconditionError("coloring is not transitive on the set")
     return find_homogeneous(x, f, LargenessSpec(n, 1, sentence), budget=budget)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -69,7 +70,8 @@ class FinSet:
         return iter(self.elements)
 
     def __contains__(self, v: int) -> bool:
-        return v in set(self.elements)
+        i = bisect_left(self.elements, v)
+        return i < len(self.elements) and self.elements[i] == v
 
     @property
     def minimum(self) -> int:
@@ -93,7 +95,7 @@ class FinSet:
     def without(self, v: int) -> "FinSet":
         return FinSet(tuple(x for x in self.elements if x != v), self.floor)
 
-    # -- text formats: one decimal per line, or a JSON array of strings --
+    # -- text formats: one decimal per line, or a JSON array of integers --
 
     def to_lines(self) -> str:
         return "\n".join(str(v) for v in self.elements) + "\n"
@@ -102,13 +104,40 @@ class FinSet:
         return json.dumps([str(v) for v in self.elements])
 
     @classmethod
-    def parse(cls, text: str, floor: int = DEFAULT_FLOOR) -> "FinSet":
+    def parse(cls, text: str, floor: int = DEFAULT_FLOOR, source: str = "<text>") -> "FinSet":
+        """Read either text format; JSON entries are integers or decimal
+        strings.  Every error is a ValueError whose message starts with
+        `source` (with the line number for a bad line)."""
         stripped = text.strip()
+        values = []
         if stripped.startswith("["):
-            values = [int(s) for s in json.loads(stripped)]
+            try:
+                entries = json.loads(stripped)
+            except ValueError as err:
+                raise ValueError(f"{source}: bad JSON set: {err}") from err
+            for pos, entry in enumerate(entries):
+                if isinstance(entry, bool) or not isinstance(entry, (int, str)):
+                    raise ValueError(f"{source}: JSON set entry {pos} is not an integer: {json.dumps(entry)}")
+                try:
+                    values.append(int(entry))
+                except ValueError:
+                    raise ValueError(
+                        f"{source}: JSON set entry {pos} is not a decimal numeral: {json.dumps(entry)}"
+                    ) from None
         else:
-            values = [int(line) for line in stripped.splitlines() if line.strip()]
-        return cls(tuple(values), floor)
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if not line.strip():
+                    continue
+                try:
+                    values.append(int(line))
+                except ValueError:
+                    raise ValueError(
+                        f"{source}:{lineno}: not a decimal numeral: {line!r}"
+                    ) from None
+        try:
+            return cls(tuple(values), floor)
+        except ValueError as err:
+            raise ValueError(f"{source}: {err}") from err
 
 
 def is_sparse(x: FinSet, policy: SparsityPolicy) -> bool:
@@ -227,6 +256,17 @@ def _lex_rank(ps: list[int], n: int) -> int:
     """
     k = len(ps)
     return comb(n, k) - 1 - sum(comb(n - 1 - p, k - t) for t, p in enumerate(ps))
+
+
+def is_transitive(f: ColoringTable, elements: Sequence[int]) -> bool:
+    """No triple a < b < c of elements has f(a, b) == f(b, c) != f(a, c)."""
+    e = elements
+    for i in range(len(e)):
+        for j in range(i + 1, len(e)):
+            for k in range(j + 1, len(e)):
+                if f(e[i], e[j]) == f(e[j], e[k]) != f(e[i], e[k]):
+                    return False
+    return True
 
 
 def restrict_coloring(f: ColoringTable, g: FinSet) -> ColoringTable:

@@ -2,9 +2,10 @@
 
 Everything here re-derives answers straight from the definitions, sharing
 no search logic with the package: largeness by enumerating block
-decompositions over all subsets, formulas by ground substitution.  The one
-exception is the recursive grouping walk, a replaced traversal kept as the
-reference for the one that replaced it.
+decompositions over all subsets, formulas by ground substitution.  The
+exceptions are replaced code kept as the reference for what replaced it:
+the recursive grouping walk, the recursive include-first subset search and
+the blockfree view's own copy of the separation test.
 """
 
 from __future__ import annotations
@@ -292,6 +293,68 @@ def recursive_grouping_witnesses(walk):
     if walk.min_blocks is not None and walk.min_blocks > len(elems):
         return
     yield from rec(0, [], [], None, False)
+
+
+# ---------------------------------------------------------------------------
+# The recursive subset search that _include_first_dfs's explicit stack replaced
+# ---------------------------------------------------------------------------
+
+
+def recursive_include_first_dfs(elems, budget, compatible, accept, bound_ok, anchor):
+    """Drop-in for grouping._include_first_dfs, by plain recursion.  Its
+    depth grows with the number of skipped elements, so it suits small
+    sets only."""
+
+    def dfs(i, chosen):
+        budget.tick()
+        if chosen and (anchor is None or chosen[0] == anchor):
+            cert = accept(chosen)
+            if cert is not None:
+                return chosen, cert
+        if i == len(elems) or not bound_ok(chosen, i):
+            return None
+        v = elems[i]
+        if (anchor is None or chosen or v == anchor) and compatible(chosen, v):
+            out = dfs(i + 1, chosen + (v,))
+            if out is not None:
+                return out
+        if anchor is not None and not chosen and v == anchor:
+            return None  # anchored searches must include the anchor first
+        return dfs(i + 1, chosen)
+
+    return dfs(0, ())
+
+
+# ---------------------------------------------------------------------------
+# Transitivity by relation composition
+# ---------------------------------------------------------------------------
+
+
+def bf_transitive(f, elements) -> bool:
+    """Each color class {(a, b) : a < b, f(a, b) = c} is a transitive
+    relation: composing it with itself stays inside it."""
+    pairs = list(combinations(sorted(elements), 2))
+    for c in set(f(a, b) for a, b in pairs):
+        rel = {(a, b) for a, b in pairs if f(a, b) == c}
+        if any((a, d) not in rel for a, b in rel for b2, d in rel if b == b2):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# BlockfreeView.separates as it was before it shared the tree's body
+# ---------------------------------------------------------------------------
+
+
+def blockfree_separates(view, x: int, y: int, z: int) -> bool:
+    if not (view.contains(x) and view.contains(z) and z >= y):
+        return True
+    if not (y > x and view.contains(y)):
+        return False
+    return any(
+        view.same_block(y, z, c) and not view.same_block(x, y, c)
+        for c in range(view.rank + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from omegalarge import cli
 from omegalarge.cli import main
 from omegalarge.sets import ColoringTable, FinSet
 
@@ -73,6 +76,30 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 3 and "bad.txt:2" in err
     code, _, err = run(capsys, "nonsense")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "text", ['[{"a": 1}, 5]', "[3, 4.5, 9]", "[3, true, 9]"], ids=["object", "float", "bool"]
+)
+def test_json_set_entries_must_be_integers(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(
+        capsys, "large", "check", "--set", str(bad), "--n", "1", "--format", "json"
+    )
+    assert code == 3 and out == ""
+    assert "bad.json: JSON set entry" in err and "Traceback" not in err
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_certificate", lambda *args, **kwargs: False)
+    code, out, err = run(
+        capsys, "large", "check", "--interval", "3:38", "--n", "2", "--format", "json"
+    )
+    assert code == 4 and "Traceback" in err
+    obj = json.loads(out)
+    assert obj["result"] == "internal-error" and obj["exit"] == 4
+    assert "fails re-verification" in obj["reason"]
 
 
 def test_apart(tmp_path, capsys):
@@ -278,9 +305,4 @@ def test_formula_weaken_roundtrip(tmp_path, capsys):
     assert "exists x' < x" in out.replace("exists x'", "exists x'")
     # applying the transform twice is a shape error
     code, _, err = run(capsys, "formula", "weaken", "--file", str(out_file))
-    assert code == 3
-
-
-def test_threads_flag_validated(capsys):
-    code, _, err = run(capsys, "bounds-table", "--n-max", "1", "--threads", "0")
     assert code == 3

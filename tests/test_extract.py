@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from omegalarge import extract
 from omegalarge.extract import (
     CountingFailure,
     decompose_mixed,
@@ -140,7 +141,8 @@ def test_fuse_base_case():
     maxima = FinSet(tuple(s.maximum for s in singles))
     assert is_plain_large(maxima.elements, 1)
     out = fuse(singles[0], singles[1:], 0, 0, TOP)
-    assert out.fused.minimum == singles[0].maximum
+    # every later block, also those past the maxima certificate's block
+    assert out.fused.elements == (singles[0].maximum, *(v for s in singles[1:] for v in s))
     assert verify_certificate(out.fused, out.certificate, LargenessSpec(0, 1, TOP))
 
 
@@ -165,8 +167,18 @@ def test_fuse_wide_blocks():
     maxima = FinSet(tuple(b.maximum for b in blocks))
     assert is_plain_large(maxima.elements, 1)
     out = fuse(blocks[0], blocks[1:], 1, 0, TOP)
-    assert out.fused.minimum == blocks[0].maximum
+    assert out.fused.elements == (blocks[0].maximum, *(v for b in blocks[1:] for v in b))
     assert verify_certificate(out.fused, out.certificate, LargenessSpec(1, 1, TOP))
+
+
+def test_extractors_recheck_their_output(monkeypatch):
+    monkeypatch.setattr(extract, "verify_certificate", lambda *args, **kwargs: False)
+    singles = [FinSet((v,)) for v in range(3, 39)]
+    with pytest.raises(RuntimeError):
+        fuse(singles[0], singles[1:], 0, 1, TOP)
+    f = ColoringTable.from_function(X38, 1, 3, lambda v: v % 3)
+    with pytest.raises(RuntimeError):
+        pigeonhole_extract(X38, f, 0, TOP)
 
 
 def test_fuse_preconditions():

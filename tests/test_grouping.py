@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from omegalarge.grouping import (
 from omegalarge.largeness import LargenessSpec, verify_certificate
 from omegalarge.sets import ColoringTable, FinSet
 
-from oracles import BruteForcePlain, recursive_grouping_witnesses
+from oracles import BruteForcePlain, recursive_grouping_witnesses, recursive_include_first_dfs
 
 
 def pair_coloring(domain, fn):
@@ -314,3 +315,45 @@ def test_find_grouping_rechecks_its_witness(monkeypatch):
     monkeypatch.setattr(grouping, "is_grouping", lambda *args: False)
     with pytest.raises(RuntimeError):
         find_grouping(z, f, LSpec.card(1), LSpec.card(2), TOP)
+
+
+# -- the include-first subset search: explicit stack --------------------------
+
+
+@st.composite
+def subset_search_inputs(draw):
+    values = draw(st.lists(st.integers(3, 14), max_size=10, unique=True))
+    z = FinSet(tuple(sorted(values)))
+    f = ColoringTable.random(z, 2, 2, draw(st.randoms(use_true_random=False)))
+    sentence = draw(st.sampled_from(SENTENCES))
+    target = LargenessSpec(draw(st.integers(0, 2)), draw(st.integers(1, 2)), sentence)
+    if draw(st.booleans()):
+        return find_transitive, z, f, target, {}
+    options = {
+        "color": draw(st.sampled_from([None, 0, 1])),
+        "anchor": draw(st.sampled_from([None, *values])),
+        "max_value": draw(st.sampled_from([None, 8, 12])),
+    }
+    return find_homogeneous, z, f, target, options
+
+
+@given(subset_search_inputs(), st.sampled_from([10, 40, 20_000]))
+@settings(max_examples=150, deadline=None)
+def test_subset_search_matches_recursive_search(inputs, steps):
+    # same status, subset and step count as the recursion the stack replaced
+    search, z, f, target, options = inputs
+    stacked = search(z, f, target, Budget(steps), **options)
+    with patch.object(grouping, "_include_first_dfs", recursive_include_first_dfs):
+        recursive = search(z, f, target, Budget(steps), **options)
+    assert (stacked.status, stacked.subset, stacked.steps) == (
+        recursive.status, recursive.subset, recursive.steps
+    )
+
+
+def test_subset_search_is_deeper_than_the_recursion_limit():
+    # include-first takes 3 and 4, after which every later element is
+    # skipped one level deeper
+    z = interval(3, 1500)
+    f = pair_coloring(z, lambda a, b: (b - a) % 2)
+    out = find_homogeneous(z, f, LargenessSpec(2, 1, TOP), Budget(10 ** 5))
+    assert out.status == EXHAUSTED

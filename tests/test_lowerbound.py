@@ -22,7 +22,7 @@ from omegalarge.lowerbound import (
 )
 from omegalarge.sets import FinSet
 
-from oracles import plain_decompositions
+from oracles import blockfree_separates, plain_decompositions
 
 T31 = tree(3, 1)
 T32 = tree(3, 2)
@@ -100,6 +100,22 @@ def test_zero_blockfree_views():
     assert view.to_finset().elements == (3, 4, 9, 19)
     assert is_minimal(view.to_finset(), 1)
     assert view.zero_blockfree().to_finset().elements == (3,)
+
+
+def test_blockfree_separates_keeps_its_answers():
+    # the view shares the tree's body; compare it with the view's former copy
+    view = T32.zero_blockfree()
+    members = view.to_finset().elements
+    probes = sorted({v + d for v in members for d in (-1, 0, 1)} | {38, 39})
+    answers = set()
+    for x in probes:
+        for y in probes:
+            for z in probes:
+                got = view.separates(x, y, z)
+                assert got == blockfree_separates(view, x, y, z), (x, y, z)
+                if x in members and z in members and z >= y:
+                    answers.add(got)
+    assert answers == {True, False}
 
 
 def test_unique_decomposition_via_enumeration():

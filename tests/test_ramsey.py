@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from omegalarge import ramsey
 from omegalarge.budget import Budget
 from omegalarge.formula import (
     HOMOGENEOUS,
@@ -183,6 +184,14 @@ def test_em_extract_transitive_instance():
     f = ColoringTable.from_function(X38, 2, 2, lambda x, y: 1)
     out = em_extract(X38, f, 1, TOP, Budget(400_000), EmConstants.scaled(1))
     assert out.status == FOUND
+
+
+@pytest.mark.parametrize("check", ["is_transitive", "verify_certificate"])
+def test_em_extract_rechecks_its_output(monkeypatch, check):
+    f = ColoringTable.from_function(X38, 2, 2, lambda x, y: 1)
+    monkeypatch.setattr(ramsey, check, lambda *args, **kwargs: False)
+    with pytest.raises(RuntimeError):
+        em_extract(X38, f, 1, TOP, Budget(400_000), EmConstants.scaled(1))
 
 
 def test_em_extract_faithful_constants_fail_honestly():

@@ -9,8 +9,11 @@ from omegalarge.sets import (
     FinSet,
     SparsityPolicy,
     is_sparse,
+    is_transitive,
     restrict_coloring,
 )
+
+from oracles import bf_transitive
 
 
 def test_finset_validation():
@@ -22,6 +25,25 @@ def test_finset_validation():
         FinSet((2, 4))  # below default floor
     assert FinSet((0, 1), floor=0).elements == (0, 1)
     assert len(FinSet(())) == 0
+
+
+@given(st.lists(st.integers(3, 60), unique=True), st.lists(st.integers(-5, 70), max_size=20))
+def test_membership_matches_set_membership(values, probes):
+    x = FinSet(tuple(sorted(values)))
+    for v in (*values, *probes):
+        assert (v in x) == (v in set(x.elements))
+
+
+@given(
+    st.lists(st.integers(3, 12), unique=True, max_size=7),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300)
+def test_is_transitive_matches_relation_composition(values, colors, rng):
+    z = FinSet(tuple(sorted(values)))
+    f = ColoringTable.random(z, 2, colors, rng)
+    assert is_transitive(f, z.elements) == bf_transitive(f, z.elements)
 
 
 def test_finset_text_roundtrips():
