@@ -109,19 +109,30 @@ def load_set(args) -> FinSet:
     return read_set(args.set, args.floor)
 
 
-def read_set(path: str, floor: int) -> FinSet:
+def read_text(path: str) -> str:
+    """The whole file as UTF-8; one that cannot be opened or decoded is a
+    usage error whose message starts with the path."""
     try:
-        with open(path) as fh:
-            return FinSet.parse(fh.read(), floor, source=path)
-    except (OSError, ValueError) as err:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise UsageError(f"{path}: {err}") from err
+
+
+def read_set(path: str, floor: int) -> FinSet:
+    text = read_text(path)
+    try:
+        return FinSet.parse(text, floor, source=path)
+    except ValueError as err:
         raise UsageError(str(err)) from err
 
 
 def load_sentence(args) -> Pi03Sentence:
     if getattr(args, "theta_file", None):
+        text = read_text(args.theta_file)
         try:
-            return Pi03Sentence.from_json(open(args.theta_file).read())
-        except (OSError, ValueError, KeyError) as err:
+            return Pi03Sentence.from_json(text)
+        except (ValueError, KeyError) as err:
             raise UsageError(f"{args.theta_file}: {err}") from err
     text = getattr(args, "theta", "top")
     if text == "top":
@@ -140,9 +151,10 @@ def load_coloring(args, attr: str = "coloring") -> ColoringTable:
     path = getattr(args, attr, None)
     if not path:
         raise UsageError("a coloring is required (--coloring FILE)")
+    text = read_text(path)
     try:
-        return ColoringTable.from_json(open(path).read(), floor=0)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+        return ColoringTable.from_json(text, floor=0)
+    except (ValueError, KeyError) as err:
         raise UsageError(f"{path}: {err}") from err
 
 
@@ -198,9 +210,10 @@ def cmd_large_check(args) -> Outcome:
     sentence = load_sentence(args)
     spec = LargenessSpec(args.n, args.k, sentence)
     if args.verify:
+        text = read_text(args.verify)
         try:
-            cert = Certificate.from_json(open(args.verify).read())
-        except (OSError, ValueError, KeyError) as err:
+            cert = Certificate.from_json(text)
+        except (ValueError, KeyError) as err:
             raise UsageError(f"{args.verify}: {err}") from err
         ok = verify_certificate(x, cert, spec, paranoid=args.paranoid)
         return Outcome(
@@ -310,9 +323,10 @@ def cmd_grouping_find(args) -> Outcome:
 def cmd_grouping_check(args) -> Outcome:
     f = load_coloring(args)
     sentence = load_sentence(args)
+    text = read_text(args.witness)
     try:
-        witness = GroupingWitness.from_json(open(args.witness).read(), f)
-    except (OSError, ValueError, KeyError) as err:
+        witness = GroupingWitness.from_json(text, f)
+    except (ValueError, KeyError) as err:
         raise UsageError(f"{args.witness}: {err}") from err
     l0 = load_lspec(args.l0, sentence)
     l1 = load_lspec(args.l1, sentence)
@@ -513,9 +527,10 @@ def cmd_formula_eval(args) -> Outcome:
 
 def cmd_formula_weaken(args) -> Outcome:
     if args.file:
+        text = read_text(args.file)
         try:
-            sentence = PrefixedSentence.from_json(open(args.file).read())
-        except (OSError, ValueError, KeyError) as err:
+            sentence = PrefixedSentence.from_json(text)
+        except (ValueError, KeyError) as err:
             raise UsageError(f"{args.file}: {err}") from err
     else:
         try:
@@ -755,7 +770,9 @@ def main(argv=None) -> int:
         reason = f"{type(err).__name__}: {err}"
         outcome = Outcome(4, {"result": "internal-error", "reason": reason}, f"internal error: {reason}")
     if args.format == "json":
-        print(json.dumps({"command": args.command, "exit": outcome.code, **outcome.payload}))
+        # every result carries a reason: the payload's own, else the human line
+        result = {"command": args.command, "exit": outcome.code, "reason": outcome.human}
+        print(json.dumps({**result, **outcome.payload}))
     else:
         print(outcome.human)
     return outcome.code

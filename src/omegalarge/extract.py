@@ -225,7 +225,8 @@ def decompose_mixed(
         assert isinstance(node1, Node)
         z = node1.children
         min_y0 = vals(pair0)[0]
-        assert 2 * min_y0 <= len(z), "decomposition shorter than the doubling argument needs"
+        if 2 * min_y0 > len(z):
+            raise RuntimeError("decomposition shorter than the doubling argument needs")
         out = [pair0]
         for j in range(min_y0):
             out.extend(helper(z[2 * j], z[2 * j + 1], mm - 1))
@@ -239,12 +240,15 @@ def decompose_mixed(
     certs = []
     for blk in blocks:
         c = check_large(blk, LargenessSpec(n, 1, sentence), budget=budget)
-        assert c is not None, "block lost largeness at the target exponent"
+        if c is None:
+            raise RuntimeError("block lost largeness at the target exponent")
         certs.append(c)
     for left, right in zip(blocks, blocks[1:]):
-        assert t_apart(left, right, sentence)
+        if not t_apart(left, right, sentence):
+            raise RuntimeError("consecutive blocks are not apart")
     minima = FinSet(tuple(blk.minimum for blk in blocks))
-    assert is_plain_large(minima.elements, m), "minima set is not plainly large"
+    if not is_plain_large(minima.elements, m):
+        raise RuntimeError("minima set is not plainly large")
     return DecomposeResult(blocks, tuple(certs), minima)
 
 

@@ -466,7 +466,7 @@ class SecondOrderParam:
     bits: str = ""
 
     def __post_init__(self) -> None:
-        if any(c not in "01" for c in self.bits):
+        if self.bits.count("0") + self.bits.count("1") != len(self.bits):
             raise ValueError("bits must be a string over 0/1")
 
     @property

@@ -44,14 +44,14 @@ class LargenessSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     """Witnesses exponent 0: the block is nonempty."""
 
     witness: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """Witnesses exponent n >= 1: head is the block minimum, children are
     exactly `head` blocks at exponent n-1 drawn from the block minus head."""
@@ -60,7 +60,7 @@ class Node:
     children: tuple["Block", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """Half-open index range [lo, hi) into the root set's element list."""
 
@@ -69,7 +69,7 @@ class Block:
     cert: "Leaf | Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     exponent: int
     multiplier: int
@@ -482,48 +482,48 @@ def verify_certificate(
     re-evaluated from scratch; `paranoid` checks apartness on all block
     pairs instead of consecutive ones.
     """
-    xs = x.elements
-    sentence = spec.sentence
-
-    def block_ok(b: Block, exponent: int, lo_limit: int, hi_limit: int) -> bool:
-        if not (lo_limit <= b.lo < b.hi <= hi_limit):
-            return False
-        if isinstance(b.cert, Leaf):
-            return exponent == 0 and b.cert.witness in xs[b.lo: b.hi]
-        if exponent == 0:
-            return False
-        node = b.cert
-        if node.head != xs[b.lo]:
-            return False
-        if len(node.children) != node.head:
-            return False
-        return chain_ok(node.children, exponent - 1, b.lo + 1, b.hi)
-
-    def chain_ok(blocks: tuple[Block, ...], exponent: int, lo: int, hi: int) -> bool:
-        prev_hi = lo
-        for b in blocks:
-            if b.lo < prev_hi:
-                return False
-            if not block_ok(b, exponent, lo, hi):
-                return False
-            prev_hi = b.hi
-        pairs = (
-            [(i, j) for i in range(len(blocks)) for j in range(i + 1, len(blocks))]
-            if paranoid
-            else [(i, i + 1) for i in range(len(blocks) - 1)]
-        )
-        for i, j in pairs:
-            bi, bj = blocks[i], blocks[j]
-            if not sentence.holds_bounded(xs[bi.hi - 1], xs[bj.lo], xs[bj.hi - 1]):
-                return False
-        return True
-
     try:
-        _check_admissible(x, sentence)
+        _check_admissible(x, spec.sentence)
     except PreconditionError:
         return False
     if cert.exponent != spec.exponent or cert.multiplier != spec.multiplier:
         return False
     if len(cert.blocks) != spec.multiplier:
         return False
-    return chain_ok(cert.blocks, spec.exponent, 0, len(xs))
+    xs = x.elements
+    return _chain_ok(xs, spec.sentence, paranoid, cert.blocks, spec.exponent, 0, len(xs))
+
+
+def _chain_ok(
+    xs: tuple[int, ...], sentence: Pi03Sentence, paranoid: bool,
+    blocks: tuple[Block, ...], exponent: int, lo: int, hi: int,
+) -> bool:
+    """Increasing blocks inside xs[lo:hi], each certified at `exponent`,
+    apart on consecutive pairs (all pairs if paranoid).
+
+    Module-level, not nested in verify_certificate: nested helpers calling
+    each other form a reference cycle that keeps the sentence and its memos
+    alive until the next full garbage collection."""
+    prev_hi = lo
+    for b in blocks:
+        if not (prev_hi <= b.lo < b.hi <= hi):
+            return False
+        cert = b.cert
+        if isinstance(cert, Leaf):
+            if exponent != 0 or cert.witness not in xs[b.lo: b.hi]:
+                return False
+        elif exponent == 0 or cert.head != xs[b.lo] or len(cert.children) != cert.head:
+            return False
+        elif not _chain_ok(xs, sentence, paranoid, cert.children, exponent - 1, b.lo + 1, b.hi):
+            return False
+        prev_hi = b.hi
+    pairs = (
+        [(i, j) for i in range(len(blocks)) for j in range(i + 1, len(blocks))]
+        if paranoid
+        else [(i, i + 1) for i in range(len(blocks) - 1)]
+    )
+    for i, j in pairs:
+        bi, bj = blocks[i], blocks[j]
+        if not sentence.holds_bounded(xs[bi.hi - 1], xs[bj.lo], xs[bj.hi - 1]):
+            return False
+    return True

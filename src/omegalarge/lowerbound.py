@@ -147,7 +147,8 @@ class CanonicalTree:
         node = self
         while v != node.base:
             i = node._child_index_containing(v)
-            assert i is not None
+            if i is None:
+                raise RuntimeError(f"{v} lies in the set but in no child of {node!r}")
             node = node.child(i)
         return node.rank
 
@@ -216,33 +217,32 @@ def _tabulated_sentence(owner, members: tuple[int, ...], ceiling: int) -> Pi03Se
     (the strict reading loses only vacuous or never-witness edge points).
 
     Triples whose antecedent fails (x or z outside the set, or z < y) are
-    true; only member pairs (x, z) need the level scan, which reads
-    precomputed block addresses.
+    true; each member pair (x, z) fills its column of y <= z at once.  As a
+    bitmask over y, the column is the union over levels c of z's c-block
+    minus x's c-block, cut to x < y <= z.
     """
     bound = members[-1] + 2
     if bound > ceiling:
         raise SizeOverflow("export table bound", ceiling)
-    levels = range(owner.rank + 1)
-    addr = {v: tuple(owner.block_of(v, c) for c in levels) for v in members}
+    addrs = [(v, [owner.block_of(v, c) for c in range(owner.rank + 1)]) for v in members]
+    block_mask: dict[BlockAddress, int] = {}  # an address carries its level
+    for v, row in addrs:
+        for a in row:
+            if a is not None:
+                block_mask[a] = block_mask.get(a, 0) | (1 << v)
+    # each member's block at every level as a mask; 0 where it has none
+    level_masks = [(v, tuple(block_mask.get(a, 0) for a in row)) for v, row in addrs]
     bits = bytearray(b"1" * (bound ** 3))
-    member_set = set(members)
-    for x in members:
-        ax = addr[x]
+    for x, mx in level_masks:
         xb = x * bound * bound
-        for z in members:
-            az = addr[z]
-            base_idx = xb + z
-            for y in range(z + 1):
-                if y > x and y in member_set:
-                    ay = addr[y]
-                    ok = any(
-                        ay[c] is not None and ay[c] == az[c] and ax[c] != ay[c]
-                        for c in levels
-                    )
-                else:
-                    ok = False
-                if not ok:
-                    bits[base_idx + y * bound] = ord("0")
+        above_x = -(2 << x)  # bits y > x
+        for z, mz in level_masks:
+            col = 0
+            for in_z, in_x in zip(mz, mx):
+                col |= in_z & ~in_x
+            col &= above_x & ((2 << z) - 1)
+            # entry (x, y, z) sits at xb + y*bound + z, for y = 0..z
+            bits[xb + z: xb + z + (z + 1) * bound: bound] = format(col, f"0{z + 1}b")[::-1].encode()
     shift = bound * bound + bound + 1  # move (x, y, z) to (x+1, y+1, z+1)
     term = TAdd(
         TAdd(TMul(TVar("x"), TConst(bound * bound)), TMul(TVar("y"), TConst(bound))),

@@ -116,14 +116,7 @@ class FinSet:
             except ValueError as err:
                 raise ValueError(f"{source}: bad JSON set: {err}") from err
             for pos, entry in enumerate(entries):
-                if isinstance(entry, bool) or not isinstance(entry, (int, str)):
-                    raise ValueError(f"{source}: JSON set entry {pos} is not an integer: {json.dumps(entry)}")
-                try:
-                    values.append(int(entry))
-                except ValueError:
-                    raise ValueError(
-                        f"{source}: JSON set entry {pos} is not a decimal numeral: {json.dumps(entry)}"
-                    ) from None
+                values.append(_json_int(entry, f"{source}: JSON set entry {pos}"))
         else:
             for lineno, line in enumerate(text.splitlines(), start=1):
                 if not line.strip():
@@ -138,6 +131,17 @@ class FinSet:
             return cls(tuple(values), floor)
         except ValueError as err:
             raise ValueError(f"{source}: {err}") from err
+
+
+def _json_int(entry, what: str) -> int:
+    """A JSON integer or decimal string as an int; anything else,
+    including a float or a bool, is a ValueError naming `what`."""
+    if isinstance(entry, bool) or not isinstance(entry, (int, str)):
+        raise ValueError(f"{what} is not an integer: {json.dumps(entry)}")
+    try:
+        return int(entry)
+    except ValueError:
+        raise ValueError(f"{what} is not a decimal numeral: {json.dumps(entry)}") from None
 
 
 def is_sparse(x: FinSet, policy: SparsityPolicy) -> bool:
@@ -242,9 +246,22 @@ class ColoringTable:
 
     @classmethod
     def from_json(cls, text: str, floor: int = 0) -> "ColoringTable":
+        """Numbers are read as in set files; colors must be JSON integers."""
         obj = json.loads(text)
-        domain = FinSet(tuple(int(s) for s in obj["domain"]), floor)
-        return cls(domain, int(obj["arity"]), int(obj["colors"]), tuple(obj["table"]))
+        if not isinstance(obj, dict):
+            raise ValueError("a coloring is a JSON object")
+        domain, table = obj["domain"], obj["table"]
+        if not (isinstance(domain, list) and isinstance(table, list)):
+            raise ValueError("domain and table must be JSON arrays")
+        for pos, c in enumerate(table):
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ValueError(f"table entry {pos} is not an integer: {json.dumps(c)}")
+        return cls(
+            FinSet(tuple(_json_int(v, f"domain entry {pos}") for pos, v in enumerate(domain)), floor),
+            _json_int(obj["arity"], "arity"),
+            _json_int(obj["colors"], "colors"),
+            tuple(table),
+        )
 
 
 def _lex_rank(ps: list[int], n: int) -> int:

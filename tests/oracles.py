@@ -4,8 +4,9 @@ Everything here re-derives answers straight from the definitions, sharing
 no search logic with the package: largeness by enumerating block
 decompositions over all subsets, formulas by ground substitution.  The
 exceptions are replaced code kept as the reference for what replaced it:
-the recursive grouping walk, the recursive include-first subset search and
-the blockfree view's own copy of the separation test.
+the recursive grouping walk, the recursive include-first subset search,
+the blockfree view's own copy of the separation test and the per-triple
+export table.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import random
 from itertools import combinations
 
 from omegalarge import formula as fm
+from omegalarge.largeness import SizeOverflow
+from omegalarge.lowerbound import CanonicalTree
 
 # ---------------------------------------------------------------------------
 # Plain largeness by exhaustive decomposition enumeration (bitmask form)
@@ -355,6 +358,46 @@ def blockfree_separates(view, x: int, y: int, z: int) -> bool:
         view.same_block(y, z, c) and not view.same_block(x, y, c)
         for c in range(view.rank + 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# The export table as it was built before the bitmask columns: one level
+# scan per triple
+# ---------------------------------------------------------------------------
+
+
+def per_triple_separation_bits(owner, ceiling: int) -> str:
+    """The bits of `owner.export_sentence(ceiling)`'s parameter A, filled
+    triple by triple; raises SizeOverflow where the export does."""
+    if isinstance(owner, CanonicalTree):
+        members = owner.materialize(budget=ceiling).elements
+    else:
+        members = owner.to_finset(budget=ceiling).elements
+    bound = members[-1] + 2
+    if bound > ceiling:
+        raise SizeOverflow("export table bound", ceiling)
+    levels = range(owner.rank + 1)
+    addr = {v: tuple(owner.block_of(v, c) for c in levels) for v in members}
+    bits = bytearray(b"1" * (bound ** 3))
+    member_set = set(members)
+    for x in members:
+        ax = addr[x]
+        xb = x * bound * bound
+        for z in members:
+            az = addr[z]
+            base_idx = xb + z
+            for y in range(z + 1):
+                if y > x and y in member_set:
+                    ay = addr[y]
+                    ok = any(
+                        ay[c] is not None and ay[c] == az[c] and ax[c] != ay[c]
+                        for c in levels
+                    )
+                else:
+                    ok = False
+                if not ok:
+                    bits[base_idx + y * bound] = ord("0")
+    return bits.decode()
 
 
 # ---------------------------------------------------------------------------

@@ -306,3 +306,50 @@ def test_formula_weaken_roundtrip(tmp_path, capsys):
     # applying the transform twice is a shape error
     code, _, err = run(capsys, "formula", "weaken", "--file", str(out_file))
     assert code == 3
+
+
+def test_coloring_colors_must_be_integers(tmp_path, capsys):
+    # a half color used to pass the range check and come back as color 0.5
+    path = tmp_path / "f.json"
+    path.write_text('{"domain": [3, 4, 5, 6], "arity": 1, "colors": 2, "table": [0.5, 0.5, 0.5, 0.5]}')
+    code, out, err = run(
+        capsys, "large", "pigeonhole", "--interval", "3:6", "--coloring", str(path),
+        "--b", "0", "--format", "json",
+    )
+    assert code == 3 and out == ""
+    assert "f.json: table entry 0 is not an integer" in err
+
+
+@pytest.mark.parametrize("flag", ["--set", "--theta-file", "--coloring"])
+def test_undecodable_files_are_named(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    x = write_set(tmp_path, "x.txt", range(3, 7))
+    argv = {
+        "--set": ["large", "check", "--set", str(bad), "--n", "1"],
+        "--theta-file": ["large", "check", "--set", x, "--n", "1", "--theta-file", str(bad)],
+        "--coloring": ["large", "pigeonhole", "--set", x, "--coloring", str(bad), "--b", "0"],
+    }[flag]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3 and out == ""
+    assert f"usage error: {bad}: 'utf-8' codec can't decode" in err and "Traceback" not in err
+
+
+def test_success_json_carries_a_reason(tmp_path, capsys):
+    f1 = write_coloring(
+        tmp_path, "f1.json", ColoringTable.from_function(FinSet.interval(3, 38), 1, 3, lambda v: v % 3)
+    )
+    f2 = write_coloring(
+        tmp_path, "f2.json", ColoringTable.from_function(FinSet.interval(3, 38), 2, 2, lambda x, y: 0)
+    )
+    calls = [
+        ["large", "check", "--interval", "3:38", "--n", "2"],
+        ["large", "pigeonhole", "--interval", "3:38", "--coloring", f1, "--b", "1"],
+        ["grouping", "find", "--interval", "3:38", "--coloring", f2, "--l0", "card:2", "--l1", "card:2"],
+        ["formula", "parse", "forall z < y . x < z"],
+    ]
+    for argv in calls:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        obj = json.loads(out)
+        assert code == 0 and obj["exit"] == 0, argv
+        assert isinstance(obj["reason"], str) and obj["reason"], argv

@@ -196,3 +196,22 @@ def test_fuse_with_sentence():
     singles = [FinSet((v,)) for v in range(3, 39)]
     out = fuse(singles[0], singles[1:], 0, 1, t)
     assert verify_certificate(out.fused, out.certificate, LargenessSpec(1, 1, t), paranoid=True)
+
+
+def test_decompose_mixed_rechecks_its_output(monkeypatch):
+    # each postcondition raises, also under python -O
+    real_check_large = extract.check_large
+
+    def blocks_not_large(x, spec, **kwargs):
+        return None if spec.exponent == 0 else real_check_large(x, spec, **kwargs)
+
+    faults = [
+        ("check_large", blocks_not_large, "lost largeness"),
+        ("t_apart", lambda *args: False, "not apart"),
+        ("is_plain_large", lambda *args: False, "not plainly large"),
+    ]
+    for name, fake, message in faults:
+        with monkeypatch.context() as m:
+            m.setattr(extract, name, fake)
+            with pytest.raises(RuntimeError, match=message):
+                decompose_mixed(X38, 0, 1, TOP)

@@ -240,3 +240,16 @@ def test_prefixed_sentence_json_roundtrip():
     out = weakly_pi04_transform(s)
     again = PrefixedSentence.from_json(out.to_json())
     assert again == out
+
+
+@pytest.mark.parametrize("bits", ["012", "0 1", "\uff11", "\u00b9", "01\n"])
+def test_second_order_param_rejects_non_bit_strings(bits):
+    # fullwidth and superscript one are digits to str.isdigit, not bits
+    with pytest.raises(ValueError):
+        SecondOrderParam(bits)
+
+
+def test_second_order_param_accepts_bit_strings():
+    assert SecondOrderParam("").length == 0
+    param = SecondOrderParam("0110")
+    assert [param.member(i) for i in range(5)] == [False, True, True, False, False]

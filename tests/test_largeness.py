@@ -1,5 +1,7 @@
+import gc
 import logging
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -278,3 +280,29 @@ def test_minimal_interval_card_recurrence():
             total += c
             nxt += c
         assert minimal_interval_card(base, 2, 10 ** 9) == total
+
+
+def test_certificate_classes_have_no_instance_dict():
+    cert = check_large(FinSet.interval(3, 38), LargenessSpec(2))
+    node = cert.blocks[0].cert
+    for obj in (cert, cert.blocks[0], node, node.children[0].cert.children[0].cert):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+def test_verification_leaves_no_cycle_holding_the_sentence():
+    # with the collector off, only reference counting frees the sentence
+    x = FinSet.interval(3, 40)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sentence = Pi03Sentence(parse("x < y or z < y"))
+        spec = LargenessSpec(2, 1, sentence)
+        cert = check_large(x, spec)
+        assert cert is not None
+        assert verify_certificate(x, cert, spec, paranoid=True)
+        ref = weakref.ref(sentence)
+        del sentence, spec
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -22,7 +22,7 @@ from omegalarge.lowerbound import (
 )
 from omegalarge.sets import FinSet
 
-from oracles import blockfree_separates, plain_decompositions
+from oracles import blockfree_separates, per_triple_separation_bits, plain_decompositions
 
 T31 = tree(3, 1)
 T32 = tree(3, 2)
@@ -248,3 +248,26 @@ def test_export_sentence_reads_shifted_structure():
         for y in range(bound - 1):
             for z in range(bound - 1):
                 assert sentence.theta_at(x, y, z) == T31.separates(x + 1, y + 1, z + 1)
+
+
+@pytest.mark.parametrize("ceiling", [128, 256])
+@pytest.mark.parametrize("base,rank", [(b, r) for b in (3, 4, 5) for r in (1, 2)])
+def test_export_table_matches_per_triple_oracle(base, rank, ceiling):
+    t = tree(base, rank)
+    for owner in (t, t.zero_blockfree()):
+        try:
+            want = per_triple_separation_bits(owner, ceiling)
+        except SizeOverflow:
+            with pytest.raises(SizeOverflow):
+                owner.export_sentence(ceiling)
+            continue
+        assert owner.export_sentence(ceiling).param_A.bits == want
+
+
+def test_export_table_overflow_cases():
+    # tree(5, 2) ends at 222: its table bound 224 exceeds 128 and fits 256
+    with pytest.raises(SizeOverflow):
+        tree(5, 2).export_sentence(128)
+    with pytest.raises(SizeOverflow):
+        per_triple_separation_bits(tree(5, 2), 128)
+    assert tree(4, 2).export_sentence(128).param_A.length == 96 ** 3

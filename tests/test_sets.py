@@ -146,3 +146,21 @@ def test_coloring_lookup_matches_lexicographic_table(values, arity, rng):
     for t in bad:
         with pytest.raises(KeyError):
             f(*t)
+
+
+def test_coloring_json_reads_integers_only():
+    good = '{"domain": ["3", 4, "5"], "arity": 1, "colors": 2, "table": [0, 1, 0]}'
+    f = ColoringTable.from_json(good)
+    assert f.domain.elements == (3, 4, 5) and f.table == (0, 1, 0)
+    bad = [
+        ('{"domain": [3, 4.5, 6], "arity": 1, "colors": 2, "table": [0, 1, 0]}', "domain entry 1"),
+        ('{"domain": [3, 4, 5], "arity": 1, "colors": 2, "table": [0, true, 1]}', "table entry 1"),
+        ('{"domain": [3, 4, 5], "arity": 1, "colors": 2, "table": [0, 0.5, 1]}', "table entry 1"),
+        ('{"domain": [3, 4, 5], "arity": 1, "colors": 2, "table": [0, "1", 1]}', "table entry 1"),
+        ('{"domain": [3, 4, 5], "arity": 1.5, "colors": 2, "table": [0, 1, 0]}', "arity"),
+        ('{"domain": "345", "arity": 1, "colors": 2, "table": [0, 1, 0]}', "JSON arrays"),
+        ("[3, 4, 5]", "JSON object"),
+    ]
+    for text, message in bad:
+        with pytest.raises(ValueError, match=message):
+            ColoringTable.from_json(text)
