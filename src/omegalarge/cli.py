@@ -9,6 +9,7 @@ printed for every exit but 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -25,7 +26,6 @@ from .extract import (
 from .formula import (
     BUILTIN_PSI0,
     TOP,
-    FormulaSyntaxError,
     Pi03Sentence,
     PrefixShapeError,
     PrefixedSentence,
@@ -125,37 +125,45 @@ def read_set(path: str, floor: int) -> FinSet:
         return FinSet.parse(text, floor, source=path)
     except ValueError as err:
         raise UsageError(str(err)) from err
+    except RecursionError as err:
+        raise UsageError(f"{path}: nested too deeply to read") from err
+
+
+def read_input(what: str, build):
+    """build(), with a ValueError or KeyError, or input nested too deeply
+    to read, as a usage error that starts with `what`."""
+    try:
+        return build()
+    except (ValueError, KeyError) as err:
+        raise UsageError(f"{what}: {err}") from err
+    except RecursionError as err:
+        raise UsageError(f"{what}: nested too deeply to read") from err
+
+
+def read_json(path: str, reader):
+    """reader(the text of the file at path), faults named by the path."""
+    text = read_text(path)
+    return read_input(path, lambda: reader(text))
 
 
 def load_sentence(args) -> Pi03Sentence:
     if getattr(args, "theta_file", None):
-        text = read_text(args.theta_file)
-        try:
-            return Pi03Sentence.from_json(text)
-        except (ValueError, KeyError) as err:
-            raise UsageError(f"{args.theta_file}: {err}") from err
+        return read_json(args.theta_file, Pi03Sentence.from_json)
     text = getattr(args, "theta", "top")
     if text == "top":
         return TOP
-    try:
-        return Pi03Sentence(
-            parse(text),
-            getattr(args, "param_a", 0),
-            SecondOrderParam(getattr(args, "param_A", "") or ""),
-        )
-    except (FormulaSyntaxError, ValueError) as err:
-        raise UsageError(f"bad --theta: {err}") from err
+    return read_input("bad --theta", lambda: Pi03Sentence(
+        parse(text),
+        getattr(args, "param_a", 0),
+        SecondOrderParam(getattr(args, "param_A", "") or ""),
+    ))
 
 
 def load_coloring(args, attr: str = "coloring") -> ColoringTable:
     path = getattr(args, attr, None)
     if not path:
         raise UsageError("a coloring is required (--coloring FILE)")
-    text = read_text(path)
-    try:
-        return ColoringTable.from_json(text, floor=0)
-    except (ValueError, KeyError) as err:
-        raise UsageError(f"{path}: {err}") from err
+    return read_json(path, lambda text: ColoringTable.from_json(text, floor=0))
 
 
 def load_lspec(text: str, sentence: Pi03Sentence) -> LSpec:
@@ -193,10 +201,7 @@ def make_statement(args) -> RtLikeStatement:
     else:
         arity, colors, psi0 = args.arity, args.colors, args.psi0
     if psi0 not in BUILTIN_PSI0:
-        try:
-            return RtLikeStatement(arity, colors, parse(psi0))
-        except FormulaSyntaxError as err:
-            raise UsageError(f"bad --psi0: {err}") from err
+        return RtLikeStatement(arity, colors, read_input("bad --psi0", lambda: parse(psi0)))
     return RtLikeStatement(arity, colors, psi0)
 
 
@@ -210,11 +215,7 @@ def cmd_large_check(args) -> Outcome:
     sentence = load_sentence(args)
     spec = LargenessSpec(args.n, args.k, sentence)
     if args.verify:
-        text = read_text(args.verify)
-        try:
-            cert = Certificate.from_json(text)
-        except (ValueError, KeyError) as err:
-            raise UsageError(f"{args.verify}: {err}") from err
+        cert = read_json(args.verify, Certificate.from_json)
         ok = verify_certificate(x, cert, spec, paranoid=args.paranoid)
         return Outcome(
             0 if ok else 1,
@@ -323,11 +324,7 @@ def cmd_grouping_find(args) -> Outcome:
 def cmd_grouping_check(args) -> Outcome:
     f = load_coloring(args)
     sentence = load_sentence(args)
-    text = read_text(args.witness)
-    try:
-        witness = GroupingWitness.from_json(text, f)
-    except (ValueError, KeyError) as err:
-        raise UsageError(f"{args.witness}: {err}") from err
+    witness = read_json(args.witness, lambda text: GroupingWitness.from_json(text, f))
     l0 = load_lspec(args.l0, sentence)
     l1 = load_lspec(args.l1, sentence)
     try:
@@ -485,18 +482,12 @@ def cmd_bounds_table(args) -> Outcome:
 
 
 def cmd_formula_parse(args) -> Outcome:
-    try:
-        phi = parse(args.text)
-    except FormulaSyntaxError as err:
-        raise UsageError(str(err)) from err
+    phi = read_input("bad formula", lambda: parse(args.text))
     return Outcome(0, {"canonical": formula_text(phi)}, formula_text(phi))
 
 
 def cmd_formula_eval(args) -> Outcome:
-    try:
-        phi = parse(args.text)
-    except FormulaSyntaxError as err:
-        raise UsageError(str(err)) from err
+    phi = read_input("bad formula", lambda: parse(args.text))
     env = {}
     if args.env:
         for item in args.env.split(","):
@@ -506,16 +497,13 @@ def cmd_formula_eval(args) -> Outcome:
             except ValueError as err:
                 raise UsageError(f"bad --env entry {item!r}") from err
     overflowed = []
-    try:
-        out = evaluate(
-            phi,
-            env,
-            a=args.param_a,
-            param=SecondOrderParam(args.param_A or ""),
-            on_beyond_length=overflowed.append,
-        )
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+    out = read_input("bad formula", lambda: evaluate(
+        phi,
+        env,
+        a=args.param_a,
+        param=SecondOrderParam(args.param_A or ""),
+        on_beyond_length=overflowed.append,
+    ))
     for pos in overflowed:
         print(f"warning: membership query at {pos} is beyond the coded length of A", file=sys.stderr)
     return Outcome(
@@ -527,16 +515,9 @@ def cmd_formula_eval(args) -> Outcome:
 
 def cmd_formula_weaken(args) -> Outcome:
     if args.file:
-        text = read_text(args.file)
-        try:
-            sentence = PrefixedSentence.from_json(text)
-        except (ValueError, KeyError) as err:
-            raise UsageError(f"{args.file}: {err}") from err
+        sentence = read_json(args.file, PrefixedSentence.from_json)
     else:
-        try:
-            matrix = parse(args.text)
-        except FormulaSyntaxError as err:
-            raise UsageError(str(err)) from err
+        matrix = read_input("bad --text", lambda: parse(args.text))
         sentence = PrefixedSentence(
             (QuantStep("exists", "x"), QuantStep("forall", "y"), QuantStep("exists", "z")),
             matrix,
@@ -576,7 +557,10 @@ def _common(p, theta=True, budget=True, coloring=False):
         p.add_argument("--coloring", required=True, help="coloring table JSON file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building it costs far more than a
+    parse, and parse_args keeps no state in it between calls."""
     root = _Parser(prog="omegalarge", description=__doc__)
     sub = root.add_subparsers(dest="command", required=True)
 

@@ -8,8 +8,12 @@ terminates.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Optional
+
+from .sets import ColoringTable, is_transitive, json_int, json_typed, restrict_coloring
 
 # ---------------------------------------------------------------------------
 # AST
@@ -476,11 +480,6 @@ class SecondOrderParam:
     def member(self, i: int) -> bool:
         return 0 <= i < len(self.bits) and self.bits[i] == "1"
 
-    @classmethod
-    def from_positions(cls, positions, length: int) -> "SecondOrderParam":
-        marks = set(positions)
-        return cls("".join("1" if i in marks else "0" for i in range(length)))
-
 
 EMPTY_PARAM = SecondOrderParam("")
 
@@ -571,111 +570,128 @@ def evaluate(
     return go(phi)
 
 
+# CPython refuses an expression nested more than 200 parentheses deep; a
+# subexpression nested deeper than this goes into a helper function.
+_MAX_NESTING = 50
+
+# binding strength of the generated Python, loosest first
+_OR, _AND, _NOT, _CMP, _ADD, _MUL, _NEG, _POW, _ATOM = range(9)
+
+# node type -> (the node types its chain flattens, operator, strength)
+_CHAINS = {
+    TAdd: (TAdd, " + ", _ADD),
+    TMul: (TMul, " * ", _MUL),
+    FAnd: (FAnd, " and ", _AND),
+    FOr: ((FOr, FImp), " or ", _OR),
+    FImp: ((FOr, FImp), " or ", _OR),
+}
+
+
+def _operands(node, kinds) -> list:
+    """Operands of the maximal subtree of `kinds` nodes at `node`, left to
+    right; an implication p -> q in an `or` chain gives not p, then q."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kinds):
+            stack += (node.right, FNot(node.left) if isinstance(node, FImp) else node.left)
+        else:
+            out.append(node)
+    return out
+
+
+class _ThetaSource:
+    """Python source of a formula over generated names only: p<i> for the
+    free variables, v<i> for bound ones, h<i> for helper functions.
+
+    Same-operator chains come out flat and `not` unparenthesized wherever
+    Python's precedence allows, and the emitter recurses once per AST level
+    elsewhere, so it goes as deep as `free_vars` does.
+    """
+
+    def __init__(self) -> None:
+        self.helpers: list[str] = []
+        self.bound = 0
+
+    def emit(self, node, scope: dict[str, str], need: int = _OR) -> tuple[str, int]:
+        """Source text of `node` binding at least as tight as `need`, and
+        its parenthesis depth."""
+        depth = 0
+        if isinstance(node, TConst):
+            text, own = repr(int(node.value)), _ATOM if node.value >= 0 else _NEG
+        elif isinstance(node, TConstA):
+            text, own = "a", _ATOM
+        elif isinstance(node, TVar):
+            if node.name not in scope:
+                raise UncoveredVariable(f"variable {node.name!r} not covered")
+            text, own = scope[node.name], _ATOM
+        elif isinstance(node, TPow):
+            base, depth = self.emit(node.base, scope, _ATOM)
+            text, own = f"{base} ** {int(node.exponent)}", _POW
+        elif isinstance(node, (FTrue, FFalse)):
+            text, own = repr(isinstance(node, FTrue)), _ATOM
+        elif isinstance(node, FCmp):
+            left, ld = self.emit(node.left, scope, _ADD)
+            right, rd = self.emit(node.right, scope, _ADD)
+            op = "==" if node.op == "=" else node.op
+            text, own, depth = f"{left} {op} {right}", _CMP, max(ld, rd)
+        elif isinstance(node, FIn):
+            term, depth = self.emit(node.term, scope)
+            (text, depth), own = self.group(term, depth, scope, "member"), _ATOM
+        elif isinstance(node, FNot):
+            count = 0
+            while isinstance(node, FNot):
+                node, count = node.body, count + 1
+            body, depth = self.emit(node, scope, _NOT)
+            text, own = "not " * count + body, _NOT
+        elif type(node) in _CHAINS:
+            kinds, op, own = _CHAINS[type(node)]
+            parts = []
+            for part in _operands(node, kinds):
+                part_text, part_depth = self.emit(part, scope, own + 1)
+                parts.append(part_text)
+                depth = max(depth, part_depth)
+            text = op.join(parts)
+        elif isinstance(node, FQuant):
+            bound, bound_depth = self.emit(node.bound, scope)
+            var = f"v{self.bound}"
+            self.bound += 1
+            body, depth = self.emit(node.body, {**scope, node.var: var})
+            call = "all" if node.kind == "forall" else "any"
+            text = f"{body} for {var} in range({bound})"
+            (text, depth), own = self.group(text, max(depth, bound_depth + 1), scope, call), _ATOM
+        else:
+            raise TypeError(node)
+        return self.group(text, depth, scope) if own < need else (text, depth)
+
+    def group(self, text: str, depth: int, scope: dict[str, str], call: str = "") -> tuple[str, int]:
+        """`call(text)`; once nesting gets deep, a call of a new helper
+        function of every name in scope that returns it."""
+        text = f"{call}({text})"
+        if depth < _MAX_NESTING:
+            return text, depth + 1
+        name, args = f"h{len(self.helpers)}", ", ".join(scope.values())
+        self.helpers.append(f"def {name}({args}):\n    return {text}\n")
+        return f"{name}({args})", 1
+
+
 def compile_formula(phi: Formula, variables: list[str], a: int, param: SecondOrderParam):
-    """Compile to a closure over a slot list; hot-path equivalent of evaluate.
+    """Compile to one generated Python function; hot-path equivalent of evaluate.
 
     The returned function takes one positional int per name in `variables`.
+    Its source mentions generated names only, so no variable of phi can
+    shadow `a`, `member` or a builtin.
     """
-    slots = {name: i for i, name in enumerate(variables)}
-    depth = [len(variables)]
-    member = param.member
-
-    def comp_term(t: Term, slots: dict[str, int]):
-        if isinstance(t, TConst):
-            v = t.value
-            return lambda env: v
-        if isinstance(t, TConstA):
-            return lambda env: a
-        if isinstance(t, TVar):
-            if t.name not in slots:
-                raise UncoveredVariable(f"variable {t.name!r} not covered")
-            i = slots[t.name]
-            return lambda env: env[i]
-        if isinstance(t, TAdd):
-            l, r = comp_term(t.left, slots), comp_term(t.right, slots)
-            return lambda env: l(env) + r(env)
-        if isinstance(t, TMul):
-            l, r = comp_term(t.left, slots), comp_term(t.right, slots)
-            return lambda env: l(env) * r(env)
-        if isinstance(t, TPow):
-            b, e = comp_term(t.base, slots), t.exponent
-            return lambda env: b(env) ** e
-        raise TypeError(t)
-
-    def comp(phi: Formula, slots: dict[str, int]):
-        if isinstance(phi, FTrue):
-            return lambda env: True
-        if isinstance(phi, FFalse):
-            return lambda env: False
-        if isinstance(phi, FCmp):
-            l, r = comp_term(phi.left, slots), comp_term(phi.right, slots)
-            if phi.op == "<":
-                return lambda env: l(env) < r(env)
-            if phi.op == "=":
-                return lambda env: l(env) == r(env)
-            return lambda env: l(env) <= r(env)
-        if isinstance(phi, FIn):
-            t = comp_term(phi.term, slots)
-            return lambda env: member(t(env))
-        if isinstance(phi, FNot):
-            b = comp(phi.body, slots)
-            return lambda env: not b(env)
-        if isinstance(phi, FAnd):
-            l, r = comp(phi.left, slots), comp(phi.right, slots)
-            return lambda env: l(env) and r(env)
-        if isinstance(phi, FOr):
-            l, r = comp(phi.left, slots), comp(phi.right, slots)
-            return lambda env: l(env) or r(env)
-        if isinstance(phi, FImp):
-            l, r = comp(phi.left, slots), comp(phi.right, slots)
-            return lambda env: (not l(env)) or r(env)
-        if isinstance(phi, FQuant):
-            inner = dict(slots)
-            slot = depth[0]
-            inner[phi.var] = slot
-            depth[0] += 1
-            bound = comp_term(phi.bound, slots)
-            body = comp(phi.body, inner)
-            if phi.kind == "forall":
-                def run_all(env, bound=bound, body=body, slot=slot):
-                    b = bound(env)
-                    for v in range(b):
-                        env[slot] = v
-                        if not body(env):
-                            return False
-                    return True
-                return run_all
-
-            def run_any(env, bound=bound, body=body, slot=slot):
-                b = bound(env)
-                for v in range(b):
-                    env[slot] = v
-                    if body(env):
-                        return True
-                return False
-            return run_any
-        raise TypeError(phi)
-
-    # pre-size the slot list: free slots + one per quantifier in the tree
-    def count_quants(phi: Formula) -> int:
-        if isinstance(phi, FQuant):
-            return 1 + count_quants(phi.body)
-        if isinstance(phi, FNot):
-            return count_quants(phi.body)
-        if isinstance(phi, (FAnd, FOr, FImp)):
-            return count_quants(phi.left) + count_quants(phi.right)
-        return 0
-
-    size = len(variables) + count_quants(phi)
-    fn = comp(phi, slots)
-
-    def call(*values: int) -> bool:
-        env = [0] * size
-        for i, v in enumerate(values):
-            env[i] = v
-        return fn(env)
-
-    return call
+    source = _ThetaSource()
+    scope = {name: f"p{i}" for i, name in enumerate(variables)}
+    body = source.emit(phi, scope)[0]
+    params = ", ".join(f"p{i}" for i in range(len(variables)))
+    text = "".join(source.helpers) + f"def theta({params}):\n    return {body}\n"
+    namespace = {"member": param.member, "a": a}
+    exec(compile(text, "<theta>", "exec"), namespace)
+    # theta reads its helpers through the namespace, never itself: popping
+    # it leaves no reference cycle behind for the collector
+    return namespace.pop("theta")
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +716,8 @@ class Pi03Sentence:
         extra = free_vars(self.theta) - {"x", "y", "z"}
         if extra:
             raise ValueError(f"theta has stray free variables {sorted(extra)}")
+        # compiled here, so a theta too deep to compile fails where it is read
+        self._cache["fn"] = compile_formula(self.theta, ["x", "y", "z"], self.param_a, self.param_A)
 
     @property
     def is_top(self) -> bool:
@@ -710,11 +728,7 @@ class Pi03Sentence:
         return max(3, self.param_a)
 
     def theta_at(self, x: int, y: int, z: int) -> bool:
-        fn = self._cache.get("fn")
-        if fn is None:
-            fn = compile_formula(self.theta, ["x", "y", "z"], self.param_a, self.param_A)
-            self._cache["fn"] = fn
-        return fn(x, y, z)
+        return self._cache["fn"](x, y, z)
 
     def holds_bounded(self, x_bound: int, y_bound: int, z_bound: int) -> bool:
         """forall x < x_bound exists y < y_bound forall z < z_bound theta.
@@ -745,8 +759,6 @@ class Pi03Sentence:
         return all(exists_y(x, y_bound, z_bound) for x in range(x_bound))
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "theta": formula_text(self.theta),
@@ -757,10 +769,14 @@ class Pi03Sentence:
 
     @classmethod
     def from_json(cls, text: str) -> "Pi03Sentence":
-        import json
-
-        obj = json.loads(text)
-        return cls(parse(obj["theta"]), int(obj.get("a", "0")), SecondOrderParam(obj.get("A", "")))
+        """`a` is read as a set-file number; a value of the wrong JSON type
+        is a ValueError."""
+        obj = json_typed(json.loads(text), dict, "a sentence")
+        return cls(
+            parse(json_typed(obj["theta"], str, "theta")),
+            json_int(obj.get("a", "0"), "a"),
+            SecondOrderParam(json_typed(obj.get("A", ""), str, "A")),
+        )
 
 
 TOP = Pi03Sentence(TRUE)
@@ -784,8 +800,6 @@ _HEREDITARY = set(BUILTIN_PSI0)
 
 
 def _psi0_builtin(name: str, table) -> bool:
-    from .sets import ColoringTable, is_transitive
-
     assert isinstance(table, ColoringTable)
     if name == PSI_TRUE:
         return True
@@ -843,10 +857,6 @@ class RtLikeStatement:
         Builtins are hereditary, so the full restriction suffices; formula
         psi0 requires enumerating subsets (guarded by `ceiling`).
         """
-        from itertools import combinations
-
-        from .sets import restrict_coloring
-
         if isinstance(self.psi0, str):
             return self.psi0_holds(restrict_coloring(f, y))
         if 2 ** len(y) > ceiling:
@@ -891,8 +901,6 @@ class PrefixedSentence:
         return " ".join(parts) + " . " + formula_text(self.matrix)
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "prefix": [[q.kind, q.var, q.bound] for q in self.prefix],
@@ -902,11 +910,11 @@ class PrefixedSentence:
 
     @classmethod
     def from_json(cls, text: str) -> "PrefixedSentence":
-        import json
-
-        obj = json.loads(text)
-        prefix = tuple(QuantStep(k, v, b) for k, v, b in obj["prefix"])
-        return cls(prefix, parse(obj["matrix"]))
+        obj = json_typed(json.loads(text), dict, "a prefixed sentence")
+        steps = [json_typed(q, list, "a prefix step") for q in json_typed(obj["prefix"], list, "prefix")]
+        if any(len(q) != 3 for q in steps):
+            raise ValueError("a prefix step is [kind, variable, bound]")
+        return cls(tuple(QuantStep(*q) for q in steps), parse(json_typed(obj["matrix"], str, "matrix")))
 
 
 class PrefixShapeError(ValueError):

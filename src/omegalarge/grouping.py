@@ -23,7 +23,7 @@ from .largeness import (
     minimal_interval_card,
     t_apart,
 )
-from .sets import ColoringTable, FinSet
+from .sets import ColoringTable, FinSet, json_int, json_typed
 
 FOUND = "found"
 ABSENT = "absent"
@@ -51,12 +51,6 @@ class LSpec:
             return len(s) >= self.at_least
         return check_large(s, self.spec) is not None
 
-    def describe(self) -> str:
-        if self.kind == "card_at_least":
-            return f"card>={self.at_least}"
-        sp = self.spec
-        return f"omega^{sp.exponent}*{sp.multiplier}" + ("" if sp.sentence.is_top else "(T)")
-
 
 @dataclass(frozen=True)
 class GroupingWitness:
@@ -68,9 +62,9 @@ class GroupingWitness:
 
     @classmethod
     def from_json(cls, text: str, coloring: ColoringTable) -> "GroupingWitness":
-        obj = json.loads(text)
-        blocks = tuple(FinSet(tuple(int(v) for v in b)) for b in obj["blocks"])
-        return cls(blocks, coloring)
+        obj = json_typed(json.loads(text), dict, "a witness")
+        blocks = [json_typed(b, list, "a block") for b in json_typed(obj["blocks"], list, "blocks")]
+        return cls(tuple(FinSet(tuple(json_int(v, "a block entry") for v in b)) for b in blocks), coloring)
 
 
 class MalformedWitness(ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .budget import Budget, budget_or_unlimited
 from .formula import TOP, Pi03Sentence
-from .sets import FinSet
+from .sets import FinSet, json_int, json_typed
 
 
 class PreconditionError(ValueError):
@@ -87,10 +87,13 @@ class Certificate:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Certificate":
+        """Numbers are read as in set files; a value of the wrong JSON type
+        is a ValueError."""
+        obj = json_typed(obj, dict, "a certificate")
         return cls(
-            int(obj["exponent"]),
-            int(obj["multiplier"]),
-            tuple(_block_from(o) for o in obj["blocks"]),
+            json_int(obj["exponent"], "exponent"),
+            json_int(obj["multiplier"], "multiplier"),
+            tuple(_block_from(o) for o in json_typed(obj["blocks"], list, "blocks")),
         )
 
     @classmethod
@@ -111,12 +114,14 @@ def _block_obj(b: Block) -> dict:
 
 
 def _block_from(obj: dict) -> Block:
-    c = obj["cert"]
+    obj = json_typed(obj, dict, "a block")
+    c = json_typed(obj["cert"], dict, "a block's cert")
     if c["kind"] == "leaf":
-        cert: Leaf | Node = Leaf(int(c["witness"]))
+        cert: Leaf | Node = Leaf(json_int(c["witness"], "witness"))
     else:
-        cert = Node(int(c["head"]), tuple(_block_from(o) for o in c["children"]))
-    return Block(int(obj["lo"]), int(obj["hi"]), cert)
+        children = json_typed(c["children"], list, "children")
+        cert = Node(json_int(c["head"], "head"), tuple(_block_from(o) for o in children))
+    return Block(json_int(obj["lo"], "lo"), json_int(obj["hi"], "hi"), cert)
 
 
 def cert_exponent(cert: Leaf | Node) -> int:
@@ -133,10 +138,6 @@ def shift_cert(cert: Leaf | Node, delta: int) -> Leaf | Node:
         cert.head,
         tuple(Block(b.lo + delta, b.hi + delta, shift_cert(b.cert, delta)) for b in cert.children),
     )
-
-
-def block_values(x: FinSet, b: Block) -> tuple[int, ...]:
-    return x.elements[b.lo: b.hi]
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +212,6 @@ def minimal_interval_card(base: int, exponent: int, cap: int) -> int:
         return out
 
     return card(base, exponent)
-
-
-def minimal_interval_end(base: int, exponent: int, cap: int) -> int:
-    """Maximum of the minimal large interval above base."""
-    return base + minimal_interval_card(base, exponent, cap) - 1
 
 
 # ---------------------------------------------------------------------------

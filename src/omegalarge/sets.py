@@ -116,7 +116,7 @@ class FinSet:
             except ValueError as err:
                 raise ValueError(f"{source}: bad JSON set: {err}") from err
             for pos, entry in enumerate(entries):
-                values.append(_json_int(entry, f"{source}: JSON set entry {pos}"))
+                values.append(json_int(entry, f"{source}: JSON set entry {pos}"))
         else:
             for lineno, line in enumerate(text.splitlines(), start=1):
                 if not line.strip():
@@ -133,7 +133,16 @@ class FinSet:
             raise ValueError(f"{source}: {err}") from err
 
 
-def _json_int(entry, what: str) -> int:
+def json_typed(value, kind: type, what: str):
+    """`value` of a parsed JSON document if it is a `kind` (dict, list or
+    str); anything else is a ValueError naming `what`."""
+    if not isinstance(value, kind):
+        name = {dict: "an object", list: "an array", str: "a string"}[kind]
+        raise ValueError(f"{what} is not {name}: {json.dumps(value)[:40]}")
+    return value
+
+
+def json_int(entry, what: str) -> int:
     """A JSON integer or decimal string as an int; anything else,
     including a float or a bool, is a ValueError naming `what`."""
     if isinstance(entry, bool) or not isinstance(entry, (int, str)):
@@ -257,9 +266,9 @@ class ColoringTable:
             if isinstance(c, bool) or not isinstance(c, int):
                 raise ValueError(f"table entry {pos} is not an integer: {json.dumps(c)}")
         return cls(
-            FinSet(tuple(_json_int(v, f"domain entry {pos}") for pos, v in enumerate(domain)), floor),
-            _json_int(obj["arity"], "arity"),
-            _json_int(obj["colors"], "colors"),
+            FinSet(tuple(json_int(v, f"domain entry {pos}") for pos, v in enumerate(domain)), floor),
+            json_int(obj["arity"], "arity"),
+            json_int(obj["colors"], "colors"),
             tuple(table),
         )
 

@@ -5,8 +5,8 @@ no search logic with the package: largeness by enumerating block
 decompositions over all subsets, formulas by ground substitution.  The
 exceptions are replaced code kept as the reference for what replaced it:
 the recursive grouping walk, the recursive include-first subset search,
-the blockfree view's own copy of the separation test and the per-triple
-export table.
+the blockfree view's own copy of the separation test, the per-triple
+export table and the closure compiler for formulas.
 """
 
 from __future__ import annotations
@@ -449,6 +449,116 @@ def naive_eval(phi, env: dict, a: int, bits: str) -> bool:
         raise TypeError(phi)
 
     return go(phi, dict(env))
+
+
+# ---------------------------------------------------------------------------
+# The closure compiler that formula.compile_formula's generated code replaced
+# ---------------------------------------------------------------------------
+
+
+def closure_compile_formula(phi, variables, a: int, param):
+    """Drop-in for formula.compile_formula: a tree of closures over a slot
+    list, one Python call per AST node and evaluation."""
+    slots = {name: i for i, name in enumerate(variables)}
+    depth = [len(variables)]
+    member = param.member
+
+    def comp_term(t, slots):
+        if isinstance(t, fm.TConst):
+            v = t.value
+            return lambda env: v
+        if isinstance(t, fm.TConstA):
+            return lambda env: a
+        if isinstance(t, fm.TVar):
+            if t.name not in slots:
+                raise fm.UncoveredVariable(f"variable {t.name!r} not covered")
+            i = slots[t.name]
+            return lambda env: env[i]
+        if isinstance(t, fm.TAdd):
+            l, r = comp_term(t.left, slots), comp_term(t.right, slots)
+            return lambda env: l(env) + r(env)
+        if isinstance(t, fm.TMul):
+            l, r = comp_term(t.left, slots), comp_term(t.right, slots)
+            return lambda env: l(env) * r(env)
+        if isinstance(t, fm.TPow):
+            b, e = comp_term(t.base, slots), t.exponent
+            return lambda env: b(env) ** e
+        raise TypeError(t)
+
+    def comp(phi, slots):
+        if isinstance(phi, fm.FTrue):
+            return lambda env: True
+        if isinstance(phi, fm.FFalse):
+            return lambda env: False
+        if isinstance(phi, fm.FCmp):
+            l, r = comp_term(phi.left, slots), comp_term(phi.right, slots)
+            if phi.op == "<":
+                return lambda env: l(env) < r(env)
+            if phi.op == "=":
+                return lambda env: l(env) == r(env)
+            return lambda env: l(env) <= r(env)
+        if isinstance(phi, fm.FIn):
+            t = comp_term(phi.term, slots)
+            return lambda env: member(t(env))
+        if isinstance(phi, fm.FNot):
+            b = comp(phi.body, slots)
+            return lambda env: not b(env)
+        if isinstance(phi, fm.FAnd):
+            l, r = comp(phi.left, slots), comp(phi.right, slots)
+            return lambda env: l(env) and r(env)
+        if isinstance(phi, fm.FOr):
+            l, r = comp(phi.left, slots), comp(phi.right, slots)
+            return lambda env: l(env) or r(env)
+        if isinstance(phi, fm.FImp):
+            l, r = comp(phi.left, slots), comp(phi.right, slots)
+            return lambda env: (not l(env)) or r(env)
+        if isinstance(phi, fm.FQuant):
+            inner = dict(slots)
+            slot = depth[0]
+            inner[phi.var] = slot
+            depth[0] += 1
+            bound = comp_term(phi.bound, slots)
+            body = comp(phi.body, inner)
+            if phi.kind == "forall":
+                def run_all(env, bound=bound, body=body, slot=slot):
+                    b = bound(env)
+                    for v in range(b):
+                        env[slot] = v
+                        if not body(env):
+                            return False
+                    return True
+                return run_all
+
+            def run_any(env, bound=bound, body=body, slot=slot):
+                b = bound(env)
+                for v in range(b):
+                    env[slot] = v
+                    if body(env):
+                        return True
+                return False
+            return run_any
+        raise TypeError(phi)
+
+    # pre-size the slot list: free slots + one per quantifier in the tree
+    def count_quants(phi) -> int:
+        if isinstance(phi, fm.FQuant):
+            return 1 + count_quants(phi.body)
+        if isinstance(phi, fm.FNot):
+            return count_quants(phi.body)
+        if isinstance(phi, (fm.FAnd, fm.FOr, fm.FImp)):
+            return count_quants(phi.left) + count_quants(phi.right)
+        return 0
+
+    size = len(variables) + count_quants(phi)
+    fn = comp(phi, slots)
+
+    def call(*values: int) -> bool:
+        env = [0] * size
+        for i, v in enumerate(values):
+            env[i] = v
+        return fn(env)
+
+    return call
 
 
 # ---------------------------------------------------------------------------

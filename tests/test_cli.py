@@ -4,6 +4,7 @@ import pytest
 
 from omegalarge import cli
 from omegalarge.cli import main
+from omegalarge.formula import Pi03Sentence, parse
 from omegalarge.sets import ColoringTable, FinSet
 
 
@@ -353,3 +354,104 @@ def test_success_json_carries_a_reason(tmp_path, capsys):
         obj = json.loads(out)
         assert code == 0 and obj["exit"] == 0, argv
         assert isinstance(obj["reason"], str) and obj["reason"], argv
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_back_to_back_calls_share_no_state(tmp_path, monkeypatch, capsys):
+    seen = []
+    verify = cli.verify_certificate
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["paranoid"])
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_certificate", spy)
+    argv = ["large", "check", "--interval", "3:38", "--n", "2", "--format", "json"]
+    assert run(capsys, *argv, "--paranoid")[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    assert seen == [True, False]
+    theta = tmp_path / "theta.json"
+    theta.write_text(Pi03Sentence(parse("y < x")).to_json())
+    code, out, _ = run(capsys, *argv, "--theta-file", str(theta))
+    assert code == 1 and json.loads(out)["result"] == "not-large"
+    code, out, _ = run(capsys, *argv, "--theta", "x < y or z < y")
+    assert code == 0 and json.loads(out)["result"] == "large"
+
+
+_LEAF_BLOCK = {"lo": 0, "hi": 1, "cert": {"kind": "leaf", "witness": "3"}}
+
+
+@pytest.mark.parametrize(
+    "flag, obj",
+    [
+        ("--theta-file", [1]),
+        ("--theta-file", {"theta": 5}),
+        ("--theta-file", {"theta": "x < y", "A": 5}),
+        ("--theta-file", {"theta": "x < y", "a": [1]}),
+        ("--verify", [1]),
+        ("--verify", {"exponent": 0, "multiplier": 1, "blocks": {"lo": 0}}),
+        ("--verify", {"exponent": 0, "multiplier": 1, "blocks": [1]}),
+        ("--verify", {"exponent": 0, "multiplier": 1, "blocks": [{**_LEAF_BLOCK, "cert": [1]}]}),
+        ("--verify", {"exponent": 0, "multiplier": [1], "blocks": [_LEAF_BLOCK]}),
+        ("--verify", {"exponent": 1, "multiplier": 1,
+                      "blocks": [{**_LEAF_BLOCK, "cert": {"kind": "node", "head": "3", "children": 7}}]}),
+        ("--witness", [1]),
+        ("--witness", {"blocks": [3, 4]}),
+        ("--file", [1]),
+        ("--file", {"prefix": [["exists", "x", None], 5], "matrix": "x < y"}),
+        ("--file", {"prefix": [["exists", "x"]], "matrix": "x < y"}),
+        ("--file", {"prefix": [], "matrix": 5}),
+    ],
+)
+def test_json_of_the_wrong_type_exits_3(tmp_path, capsys, flag, obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    coloring = write_coloring(
+        tmp_path, "f.json", ColoringTable.from_function(FinSet.interval(3, 10), 2, 2, lambda x, y: 0)
+    )
+    argv = {
+        "--theta-file": ["large", "check", "--interval", "3:10", "--n", "1"],
+        "--verify": ["large", "check", "--interval", "3:10", "--n", "0"],
+        "--witness": ["grouping", "check", "--coloring", coloring, "--l0", "card:1", "--l1", "card:1"],
+        "--file": ["formula", "weaken"],
+    }[flag]
+    code, out, err = run(capsys, *argv, flag, str(bad), "--format", "json")
+    assert code == 3 and out == ""
+    assert f"usage error: {bad}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "theta", ["(" * 400 + "x < y" + ")" * 400, "x < y" + " + 1" * 1500], ids=["parens-400", "plus-1500"]
+)
+@pytest.mark.parametrize("source", ["--theta", "--theta-file"])
+def test_theta_deeper_than_the_recursion_limit_exits_3(tmp_path, capsys, theta, source):
+    argv = ["large", "check", "--interval", "3:10", "--n", "1", "--format", "json"]
+    if source == "--theta":
+        argv += ["--theta", theta]
+        where = "bad --theta"
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"theta": theta}))
+        argv += ["--theta-file", str(path)]
+        where = str(path)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert f"usage error: {where}: nested too deeply to read" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--set", "--coloring", "--verify"])
+def test_json_nested_too_deeply_exits_3(tmp_path, capsys, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    x = write_set(tmp_path, "x.txt", range(3, 7))
+    argv = {
+        "--set": ["large", "check", "--set", str(deep), "--n", "1"],
+        "--coloring": ["large", "pigeonhole", "--set", x, "--coloring", str(deep), "--b", "0"],
+        "--verify": ["large", "check", "--set", x, "--n", "1", "--verify", str(deep)],
+    }[flag]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3 and out == ""
+    assert f"usage error: {deep}: nested too deeply to read" in err and "Traceback" not in err

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from omegalarge.formula import (
 )
 from omegalarge.sets import ColoringTable, FinSet, restrict_coloring
 
-from oracles import naive_eval, random_formula
+from oracles import closure_compile_formula, naive_eval, random_formula
 
 
 def test_parse_examples():
@@ -112,6 +114,112 @@ def test_eval_matches_naive_oracle_and_compiler():
         assert compiled(env["x"], env["y"]) == want
         agree += 1
     assert agree == 2500
+
+
+@given(st.integers(min_value=0, max_value=2 ** 63), st.integers(min_value=1, max_value=12))
+@settings(max_examples=400, deadline=None)
+def test_generated_theta_matches_the_closure_oracle(seed, size):
+    rng = random.Random(seed)
+    # q0 is free here and random_formula binds q0 too, so quantifiers shadow
+    # free variables as well as each other; random terms bring in `a` and
+    # exponent 0, and values up to 16 read A beyond its coded length
+    variables = ["x", "y", "z", "q0"]
+    phi = random_formula(rng, variables, size)
+    a = rng.randrange(5)
+    param = SecondOrderParam("".join(rng.choice("01") for _ in range(rng.randrange(0, 12))))
+    generated = compile_formula(phi, variables, a, param)
+    oracle = closure_compile_formula(phi, variables, a, param)
+    for _ in range(8):
+        values = [rng.randrange(17) for _ in variables]
+        got = generated(*values)
+        assert type(got) is bool and got == oracle(*values), formula_text(phi)
+
+
+def _agrees_with_evaluate(phi, variables, a=0, bits=""):
+    param = SecondOrderParam(bits)
+    fn = compile_formula(phi, variables, a, param)
+    rng = random.Random(5)
+    for _ in range(6):
+        env = {name: rng.randrange(9) for name in variables}
+        assert fn(*env.values()) == evaluate(phi, env, a=a, param=param), env
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " or ".join(f"x + {i} = y" for i in range(600)),
+        "not " * 600 + "x < y",
+        "x < y" + " + 1" * 400,
+        " and ".join(f"not {i} in A -> x * {i} < y" for i in range(300)),
+    ],
+    ids=["or-600", "not-600", "plus-400", "and-imp-300"],
+)
+def test_generated_theta_keeps_long_chains_flat(text):
+    _agrees_with_evaluate(parse(text), ["x", "y"], bits="0110100")
+
+
+def _nest(depth, wrap, start):
+    for i in range(depth):
+        start = wrap(i, start)
+    return start
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        # bound 1, or the evaluation takes 2^240 steps; the innermost atom
+        # reads the outermost bound variable through every helper
+        _nest(240, lambda i, phi: fm.FQuant("forall", f"w{i}", fm.TConst(1), fm.FOr(phi, parse("x = z"))),
+              parse("w0 + w239 + x < y")),
+        _nest(400, lambda i, phi: fm.FAnd(parse("z < y"), fm.FOr(parse("y < x + z"), phi)), parse("x < y")),
+        _nest(300, lambda i, phi: fm.FNot(fm.FAnd(parse(f"x < {i}"), phi)), parse("x < y")),
+        fm.FCmp("<", _nest(300, lambda i, t: fm.TMul(fm.TAdd(t, fm.TConst(1)), fm.TVar("z")), fm.TVar("x")),
+                fm.TVar("y")),
+    ],
+    ids=["quantifiers-240", "and-or-400", "not-and-300", "terms-300"],
+)
+def test_generated_theta_nests_past_the_parenthesis_limit(phi):
+    # CPython parses at most 200 nested parentheses in one expression
+    _agrees_with_evaluate(phi, ["x", "y", "z"], bits="1" * 64)
+
+
+def test_generated_theta_names_cannot_shadow():
+    text = (
+        "forall range < x + 2 . exists any < y + 1 . exists all < 3 . exists member < 3 . "
+        "exists p0 < z + 1 . exists v1 < 2 . range + any < all * p0 + member + v1 and v1 in A"
+    )
+    _agrees_with_evaluate(parse(text), ["x", "y", "z"], a=2, bits="0101")
+    # free variables with the generated names, in swapped positions
+    phi = parse("exists p0 < v1 . p0 + member = v1 and a < p0 -> member in A")
+    _agrees_with_evaluate(phi, ["v1", "member", "p0"], a=1, bits="0011")
+
+
+def test_generated_theta_groups_negative_constants():
+    # the parser reads naturals only, but the AST takes any int
+    for phi in (
+        fm.FCmp("=", fm.TPow(fm.TConst(-2), 2), fm.TVar("x")),
+        fm.FCmp("<", fm.TMul(fm.TVar("x"), fm.TConst(-1)), fm.TPow(fm.TConst(-1), 3)),
+    ):
+        _agrees_with_evaluate(phi, ["x"])
+        assert compile_formula(phi, ["x"], 0, SecondOrderParam(""))(4) == evaluate(phi, {"x": 4})
+
+
+def test_compile_rejects_uncovered_variables():
+    with pytest.raises(fm.UncoveredVariable):
+        compile_formula(parse("x < w"), ["x"], 0, SecondOrderParam(""))
+    with pytest.raises(fm.UncoveredVariable):
+        compile_formula(parse("exists w < 3 . w < v"), ["x"], 0, SecondOrderParam(""))
+
+
+def test_compiled_theta_is_freed_without_the_collector():
+    fn = compile_formula(parse("x < y or z in A"), ["x", "y", "z"], 0, SecondOrderParam("01"))
+    ref = weakref.ref(fn)
+    gc.disable()
+    try:
+        del fn
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_pi03_sentence_validation_and_bounded_check():

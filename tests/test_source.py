@@ -1,5 +1,6 @@
 """Source-level rules for the package: postconditions must not rely on
-`assert`, which `python -O` strips."""
+`assert`, which `python -O` strips, and only the θ compiler runs
+generated code."""
 
 import ast
 from pathlib import Path
@@ -17,14 +18,29 @@ ALLOWED = {
 }
 
 
-def _asserts(tree: ast.AST, func: str = "<module>"):
+# calls of the builtins that run generated code, by module, enclosing
+# function and builtin: `compile_formula` compiles each θ to one function
+DYNAMIC = {"exec", "eval", "compile"}
+ALLOWED_DYNAMIC = {
+    ("formula.py", "compile_formula", "exec"),
+    ("formula.py", "compile_formula", "compile"),
+}
+
+
+def _nodes(tree: ast.AST, kind: type, func: str = "<module>"):
+    """(enclosing function, node) for every `kind` node under tree."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _asserts(node, node.name)
+            yield from _nodes(node, kind, node.name)
         else:
-            if isinstance(node, ast.Assert):
+            if isinstance(node, kind):
                 yield func, node
-            yield from _asserts(node, func)
+            yield from _nodes(node, kind, func)
+
+
+def _sources():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
 
 
 def _is_narrowing(test: ast.expr) -> bool:
@@ -37,8 +53,8 @@ def _is_narrowing(test: ast.expr) -> bool:
 
 def test_no_asserts_outside_the_allowlist():
     found, offending = set(), []
-    for path in sorted(SRC.rglob("*.py")):
-        for func, node in _asserts(ast.parse(path.read_text(), str(path))):
+    for path, tree in _sources():
+        for func, node in _nodes(tree, ast.Assert):
             key = (path.name, func, ast.unparse(node.test))
             if _is_narrowing(node.test):
                 continue
@@ -47,3 +63,17 @@ def test_no_asserts_outside_the_allowlist():
                 offending.append(f"{path.name}:{node.lineno} in {func}: assert {key[2]}")
     assert not offending, "\n".join(offending)
     assert found == ALLOWED  # stale entries are dropped from the list
+
+
+def test_only_the_theta_compiler_runs_generated_code():
+    found, offending = [], []
+    for path, tree in _sources():
+        for func, node in _nodes(tree, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id in DYNAMIC:
+                key = (path.name, func, node.func.id)
+                found.append(key)
+                if key not in ALLOWED_DYNAMIC:
+                    offending.append(f"{path.name}:{node.lineno} in {func}: {node.func.id}(...)")
+    assert not offending, "\n".join(offending)
+    # one call each: stale entries are dropped from the list
+    assert sorted(found) == sorted(ALLOWED_DYNAMIC)
