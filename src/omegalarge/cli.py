@@ -14,15 +14,11 @@ import json
 import sys
 import traceback
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+# Only the modules behind `large check` load with the CLI; a handler that
+# needs extract, grouping, lowerbound or ramsey imports it when it runs.
 from .budget import Budget, BudgetExceeded
-from .extract import (
-    CountingFailure,
-    ExtractionFailure,
-    decompose_mixed,
-    fuse,
-    pigeonhole_extract,
-)
 from .formula import (
     BUILTIN_PSI0,
     TOP,
@@ -37,16 +33,6 @@ from .formula import (
     parse,
     weakly_pi04_transform,
 )
-from .grouping import (
-    ABSENT,
-    FOUND,
-    ColoringMismatch,
-    GroupingWitness,
-    LSpec,
-    MalformedWitness,
-    find_grouping,
-    is_grouping,
-)
 from .largeness import (
     Certificate,
     LargenessSpec,
@@ -57,26 +43,10 @@ from .largeness import (
     t_apart,
     verify_certificate,
 )
-from .lowerbound import (
-    CONFIRMED,
-    COUNTEREXAMPLE,
-    tree,
-    verify_lower_bound,
-)
-from .ramsey import (
-    DensityParams,
-    EmConstants,
-    Mode,
-    QTotalityError,
-    ads_extract,
-    ads_q_coloring,
-    bounds_table,
-    bounds_tsv,
-    em_extract,
-    is_large_gamma,
-    is_n_dense,
-)
 from .sets import ColoringTable, FinSet, SparsityPolicy
+
+if TYPE_CHECKING:
+    from .grouping import LSpec
 
 DEFAULT_SEED = 1729
 
@@ -168,13 +138,15 @@ def load_coloring(args, attr: str = "coloring") -> ColoringTable:
 
 def load_lspec(text: str, sentence: Pi03Sentence) -> LSpec:
     """card:M, or omega:N[:K][:top] largeness forms."""
+    from .grouping import LSpec
+
     parts = text.split(":")
     try:
         if parts[0] == "card":
-            return LSpec.card(int(parts[1]))
+            return LSpec.card(natural(parts[1]))
         if parts[0] == "omega":
-            exponent = int(parts[1])
-            multiplier = int(parts[2]) if len(parts) > 2 and parts[2] else 1
+            exponent = natural(parts[1])
+            multiplier = positive(parts[2]) if len(parts) > 2 and parts[2] else 1
             sent = TOP if parts[-1] == "top" else sentence
             return LSpec.largeness(LargenessSpec(exponent, multiplier, sent))
     except (IndexError, ValueError) as err:
@@ -248,6 +220,8 @@ def cmd_large_minimal(args) -> Outcome:
 
 
 def cmd_large_pigeonhole(args) -> Outcome:
+    from .extract import CountingFailure, ExtractionFailure, pigeonhole_extract
+
     x = load_set(args)
     f = load_coloring(args)
     sentence = load_sentence(args)
@@ -271,6 +245,8 @@ def cmd_large_pigeonhole(args) -> Outcome:
 
 
 def cmd_large_decompose(args) -> Outcome:
+    from .extract import decompose_mixed
+
     x = load_set(args)
     sentence = load_sentence(args)
     out = decompose_mixed(x, args.n, args.m, sentence, budget=make_budget(args))
@@ -282,6 +258,8 @@ def cmd_large_decompose(args) -> Outcome:
 
 
 def cmd_large_fuse(args) -> Outcome:
+    from .extract import fuse
+
     sets = [read_set(p, args.floor) for p in args.blocks]
     sentence = load_sentence(args)
     out = fuse(sets[0], sets[1:], args.a, args.b, sentence, budget=make_budget(args))
@@ -301,6 +279,8 @@ def cmd_apart(args) -> Outcome:
 
 
 def cmd_grouping_find(args) -> Outcome:
+    from .grouping import ABSENT, FOUND, ColoringMismatch, find_grouping
+
     z = load_set(args)
     f = load_coloring(args)
     sentence = load_sentence(args)
@@ -322,6 +302,8 @@ def cmd_grouping_find(args) -> Outcome:
 
 
 def cmd_grouping_check(args) -> Outcome:
+    from .grouping import GroupingWitness, MalformedWitness, is_grouping
+
     f = load_coloring(args)
     sentence = load_sentence(args)
     witness = read_json(args.witness, lambda text: GroupingWitness.from_json(text, f))
@@ -335,6 +317,8 @@ def cmd_grouping_check(args) -> Outcome:
 
 
 def cmd_gamma_large(args) -> Outcome:
+    from .ramsey import Mode, is_large_gamma
+
     z = load_set(args)
     sentence = load_sentence(args)
     statement = make_statement(args)
@@ -344,6 +328,8 @@ def cmd_gamma_large(args) -> Outcome:
 
 
 def cmd_gamma_dense(args) -> Outcome:
+    from .ramsey import DensityParams, Mode, is_n_dense
+
     z = load_set(args)
     sentence = load_sentence(args)
     statement = make_statement(args)
@@ -358,6 +344,9 @@ def _verdict_outcome(v) -> Outcome:
 
 
 def cmd_em_extract(args) -> Outcome:
+    from .grouping import ABSENT, FOUND
+    from .ramsey import EmConstants, em_extract
+
     x = load_set(args)
     f = load_coloring(args)
     sentence = load_sentence(args)
@@ -375,6 +364,8 @@ def cmd_em_extract(args) -> Outcome:
 
 
 def cmd_ads_q(args) -> Outcome:
+    from .ramsey import QTotalityError, ads_q_coloring
+
     x = load_set(args)
     f = load_coloring(args)
     sentence = load_sentence(args)
@@ -390,6 +381,9 @@ def cmd_ads_q(args) -> Outcome:
 
 
 def cmd_ads_extract(args) -> Outcome:
+    from .grouping import ABSENT, FOUND
+    from .ramsey import ads_extract
+
     x = load_set(args)
     f = load_coloring(args)
     sentence = load_sentence(args)
@@ -402,6 +396,8 @@ def cmd_ads_extract(args) -> Outcome:
 
 
 def cmd_lowerbound_tree(args) -> Outcome:
+    from .lowerbound import tree
+
     t = tree(args.base, args.rank)
     cap = args.budget or 10 ** 6
     try:
@@ -426,6 +422,8 @@ def cmd_lowerbound_tree(args) -> Outcome:
 
 
 def cmd_lowerbound_fx(args) -> Outcome:
+    from .lowerbound import tree
+
     t = tree(args.base, args.rank)
     if args.value is not None:
         try:
@@ -440,6 +438,8 @@ def cmd_lowerbound_fx(args) -> Outcome:
 
 
 def cmd_lowerbound_verify(args) -> Outcome:
+    from .lowerbound import CONFIRMED, COUNTEREXAMPLE, tree, verify_lower_bound
+
     base = args.base
     rank = 2 * args.n - 1
     t = tree(base, rank)
@@ -463,6 +463,8 @@ def cmd_lowerbound_verify(args) -> Outcome:
 
 
 def cmd_bounds_table(args) -> Outcome:
+    from .ramsey import bounds_table, bounds_tsv
+
     rows = bounds_table(args.n_max, args.k)
     payload = {
         "rows": [
@@ -542,12 +544,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def natural(text: str) -> int:
+    """Argument type of an exponent, count or rank: an integer >= 0.  A value
+    out of range is a usage error (exit 3): "invalid natural value: '-1'"."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def positive(text: str) -> int:
+    """Argument type of a multiplier, or of an exponent that must be at least
+    1 (`lowerbound verify --n`, whose tree has rank 2n - 1): an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def _common(p, theta=True, budget=True, coloring=False):
     p.add_argument("--floor", type=int, default=3, help="least admissible element")
     p.add_argument("--format", choices=["human", "json"], default="human")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     if budget:
-        p.add_argument("--budget", type=int, default=None, help="search step budget")
+        p.add_argument("--budget", type=natural, default=None, help="search step budget")
     if theta:
         p.add_argument("--theta", default="top", help="apartness formula text, or 'top'")
         p.add_argument("--theta-file", help="JSON sentence file (overrides --theta)")
@@ -570,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = large.add_parser("check")
     p.add_argument("--set")
     p.add_argument("--interval", help="LO:HI shorthand instead of --set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--n", type=natural, required=True)
+    p.add_argument("--k", type=positive, default=1)
     p.add_argument("--mode", choices=["exhaustive", "greedy"], default="exhaustive")
     p.add_argument("--paranoid", action="store_true", help="all-pairs apartness in verification")
     p.add_argument("--cert-out", help="write the certificate JSON here")
@@ -581,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = large.add_parser("minimal")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=natural, required=True)
     p.add_argument("--out")
     _common(p, theta=False)
     p.set_defaults(handler=cmd_large_minimal)
@@ -589,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = large.add_parser("pigeonhole")
     p.add_argument("--set")
     p.add_argument("--interval")
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=natural, required=True)
     p.add_argument("--sparsity", choices=[s.value for s in SparsityPolicy], default="none")
     p.add_argument("--strict", action="store_true", help="fail on counting failure instead of falling back")
     _common(p, coloring=True)
@@ -598,15 +618,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = large.add_parser("decompose")
     p.add_argument("--set")
     p.add_argument("--interval")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=natural, required=True)
+    p.add_argument("--m", type=natural, required=True)
     _common(p)
     p.set_defaults(handler=cmd_large_decompose)
 
     p = large.add_parser("fuse")
     p.add_argument("--blocks", nargs="+", required=True, help="block set files, increasing")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--a", type=natural, required=True)
+    p.add_argument("--b", type=natural, required=True)
     _common(p)
     p.set_defaults(handler=cmd_large_fuse)
 
@@ -639,16 +659,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set")
         p.add_argument("--interval")
         p.add_argument("--gamma", default="custom", help="rt22|rt12|em|ads-asc|ads-desc|true|custom")
-        p.add_argument("--arity", type=int, default=2)
-        p.add_argument("--colors", type=int, default=2)
+        p.add_argument("--arity", type=natural, default=2)
+        p.add_argument("--colors", type=natural, default=2)
         p.add_argument("--psi0", default="homogeneous")
         p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--trials", type=natural, default=200)
         if name == "large":
-            p.add_argument("--r", type=int, required=True)
-            p.add_argument("--s", type=int, default=1)
+            p.add_argument("--r", type=natural, required=True)
+            p.add_argument("--s", type=positive, default=1)
         else:
-            p.add_argument("--m", type=int, required=True)
+            p.add_argument("--m", type=natural, required=True)
         _common(p)
         p.set_defaults(handler=handler)
 
@@ -656,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = em.add_parser("extract")
     p.add_argument("--set")
     p.add_argument("--interval")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=natural, required=True)
     p.add_argument("--scaled", action="store_true", help="desk-scale internal constants")
     _common(p, coloring=True)
     p.set_defaults(handler=cmd_em_extract)
@@ -665,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ads.add_parser("q")
     p.add_argument("--set")
     p.add_argument("--interval")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=natural, required=True)
     p.add_argument("--successor", choices=["drop_max", "drop_min"], default="drop_max")
     p.add_argument("--out")
     _common(p, coloring=True)
@@ -674,14 +694,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = ads.add_parser("extract")
     p.add_argument("--set")
     p.add_argument("--interval")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=natural, required=True)
     _common(p, coloring=True)
     p.set_defaults(handler=cmd_ads_extract)
 
     lower = sub.add_parser("lowerbound").add_subparsers(dest="sub", required=True)
     p = lower.add_parser("tree")
     p.add_argument("--base", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=natural, required=True)
     p.add_argument("--materialize", action="store_true")
     p.add_argument("--export-theta", help="write the separation sentence JSON here")
     _common(p, theta=False)
@@ -689,21 +709,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = lower.add_parser("fx")
     p.add_argument("--base", type=int, default=3)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=natural, required=True)
     p.add_argument("--value", type=int, help="one element; omit for the whole table")
     _common(p, theta=False)
     p.set_defaults(handler=cmd_lowerbound_fx)
 
     p = lower.add_parser("verify")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
     p.add_argument("--base", type=int, default=3)
     p.add_argument("--mode", choices=["exhaustive", "pruned"], default="exhaustive")
     _common(p, theta=False)
     p.set_defaults(handler=cmd_lowerbound_verify)
 
     p = sub.add_parser("bounds-table")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--n-max", type=natural, required=True)
+    p.add_argument("--k", type=natural, default=2)
     _common(p, theta=False, budget=False)
     p.set_defaults(handler=cmd_bounds_table)
 

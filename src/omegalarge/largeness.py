@@ -181,37 +181,39 @@ def minimal_interval_card(base: int, exponent: int, cap: int) -> int:
     """
     if base < 1:
         raise PreconditionError("base must be positive")
-    steps = [0]
+    if exponent < 0:
+        raise PreconditionError("exponent must be >= 0")
+    return _interval_card(base, exponent, cap, [max(cap, 10 ** 6)])
 
-    def card(b: int, n: int) -> int:
-        steps[0] += 1
-        if steps[0] > max(cap, 10 ** 6):
-            raise SizeOverflow("recurrence work", cap)
-        if n == 0:
-            return 1
-        if n == 1:
-            out = b + 1
-        elif n == 2:
-            # head, then b chained exponent-1 intervals: minima follow
-            # m_{j+1} = 2*m_j + 1 from b+1, totalling (b+2)(2^b - 1)
-            if b > 10 ** 7:
-                raise SizeOverflow("interval cardinality", cap)
-            out = 1 + (b + 2) * ((1 << b) - 1)
-        else:
-            total = 1
-            nxt = b + 1
-            for _ in range(b):
-                c = card(nxt, n - 1)
-                total += c
-                nxt += c
-                if total > cap:
-                    raise SizeOverflow("interval cardinality", cap)
-            out = total
-        if out > cap:
+
+def _interval_card(b: int, n: int, cap: int, work: list[int]) -> int:
+    """minimal_interval_card above b at exponent n; work[0] is the number of
+    recurrence steps still allowed, shared by the whole recursion."""
+    work[0] -= 1
+    if work[0] < 0:
+        raise SizeOverflow("recurrence work", cap)
+    if n == 0:
+        return 1
+    if n == 1:
+        out = b + 1
+    elif n == 2:
+        # head, then b chained exponent-1 intervals: minima follow
+        # m_{j+1} = 2*m_j + 1 from b+1, totalling (b+2)(2^b - 1)
+        if b > 10 ** 7:
             raise SizeOverflow("interval cardinality", cap)
-        return out
-
-    return card(base, exponent)
+        out = 1 + (b + 2) * ((1 << b) - 1)
+    else:
+        out = 1
+        nxt = b + 1
+        for _ in range(b):
+            c = _interval_card(nxt, n - 1, cap, work)
+            out += c
+            nxt += c
+            if out > cap:
+                raise SizeOverflow("interval cardinality", cap)
+    if out > cap:
+        raise SizeOverflow("interval cardinality", cap)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +273,7 @@ def minimal_large_interval(
     card = minimal_interval_card(x, n, cap=budget)
     out = FinSet.interval(x, x + card - 1)
     if card <= validate_limit and not is_minimal(out, n):
-        raise AssertionError("recurrence produced a non-minimal interval")
+        raise RuntimeError("recurrence produced a non-minimal interval")
     return out
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -354,6 +355,51 @@ def test_success_json_carries_a_reason(tmp_path, capsys):
         obj = json.loads(out)
         assert code == 0 and obj["exit"] == 0, argv
         assert isinstance(obj["reason"], str) and obj["reason"], argv
+
+
+# Each value is out of range for its argument; "{coloring}" stands for a pair
+# coloring of [3,14].  Left to the library, these fail deep inside it (exit 4)
+# or read as an answer: a negative budget as exhausted, card:-1 as a grouping.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["large", "check", "--interval", "3:10", "--n", "-1"],
+        ["large", "check", "--interval", "3:10", "--n", "1", "--k", "0"],
+        ["large", "check", "--interval", "3:10", "--n", "1", "--k", "-3"],
+        ["large", "check", "--interval", "3:10", "--n", "1", "--budget", "-1"],
+        ["large", "minimal", "--x", "3", "--n", "-1"],
+        ["large", "decompose", "--interval", "3:40", "--n", "-1", "--m", "1"],
+        ["em", "extract", "--interval", "3:14", "--coloring", "{coloring}", "--n", "-1"],
+        ["grouping", "find", "--interval", "3:14", "--coloring", "{coloring}",
+         "--l0", "card:-1", "--l1", "card:2"],
+        ["gamma", "large", "--interval", "3:10", "--gamma", "rt12", "--r", "1", "--s", "0"],
+        ["lowerbound", "tree", "--base", "3", "--rank", "-1"],
+        ["lowerbound", "verify", "--n", "0"],
+        ["bounds-table", "--n-max", "-1"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a != "{coloring}"),
+)
+def test_out_of_range_numbers_exit_3(tmp_path, capsys, argv):
+    f = ColoringTable.from_function(FinSet.interval(3, 14), 2, 2, lambda x, y: 0)
+    coloring = write_coloring(tmp_path, "f.json", f)
+    argv = [coloring if a == "{coloring}" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3 and out == ""
+    assert err.startswith("usage error") and "Traceback" not in err
+
+
+def test_large_check_leaves_no_cyclic_garbage(capsys):
+    cli.build_parser()  # built once per process, with cycles of its own
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = main(["large", "check", "--interval", "3:10", "--n", "1"])
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert code == 0 and garbage == []
 
 
 def test_the_parser_is_built_once():

@@ -282,6 +282,13 @@ def test_minimal_interval_card_recurrence():
         assert minimal_interval_card(base, 2, 10 ** 9) == total
 
 
+def test_minimal_interval_card_rejects_a_negative_exponent():
+    with pytest.raises(PreconditionError):
+        minimal_interval_card(3, -1, 10)
+    with pytest.raises(PreconditionError):
+        minimal_large_interval(3, -1)
+
+
 def test_certificate_classes_have_no_instance_dict():
     cert = check_large(FinSet.interval(3, 38), LargenessSpec(2))
     node = cert.blocks[0].cert
