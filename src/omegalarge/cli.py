@@ -43,7 +43,7 @@ from .largeness import (
     t_apart,
     verify_certificate,
 )
-from .sets import ColoringTable, FinSet, SparsityPolicy
+from .sets import DEFAULT_FLOOR, ColoringTable, FinSet, SparsityPolicy
 
 if TYPE_CHECKING:
     from .grouping import LSpec
@@ -194,10 +194,8 @@ def cmd_large_check(args) -> Outcome:
             {"verified": ok},
             "certificate accepted" if ok else "certificate rejected",
         )
-    cert = check_large(x, spec, mode=args.mode, budget=make_budget(args))
+    cert = check_large(x, spec, budget=make_budget(args))
     if cert is None:
-        if args.mode == "greedy":
-            return Outcome(2, {"result": "not-found", "mode": "greedy"}, "greedy search found no witness")
         return Outcome(1, {"result": "not-large"}, "not large: no decomposition exists")
     if not verify_certificate(x, cert, spec, paranoid=args.paranoid):
         raise RuntimeError("the search returned a certificate that fails re-verification")
@@ -209,7 +207,7 @@ def cmd_large_check(args) -> Outcome:
 
 def cmd_large_minimal(args) -> Outcome:
     try:
-        out = minimal_large_interval(args.x, args.n, budget=args.budget or 10 ** 6)
+        out = minimal_large_interval(args.x, args.n, budget=args.budget)
     except SizeOverflow as err:
         return Outcome(2, {"result": "overflow", "reason": str(err)}, f"overflow: {err}")
     payload = {"elements": [str(v) for v in out], "cardinality": len(out), "max": str(out.maximum)}
@@ -399,7 +397,7 @@ def cmd_lowerbound_tree(args) -> Outcome:
     from .lowerbound import tree
 
     t = tree(args.base, args.rank)
-    cap = args.budget or 10 ** 6
+    cap = args.budget
     try:
         card, top = str(t.cardinality(cap)), str(t.max_value(cap))
     except SizeOverflow:
@@ -431,7 +429,7 @@ def cmd_lowerbound_fx(args) -> Outcome:
         except PreconditionError as err:
             raise UsageError(str(err)) from err
         return Outcome(0, {"value": str(args.value), "color": color}, f"f({args.value}) = {color}")
-    mat = t.materialize(budget=args.budget or 10 ** 5)
+    mat = t.materialize(budget=args.budget)
     colors = {str(v): t.parity_color(v) for v in mat}
     human = " ".join(f"{v}:{c}" for v, c in colors.items())
     return Outcome(0, {"colors": colors}, human)
@@ -562,10 +560,24 @@ def positive(text: str) -> int:
     return value
 
 
+def _set_input(p, files_only=False):
+    """--set/--interval for the one set load_set reads, and the --floor it is
+    read with; with files_only, --floor alone, for the set files a handler
+    names through options of its own."""
+    if not files_only:
+        p.add_argument("--set", help="set file: one decimal per line, or a JSON array")
+        p.add_argument("--interval", help="LO:HI shorthand instead of --set")
+    p.add_argument("--floor", type=int, default=DEFAULT_FLOOR, help="least admissible element")
+
+
+def _size_cap(p, default: int):
+    """--budget read as a cap on a size rather than on search steps: absent
+    means `default`, and 0 caps every size at 0."""
+    p.add_argument("--budget", type=natural, default=default, help=f"size cap (default {default})")
+
+
 def _common(p, theta=True, budget=True, coloring=False):
-    p.add_argument("--floor", type=int, default=3, help="least admissible element")
     p.add_argument("--format", choices=["human", "json"], default="human")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     if budget:
         p.add_argument("--budget", type=natural, default=None, help="search step budget")
     if theta:
@@ -588,11 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sub", required=True
     )
     p = large.add_parser("check")
-    p.add_argument("--set")
-    p.add_argument("--interval", help="LO:HI shorthand instead of --set")
+    _set_input(p)
     p.add_argument("--n", type=natural, required=True)
     p.add_argument("--k", type=positive, default=1)
-    p.add_argument("--mode", choices=["exhaustive", "greedy"], default="exhaustive")
     p.add_argument("--paranoid", action="store_true", help="all-pairs apartness in verification")
     p.add_argument("--cert-out", help="write the certificate JSON here")
     p.add_argument("--verify", help="verify this certificate file instead of searching")
@@ -603,12 +613,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--n", type=natural, required=True)
     p.add_argument("--out")
-    _common(p, theta=False)
+    _size_cap(p, 10 ** 6)
+    _common(p, theta=False, budget=False)
     p.set_defaults(handler=cmd_large_minimal)
 
     p = large.add_parser("pigeonhole")
-    p.add_argument("--set")
-    p.add_argument("--interval")
+    _set_input(p)
     p.add_argument("--b", type=natural, required=True)
     p.add_argument("--sparsity", choices=[s.value for s in SparsityPolicy], default="none")
     p.add_argument("--strict", action="store_true", help="fail on counting failure instead of falling back")
@@ -616,8 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_large_pigeonhole)
 
     p = large.add_parser("decompose")
-    p.add_argument("--set")
-    p.add_argument("--interval")
+    _set_input(p)
     p.add_argument("--n", type=natural, required=True)
     p.add_argument("--m", type=natural, required=True)
     _common(p)
@@ -627,19 +636,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", nargs="+", required=True, help="block set files, increasing")
     p.add_argument("--a", type=natural, required=True)
     p.add_argument("--b", type=natural, required=True)
+    _set_input(p, files_only=True)
     _common(p)
     p.set_defaults(handler=cmd_large_fuse)
 
     p = sub.add_parser("apart")
     p.add_argument("--x", required=True, help="left set file")
     p.add_argument("--y", required=True, help="right set file")
-    _common(p)
+    _set_input(p, files_only=True)
+    _common(p, budget=False)
     p.set_defaults(handler=cmd_apart)
 
     grouping = sub.add_parser("grouping").add_subparsers(dest="sub", required=True)
     p = grouping.add_parser("find")
-    p.add_argument("--set")
-    p.add_argument("--interval")
+    _set_input(p)
     p.add_argument("--l0", required=True, help="block requirement: card:M or omega:N[:K][:top]")
     p.add_argument("--l1", required=True, help="transversal requirement")
     p.add_argument("--witness-out")
@@ -650,32 +660,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True)
     p.add_argument("--l0", required=True)
     p.add_argument("--l1", required=True)
-    _common(p, coloring=True)
+    _common(p, budget=False, coloring=True)
     p.set_defaults(handler=cmd_grouping_check)
 
     gamma = sub.add_parser("gamma").add_subparsers(dest="sub", required=True)
     for name, handler in (("large", cmd_gamma_large), ("dense", cmd_gamma_dense)):
         p = gamma.add_parser(name)
-        p.add_argument("--set")
-        p.add_argument("--interval")
+        _set_input(p)
         p.add_argument("--gamma", default="custom", help="rt22|rt12|em|ads-asc|ads-desc|true|custom")
         p.add_argument("--arity", type=natural, default=2)
         p.add_argument("--colors", type=natural, default=2)
         p.add_argument("--psi0", default="homogeneous")
         p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
         p.add_argument("--trials", type=natural, default=200)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the sampled trials")
         if name == "large":
             p.add_argument("--r", type=natural, required=True)
             p.add_argument("--s", type=positive, default=1)
         else:
             p.add_argument("--m", type=natural, required=True)
-        _common(p)
+        _common(p, budget=False)
         p.set_defaults(handler=handler)
 
     em = sub.add_parser("em").add_subparsers(dest="sub", required=True)
     p = em.add_parser("extract")
-    p.add_argument("--set")
-    p.add_argument("--interval")
+    _set_input(p)
     p.add_argument("--n", type=natural, required=True)
     p.add_argument("--scaled", action="store_true", help="desk-scale internal constants")
     _common(p, coloring=True)
@@ -683,8 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ads = sub.add_parser("ads").add_subparsers(dest="sub", required=True)
     p = ads.add_parser("q")
-    p.add_argument("--set")
-    p.add_argument("--interval")
+    _set_input(p)
     p.add_argument("--n", type=natural, required=True)
     p.add_argument("--successor", choices=["drop_max", "drop_min"], default="drop_max")
     p.add_argument("--out")
@@ -692,8 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ads_q)
 
     p = ads.add_parser("extract")
-    p.add_argument("--set")
-    p.add_argument("--interval")
+    _set_input(p)
     p.add_argument("--n", type=natural, required=True)
     _common(p, coloring=True)
     p.set_defaults(handler=cmd_ads_extract)
@@ -704,14 +711,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=natural, required=True)
     p.add_argument("--materialize", action="store_true")
     p.add_argument("--export-theta", help="write the separation sentence JSON here")
-    _common(p, theta=False)
+    _size_cap(p, 10 ** 6)
+    _common(p, theta=False, budget=False)
     p.set_defaults(handler=cmd_lowerbound_tree)
 
     p = lower.add_parser("fx")
     p.add_argument("--base", type=int, default=3)
     p.add_argument("--rank", type=natural, required=True)
     p.add_argument("--value", type=int, help="one element; omit for the whole table")
-    _common(p, theta=False)
+    _size_cap(p, 10 ** 5)
+    _common(p, theta=False, budget=False)
     p.set_defaults(handler=cmd_lowerbound_fx)
 
     p = lower.add_parser("verify")

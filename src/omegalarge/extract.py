@@ -207,6 +207,8 @@ def decompose_mixed(
     the step decomposes the right member and recurses on consecutive pairs
     of its sub-blocks.
     """
+    if n < 0 or m < 0:
+        raise PreconditionError("exponents n and m must be >= 0")
     budget = budget_or_unlimited(budget)
     budget.enter("mixed decomposition")
     cert = check_large(x, LargenessSpec(n + m + 1, 1, sentence), budget=budget)

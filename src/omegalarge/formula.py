@@ -253,9 +253,6 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.pos)
         return tok
 
-    def fail(self, msg: str) -> None:
-        raise FormulaSyntaxError(msg, self.peek().pos)
-
     def parse_formula(self) -> Formula:
         left = self.parse_or()
         if self.peek().text == "->":

@@ -124,12 +124,6 @@ def _block_from(obj: dict) -> Block:
     return Block(json_int(obj["lo"], "lo"), json_int(obj["hi"], "hi"), cert)
 
 
-def cert_exponent(cert: Leaf | Node) -> int:
-    if isinstance(cert, Leaf):
-        return 0
-    return 1 + cert_exponent(cert.children[0].cert) if cert.children else 1
-
-
 def shift_cert(cert: Leaf | Node, delta: int) -> Leaf | Node:
     """Translate all index ranges by delta (for embedding into a superset)."""
     if isinstance(cert, Leaf):
@@ -278,7 +272,7 @@ def minimal_large_interval(
 
 
 # ---------------------------------------------------------------------------
-# Certified search (exhaustive and greedy) under an apartness sentence
+# Certified complete search under an apartness sentence
 # ---------------------------------------------------------------------------
 
 
@@ -398,26 +392,6 @@ class _Searcher:
                 ii, pp, kk = frames[-1][0], frames[-1][1], frames[-1][2]
         return memo.get((i, j, n, k, prev))
 
-    def place_greedy(
-        self, i: int, j: int, n: int, k: int, prev: int
-    ) -> tuple[Block, ...] | None:
-        """Leftmost-minimal blocks, committing to the first feasible start."""
-        out: list[Block] = []
-        while k > 0:
-            placed = False
-            for s in range(i, j):
-                e = self.e_star(s, n)
-                if e is None or e > j:
-                    return None
-                if self.apart_ok(prev, s, e):
-                    out.append(Block(s, e, self.cert_for(s, e, n)))
-                    i, prev, k = e, e - 1, k - 1
-                    placed = True
-                    break
-            if not placed:
-                return None
-        return tuple(out)
-
     def cert_for(self, s: int, e: int, n: int) -> Leaf | Node:
         if n == 0:
             return Leaf(self.xs[s])
@@ -428,26 +402,19 @@ class _Searcher:
 
 
 def check_large(
-    x: FinSet,
-    spec: LargenessSpec,
-    mode: str = "exhaustive",
-    budget: Budget | None = None,
+    x: FinSet, spec: LargenessSpec, *, budget: Budget | None = None
 ) -> Certificate | None:
-    """Search for a largeness certificate; None means no witness exists
-    (exhaustive mode) or none was found (greedy mode).
+    """Search for a largeness certificate; None means no witness exists.
 
-    Exhaustive mode is complete and returns the lexicographically least
+    The search is complete and returns the lexicographically least
     certificate; consecutive blocks are checked for apartness, which
-    suffices by transitivity.  Greedy mode is sound but may miss witnesses.
+    suffices by transitivity.
     """
-    if mode not in ("exhaustive", "greedy"):
-        raise ValueError(f"unknown mode {mode!r}")
     _check_admissible(x, spec.sentence)
     if not x.elements:
         return None
     searcher = _Searcher(x.elements, spec.sentence, budget_or_unlimited(budget))
-    placer = searcher.place if mode == "exhaustive" else searcher.place_greedy
-    blocks = placer(0, len(x.elements), spec.exponent, spec.multiplier, -1)
+    blocks = searcher.place(0, len(x.elements), spec.exponent, spec.multiplier, -1)
     if blocks is None:
         return None
     return Certificate(spec.exponent, spec.multiplier, blocks)
@@ -456,10 +423,8 @@ def check_large(
 def is_large(x: FinSet, spec: LargenessSpec, budget: Budget | None = None) -> bool:
     if spec.sentence.is_top:
         # plain largeness has the classical complete greedy
-        values = x.elements
-        if x.elements and x.minimum < spec.sentence.floor():
-            raise PreconditionError("min below admissible floor")
-        return is_plain_large(values, spec.exponent, spec.multiplier)
+        _check_admissible(x, spec.sentence)
+        return is_plain_large(x.elements, spec.exponent, spec.multiplier)
     return check_large(x, spec, budget=budget) is not None
 
 

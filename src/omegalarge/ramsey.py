@@ -309,6 +309,8 @@ def em_extract(
     """
     if f.arity != 2:
         raise PreconditionError("expects a pair coloring")
+    if n < 0:
+        raise PreconditionError("exponent must be >= 0")
     budget = budget_or_unlimited(budget)
     constants = constants if constants is not None else EmConstants.faithful(max(n, 1))
     result = _em_level(x, f, n, sentence, budget, constants)

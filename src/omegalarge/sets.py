@@ -55,10 +55,6 @@ class FinSet:
                 raise ValueError(f"min {elems[0]} below floor {self.floor}")
 
     @classmethod
-    def of(cls, values: Iterable[int], floor: int = DEFAULT_FLOOR) -> "FinSet":
-        return cls(tuple(sorted(set(int(v) for v in values))), floor)
-
-    @classmethod
     def interval(cls, lo: int, hi: int, floor: int = DEFAULT_FLOOR) -> "FinSet":
         """Closed interval [lo, hi]."""
         return cls(tuple(range(lo, hi + 1)), floor)
@@ -91,9 +87,6 @@ class FinSet:
     def restrict(self, values: Iterable[int]) -> "FinSet":
         keep = set(values)
         return FinSet(tuple(v for v in self.elements if v in keep), self.floor)
-
-    def without(self, v: int) -> "FinSet":
-        return FinSet(tuple(x for x in self.elements if x != v), self.floor)
 
     # -- text formats: one decimal per line, or a JSON array of integers --
 

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 
@@ -67,6 +68,9 @@ def test_large_minimal(capsys):
     assert code == 0 and "[3, 38]" in out and "36" in out
     code, out, _ = run(capsys, "large", "minimal", "--x", "3", "--n", "3", "--budget", "1000000")
     assert code == 2
+    # --budget is a size cap here: absent means 10**6, and 0 is a cap of 0
+    code, out, _ = run(capsys, "large", "minimal", "--x", "3", "--n", "2", "--budget", "0")
+    assert code == 2 and "overflow" in out
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -501,3 +505,67 @@ def test_json_nested_too_deeply_exits_3(tmp_path, capsys, flag):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 3 and out == ""
     assert f"usage error: {deep}: nested too deeply to read" in err and "Traceback" not in err
+
+
+# every option of every subcommand is one its handler reads
+_FMT = {"--format"}
+_SET = {"--set", "--interval", "--floor"}
+_THETA = {"--theta", "--theta-file", "--param-a", "--param-A"}
+_GAMMA = _FMT | _SET | _THETA | {"--gamma", "--arity", "--colors", "--psi0", "--mode", "--trials", "--seed"}
+_EXTRACTOR = _FMT | _SET | _THETA | {"--budget", "--coloring", "--n"}
+OPTIONS = {
+    "large check": _FMT | _SET | _THETA | {"--budget", "--n", "--k", "--paranoid", "--cert-out", "--verify"},
+    "large minimal": _FMT | {"--budget", "--x", "--n", "--out"},
+    "large pigeonhole": _FMT | _SET | _THETA | {"--budget", "--coloring", "--b", "--sparsity", "--strict"},
+    "large decompose": _FMT | _SET | _THETA | {"--budget", "--n", "--m"},
+    "large fuse": _FMT | _THETA | {"--floor", "--budget", "--blocks", "--a", "--b"},
+    "apart": _FMT | _THETA | {"--floor", "--x", "--y"},
+    "grouping find": _FMT | _SET | _THETA | {"--budget", "--coloring", "--l0", "--l1", "--witness-out"},
+    "grouping check": _FMT | _THETA | {"--coloring", "--witness", "--l0", "--l1"},
+    "gamma large": _GAMMA | {"--r", "--s"},
+    "gamma dense": _GAMMA | {"--m"},
+    "em extract": _EXTRACTOR | {"--scaled"},
+    "ads q": _EXTRACTOR | {"--successor", "--out"},
+    "ads extract": _EXTRACTOR,
+    "lowerbound tree": _FMT | {"--budget", "--base", "--rank", "--materialize", "--export-theta"},
+    "lowerbound fx": _FMT | {"--budget", "--base", "--rank", "--value"},
+    "lowerbound verify": _FMT | {"--budget", "--n", "--base", "--mode"},
+    "bounds-table": _FMT | {"--n-max", "--k"},
+    "formula parse": _FMT,
+    "formula eval": _FMT | {"--env", "--param-a", "--param-A"},
+    "formula weaken": _FMT | {"--text", "--file", "--out"},
+}
+
+
+def _subcommands(parser, path=()):
+    """(subcommand path, its option strings but -h) for every leaf parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _subcommands(child, path + (name,))
+            return
+    yield " ".join(path), {a.option_strings[-1] for a in parser._actions if a.option_strings} - {"--help"}
+
+
+def test_each_subcommand_registers_only_the_options_its_handler_reads():
+    found = dict(_subcommands(cli.build_parser()))
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 180
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["large", "check", "--interval", "3:10", "--n", "1", "--seed", "1"],
+        ["large", "check", "--interval", "3:10", "--n", "1", "--mode", "greedy"],
+        ["formula", "parse", "--floor", "3", "x < y"],
+        ["apart", "--x", "{x}", "--y", "{y}", "--budget", "5"],
+    ],
+    ids=["check --seed", "check --mode", "parse --floor", "apart --budget"],
+)
+def test_removed_options_exit_3(tmp_path, capsys, argv):
+    files = {"{x}": write_set(tmp_path, "x.txt", [3, 4]), "{y}": write_set(tmp_path, "y.txt", [9, 10])}
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3 and out == ""
+    assert err.startswith("usage error: unrecognized arguments") and "Traceback" not in err

@@ -132,6 +132,11 @@ def test_decompose_mixed_with_sentence():
 def test_decompose_mixed_precondition():
     with pytest.raises(PreconditionError):
         decompose_mixed(FinSet((3, 4, 5, 6)), 1, 1, TOP)
+    # n + m + 1 is still a valid exponent; a negative m used to recurse past
+    # the certificate's leaves and fail an assert
+    for n, m in ((-1, 1), (1, -1)):
+        with pytest.raises(PreconditionError, match=">= 0"):
+            decompose_mixed(FinSet.interval(3, 40), n, m, TOP)
 
 
 def test_fuse_base_case():

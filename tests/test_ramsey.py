@@ -13,7 +13,7 @@ from omegalarge.formula import (
     parse,
 )
 from omegalarge.grouping import ABSENT, FOUND
-from omegalarge.largeness import LargenessSpec, check_large, verify_certificate
+from omegalarge.largeness import LargenessSpec, PreconditionError, check_large, verify_certificate
 from omegalarge.ramsey import (
     DROP_MIN,
     FAITHFUL_BASE,
@@ -194,6 +194,12 @@ def test_em_extract_rechecks_its_output(monkeypatch, check):
         em_extract(X38, f, 1, TOP, Budget(400_000), EmConstants.scaled(1))
 
 
+def test_em_extract_rejects_a_negative_exponent():
+    f = ColoringTable.from_function(X38, 2, 2, lambda x, y: 1)
+    with pytest.raises(PreconditionError, match=">= 0"):
+        em_extract(X38, f, -1, TOP, Budget(1000))
+
+
 def test_em_extract_faithful_constants_fail_honestly():
     f = ColoringTable.from_function(X38, 2, 2, lambda x, y: 0)
     out = em_extract(X38, f, 1, TOP, Budget(100_000), EmConstants.faithful(1))
@@ -260,8 +266,6 @@ def test_q_coloring_requires_transitive():
     z = FinSet((3, 4, 5))
     table = {(3, 4): 0, (4, 5): 0, (3, 5): 1}
     f = ColoringTable.from_function(z, 2, 2, lambda x, y: table[(x, y)])
-    from omegalarge.largeness import PreconditionError
-
     with pytest.raises(PreconditionError):
         ads_q_coloring(z, f, 1, TOP)
 

@@ -1,13 +1,15 @@
 """Source-level rules for the package: postconditions must not rely on
-`assert`, which `python -O` strips, and only the θ compiler runs
-generated code."""
+`assert`, which `python -O` strips, only the θ compiler runs generated
+code, and every function is called or named from somewhere."""
 
 import ast
+import re
 from pathlib import Path
 
 import omegalarge
 
 SRC = Path(omegalarge.__file__).parent
+TESTS = Path(__file__).parent
 
 # asserts that may stay: each names its module, enclosing function and test.
 # Both `w_assemble` asserts are backed by the certificate re-check that ends
@@ -38,8 +40,8 @@ def _nodes(tree: ast.AST, kind: type, func: str = "<module>"):
             yield from _nodes(node, kind, func)
 
 
-def _sources():
-    for path in sorted(SRC.rglob("*.py")):
+def _sources(root: Path = SRC):
+    for path in sorted(root.rglob("*.py")):
         yield path, ast.parse(path.read_text(), str(path))
 
 
@@ -77,3 +79,43 @@ def test_only_the_theta_compiler_runs_generated_code():
     assert not offending, "\n".join(offending)
     # one call each: stale entries are dropped from the list
     assert sorted(found) == sorted(ALLOWED_DYNAMIC)
+
+
+# a string that is a name or a dotted path of names (getattr, monkeypatch,
+# the package's export table) mentions each of its parts
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+# called by argparse, never by name
+NAMED_ELSEWHERE = {("cli.py", "error")}
+
+
+def _mentions(tree: ast.AST):
+    """(name, line) for every name, attribute, import and name-like string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def test_every_function_is_named_outside_its_own_body():
+    mentions: dict[str, list[tuple[Path, int]]] = {}
+    for root in (SRC, TESTS):
+        for path, tree in _sources(root):
+            for name, line in _mentions(tree):
+                mentions.setdefault(name, []).append((path, line))
+    unnamed = []
+    for path, tree in _sources():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or (path.name, name) in NAMED_ELSEWHERE:
+                continue
+            if all(p == path and node.lineno <= line <= node.end_lineno for p, line in mentions.get(name, ())):
+                unnamed.append(f"{path.name}:{node.lineno} {name}")
+    assert not unnamed, "\n".join(unnamed)
