@@ -48,8 +48,6 @@ from .sets import DEFAULT_FLOOR, ColoringTable, FinSet, SparsityPolicy
 if TYPE_CHECKING:
     from .grouping import LSpec
 
-DEFAULT_SEED = 1729
-
 
 class UsageError(ValueError):
     pass
@@ -173,8 +171,8 @@ def make_statement(args) -> RtLikeStatement:
     else:
         arity, colors, psi0 = args.arity, args.colors, args.psi0
     if psi0 not in BUILTIN_PSI0:
-        return RtLikeStatement(arity, colors, read_input("bad --psi0", lambda: parse(psi0)))
-    return RtLikeStatement(arity, colors, psi0)
+        psi0 = read_input("bad --psi0", functools.partial(parse, psi0))
+    return read_input("bad statement", lambda: RtLikeStatement(arity, colors, psi0))
 
 
 # ---------------------------------------------------------------------------
@@ -314,29 +312,18 @@ def cmd_grouping_check(args) -> Outcome:
     return Outcome(0 if ok else 1, {"grouping": ok}, "valid grouping" if ok else "not a grouping")
 
 
-def cmd_gamma_large(args) -> Outcome:
-    from .ramsey import Mode, is_large_gamma
+def cmd_gamma(args) -> Outcome:
+    from .ramsey import Mode, is_large_gamma, is_n_dense
 
     z = load_set(args)
     sentence = load_sentence(args)
     statement = make_statement(args)
-    mode = Mode(args.mode, seed=args.seed, trials=args.trials)
-    out = is_large_gamma(z, args.r, args.s, sentence, statement, mode)
-    return _verdict_outcome(out)
-
-
-def cmd_gamma_dense(args) -> Outcome:
-    from .ramsey import DensityParams, Mode, is_n_dense
-
-    z = load_set(args)
-    sentence = load_sentence(args)
-    statement = make_statement(args)
-    mode = Mode(args.mode, seed=args.seed, trials=args.trials)
-    out = is_n_dense(z, DensityParams(statement, sentence, args.m, mode))
-    return _verdict_outcome(out)
-
-
-def _verdict_outcome(v) -> Outcome:
+    # Mode's own seed and trials stand in for an absent --seed or --trials
+    mode = Mode(args.mode, **{k: getattr(args, k) for k in ("seed", "trials") if getattr(args, k) is not None})
+    if args.sub == "large":
+        v = is_large_gamma(z, args.r, args.s, sentence, statement, mode)
+    else:
+        v = is_n_dense(z, args.m, sentence, statement, mode)
     code = {"true": 0, "false": 1, "inconclusive": 2}[v.value]
     return Outcome(code, {"verdict": v.value, "reason": v.reason}, f"{v.value}: {v.reason}")
 
@@ -399,16 +386,14 @@ def cmd_lowerbound_tree(args) -> Outcome:
     t = tree(args.base, args.rank)
     cap = args.budget
     try:
-        card, top = str(t.cardinality(cap)), str(t.max_value(cap))
-    except SizeOverflow:
-        card = top = f"overflow(>{cap})"
-    payload = {"base": str(args.base), "rank": args.rank, "cardinality": card, "max": top}
+        card, top = t.cardinality(cap), t.max_value(cap)
+    except SizeOverflow as err:
+        return Outcome(2, {"result": "overflow", "reason": str(err)}, f"overflow: {err}")
+    payload = {"base": str(args.base), "rank": args.rank, "cardinality": str(card), "max": str(top)}
     human = f"tree base={args.base} rank={args.rank} cardinality={card} max={top}"
     if args.materialize:
-        try:
-            mat = t.materialize(budget=cap)
-        except SizeOverflow as err:
-            return Outcome(2, {**payload, "result": "overflow"}, f"{human}\nmaterialization overflow: {err}")
+        # within the cap: the cardinality above did not overflow it
+        mat = t.materialize(budget=cap)
         payload["elements"] = [str(v) for v in mat]
         human += f"\n{' '.join(str(v) for v in mat)}"
     if args.export_theta:
@@ -664,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_grouping_check)
 
     gamma = sub.add_parser("gamma").add_subparsers(dest="sub", required=True)
-    for name, handler in (("large", cmd_gamma_large), ("dense", cmd_gamma_dense)):
+    for name in ("large", "dense"):
         p = gamma.add_parser(name)
         _set_input(p)
         p.add_argument("--gamma", default="custom", help="rt22|rt12|em|ads-asc|ads-desc|true|custom")
@@ -672,15 +657,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--colors", type=natural, default=2)
         p.add_argument("--psi0", default="homogeneous")
         p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-        p.add_argument("--trials", type=natural, default=200)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the sampled trials")
+        p.add_argument("--trials", type=natural, help="draws per challenge of sampled mode")
+        p.add_argument("--seed", type=int, help="seed of the sampled trials")
         if name == "large":
             p.add_argument("--r", type=natural, required=True)
             p.add_argument("--s", type=positive, default=1)
         else:
             p.add_argument("--m", type=natural, required=True)
         _common(p, budget=False)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=cmd_gamma)
 
     em = sub.add_parser("em").add_subparsers(dest="sub", required=True)
     p = em.add_parser("extract")

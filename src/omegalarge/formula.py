@@ -790,10 +790,12 @@ MONOTONE_DESCENDING = "monotone-descending"
 PSI_TRUE = "true"
 
 BUILTIN_PSI0 = (HOMOGENEOUS, TRANSITIVE, MONOTONE_ASCENDING, MONOTONE_DESCENDING, PSI_TRUE)
+# the builtins that read pairs
+PAIR_PSI0 = (TRANSITIVE, MONOTONE_ASCENDING, MONOTONE_DESCENDING)
 
-# builtins are hereditary: holding on the full table implies holding on
-# every restriction, so solution checks need only look at the whole set
-_HEREDITARY = set(BUILTIN_PSI0)
+
+class CeilingExceeded(ValueError):
+    """An enumeration would pass its ceiling."""
 
 
 def _psi0_builtin(name: str, table) -> bool:
@@ -802,9 +804,6 @@ def _psi0_builtin(name: str, table) -> bool:
         return True
     if name == HOMOGENEOUS:
         return len(set(table.table)) <= 1
-    # the remaining builtins read pairs
-    if table.arity != 2:
-        raise ValueError(f"{name} applies to arity-2 colorings only")
     if name == MONOTONE_ASCENDING:
         return all(c == 1 for c in table.table)
     if name == MONOTONE_DESCENDING:
@@ -829,8 +828,12 @@ class RtLikeStatement:
     psi0: str | Formula
 
     def __post_init__(self) -> None:
+        if self.colors < 1:
+            raise ValueError("a statement needs at least one color")
         if isinstance(self.psi0, str) and self.psi0 not in BUILTIN_PSI0:
             raise ValueError(f"unknown builtin psi0 {self.psi0!r}")
+        if self.psi0 in PAIR_PSI0 and self.arity != 2:
+            raise ValueError(f"{self.psi0} applies to arity-2 colorings only")
         if not isinstance(self.psi0, str):
             if self.colors != 2:
                 raise ValueError("formula psi0 supports two colors only (bit-coded table)")
@@ -848,26 +851,21 @@ class RtLikeStatement:
         bits = "".join(str(c) for c in table.table)
         return evaluate(self.psi0, {}, a=len(table.domain), param=SecondOrderParam(bits))
 
-    def solution_ok(self, f, y, ceiling: int = 1 << 16) -> bool:
+    def solution_ok(self, f, y) -> bool:
         """Check psi0 on f restricted to every finite subset of y.
 
         Builtins are hereditary, so the full restriction suffices; formula
-        psi0 requires enumerating subsets (guarded by `ceiling`).
+        psi0 requires enumerating subsets, at most 2^16 of them.
         """
         if isinstance(self.psi0, str):
             return self.psi0_holds(restrict_coloring(f, y))
-        if 2 ** len(y) > ceiling:
-            raise ValueError(f"subset enumeration over {len(y)} elements exceeds ceiling")
+        if len(y) > 16:
+            raise CeilingExceeded(f"subset enumeration over {len(y)} elements exceeds ceiling")
         for size in range(len(y) + 1):
             for sub in combinations(y.elements, size):
                 if not self.psi0_holds(restrict_coloring(f, y.restrict(sub))):
                     return False
         return True
-
-
-RT22 = RtLikeStatement(2, 2, HOMOGENEOUS)
-RT1 = lambda k: RtLikeStatement(1, k, HOMOGENEOUS)  # noqa: E731
-EM_STATEMENT = RtLikeStatement(2, 2, TRANSITIVE)
 
 
 # ---------------------------------------------------------------------------

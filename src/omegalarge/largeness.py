@@ -253,20 +253,18 @@ def is_minimal(x: FinSet, n: int) -> bool:
     )
 
 
-def minimal_large_interval(
-    x: int, n: int, budget: int = 10 ** 6, validate_limit: int = 3000
-) -> FinSet:
+def minimal_large_interval(x: int, n: int, budget: int = 10 ** 6) -> FinSet:
     """The interval [x, y] minimal for largeness at exponent n.
 
     Cardinality is computed by recurrence first, so oversize requests fail
     fast with SizeOverflow instead of materializing.  Minimality is
-    re-validated by is_minimal when the result is small enough.
+    re-validated by is_minimal up to 3000 elements.
     """
     if x < 3:
         raise PreconditionError("base must be at least 3")
     card = minimal_interval_card(x, n, cap=budget)
     out = FinSet.interval(x, x + card - 1)
-    if card <= validate_limit and not is_minimal(out, n):
+    if card <= 3000 and not is_minimal(out, n):
         raise RuntimeError("recurrence produced a non-minimal interval")
     return out
 

@@ -52,12 +52,11 @@ class CanonicalTree:
     guarded by a cap.
     """
 
-    def __init__(self, base: int, rank: int, size_cap: int = DEFAULT_SIZE_CAP):
+    def __init__(self, base: int, rank: int):
         if base < 3:
             raise PreconditionError("base must be at least 3")
         self.base = base
         self.rank = rank
-        self.size_cap = size_cap
         self._child_bases: list[int] = [base + 1] if rank >= 1 else []
         self._children: dict[int, CanonicalTree] = {}
         self._addr: dict[tuple[int, int], Optional[BlockAddress]] = {}
@@ -67,7 +66,7 @@ class CanonicalTree:
         return f"CanonicalTree(base={self.base}, rank={self.rank})"
 
     def cardinality(self, cap: int | None = None) -> int:
-        return minimal_interval_card(self.base, self.rank, cap if cap is not None else self.size_cap)
+        return minimal_interval_card(self.base, self.rank, cap if cap is not None else DEFAULT_SIZE_CAP)
 
     def max_value(self, cap: int | None = None) -> int:
         return self.base + self.cardinality(cap) - 1
@@ -84,7 +83,7 @@ class CanonicalTree:
         while len(self._child_bases) <= i:
             prev = self.child(len(self._child_bases) - 1)
             self._child_bases.append(prev.max_value() + 1)
-        node = CanonicalTree(self._child_bases[i], self.rank - 1, self.size_cap)
+        node = CanonicalTree(self._child_bases[i], self.rank - 1)
         self._children[i] = node
         return node
 
@@ -251,8 +250,8 @@ def _tabulated_sentence(owner, members: tuple[int, ...], ceiling: int) -> Pi03Se
     return Pi03Sentence(FIn(term), 0, SecondOrderParam(bits.decode()))
 
 
-def tree(base: int, rank: int, size_cap: int = DEFAULT_SIZE_CAP) -> CanonicalTree:
-    return CanonicalTree(base, rank, size_cap)
+def tree(base: int, rank: int) -> CanonicalTree:
+    return CanonicalTree(base, rank)
 
 
 class BlockfreeView:

@@ -4,14 +4,15 @@ and homogeneous extraction pipelines, and the explicit bound table.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from typing import Optional
 
-from .budget import Budget, budget_or_unlimited
-from .formula import TOP, Pi03Sentence, RtLikeStatement
-from .budget import BudgetExceeded
+from .budget import Budget, BudgetExceeded, budget_or_unlimited
+from .formula import TOP, CeilingExceeded, Pi03Sentence, RtLikeStatement
 from .grouping import (
     ABSENT,
     EXHAUSTED,
@@ -35,6 +36,10 @@ TRUE = "true"
 FALSE = "false"
 INCONCLUSIVE = "inconclusive"
 
+# the largest coloring and subset spaces an exhaustive check enumerates
+COLORING_CEILING = 2 ** 20
+SUBSET_CEILING = 2 ** 20
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -47,201 +52,195 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Mode:
-    """Exact enumeration or seeded sampling, with explicit ceilings."""
+    """Exact enumeration, or `trials` seeded draws per challenge."""
 
     kind: str = "exact"  # 'exact' | 'sampled'
     seed: int = 1729
     trials: int = 200
-    coloring_ceiling: int = 2 ** 20
-    subset_ceiling: int = 2 ** 20
 
 
-@dataclass(frozen=True)
-class DensityParams:
-    statement: RtLikeStatement
-    sentence: Pi03Sentence
-    level: int
-    mode: Mode = Mode()
-
-
-class CeilingExceeded(ValueError):
-    pass
-
-
-def _all_colorings(domain: FinSet, arity: int, colors: int, ceiling: int):
-    tuples = list(combinations(domain.elements, arity))
-    count = colors ** len(tuples)
-    if count > ceiling:
-        raise CeilingExceeded(
-            f"coloring space {colors}^{len(tuples)} exceeds ceiling {ceiling}"
-        )
-    for table in product(range(colors), repeat=len(tuples)):
-        yield ColoringTable(domain, arity, colors, table)
-
-
-def _subsets(z: FinSet, ceiling: int):
-    if 2 ** len(z) > ceiling:
-        raise CeilingExceeded(f"subset space 2^{len(z)} exceeds ceiling {ceiling}")
+def _subsets(z: FinSet):
+    """The nonempty subsets of z, largest first."""
+    if 2 ** len(z) > SUBSET_CEILING:
+        raise CeilingExceeded(f"subset space 2^{len(z)} exceeds ceiling {SUBSET_CEILING}")
     for size in range(len(z), 0, -1):
         for sub in combinations(z.elements, size):
-            yield FinSet(sub)
+            yield FinSet(sub, z.floor)
 
 
-def _qualifying_subset(
-    z: FinSet,
-    f: ColoringTable,
-    statement: RtLikeStatement,
-    large_subsets: list[FinSet],
-) -> Optional[FinSet]:
-    for y in large_subsets:
-        if statement.solution_ok(f, y):
-            return y
-    return None
+def _pieces(z: FinSet, cuts) -> list[FinSet]:
+    """z cut into consecutive runs at the increasing positions `cuts`."""
+    bounds = (0, *cuts, len(z))
+    return [FinSet(z.elements[a:b], z.floor) for a, b in zip(bounds, bounds[1:])]
 
 
+class _Exhaustive:
+    """Every challenge of each kind, within the ceilings."""
+
+    def colorings(self, z: FinSet, statement: RtLikeStatement):
+        slots, colors = comb(len(z), statement.arity), statement.colors
+        if colors ** slots > COLORING_CEILING:
+            raise CeilingExceeded(f"coloring space {colors}^{slots} exceeds ceiling {COLORING_CEILING}")
+        for table in product(range(colors), repeat=slots):
+            yield ColoringTable(z, statement.arity, colors, table)
+
+    def partitions(self, z: FinSet):
+        """Interval partitions into at most min-many parts."""
+        for parts in range(1, min(z.minimum, len(z)) + 1):
+            for cuts in combinations(range(1, len(z)), parts - 1):
+                yield _pieces(z, cuts)
+
+    def point_colorings(self, z: FinSet):
+        """Colorings of the points by fewer than min colors."""
+        count = z.minimum ** len(z)
+        if count > COLORING_CEILING:
+            raise CeilingExceeded(f"point-coloring space {count} exceeds ceiling")
+        for values in product(range(z.minimum), repeat=len(z)):
+            yield dict(zip(z.elements, values))
+
+
+@dataclass
+class _Sampled:
+    """`trials` seeded draws of each kind of challenge."""
+
+    rng: random.Random
+    trials: int
+
+    def colorings(self, z: FinSet, statement: RtLikeStatement):
+        slots = comb(len(z), statement.arity)
+        for _ in range(self.trials):
+            table = tuple(self.rng.randrange(statement.colors) for _ in range(slots))
+            yield ColoringTable(z, statement.arity, statement.colors, table)
+
+    def partitions(self, z: FinSet):
+        for _ in range(self.trials):
+            parts = self.rng.randrange(1, min(z.minimum, len(z)) + 1)
+            yield _pieces(z, sorted(self.rng.sample(range(1, len(z)), parts - 1)))
+
+    def point_colorings(self, z: FinSet):
+        for _ in range(self.trials):
+            yield {v: self.rng.randrange(z.minimum) for v in z.elements}
+
+
+_EXHAUSTIVE = _Exhaustive()
+
+
+def _source(mode: Mode):
+    return _EXHAUSTIVE if mode.kind == "exact" else _Sampled(random.Random(mode.seed), mode.trials)
+
+
+def _ceilings_inconclusive(check):
+    """check, with a ceiling it meets read as an inconclusive verdict."""
+
+    @functools.wraps(check)
+    def run(*args, **kwargs) -> Verdict:
+        try:
+            return check(*args, **kwargs)
+        except CeilingExceeded as err:
+            return Verdict(INCONCLUSIVE, str(err))
+
+    return run
+
+
+@_ceilings_inconclusive
 def is_large_gamma(
-    z: FinSet,
-    r: int,
-    s: int,
-    sentence: Pi03Sentence,
-    statement: RtLikeStatement,
-    mode: Mode = Mode(),
+    z: FinSet, r: int, s: int, sentence: Pi03Sentence, statement: RtLikeStatement, mode: Mode = Mode()
 ) -> Verdict:
     """Does every coloring of z admit a large solution subset?
 
-    Exact mode enumerates the full coloring space (ceiling-guarded) and is
-    definitive both ways; sampled mode can only refute or stay inconclusive.
+    Exact mode enumerates the full coloring space and is definitive both
+    ways; sampled mode can only refute or stay inconclusive.  A ceiling
+    reads inconclusive.
     """
     spec = LargenessSpec(r, s, sentence)
-    large_subsets = [y for y in _subsets(z, mode.subset_ceiling) if check_large(y, spec)]
+    large_subsets = [y for y in _subsets(z) if check_large(y, spec)]
+    for f in _source(mode).colorings(z, statement):
+        if not any(statement.solution_ok(f, y) for y in large_subsets):
+            return Verdict(FALSE, f"counterexample coloring {list(f.table)}")
     if mode.kind == "exact":
-        for f in _all_colorings(z, statement.arity, statement.colors, mode.coloring_ceiling):
-            if _qualifying_subset(z, f, statement, large_subsets) is None:
-                return Verdict(FALSE, f"counterexample coloring {list(f.table)}")
         return Verdict(TRUE, "exhaustive over the coloring space")
-    rng = random.Random(mode.seed)
-    tuples = list(combinations(z.elements, statement.arity))
-    for _ in range(mode.trials):
-        table = tuple(rng.randrange(statement.colors) for _ in tuples)
-        f = ColoringTable(z, statement.arity, statement.colors, table)
-        if _qualifying_subset(z, f, statement, large_subsets) is None:
-            return Verdict(FALSE, f"counterexample coloring {list(table)}")
     return Verdict(INCONCLUSIVE, f"{mode.trials} sampled colorings all admit solutions")
 
 
-def _interval_partitions(z: FinSet, parts: int):
-    """Ordered partitions of z into `parts` consecutive nonempty runs."""
-    n = len(z)
-    for cuts in combinations(range(1, n), parts - 1):
-        bounds = (0,) + cuts + (n,)
-        yield [FinSet(z.elements[bounds[i]: bounds[i + 1]]) for i in range(parts)]
+def _dense0(y: FinSet, sentence: Pi03Sentence) -> bool:
+    return check_large(y, LargenessSpec(1, 1, sentence)) is not None
 
 
-def is_n_dense(z: FinSet, params: DensityParams) -> Verdict:
+def _failed_clause(y: FinSet, m: int, sentence, statement, source, dense) -> Optional[str]:
+    """The first density clause, (a) to (d), that y fails at level m >= 1
+    against the challenges of `source`, or None; `dense(sub, m - 1)`
+    decides the level below."""
+
+    def dense_subset(ok) -> bool:
+        return any(ok(sub) and dense(sub, m - 1) for sub in _subsets(y))
+
+    # (a) one statement application
+    for f in source.colorings(y, statement):
+        if not dense_subset(lambda sub: statement.solution_ok(f, sub)):
+            return "a"
+    # (b) interval partitions with at most min-many parts
+    for pieces in source.partitions(y):
+        if not any(dense(p, m - 1) for p in pieces):
+            return "b"
+    # (c) colorings of points by fewer than min colors
+    for coloring in source.point_colorings(y):
+        if not dense_subset(lambda sub: len({coloring[v] for v in sub}) == 1):
+            return "c"
+    # (d) a bounding step for the sentence
+    if not dense_subset(lambda sub: sentence.holds_bounded(y.minimum, sub.minimum, sub.maximum)):
+        return "d"
+    return None
+
+
+# what a sampled refutation reports, by the clause that failed
+_SAMPLED_REFUTATIONS = {
+    "a": "sampled statement coloring admits no dense solution",
+    "b": "sampled partition has no dense part",
+    "c": "sampled point coloring admits no dense class",
+    "d": "no dense subset satisfies the bounding step",
+}
+
+
+@_ceilings_inconclusive
+def is_n_dense(
+    z: FinSet, m: int, sentence: Pi03Sentence, statement: RtLikeStatement, mode: Mode = Mode()
+) -> Verdict:
     """Iterated density: level 0 is largeness at exponent 1 under the
     sentence; level m+1 closes under one statement application, interval
     partitions, min-many colorings, and a bounding step for the sentence.
+
+    Exact mode (levels up to 2) meets every challenge and memoises the
+    level below; sampled mode draws `trials` challenges per clause, asks
+    each question one level down of a fresh sampled call, and can only
+    refute or stay inconclusive.  A ceiling reads inconclusive.
     """
-    statement, sentence, mode = params.statement, params.sentence, params.mode
-    memo: dict[tuple[tuple[int, ...], int], bool] = {}
-
-    def dense(y: FinSet, m: int) -> bool:
-        if not y.elements:
-            return False
-        key = (y.elements, m)
-        hit = memo.get(key)
-        if hit is None:
-            hit = _dense_raw(y, m)
-            memo[key] = hit
-        return hit
-
-    def dense_subset_exists(y: FinSet, m: int, extra=None) -> bool:
-        for sub in _subsets(y, mode.subset_ceiling):
-            if (extra is None or extra(sub)) and dense(sub, m):
-                return True
-        return False
-
-    def _dense_raw(y: FinSet, m: int) -> bool:
-        if m == 0:
-            return check_large(y, LargenessSpec(1, 1, sentence)) is not None
-        # (a) one statement application
-        for f in _all_colorings(y, statement.arity, statement.colors, mode.coloring_ceiling):
-            if not dense_subset_exists(y, m - 1, extra=lambda s: statement.solution_ok(f, s)):
-                return False
-        # (b) interval partitions with at most min-many parts
-        for parts in range(1, min(y.minimum, len(y)) + 1):
-            for partition in _interval_partitions(y, parts):
-                if not any(dense(p, m - 1) for p in partition):
-                    return False
-        # (c) colorings of points by fewer than min colors
-        count = y.minimum ** len(y)
-        if count > mode.coloring_ceiling:
-            raise CeilingExceeded(f"point-coloring space {count} exceeds ceiling")
-        for values in product(range(y.minimum), repeat=len(y)):
-            coloring = dict(zip(y.elements, values))
-            if not dense_subset_exists(
-                y, m - 1, extra=lambda s: len({coloring[v] for v in s}) == 1
-            ):
-                return False
-        # (d) a bounding step for the sentence
-        if not dense_subset_exists(
-            y, m - 1, extra=lambda s: sentence.holds_bounded(y.minimum, s.minimum, s.maximum)
-        ):
-            return False
-        return True
-
+    source = _source(mode)
     if mode.kind == "exact":
-        if params.level > 2:
+        if m > 2:
             raise CeilingExceeded("exact density is capped at level 2")
-        try:
-            out = dense(z, params.level)
-        except CeilingExceeded as err:
-            return Verdict(INCONCLUSIVE, str(err))
-        return Verdict(TRUE if out else FALSE, "exhaustive density recursion")
-    return _sampled_dense(z, params)
+        memo: dict[tuple[tuple[int, ...], int], bool] = {}
 
+        def dense(y: FinSet, level: int) -> bool:
+            key = (y.elements, level)
+            if key not in memo:
+                memo[key] = bool(y.elements) and (
+                    _dense0(y, sentence) if level == 0
+                    else _failed_clause(y, level, sentence, statement, source, dense) is None
+                )
+            return memo[key]
 
-def _sampled_dense(z: FinSet, params: DensityParams) -> Verdict:
-    """Replace the universal quantifiers by seeded trials; a failed trial
-    refutes density, success is only inconclusive."""
-    statement, sentence, mode = params.statement, params.sentence, params.mode
-    rng = random.Random(mode.seed)
-    if params.level == 0:
-        ok = check_large(z, LargenessSpec(1, 1, sentence)) is not None
-        return Verdict(TRUE if ok else FALSE, "level 0 is a largeness check")
-    if 2 ** len(z) > mode.subset_ceiling:
-        return Verdict(INCONCLUSIVE, f"subset space 2^{len(z)} exceeds ceiling")
+        return Verdict(TRUE if dense(z, m) else FALSE, "exhaustive density recursion")
 
-    def sub_dense(y: FinSet, m: int) -> Verdict:
-        return is_n_dense(
-            y, DensityParams(statement, sentence, m, Mode("sampled", rng.randrange(2 ** 30), max(1, mode.trials // 4)))
-        )
+    if m == 0:
+        return Verdict(TRUE if _dense0(z, sentence) else FALSE, "level 0 is a largeness check")
 
-    def any_subset(extra) -> bool:
-        for sub in _subsets(z, mode.subset_ceiling):
-            if extra(sub) and sub_dense(sub, params.level - 1).value != FALSE:
-                return True
-        return False
+    def sampled_dense(y: FinSet, level: int) -> bool:
+        draw = Mode("sampled", source.rng.randrange(2 ** 30), max(1, mode.trials // 4))
+        return is_n_dense(y, level, sentence, statement, draw).value != FALSE
 
-    tuples = list(combinations(z.elements, statement.arity))
-    for _ in range(mode.trials):
-        table = tuple(rng.randrange(statement.colors) for _ in tuples)
-        f = ColoringTable(z, statement.arity, statement.colors, table)
-        if not any_subset(lambda s: statement.solution_ok(f, s)):
-            return Verdict(FALSE, "sampled statement coloring admits no dense solution")
-    for _ in range(mode.trials):
-        parts = rng.randrange(1, min(z.minimum, len(z)) + 1)
-        cuts = sorted(rng.sample(range(1, len(z)), parts - 1)) if parts > 1 else []
-        bounds = [0] + cuts + [len(z)]
-        partition = [FinSet(z.elements[bounds[i]: bounds[i + 1]]) for i in range(parts)]
-        if not any(sub_dense(p, params.level - 1).value != FALSE for p in partition):
-            return Verdict(FALSE, "sampled partition has no dense part")
-    for _ in range(mode.trials):
-        coloring = {v: rng.randrange(z.minimum) for v in z.elements}
-        if not any_subset(lambda s: len({coloring[v] for v in s}) == 1):
-            return Verdict(FALSE, "sampled point coloring admits no dense class")
-    if not any_subset(lambda s: sentence.holds_bounded(z.minimum, s.minimum, s.maximum)):
-        return Verdict(FALSE, "no dense subset satisfies the bounding step")
+    clause = _failed_clause(z, m, sentence, statement, source, sampled_dense)
+    if clause is not None:
+        return Verdict(FALSE, _SAMPLED_REFUTATIONS[clause])
     return Verdict(INCONCLUSIVE, f"{mode.trials} trials per item found no counterexample")
 
 

@@ -201,6 +201,37 @@ def test_sampled_runs_never_exit_zero(tmp_path, capsys):
         assert code == 2, out
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["large", "--interval", "3:30", "--gamma", "rt12", "--r", "1"], "subset space 2^28 exceeds"),
+        (["large", "--interval", "3:12", "--gamma", "rt22", "--r", "1"], "coloring space 2^45 exceeds"),
+        (["dense", "--interval", "3:6", "--gamma", "true", "--m", "3"], "capped at level 2"),
+        (["dense", "--interval", "3:19", "--arity", "1", "--psi0", "a < 2", "--m", "1"], "over 17 elements"),
+    ],
+)
+def test_gamma_ceilings_read_inconclusive(argv, reason, capsys):
+    code, out, err = run(capsys, "gamma", *argv, "--format", "json")
+    obj = json.loads(out)
+    assert code == 2 and obj["verdict"] == "inconclusive" and reason in obj["reason"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--psi0", "x<1", "--r", "0"], "free variables"),
+        (["--psi0", "0<1", "--colors", "3", "--r", "0"], "two colors only"),
+        (["--psi0", "transitive", "--arity", "1", "--r", "0"], "arity-2 colorings only"),
+        (["--arity", "1", "--colors", "0", "--psi0", "homogeneous", "--r", "5"], "at least one color"),
+    ],
+)
+def test_gamma_statements_that_cannot_be_evaluated_are_usage_errors(argv, message, capsys):
+    code, out, err = run(capsys, "gamma", "large", "--interval", "3:6", *argv, "--format", "json")
+    assert code == 3 and out == ""
+    assert "usage error: bad statement: " in err and message in err and "Traceback" not in err
+
+
 def test_gamma_dense(tmp_path, capsys):
     x = write_set(tmp_path, "x.txt", [3, 4, 5, 6])
     code, _, _ = run(capsys, "gamma", "dense", "--set", x, "--gamma", "true", "--m", "0")
@@ -247,8 +278,12 @@ def test_ads_extract_cli(tmp_path, capsys):
 def test_lowerbound_tree_summary(capsys):
     code, out, _ = run(capsys, "lowerbound", "tree", "--base", "3", "--rank", "2")
     assert code == 0 and "36" in out and "38" in out
+    # a size past the cap is an overflow (exit 2), not a value
     code, out, _ = run(capsys, "lowerbound", "tree", "--base", "3", "--rank", "3")
-    assert code == 0 and "overflow" in out
+    assert code == 2 and "overflow" in out
+    code, out, _ = run(capsys, "lowerbound", "tree", "--base", "3", "--rank", "2", "--budget", "0", "--format", "json")
+    obj = json.loads(out)
+    assert code == 2 and obj["result"] == "overflow" and "cardinality" not in obj
 
 
 def test_lowerbound_tree_export_consumable(tmp_path, capsys):

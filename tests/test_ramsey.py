@@ -17,7 +17,6 @@ from omegalarge.largeness import LargenessSpec, PreconditionError, check_large, 
 from omegalarge.ramsey import (
     DROP_MIN,
     FAITHFUL_BASE,
-    DensityParams,
     EmConstants,
     Mode,
     QTotalityError,
@@ -89,9 +88,8 @@ def test_verdict_resists_boolean_coercion():
 
 
 def test_density_level_zero_is_largeness():
-    params = DensityParams(PSI_TRUE, TOP, 0)
-    assert is_n_dense(tiny(3, 4, 5, 6), params).value == "true"
-    assert is_n_dense(tiny(3, 4, 5), params).value == "false"
+    assert is_n_dense(tiny(3, 4, 5, 6), 0, TOP, PSI_TRUE).value == "true"
+    assert is_n_dense(tiny(3, 4, 5), 0, TOP, PSI_TRUE).value == "false"
 
 
 def test_density_level_one_matches_hand_enumerator():
@@ -138,22 +136,20 @@ def test_density_level_one_matches_hand_enumerator():
             for sub in combinations(z.elements, size)
         )
 
-    params = DensityParams(PSI_TRUE, TOP, 1, Mode(coloring_ceiling=2 ** 22))
     for z in [tiny(3, 4, 5, 6), tiny(3, 4, 5, 6, 7), tiny(4, 5, 6, 7), tiny(3, 5, 7, 9, 11)]:
-        got = is_n_dense(z, params)
+        got = is_n_dense(z, 1, TOP, PSI_TRUE)
         assert got.value in ("true", "false")
         assert (got.value == "true") == oracle_dense1(z), z
 
 
 def test_density_ceiling_reports_inconclusive():
-    params = DensityParams(RT1_2, TOP, 1, Mode(coloring_ceiling=4))
-    out = is_n_dense(FinSet.interval(3, 10), params)
+    # 24 points have 2^24 two-colorings, past the ceiling of 2^20
+    out = is_n_dense(FinSet.interval(3, 26), 1, TOP, RT1_2)
     assert out.value == "inconclusive"
 
 
 def test_density_sampled_mode():
-    params = DensityParams(PSI_TRUE, TOP, 1, Mode("sampled", seed=9, trials=6))
-    out = is_n_dense(tiny(3, 4, 5, 6), params)
+    out = is_n_dense(tiny(3, 4, 5, 6), 1, TOP, PSI_TRUE, Mode("sampled", seed=9, trials=6))
     assert out.value in ("inconclusive", "false")
 
 

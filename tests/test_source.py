@@ -1,6 +1,7 @@
 """Source-level rules for the package: postconditions must not rely on
 `assert`, which `python -O` strips, only the θ compiler runs generated
-code, and every function is called or named from somewhere."""
+code, and every function and module-level name is called or named from
+somewhere."""
 
 import ast
 import re
@@ -102,20 +103,45 @@ def _mentions(tree: ast.AST):
                 yield part, node.lineno
 
 
-def test_every_function_is_named_outside_its_own_body():
+def _all_mentions() -> dict[str, list[tuple[Path, int]]]:
     mentions: dict[str, list[tuple[Path, int]]] = {}
     for root in (SRC, TESTS):
         for path, tree in _sources(root):
             for name, line in _mentions(tree):
                 mentions.setdefault(name, []).append((path, line))
+    return mentions
+
+
+def _unnamed(definitions) -> list[str]:
+    """The (path, name, node) definitions whose name is mentioned nowhere
+    outside the node's own lines; dunders are exempt."""
+    mentions = _all_mentions()
     unnamed = []
-    for path, tree in _sources():
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = node.name
-            if name.startswith("__") and name.endswith("__") or (path.name, name) in NAMED_ELSEWHERE:
-                continue
-            if all(p == path and node.lineno <= line <= node.end_lineno for p, line in mentions.get(name, ())):
-                unnamed.append(f"{path.name}:{node.lineno} {name}")
+    for path, name, node in definitions:
+        if name.startswith("__") and name.endswith("__") or (path.name, name) in NAMED_ELSEWHERE:
+            continue
+        if all(p == path and node.lineno <= line <= node.end_lineno for p, line in mentions.get(name, ())):
+            unnamed.append(f"{path.name}:{node.lineno} {name}")
+    return unnamed
+
+
+def test_every_function_is_named_outside_its_own_body():
+    unnamed = _unnamed(
+        (path, node.name, node)
+        for path, tree in _sources()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    )
+    assert not unnamed, "\n".join(unnamed)
+
+
+def test_every_module_level_name_is_read_outside_its_assignment():
+    unnamed = _unnamed(
+        (path, target.id, node)
+        for path, tree in _sources()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    )
     assert not unnamed, "\n".join(unnamed)
