@@ -28,7 +28,7 @@ from .formula import (
     QuantStep,
     RtLikeStatement,
     SecondOrderParam,
-    evaluate,
+    compile_formula,
     formula_text,
     parse,
     weakly_pi04_transform,
@@ -84,6 +84,16 @@ def read_text(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as err:
+        raise UsageError(f"{path}: {err}") from err
+
+
+def write_text(path: str, text: str) -> None:
+    """Write the whole file as UTF-8; one that cannot be written is a usage
+    error whose message starts with the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
         raise UsageError(f"{path}: {err}") from err
 
 
@@ -198,8 +208,7 @@ def cmd_large_check(args) -> Outcome:
     if not verify_certificate(x, cert, spec, paranoid=args.paranoid):
         raise RuntimeError("the search returned a certificate that fails re-verification")
     if args.cert_out:
-        with open(args.cert_out, "w") as fh:
-            fh.write(cert.to_json())
+        write_text(args.cert_out, cert.to_json())
     return Outcome(0, {"result": "large", "certificate": cert.to_obj()}, "large: certificate found")
 
 
@@ -210,8 +219,7 @@ def cmd_large_minimal(args) -> Outcome:
         return Outcome(2, {"result": "overflow", "reason": str(err)}, f"overflow: {err}")
     payload = {"elements": [str(v) for v in out], "cardinality": len(out), "max": str(out.maximum)}
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out.to_lines())
+        write_text(args.out, out.to_lines())
     return Outcome(0, payload, f"minimal interval [{out.minimum}, {out.maximum}], {len(out)} elements")
 
 
@@ -289,8 +297,7 @@ def cmd_grouping_find(args) -> Outcome:
     if out.status == FOUND:
         payload = {"result": "found", "blocks": [[str(v) for v in b] for b in out.witness.blocks]}
         if args.witness_out:
-            with open(args.witness_out, "w") as fh:
-                fh.write(out.witness.to_json())
+            write_text(args.witness_out, out.witness.to_json())
         return Outcome(0, payload, f"grouping with {len(out.witness.blocks)} blocks")
     if out.status == ABSENT:
         return Outcome(1, {"result": "absent", "detail": out.detail}, "no grouping exists")
@@ -360,8 +367,7 @@ def cmd_ads_q(args) -> Outcome:
         return Outcome(1, {"result": "partial", "reason": str(err)}, str(err))
     payload = json.loads(q.to_json())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(q.to_json())
+        write_text(args.out, q.to_json())
     return Outcome(0, {"result": "total", "coloring": payload}, f"recoloring with {q.colors} cases")
 
 
@@ -398,8 +404,7 @@ def cmd_lowerbound_tree(args) -> Outcome:
         human += f"\n{' '.join(str(v) for v in mat)}"
     if args.export_theta:
         sentence = t.export_sentence()
-        with open(args.export_theta, "w") as fh:
-            fh.write(sentence.to_json())
+        write_text(args.export_theta, sentence.to_json())
         human += f"\nseparation sentence written to {args.export_theta}"
     return Outcome(0, payload, human)
 
@@ -481,14 +486,18 @@ def cmd_formula_eval(args) -> Outcome:
                 env[name.strip()] = int(value)
             except ValueError as err:
                 raise UsageError(f"bad --env entry {item!r}") from err
+    param = read_input("bad formula", lambda: SecondOrderParam(args.param_A or ""))
     overflowed = []
-    out = read_input("bad formula", lambda: evaluate(
-        phi,
-        env,
-        a=args.param_a,
-        param=SecondOrderParam(args.param_A or ""),
-        on_beyond_length=overflowed.append,
-    ))
+
+    def member(i: int) -> bool:
+        # records each query past the coded length, in evaluation order
+        if i >= param.length:
+            overflowed.append(i)
+        return param.member(i)
+
+    out = read_input(
+        "bad formula", lambda: compile_formula(phi, list(env))(args.param_a, member)(*env.values())
+    )
     for pos in overflowed:
         print(f"warning: membership query at {pos} is beyond the coded length of A", file=sys.stderr)
     return Outcome(
@@ -512,8 +521,7 @@ def cmd_formula_weaken(args) -> Outcome:
     except PrefixShapeError as err:
         raise UsageError(str(err)) from err
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out.to_json())
+        write_text(args.out, out.to_json())
     return Outcome(0, {"sentence": json.loads(out.to_json())}, out.text())
 
 

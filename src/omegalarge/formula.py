@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Optional
+from types import FunctionType
+from typing import Callable
 
 from .sets import ColoringTable, is_transitive, json_int, json_typed, restrict_coloring
 
@@ -485,86 +486,18 @@ class UncoveredVariable(ValueError):
     pass
 
 
-def eval_term(t: Term, env: dict[str, int], a: int) -> int:
-    if isinstance(t, TConst):
-        return t.value
-    if isinstance(t, TConstA):
-        return a
-    if isinstance(t, TVar):
-        if t.name not in env:
-            raise UncoveredVariable(f"variable {t.name!r} not covered by the environment")
-        return env[t.name]
-    if isinstance(t, TAdd):
-        return eval_term(t.left, env, a) + eval_term(t.right, env, a)
-    if isinstance(t, TMul):
-        return eval_term(t.left, env, a) * eval_term(t.right, env, a)
-    if isinstance(t, TPow):
-        return eval_term(t.base, env, a) ** t.exponent
-    raise TypeError(t)
-
-
 def evaluate(
     phi: Formula,
     env: dict[str, int] | None = None,
     a: int = 0,
     param: SecondOrderParam = EMPTY_PARAM,
-    on_beyond_length: Optional[Callable[[int], None]] = None,
 ) -> bool:
     """Standard semantics; bounded quantifiers enumerate 0 <= v < bound.
 
-    `on_beyond_length` is called with the queried position whenever a
-    membership atom reads past the coded length of A (which yields false).
+    Compiles phi over the names of env and calls the result once.
     """
-    env = dict(env) if env else {}
-
-    def go(phi: Formula) -> bool:
-        if isinstance(phi, FTrue):
-            return True
-        if isinstance(phi, FFalse):
-            return False
-        if isinstance(phi, FCmp):
-            l = eval_term(phi.left, env, a)
-            r = eval_term(phi.right, env, a)
-            return l < r if phi.op == "<" else l == r if phi.op == "=" else l <= r
-        if isinstance(phi, FIn):
-            v = eval_term(phi.term, env, a)
-            if v >= param.length and on_beyond_length is not None:
-                on_beyond_length(v)
-            return param.member(v)
-        if isinstance(phi, FNot):
-            return not go(phi.body)
-        if isinstance(phi, FAnd):
-            return go(phi.left) and go(phi.right)
-        if isinstance(phi, FOr):
-            return go(phi.left) or go(phi.right)
-        if isinstance(phi, FImp):
-            return (not go(phi.left)) or go(phi.right)
-        if isinstance(phi, FQuant):
-            bound = eval_term(phi.bound, env, a)
-            shadow = env.get(phi.var)
-            try:
-                if phi.kind == "forall":
-                    for v in range(bound):
-                        env[phi.var] = v
-                        if not go(phi.body):
-                            return False
-                    return True
-                for v in range(bound):
-                    env[phi.var] = v
-                    if go(phi.body):
-                        return True
-                return False
-            finally:
-                if shadow is None:
-                    env.pop(phi.var, None)
-                else:
-                    env[phi.var] = shadow
-        raise TypeError(phi)
-
-    missing = free_vars(phi) - set(env)
-    if missing:
-        raise UncoveredVariable(f"variables {sorted(missing)} not covered by the environment")
-    return go(phi)
+    env = env or {}
+    return compile_formula(phi, list(env))(a, param.member)(*env.values())
 
 
 # CPython refuses an expression nested more than 200 parentheses deep; a
@@ -672,23 +605,36 @@ class _ThetaSource:
         return f"{name}({args})", 1
 
 
-def compile_formula(phi: Formula, variables: list[str], a: int, param: SecondOrderParam):
-    """Compile to one generated Python function; hot-path equivalent of evaluate.
+def compile_formula(phi: Formula, variables: list[str]) -> Callable[[int, Callable], Callable[..., bool]]:
+    """Compile phi to one generated Python function, the evaluator of formulas.
 
-    The returned function takes one positional int per name in `variables`.
-    Its source mentions generated names only, so no variable of phi can
-    shadow `a`, `member` or a builtin.
+    Returns `bind`: `bind(a, member)` is phi's function for the constant `a`
+    and the membership test `member` of A, taking one positional int per
+    name in `variables`.  Binding only makes function objects, so a formula
+    read against many sets compiles once.  The source mentions generated
+    names only, so no variable of phi can shadow `a`, `member` or a builtin.
     """
     source = _ThetaSource()
     scope = {name: f"p{i}" for i, name in enumerate(variables)}
     body = source.emit(phi, scope)[0]
     params = ", ".join(f"p{i}" for i in range(len(variables)))
     text = "".join(source.helpers) + f"def theta({params}):\n    return {body}\n"
-    namespace = {"member": param.member, "a": a}
+    namespace: dict = {}
     exec(compile(text, "<theta>", "exec"), namespace)
-    # theta reads its helpers through the namespace, never itself: popping
-    # it leaves no reference cycle behind for the collector
-    return namespace.pop("theta")
+    # only the code is kept: popping the functions leaves no reference
+    # cycle between them and their namespace for the collector
+    names = ["theta", *(f"h{i}" for i in range(len(source.helpers)))]
+    codes = [(name, namespace.pop(name).__code__) for name in names]
+
+    def bind(a: int, member: Callable[[int], bool]) -> Callable[..., bool]:
+        # `a`, `member` and the helpers are globals of this binding alone;
+        # theta never reads itself, so popping it leaves no cycle either
+        globs = {"a": a, "member": member}
+        for name, code in codes:
+            globs[name] = FunctionType(code, globs)
+        return globs.pop("theta")
+
+    return bind
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +660,7 @@ class Pi03Sentence:
         if extra:
             raise ValueError(f"theta has stray free variables {sorted(extra)}")
         # compiled here, so a theta too deep to compile fails where it is read
-        self._cache["fn"] = compile_formula(self.theta, ["x", "y", "z"], self.param_a, self.param_A)
+        self._cache["fn"] = compile_formula(self.theta, ["x", "y", "z"])(self.param_a, self.param_A.member)
 
     @property
     def is_top(self) -> bool:
@@ -826,6 +772,8 @@ class RtLikeStatement:
     arity: int
     colors: int
     psi0: str | Formula
+    # a formula psi0, compiled once for every table it reads
+    _bind_psi0: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.colors < 1:
@@ -843,13 +791,14 @@ class RtLikeStatement:
                     f"psi0 formula has free variables {sorted(stray)}; it may only "
                     "read the coded table via A and the domain size via a"
                 )
+            object.__setattr__(self, "_bind_psi0", compile_formula(self.psi0, []))
 
     def psi0_holds(self, table) -> bool:
         """Evaluate psi0 on an already reindexed table."""
         if isinstance(self.psi0, str):
             return _psi0_builtin(self.psi0, table)
         bits = "".join(str(c) for c in table.table)
-        return evaluate(self.psi0, {}, a=len(table.domain), param=SecondOrderParam(bits))
+        return self._bind_psi0(len(table.domain), SecondOrderParam(bits).member)()
 
     def solution_ok(self, f, y) -> bool:
         """Check psi0 on f restricted to every finite subset of y.

@@ -380,7 +380,6 @@ def _subset_search(
     budget: Budget,
     compatible,
     anchor: Optional[int] = None,
-    max_value: Optional[int] = None,
     accept=None,
 ) -> SearchOutcome:
     """DFS over subsets of x in element order, include-first.
@@ -389,7 +388,7 @@ def _subset_search(
     largeness target) decides hits.  Pruning uses the exact minimal
     cardinality a witness with the current minimum could have.
     """
-    elems = [v for v in x.elements if max_value is None or v <= max_value]
+    elems = x.elements
     accept_fn = accept
     if accept_fn is None:
         def accept_fn(chosen: tuple[int, ...]) -> Optional[Certificate]:
@@ -417,7 +416,7 @@ def _subset_search(
 
 
 def _include_first_dfs(
-    elems: list[int], budget: Budget, compatible, accept, bound_ok, anchor: Optional[int]
+    elems: tuple[int, ...], budget: Budget, compatible, accept, bound_ok, anchor: Optional[int]
 ) -> Optional[tuple[tuple[int, ...], Certificate]]:
     """The first accepted subset of elems in include-first order, and its
     certificate.  A node is (next index, chosen so far), one budget step
@@ -450,14 +449,13 @@ def find_homogeneous(
     budget: Budget | None = None,
     color: Optional[int] = None,
     anchor: Optional[int] = None,
-    max_value: Optional[int] = None,
     accept=None,
 ) -> SearchOutcome:
     """Search for an f-homogeneous subset meeting the largeness target.
 
     Sound always; complete (absent is definitive) when the budget allows
-    the walk to finish.  `color` pins the homogeneous color, `anchor`
-    forces the subset minimum, `max_value` caps elements.
+    the walk to finish.  `color` pins the homogeneous color and `anchor`
+    forces the subset minimum.
     """
     if f.arity != 2:
         raise ValueError("homogeneous search expects a pair coloring")
@@ -474,7 +472,7 @@ def find_homogeneous(
                 return False
         return True
 
-    return _subset_search(x, target, budget, compatible, anchor, max_value, accept)
+    return _subset_search(x, target, budget, compatible, anchor, accept)
 
 
 def find_transitive(

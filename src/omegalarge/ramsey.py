@@ -58,14 +58,17 @@ class Mode:
     seed: int = 1729
     trials: int = 200
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("exact", "sampled"):
+            raise ValueError(f"unknown mode {self.kind!r}; use 'exact' or 'sampled'")
+
 
 def _subsets(z: FinSet):
-    """The nonempty subsets of z, largest first."""
+    """The nonempty subsets of z, largest first; the ceiling is checked
+    when this is called, not when the first subset is drawn."""
     if 2 ** len(z) > SUBSET_CEILING:
         raise CeilingExceeded(f"subset space 2^{len(z)} exceeds ceiling {SUBSET_CEILING}")
-    for size in range(len(z), 0, -1):
-        for sub in combinations(z.elements, size):
-            yield FinSet(sub, z.floor)
+    return (FinSet(sub, z.floor) for size in range(len(z), 0, -1) for sub in combinations(z.elements, size))
 
 
 def _pieces(z: FinSet, cuts) -> list[FinSet]:
@@ -78,11 +81,11 @@ class _Exhaustive:
     """Every challenge of each kind, within the ceilings."""
 
     def colorings(self, z: FinSet, statement: RtLikeStatement):
+        """Checks the ceiling when called, like `_subsets`."""
         slots, colors = comb(len(z), statement.arity), statement.colors
         if colors ** slots > COLORING_CEILING:
             raise CeilingExceeded(f"coloring space {colors}^{slots} exceeds ceiling {COLORING_CEILING}")
-        for table in product(range(colors), repeat=slots):
-            yield ColoringTable(z, statement.arity, colors, table)
+        return (ColoringTable(z, statement.arity, colors, t) for t in product(range(colors), repeat=slots))
 
     def partitions(self, z: FinSet):
         """Interval partitions into at most min-many parts."""
@@ -153,8 +156,10 @@ def is_large_gamma(
     reads inconclusive.
     """
     spec = LargenessSpec(r, s, sentence)
-    large_subsets = [y for y in _subsets(z) if check_large(y, spec)]
-    for f in _source(mode).colorings(z, statement):
+    # both ceilings are met before the first largeness check
+    subsets, colorings = _subsets(z), _source(mode).colorings(z, statement)
+    large_subsets = [y for y in subsets if check_large(y, spec)]
+    for f in colorings:
         if not any(statement.solution_ok(f, y) for y in large_subsets):
             return Verdict(FALSE, f"counterexample coloring {list(f.table)}")
     if mode.kind == "exact":

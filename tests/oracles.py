@@ -456,12 +456,12 @@ def naive_eval(phi, env: dict, a: int, bits: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def closure_compile_formula(phi, variables, a: int, param):
-    """Drop-in for formula.compile_formula: a tree of closures over a slot
-    list, one Python call per AST node and evaluation."""
+def closure_compile_formula(phi, variables, a: int, member):
+    """What formula.compile_formula(phi, variables)(a, member) gives, as a
+    tree of closures over a slot list: one Python call per AST node and
+    evaluation, with `member` called in the same order."""
     slots = {name: i for i, name in enumerate(variables)}
     depth = [len(variables)]
-    member = param.member
 
     def comp_term(t, slots):
         if isinstance(t, fm.TConst):

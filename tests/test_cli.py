@@ -337,6 +337,40 @@ def test_formula_commands(capsys):
     assert code == 1 and "beyond the coded length" in err
 
 
+def test_membership_beyond_length_is_false_and_reported(capsys):
+    code, out, err = run(
+        capsys, "formula", "eval", "exists i < 5 . i + 2 in A", "--param-A", "01", "--format", "json"
+    )
+    obj = json.loads(out)
+    assert code == 1 and obj["value"] is False and obj["beyond_length_queries"] == [2, 3, 4, 5, 6]
+    assert err.count("beyond the coded length") == 5
+    # reads within the coded length are not reported
+    code, out, _ = run(capsys, "formula", "eval", "exists i < 6 . i in A", "--param-A", "0000", "--format", "json")
+    assert code == 1 and json.loads(out)["beyond_length_queries"] == [4, 5]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["large", "check", "--interval", "3:10", "--n", "1", "--cert-out"],
+        ["large", "minimal", "--x", "3", "--n", "1", "--out"],
+        ["lowerbound", "tree", "--base", "3", "--rank", "1", "--export-theta"],
+        ["formula", "weaken", "--text", "x < z and y < z", "--out"],
+        ["grouping", "find", "--interval", "3:10", "--coloring", "F", "--l0", "card:1", "--l1", "card:2",
+         "--witness-out"],
+        ["ads", "q", "--interval", "3:6", "--coloring", "F", "--n", "1", "--out"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_unwritable_output_paths_exit_3(tmp_path, capsys, argv):
+    f = ColoringTable.from_function(FinSet.interval(3, 10), 2, 2, lambda x, y: 0)
+    argv = [write_coloring(tmp_path, "f.json", f) if arg == "F" else arg for arg in argv]
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, *argv, str(target), "--format", "json")
+    assert code == 3 and out == ""
+    assert f"usage error: {target}: " in err and "Traceback" not in err
+
+
 def test_formula_weaken_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "weak.json"
     code, out, _ = run(

@@ -6,6 +6,8 @@ it pins the verdict letters (t, f, i) over its sets in order and a digest of
 the reasons.  Sampled groups run seeds 0-7 in turn, so a change in the order
 of the generator's draws shows.  A ceiling the earlier code raised as
 `CeilingExceeded` is pinned as `inconclusive` with the ceiling's message.
+The groups of the formula psi0 were pinned later, from the tree interpreter
+that evaluated psi0 before the compiled function did.
 
 Regenerate with `PYTHONPATH=src python tests/test_density_parity.py`.
 """
@@ -30,6 +32,8 @@ STATEMENTS = {
     "em": RtLikeStatement(2, 2, "transitive"),
 }
 SENTENCES = {"top": TOP, "theta": Pi03Sentence(parse("x < y or z < y"))}
+# "the point coloring is constant", as a formula over the coded table
+FORMULA = RtLikeStatement(1, 2, parse("forall i < a . forall j < a . (i in A -> j in A)"))
 SEEDS = range(8)
 TRIALS = 3
 
@@ -55,6 +59,8 @@ def groups():
                         sets = exact if kind == "exact" else sampled
                         name = f"{kind}-{sname}-{gname}-{entry}{level}"
                         yield name, entry, statement, sentence, level, modes, sets
+    for entry, level in (("large", 0), ("large", 1), ("dense", 1)):
+        yield f"exact-top-formula-{entry}{level}", entry, FORMULA, TOP, level, [Mode()], exact
 
 
 def verdicts(entry, statement, sentence, level, modes, sets):

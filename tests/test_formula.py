@@ -87,31 +87,22 @@ def test_eval_examples():
     assert evaluate(parse("1 in A"), {}, param=param)
 
 
-def test_membership_beyond_length_is_false_and_reported():
-    param = SecondOrderParam("01")
-    seen = []
-    assert not evaluate(parse("7 in A"), {}, param=param, on_beyond_length=seen.append)
-    assert seen == [7]
-
-
 def test_uncovered_variable_rejected():
     with pytest.raises(fm.UncoveredVariable):
         evaluate(parse("x < y"), {"x": 1})
 
 
-def test_eval_matches_naive_oracle_and_compiler():
+def test_eval_matches_the_naive_and_closure_oracles():
     rng = random.Random(20260809)
     agree = 0
     for _ in range(2500):
         phi = random_formula(rng, ["x", "y"], rng.randrange(1, 9))
         env = {"x": rng.randrange(17), "y": rng.randrange(17)}
         a = rng.randrange(5)
-        bits = "".join(rng.choice("01") for _ in range(rng.randrange(0, 12)))
-        want = naive_eval(phi, env, a, bits)
-        got = evaluate(phi, env, a=a, param=SecondOrderParam(bits))
-        assert got == want
-        compiled = compile_formula(phi, ["x", "y"], a, SecondOrderParam(bits))
-        assert compiled(env["x"], env["y"]) == want
+        param = SecondOrderParam("".join(rng.choice("01") for _ in range(rng.randrange(0, 12))))
+        want = naive_eval(phi, env, a, param.bits)
+        assert evaluate(phi, env, a=a, param=param) == want
+        assert closure_compile_formula(phi, ["x", "y"], a, param.member)(env["x"], env["y"]) == want
         agree += 1
     assert agree == 2500
 
@@ -127,21 +118,23 @@ def test_generated_theta_matches_the_closure_oracle(seed, size):
     phi = random_formula(rng, variables, size)
     a = rng.randrange(5)
     param = SecondOrderParam("".join(rng.choice("01") for _ in range(rng.randrange(0, 12))))
-    generated = compile_formula(phi, variables, a, param)
-    oracle = closure_compile_formula(phi, variables, a, param)
+    # both record their membership queries: the same ones, in the same order
+    generated_calls, oracle_calls = [], []
+    generated = compile_formula(phi, variables)(a, lambda i: generated_calls.append(i) or param.member(i))
+    oracle = closure_compile_formula(phi, variables, a, lambda i: oracle_calls.append(i) or param.member(i))
     for _ in range(8):
         values = [rng.randrange(17) for _ in variables]
         got = generated(*values)
         assert type(got) is bool and got == oracle(*values), formula_text(phi)
+        assert generated_calls == oracle_calls, formula_text(phi)
 
 
-def _agrees_with_evaluate(phi, variables, a=0, bits=""):
-    param = SecondOrderParam(bits)
-    fn = compile_formula(phi, variables, a, param)
+def _agrees_with_naive_eval(phi, variables, a=0, bits=""):
+    fn = compile_formula(phi, variables)(a, SecondOrderParam(bits).member)
     rng = random.Random(5)
     for _ in range(6):
         env = {name: rng.randrange(9) for name in variables}
-        assert fn(*env.values()) == evaluate(phi, env, a=a, param=param), env
+        assert fn(*env.values()) == naive_eval(phi, env, a, bits), env
 
 
 @pytest.mark.parametrize(
@@ -155,7 +148,7 @@ def _agrees_with_evaluate(phi, variables, a=0, bits=""):
     ids=["or-600", "not-600", "plus-400", "and-imp-300"],
 )
 def test_generated_theta_keeps_long_chains_flat(text):
-    _agrees_with_evaluate(parse(text), ["x", "y"], bits="0110100")
+    _agrees_with_naive_eval(parse(text), ["x", "y"], bits="0110100")
 
 
 def _nest(depth, wrap, start):
@@ -180,7 +173,7 @@ def _nest(depth, wrap, start):
 )
 def test_generated_theta_nests_past_the_parenthesis_limit(phi):
     # CPython parses at most 200 nested parentheses in one expression
-    _agrees_with_evaluate(phi, ["x", "y", "z"], bits="1" * 64)
+    _agrees_with_naive_eval(phi, ["x", "y", "z"], bits="1" * 64)
 
 
 def test_generated_theta_names_cannot_shadow():
@@ -188,10 +181,10 @@ def test_generated_theta_names_cannot_shadow():
         "forall range < x + 2 . exists any < y + 1 . exists all < 3 . exists member < 3 . "
         "exists p0 < z + 1 . exists v1 < 2 . range + any < all * p0 + member + v1 and v1 in A"
     )
-    _agrees_with_evaluate(parse(text), ["x", "y", "z"], a=2, bits="0101")
+    _agrees_with_naive_eval(parse(text), ["x", "y", "z"], a=2, bits="0101")
     # free variables with the generated names, in swapped positions
     phi = parse("exists p0 < v1 . p0 + member = v1 and a < p0 -> member in A")
-    _agrees_with_evaluate(phi, ["v1", "member", "p0"], a=1, bits="0011")
+    _agrees_with_naive_eval(phi, ["v1", "member", "p0"], a=1, bits="0011")
 
 
 def test_generated_theta_groups_negative_constants():
@@ -200,19 +193,39 @@ def test_generated_theta_groups_negative_constants():
         fm.FCmp("=", fm.TPow(fm.TConst(-2), 2), fm.TVar("x")),
         fm.FCmp("<", fm.TMul(fm.TVar("x"), fm.TConst(-1)), fm.TPow(fm.TConst(-1), 3)),
     ):
-        _agrees_with_evaluate(phi, ["x"])
-        assert compile_formula(phi, ["x"], 0, SecondOrderParam(""))(4) == evaluate(phi, {"x": 4})
+        _agrees_with_naive_eval(phi, ["x"])
+        assert evaluate(phi, {"x": 4}) == naive_eval(phi, {"x": 4}, 0, "")
 
 
 def test_compile_rejects_uncovered_variables():
     with pytest.raises(fm.UncoveredVariable):
-        compile_formula(parse("x < w"), ["x"], 0, SecondOrderParam(""))
+        compile_formula(parse("x < w"), ["x"])
     with pytest.raises(fm.UncoveredVariable):
-        compile_formula(parse("exists w < 3 . w < v"), ["x"], 0, SecondOrderParam(""))
+        compile_formula(parse("exists w < 3 . w < v"), ["x"])
+
+
+def test_one_compilation_binds_many_parameters():
+    # deep enough for helper functions, which must read the binding's a and A
+    phi = _nest(300, lambda i, phi: fm.FNot(fm.FAnd(parse(f"x < {i}"), phi)), parse("x + a in A"))
+    bind = compile_formula(phi, ["x"])
+    for a, bits in [(0, "1" * 9), (2, "0" * 9), (1, "0101010101"), (3, "")]:
+        fn = bind(a, SecondOrderParam(bits).member)
+        assert [fn(x) for x in range(7)] == [naive_eval(phi, {"x": x}, a, bits) for x in range(7)], (a, bits)
+
+
+def test_formula_psi0_compiles_once_per_statement(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(fm, "compile_formula", lambda *args: compiled.append(args) or compile_formula(*args))
+    stmt = RtLikeStatement(1, 2, parse("forall i < a . not i in A"))
+    dom = FinSet((3, 4, 5))
+    assert stmt.psi0_holds(ColoringTable(dom, 1, 2, (0, 0, 0)))
+    assert not stmt.psi0_holds(ColoringTable(dom, 1, 2, (0, 0, 1)))
+    assert stmt.psi0_holds(ColoringTable(FinSet((3,)), 1, 2, (0,)))
+    assert len(compiled) == 1
 
 
 def test_compiled_theta_is_freed_without_the_collector():
-    fn = compile_formula(parse("x < y or z in A"), ["x", "y", "z"], 0, SecondOrderParam("01"))
+    fn = compile_formula(parse("x < y or z in A"), ["x", "y", "z"])(0, SecondOrderParam("01").member)
     ref = weakref.ref(fn)
     gc.disable()
     try:

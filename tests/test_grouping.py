@@ -332,7 +332,6 @@ def subset_search_inputs(draw):
     options = {
         "color": draw(st.sampled_from([None, 0, 1])),
         "anchor": draw(st.sampled_from([None, *values])),
-        "max_value": draw(st.sampled_from([None, 8, 12])),
     }
     return find_homogeneous, z, f, target, options
 

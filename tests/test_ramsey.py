@@ -79,6 +79,25 @@ def test_gamma_sampled_only_refutes_or_abstains():
     assert out.value == "inconclusive"
 
 
+def test_mode_kind_is_checked():
+    with pytest.raises(ValueError, match="exhaustive"):
+        Mode("exhaustive")
+    assert Mode().kind == "exact" and Mode("sampled").kind == "sampled"
+
+
+def test_exact_gamma_meets_its_ceilings_before_any_largeness_check(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ramsey, "check_large", lambda *args, **kwargs: calls.append(args))
+    rt22 = RtLikeStatement(2, 2, HOMOGENEOUS)
+    # 20 points: 2^20 subsets are within the ceiling, 2^190 colorings are not
+    out = is_large_gamma(FinSet.interval(3, 22), 0, 1, TOP, rt22)
+    assert out == Verdict("inconclusive", "coloring space 2^190 exceeds ceiling 1048576")
+    # 21 points pass both ceilings, and the subset ceiling is the one reported
+    out = is_large_gamma(FinSet.interval(3, 23), 0, 1, TOP, rt22)
+    assert out == Verdict("inconclusive", "subset space 2^21 exceeds ceiling 1048576")
+    assert calls == []
+
+
 def test_verdict_resists_boolean_coercion():
     with pytest.raises(TypeError):
         bool(Verdict("true"))
