@@ -130,11 +130,8 @@ def load_sentence(args) -> Pi03Sentence:
     text = getattr(args, "theta", "top")
     if text == "top":
         return TOP
-    return read_input("bad --theta", lambda: Pi03Sentence(
-        parse(text),
-        getattr(args, "param_a", 0),
-        SecondOrderParam(getattr(args, "param_A", "") or ""),
-    ))
+    param = read_input("bad --param-A", lambda: SecondOrderParam(getattr(args, "param_A", "") or ""))
+    return read_input("bad --theta", lambda: Pi03Sentence(parse(text), getattr(args, "param_a", 0), param))
 
 
 def load_coloring(args, attr: str = "coloring") -> ColoringTable:
@@ -454,6 +451,11 @@ def cmd_bounds_table(args) -> Outcome:
     from .ramsey import bounds_table, bounds_tsv
 
     rows = bounds_table(args.n_max, args.k)
+    try:
+        human = bounds_tsv(rows).rstrip("\n")
+    except ValueError as err:  # an entry past the interpreter's int-to-str digit limit
+        reason = f"a table entry is too long to print: {err}"
+        return Outcome(2, {"result": "overflow", "reason": reason}, f"overflow: {reason}")
     payload = {
         "rows": [
             {
@@ -468,7 +470,7 @@ def cmd_bounds_table(args) -> Outcome:
             for r in rows
         ]
     }
-    return Outcome(0, payload, bounds_tsv(rows).rstrip("\n"))
+    return Outcome(0, payload, human)
 
 
 def cmd_formula_parse(args) -> Outcome:
@@ -486,7 +488,7 @@ def cmd_formula_eval(args) -> Outcome:
                 env[name.strip()] = int(value)
             except ValueError as err:
                 raise UsageError(f"bad --env entry {item!r}") from err
-    param = read_input("bad formula", lambda: SecondOrderParam(args.param_A or ""))
+    param = read_input("bad --param-A", lambda: SecondOrderParam(args.param_A or ""))
     overflowed = []
 
     def member(i: int) -> bool:

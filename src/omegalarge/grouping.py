@@ -190,10 +190,10 @@ class GroupingWalk:
         self.budget = budget
         self.minimal = minimal
         self.ceiling_hit = False
-        self.min_blocks = _min_block_count(l1, z)
+        self.min_blocks = _min_block_count(l0, l1, z)
 
     def witnesses(self):
-        if self.min_blocks is not None and self.min_blocks > len(self.z):
+        if self.min_blocks > len(self.z):
             return
         # each frame is the generator of one walk node; it yields witnesses
         # and the arguments of its children, in the order a recursive walk
@@ -218,7 +218,7 @@ class GroupingWalk:
         return True
 
     def _hit(self, blocks) -> Optional[GroupingWitness]:
-        if not blocks or (self.min_blocks is not None and len(blocks) < self.min_blocks):
+        if not blocks or len(blocks) < self.min_blocks:
             return None
         try:
             ok = _transversals_in_l1(tuple(FinSet(b) for b in blocks), self.l1)
@@ -247,10 +247,8 @@ class GroupingWalk:
         """One walk node: blocks are closed, current is the open block."""
         self.budget.tick()
         elems = self.z.elements
-        if self.min_blocks is not None:
-            open_now = 1 if current else 0
-            if len(blocks) + open_now + (len(elems) - i) < self.min_blocks:
-                return
+        if len(blocks) + (1 if current else 0) + (len(elems) - i) < self.min_blocks:
+            return
         closeable = None
         if fresh:
             # a candidate family is tested once, right after it changed
@@ -327,18 +325,25 @@ def find_grouping(
     return SearchOutcome(FOUND, witness=w, steps=budget.spent)
 
 
-def _min_block_count(l1: LSpec, z: FinSet) -> Optional[int]:
-    """Lower bound on the block count any grouping must have, or None."""
-    if l1.kind == "card_at_least":
-        return l1.at_least
+def _min_block_count(l0: LSpec, l1: LSpec, z: FinSet) -> int:
+    """Lower bound on the block count any grouping must have: a transversal
+    has one point per block, all at least min z, so l1's least size.  Every
+    block needs l0's least size, which grows with the block minimum; when
+    not even a block at min z fits in z, no grouping exists: len(z) + 1.
+    """
     if not z.elements:
-        return 1
-    # a transversal has one point per block with minimum >= min z
-    spec = l1.spec
-    try:
-        return _needed_count(z.minimum, spec.exponent, spec.multiplier, len(z))
-    except SizeOverflow:
+        return l1.at_least if l1.kind == "card_at_least" else 1
+    if _least_size(l0, z.minimum, len(z)) > len(z):
         return len(z) + 1
+    return _least_size(l1, z.minimum, len(z))
+
+
+def _least_size(spec: LSpec, first: int, available: int) -> int:
+    """Least size of a set with minimum >= first that meets spec; any value
+    past available means none fits."""
+    if spec.kind == "card_at_least":
+        return spec.at_least
+    return _needed_count(first, spec.spec.exponent, spec.spec.multiplier, available)
 
 
 def _apart_extension_ok(blocks, current, v, sentence) -> bool:
@@ -363,14 +368,18 @@ def _apart_start_ok(blocks, v, sentence) -> bool:
 
 
 def _needed_count(first: int, exponent: int, multiplier: int, available: int) -> int:
-    """Least cardinality any witness with minimum >= first can have."""
+    """Least cardinality any witness with minimum >= first can have; any
+    value past available means none fits."""
     total, v = 0, first
-    for _ in range(multiplier):
-        c = minimal_interval_card(v, exponent, cap=available + 1)
-        total += c
-        v += c
-        if total > available:
-            break
+    try:
+        for _ in range(multiplier):
+            c = minimal_interval_card(v, exponent, cap=available + 1)
+            total += c
+            v += c
+            if total > available:
+                break
+    except SizeOverflow:
+        return available + 1
     return total
 
 
@@ -399,11 +408,8 @@ def _subset_search(
         first = chosen[0] if chosen else (elems[i] if i < len(elems) else None)
         if first is None:
             return False
-        try:
-            need = _needed_count(first, target.exponent, target.multiplier, len(chosen) + pool)
-        except SizeOverflow:
-            return False
-        return len(chosen) + pool >= need
+        available = len(chosen) + pool
+        return available >= _needed_count(first, target.exponent, target.multiplier, available)
 
     try:
         out = _include_first_dfs(elems, budget, compatible, accept_fn, bound_ok, anchor)

@@ -180,6 +180,24 @@ def minimal_interval_card(base: int, exponent: int, cap: int) -> int:
     return _interval_card(base, exponent, cap, [max(cap, 10 ** 6)])
 
 
+def _card_passes(b: int, n: int, cap: int) -> bool:
+    """A lower bound on the card above b at exponent n >= 2 passes cap;
+    checked before the recurrence descends, so its depth stays a few levels.
+
+    The first children from b down to exponent 2 end at base b + n - 2,
+    whose card is at least 2^(b+n-2).  Each node strictly between there and
+    the root has base >= 2, hence a second child, whose base passes the
+    first child's card c, which makes its own card at least 2^c.
+    """
+    bits = cap.bit_length()  # a card of at least 2^bits passes the cap
+    e = b + n - 2
+    for _ in range(n - 3):
+        if e >= bits:
+            break
+        e = 1 << e
+    return e >= bits
+
+
 def _interval_card(b: int, n: int, cap: int, work: list[int]) -> int:
     """minimal_interval_card above b at exponent n; work[0] is the number of
     recurrence steps still allowed, shared by the whole recursion."""
@@ -190,11 +208,11 @@ def _interval_card(b: int, n: int, cap: int, work: list[int]) -> int:
         return 1
     if n == 1:
         out = b + 1
+    elif _card_passes(b, n, cap):
+        raise SizeOverflow("interval cardinality", cap)
     elif n == 2:
         # head, then b chained exponent-1 intervals: minima follow
         # m_{j+1} = 2*m_j + 1 from b+1, totalling (b+2)(2^b - 1)
-        if b > 10 ** 7:
-            raise SizeOverflow("interval cardinality", cap)
         out = 1 + (b + 2) * ((1 << b) - 1)
     else:
         out = 1
@@ -223,6 +241,8 @@ def _plain_min_end(values: tuple[int, ...], pos: int, n: int) -> int | None:
         return None
     if n == 0:
         return pos + 1
+    if values[pos] and (len(values) - pos).bit_length() <= n:
+        return None  # a positive minimum needs 2^n elements; bounds the depth
     q = pos + 1
     for _ in range(values[pos]):
         q2 = _plain_min_end(values, q, n - 1)

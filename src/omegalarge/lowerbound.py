@@ -44,112 +44,46 @@ class BlockAddress:
     level: int
 
 
-class CanonicalTree:
-    """The minimal interval large at `rank` above `base`, symbolically.
+class _Blocks:
+    """What a canonical tree and its blockfree views share; a tree is its
+    own view at depth 0.
 
-    Children are generated on demand, left to right; each child's base is
-    the previous child's maximum plus one.  All sizes are exact integers
-    guarded by a cap.
+    A view at depth d keeps the minima of the tree's blocks at level >= d,
+    and its level-c blocks are the tree's level c+d blocks cut to those
+    members.  So each question about v reads v's one memoized child-index
+    path in the tree: v heads the block it leads to, at view level
+    rank - len(path).
     """
 
-    def __init__(self, base: int, rank: int):
-        if base < 3:
-            raise PreconditionError("base must be at least 3")
-        self.base = base
-        self.rank = rank
-        self._child_bases: list[int] = [base + 1] if rank >= 1 else []
-        self._children: dict[int, CanonicalTree] = {}
-        self._addr: dict[tuple[int, int], Optional[BlockAddress]] = {}
-        self._exports: dict[int, Pi03Sentence] = {}
+    tree: "CanonicalTree"
+    depth: int
+    rank: int
 
-    def __repr__(self) -> str:
-        return f"CanonicalTree(base={self.base}, rank={self.rank})"
-
-    def cardinality(self, cap: int | None = None) -> int:
-        return minimal_interval_card(self.base, self.rank, cap if cap is not None else DEFAULT_SIZE_CAP)
-
-    def max_value(self, cap: int | None = None) -> int:
-        return self.base + self.cardinality(cap) - 1
-
-    @property
-    def child_count(self) -> int:
-        return self.base if self.rank >= 1 else 0
-
-    def child(self, i: int) -> "CanonicalTree":
-        if not 0 <= i < self.child_count:
-            raise IndexError(f"child {i} of a node with {self.child_count} children")
-        if i in self._children:
-            return self._children[i]
-        while len(self._child_bases) <= i:
-            prev = self.child(len(self._child_bases) - 1)
-            self._child_bases.append(prev.max_value() + 1)
-        node = CanonicalTree(self._child_bases[i], self.rank - 1)
-        self._children[i] = node
-        return node
-
-    def children(self) -> Iterator["CanonicalTree"]:
-        for i in range(self.child_count):
-            yield self.child(i)
-
-    # -- membership and navigation (the set is a contiguous interval) -----
+    # -- membership and navigation ----------------------------------------
 
     def contains(self, v: int) -> bool:
-        if v < self.base:
-            return False
-        try:
-            return v <= self.max_value(cap=max(v - self.base + 1, 1))
-        except SizeOverflow:
-            return True  # the interval provably extends past v
-
-    def _child_index_containing(self, v: int) -> Optional[int]:
-        for i in range(self.child_count):
-            node = self.child(i)
-            if v < node.base:
-                return None
-            try:
-                top = node.max_value(cap=max(v - node.base + 1, 1))
-            except SizeOverflow:
-                return i
-            if v <= top:
-                return i
-        return None
-
-    def block_of(self, v: int, c: int) -> Optional[BlockAddress]:
-        """Address of the canonical c-block containing v, if any.
-
-        Block minima live only at their own level: the head of a block at
-        level r belongs to no block below r.
-        """
-        key = (v, c)
-        if key in self._addr:
-            return self._addr[key]
-        out: Optional[BlockAddress] = None
-        if c <= self.rank and self.contains(v):
-            node, path = self, []
-            while node.rank > c:
-                if v == node.base:
-                    break
-                i = node._child_index_containing(v)
-                if i is None:
-                    break
-                path.append(i)
-                node = node.child(i)
-            else:
-                out = BlockAddress(tuple(path), c)
-        self._addr[key] = out
-        return out
+        # at depth 0 every member of the interval heads a block at a level
+        # >= 0, so the interval test alone answers, without a descent
+        return self.tree._reaches(v) and (not self.depth or len(self.tree._path(v)) <= self.rank)
 
     def node_rank_of(self, v: int) -> int:
         """The level whose block has v as its minimum."""
         if not self.contains(v):
             raise PreconditionError(f"{v} is not in the set")
-        node = self
-        while v != node.base:
-            i = node._child_index_containing(v)
-            if i is None:
-                raise RuntimeError(f"{v} lies in the set but in no child of {node!r}")
-            node = node.child(i)
-        return node.rank
+        return self.rank - len(self.tree._path(v))
+
+    def block_of(self, v: int, c: int) -> Optional[BlockAddress]:
+        """Address of the canonical c-block containing v, if any: the first
+        rank - c steps of v's path, at the tree's level c + depth.
+
+        Block minima live only at their own level: the head of a block at
+        level r belongs to no block below r.
+        """
+        if c > self.rank or not self.contains(v):
+            return None
+        steps = self.rank - c
+        path = self.tree._path(v)
+        return BlockAddress(path[:steps], c + self.depth) if len(path) >= steps else None
 
     # -- the induced predicates -------------------------------------------
 
@@ -182,79 +116,153 @@ class CanonicalTree:
             raise PreconditionError("subsets must lie inside the tree's interval")
         return self.separates(a.maximum, b.minimum, b.maximum)
 
+    def zero_blockfree(self) -> "BlockfreeView":
+        if self.rank < 1:
+            raise PreconditionError("rank must be at least 1")
+        return BlockfreeView(self.tree, self.depth + 1)
+
     # -- materialization and export ----------------------------------------
 
     def materialize(self, budget: int = DEFAULT_SIZE_CAP) -> FinSet:
-        card = self.cardinality(cap=budget)
-        return FinSet.interval(self.base, self.base + card - 1)
+        return FinSet(tuple(self.iter_elements(budget)))
 
     def export_sentence(self, ceiling: int = EXPORT_VALUE_CEILING) -> Pi03Sentence:
         """The separation sentence as a formula over a tabulated parameter.
 
-        The full triple table below bound B = max + 1 is coded into A and
-        read back by the indexing term x*B^2 + y*B + z; exact for all
-        triples below B, which covers every apartness query on subsets.
-        Beyond the ceiling use the structural operations instead.
+        The full triple table below bound B = max + 2 is coded into A and
+        read by the indexing term x*B^2 + y*B + z at the successor of each
+        argument: under the strictly bounded apartness evaluation this
+        realizes inclusive bounds, which is what the boundary-triple
+        shortcut is equivalent to (the strict reading loses only vacuous or
+        never-witness edge points).  Exact for all triples below B, which
+        covers every apartness query on subsets; beyond the ceiling use the
+        structural operations instead.
+
+        Triples whose antecedent fails (x or z outside the set, or z < y)
+        are true; each member pair (x, z) fills its column of y <= z at
+        once.  As a bitmask over y, the column is the union over levels c of
+        z's c-block minus x's c-block, cut to x < y <= z.
         """
-        if ceiling not in self._exports:
-            members = self.materialize(budget=ceiling).elements
-            self._exports[ceiling] = _tabulated_sentence(self, members, ceiling)
-        return self._exports[ceiling]
+        members = self.materialize(budget=ceiling).elements
+        bound = members[-1] + 2
+        if bound > ceiling:
+            raise SizeOverflow("export table bound", ceiling)
+        addrs = [(v, [self.block_of(v, c) for c in range(self.rank + 1)]) for v in members]
+        block_mask: dict[BlockAddress, int] = {}  # an address carries its level
+        for v, row in addrs:
+            for a in row:
+                if a is not None:
+                    block_mask[a] = block_mask.get(a, 0) | (1 << v)
+        # each member's block at every level as a mask; 0 where it has none
+        level_masks = [(v, tuple(block_mask.get(a, 0) for a in row)) for v, row in addrs]
+        bits = bytearray(b"1" * (bound ** 3))
+        for x, mx in level_masks:
+            xb = x * bound * bound
+            above_x = -(2 << x)  # bits y > x
+            for z, mz in level_masks:
+                col = 0
+                for in_z, in_x in zip(mz, mx):
+                    col |= in_z & ~in_x
+                col &= above_x & ((2 << z) - 1)
+                # entry (x, y, z) sits at xb + y*bound + z, for y = 0..z
+                bits[xb + z: xb + z + (z + 1) * bound: bound] = format(col, f"0{z + 1}b")[::-1].encode()
+        shift = bound * bound + bound + 1  # move (x, y, z) to (x+1, y+1, z+1)
+        term = TAdd(
+            TAdd(TMul(TVar("x"), TConst(bound * bound)), TMul(TVar("y"), TConst(bound))),
+            TAdd(TVar("z"), TConst(shift)),
+        )
+        return Pi03Sentence(FIn(term), 0, SecondOrderParam(bits.decode()))
 
-    def zero_blockfree(self) -> "BlockfreeView":
-        if self.rank < 1:
-            raise PreconditionError("rank must be at least 1")
-        return BlockfreeView(self, 1)
 
+class CanonicalTree(_Blocks):
+    """The minimal interval large at `rank` above `base`, symbolically.
 
-def _tabulated_sentence(owner, members: tuple[int, ...], ceiling: int) -> Pi03Sentence:
-    """Code the separation predicate below bound = max + 2 into A.
-
-    The indexing term reads the table at the successor of each argument:
-    under the strictly bounded apartness evaluation this realizes inclusive
-    bounds, which is what the boundary-triple shortcut is equivalent to
-    (the strict reading loses only vacuous or never-witness edge points).
-
-    Triples whose antecedent fails (x or z outside the set, or z < y) are
-    true; each member pair (x, z) fills its column of y <= z at once.  As a
-    bitmask over y, the column is the union over levels c of z's c-block
-    minus x's c-block, cut to x < y <= z.
+    Children are generated on demand, left to right; each child's base is
+    the previous child's maximum plus one.  All sizes are exact integers
+    guarded by a cap.
     """
-    bound = members[-1] + 2
-    if bound > ceiling:
-        raise SizeOverflow("export table bound", ceiling)
-    addrs = [(v, [owner.block_of(v, c) for c in range(owner.rank + 1)]) for v in members]
-    block_mask: dict[BlockAddress, int] = {}  # an address carries its level
-    for v, row in addrs:
-        for a in row:
-            if a is not None:
-                block_mask[a] = block_mask.get(a, 0) | (1 << v)
-    # each member's block at every level as a mask; 0 where it has none
-    level_masks = [(v, tuple(block_mask.get(a, 0) for a in row)) for v, row in addrs]
-    bits = bytearray(b"1" * (bound ** 3))
-    for x, mx in level_masks:
-        xb = x * bound * bound
-        above_x = -(2 << x)  # bits y > x
-        for z, mz in level_masks:
-            col = 0
-            for in_z, in_x in zip(mz, mx):
-                col |= in_z & ~in_x
-            col &= above_x & ((2 << z) - 1)
-            # entry (x, y, z) sits at xb + y*bound + z, for y = 0..z
-            bits[xb + z: xb + z + (z + 1) * bound: bound] = format(col, f"0{z + 1}b")[::-1].encode()
-    shift = bound * bound + bound + 1  # move (x, y, z) to (x+1, y+1, z+1)
-    term = TAdd(
-        TAdd(TMul(TVar("x"), TConst(bound * bound)), TMul(TVar("y"), TConst(bound))),
-        TAdd(TVar("z"), TConst(shift)),
-    )
-    return Pi03Sentence(FIn(term), 0, SecondOrderParam(bits.decode()))
+
+    depth = 0
+
+    def __init__(self, base: int, rank: int):
+        if base < 3:
+            raise PreconditionError("base must be at least 3")
+        self.base = base
+        self.rank = rank
+        self._child_bases: list[int] = [base + 1] if rank >= 1 else []
+        self._children: dict[int, CanonicalTree] = {}
+        self._paths: dict[int, Optional[tuple[int, ...]]] = {}
+
+    def __repr__(self) -> str:
+        return f"CanonicalTree(base={self.base}, rank={self.rank})"
+
+    @property
+    def tree(self) -> "CanonicalTree":
+        return self
+
+    def cardinality(self, cap: int | None = None) -> int:
+        return minimal_interval_card(self.base, self.rank, cap if cap is not None else DEFAULT_SIZE_CAP)
+
+    def max_value(self, cap: int | None = None) -> int:
+        return self.base + self.cardinality(cap) - 1
+
+    @property
+    def child_count(self) -> int:
+        return self.base if self.rank >= 1 else 0
+
+    def child(self, i: int) -> "CanonicalTree":
+        if not 0 <= i < self.child_count:
+            raise IndexError(f"child {i} of a node with {self.child_count} children")
+        if i in self._children:
+            return self._children[i]
+        while len(self._child_bases) <= i:
+            prev = self.child(len(self._child_bases) - 1)
+            self._child_bases.append(prev.max_value() + 1)
+        node = CanonicalTree(self._child_bases[i], self.rank - 1)
+        self._children[i] = node
+        return node
+
+    def children(self) -> Iterator["CanonicalTree"]:
+        return map(self.child, range(self.child_count))
+
+    def iter_elements(self, budget: int = DEFAULT_SIZE_CAP) -> Iterator[int]:
+        """The members in increasing order: the set is an interval."""
+        return iter(range(self.base, self.base + self.cardinality(cap=budget)))
+
+    def _reaches(self, v: int) -> bool:
+        """v lies in this node's interval, sized only as far as v."""
+        if v < self.base:
+            return False
+        try:
+            return v <= self.max_value(cap=v - self.base + 1)
+        except SizeOverflow:
+            return True  # the interval provably extends past v
+
+    def _path(self, v: int) -> Optional[tuple[int, ...]]:
+        """Child indices from this node down to the block whose minimum is
+        v, or None outside the interval; one descent per element."""
+        if v not in self._paths:
+            path = None
+            if self._reaches(v):
+                node, path = self, ()
+                while v != node.base:
+                    # children tile the interval minus its head, left to right
+                    for i in range(node.child_count):
+                        if node.child(i)._reaches(v):
+                            break
+                    else:
+                        raise RuntimeError(f"{v} lies in the set but in no child of {node!r}")
+                    path += (i,)
+                    node = node.child(i)
+            self._paths[v] = path
+        return self._paths[v]
 
 
 def tree(base: int, rank: int) -> CanonicalTree:
     return CanonicalTree(base, rank)
 
 
-class BlockfreeView:
+class BlockfreeView(_Blocks):
     """The tree minus everything lying in canonical blocks below `depth`.
 
     What remains are exactly the minima of blocks at level >= depth; it is
@@ -268,25 +276,11 @@ class BlockfreeView:
         self.depth = depth
         self.rank = base_tree.rank - depth
 
-    @property
-    def minimum(self) -> int:
-        return self.tree.base
-
-    def contains(self, v: int) -> bool:
-        return self.tree.contains(v) and self.tree.node_rank_of(v) >= self.depth
-
-    def zero_blockfree(self) -> "BlockfreeView":
-        if self.rank < 1:
-            raise PreconditionError("rank must be at least 1")
-        return BlockfreeView(self.tree, self.depth + 1)
-
     def iter_elements(self, budget: int = DEFAULT_SIZE_CAP) -> Iterator[int]:
         count = 0
 
         def walk(node: CanonicalTree) -> Iterator[int]:
             nonlocal count
-            if node.rank < self.depth:
-                return
             count += 1
             if count > budget:
                 raise SizeOverflow("view iteration", budget)
@@ -298,32 +292,8 @@ class BlockfreeView:
         # bases are discovered depth-first but emitted in increasing order
         yield from sorted(walk(self.tree))
 
-    def to_finset(self, budget: int = DEFAULT_SIZE_CAP) -> FinSet:
-        return FinSet(tuple(self.iter_elements(budget)))
-
-    def block_of(self, v: int, c: int) -> Optional[BlockAddress]:
-        """Blocks of the view at level c are level c+depth blocks of the
-        tree, restricted to surviving elements."""
-        if not self.contains(v) or c > self.rank:
-            return None
-        return self.tree.block_of(v, c + self.depth)
-
-    def same_block(self, x: int, y: int, c: int) -> bool:
-        if not (self.contains(x) and self.contains(y)) or c > self.rank:
-            return False
-        return self.tree.same_block(x, y, c + self.depth)
-
-    # the tree's body reads only contains, same_block and rank, all redefined here
-    separates = CanonicalTree.separates
-
-    def parity_color(self, v: int) -> int:
-        if not self.contains(v):
-            raise PreconditionError(f"{v} is not in the view")
-        return (self.tree.node_rank_of(v) - self.depth) % 2
-
-    def export_sentence(self, ceiling: int = EXPORT_VALUE_CEILING) -> Pi03Sentence:
-        members = self.to_finset(budget=ceiling).elements
-        return _tabulated_sentence(self, members, ceiling)
+    def max_value(self, cap: int = DEFAULT_SIZE_CAP) -> int:
+        return self.materialize(budget=cap).maximum
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +321,7 @@ class LowerBoundReport:
 def _instance(
     tree_or_view, ceiling: int = EXPORT_VALUE_CEILING
 ) -> tuple[FinSet, Pi03Sentence, dict[int, int]]:
-    if isinstance(tree_or_view, CanonicalTree):
-        elems = tree_or_view.materialize(budget=ceiling)
-    else:
-        elems = tree_or_view.to_finset(budget=ceiling)
+    elems = tree_or_view.materialize(budget=ceiling)
     sentence = tree_or_view.export_sentence(ceiling)
     colors = {v: tree_or_view.parity_color(v) for v in elems}
     return elems, sentence, colors
@@ -420,10 +387,7 @@ def _class_check(
 
 def _exportable(node, ceiling: int) -> bool:
     try:
-        if isinstance(node, CanonicalTree):
-            return node.max_value(cap=ceiling) + 1 <= ceiling
-        fs = node.to_finset(budget=ceiling)
-        return bool(fs.elements) and fs.maximum + 1 <= ceiling
+        return node.max_value(cap=ceiling) + 1 <= ceiling
     except SizeOverflow:
         return False
 

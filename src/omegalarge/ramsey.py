@@ -310,6 +310,12 @@ def em_extract(
     join the pieces along a transitive tournament over their minima found
     by homogeneous-style search.  Failures report the failing stage; every
     success is re-validated (triple scan plus certificate check).
+
+    The walk visits every grouping, not only those of minimal l0 blocks as
+    `find_grouping` does: each block must hold a transitive piece one level
+    down, and a minimal one need not.  Under the scaled constants l0 is
+    exponent 0, so minimal blocks are singletons, where level-1 recursion
+    is always absent.
     """
     if f.arity != 2:
         raise PreconditionError("expects a pair coloring")

@@ -16,7 +16,6 @@ from itertools import combinations
 
 from omegalarge import formula as fm
 from omegalarge.largeness import SizeOverflow
-from omegalarge.lowerbound import CanonicalTree
 
 # ---------------------------------------------------------------------------
 # Plain largeness by exhaustive decomposition enumeration (bitmask form)
@@ -361,6 +360,88 @@ def blockfree_separates(view, x: int, y: int, z: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Canonical-tree navigation as it was before the memoized child-index
+# paths: every question descends from the root again
+# ---------------------------------------------------------------------------
+
+
+def _descent_child_index(node, v: int):
+    for i in range(node.child_count):
+        child = node.child(i)
+        if v < child.base:
+            return None
+        try:
+            top = child.max_value(cap=max(v - child.base + 1, 1))
+        except SizeOverflow:
+            return i
+        if v <= top:
+            return i
+    return None
+
+
+class DescentNavigation:
+    """contains, block_of, node_rank_of, same_block and parity_color of the
+    tree `t` (depth 0) or of its blockfree view at `depth`, read off `t`'s
+    children and sizes only."""
+
+    def __init__(self, t, depth: int = 0):
+        self.t, self.depth, self.rank = t, depth, t.rank - depth
+
+    def _in_interval(self, v: int) -> bool:
+        t = self.t
+        if v < t.base:
+            return False
+        try:
+            return v <= t.max_value(cap=max(v - t.base + 1, 1))
+        except SizeOverflow:
+            return True
+
+    def _tree_node_rank(self, v: int) -> int:
+        node = self.t
+        while v != node.base:
+            i = _descent_child_index(node, v)
+            if i is None:
+                raise RuntimeError(f"{v} lies in the set but in no child of {node!r}")
+            node = node.child(i)
+        return node.rank
+
+    def _tree_block_of(self, v: int, c: int):
+        if c > self.t.rank or not self._in_interval(v):
+            return None
+        node, path = self.t, []
+        while node.rank > c:
+            if v == node.base:
+                return None
+            i = _descent_child_index(node, v)
+            if i is None:
+                return None
+            path.append(i)
+            node = node.child(i)
+        return (tuple(path), c)
+
+    def contains(self, v: int) -> bool:
+        return self._in_interval(v) and self._tree_node_rank(v) >= self.depth
+
+    def node_rank_of(self, v: int) -> int:
+        if not self.contains(v):
+            raise ValueError(f"{v} is not in the set")
+        return self._tree_node_rank(v) - self.depth
+
+    def block_of(self, v: int, c: int):
+        """(path, tree level) of v's block at view level c, or None."""
+        if c > self.rank or not self.contains(v):
+            return None
+        return self._tree_block_of(v, c + self.depth)
+
+    def same_block(self, x: int, y: int, c: int) -> bool:
+        a = self.block_of(x, c)
+        return a is not None and a == self.block_of(y, c)
+
+    def parity_color(self, v: int) -> int:
+        return self.node_rank_of(v) % 2
+
+
+# ---------------------------------------------------------------------------
 # The export table as it was built before the bitmask columns: one level
 # scan per triple
 # ---------------------------------------------------------------------------
@@ -369,10 +450,7 @@ def blockfree_separates(view, x: int, y: int, z: int) -> bool:
 def per_triple_separation_bits(owner, ceiling: int) -> str:
     """The bits of `owner.export_sentence(ceiling)`'s parameter A, filled
     triple by triple; raises SizeOverflow where the export does."""
-    if isinstance(owner, CanonicalTree):
-        members = owner.materialize(budget=ceiling).elements
-    else:
-        members = owner.to_finset(budget=ceiling).elements
+    members = owner.materialize(budget=ceiling).elements
     bound = members[-1] + 2
     if bound > ceiling:
         raise SizeOverflow("export table bound", ceiling)

@@ -177,7 +177,7 @@ def test_criterion_5_block_structure_lemma_suite():
                     assert t32.separates(x, y, z) == sub.separates(x, y, z)
 
     # the blockfree view is the minimal set one rank down
-    view = t32.zero_blockfree().to_finset()
+    view = t32.zero_blockfree().materialize()
     assert view.elements == (3, 4, 9, 19)
     assert is_minimal(view, 1)
 

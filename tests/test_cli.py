@@ -461,6 +461,61 @@ def test_out_of_range_numbers_exit_3(tmp_path, capsys, argv):
     assert err.startswith("usage error") and "Traceback" not in err
 
 
+# The exit-code contract where an exponent lies far past the interpreter's
+# recursion limit, or a number is too long to print: each row exits with its
+# own answer, never 4.  "{C1}" and "{C2}" stand for a coloring of the points
+# and a constant pair coloring of [3,40].
+EXIT_CONTRACT = [
+    (["large", "check", "--interval", "3:10", "--n", "5000"], 1),
+    (["large", "check", "--interval", "3:40", "--n", "3000", "--theta", "x<y"], 1),
+    (["grouping", "find", "--interval", "3:40", "--l0", "omega:3000", "--l1", "card:2", "--coloring", "{C2}"], 1),
+    (["gamma", "large", "--interval", "3:6", "--r", "3000", "--gamma", "rt12"], 1),
+    (["large", "minimal", "--x", "3", "--n", "5000"], 2),
+    (["lowerbound", "tree", "--base", "3", "--rank", "4000"], 2),
+    (["lowerbound", "verify", "--n", "3000", "--mode", "exhaustive"], 2),
+    (["lowerbound", "verify", "--n", "3000", "--mode", "pruned"], 2),
+    (["bounds-table", "--n-max", "200"], 2),
+    (["large", "decompose", "--interval", "3:40", "--n", "3000", "--m", "1"], 3),
+    (["large", "pigeonhole", "--interval", "3:40", "--b", "3000", "--coloring", "{C1}"], 3),
+    (["lowerbound", "fx", "--base", "3", "--rank", "3000", "--value", "5"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,want", [pytest.param(argv, want, id=" ".join(argv)) for argv, want in EXIT_CONTRACT]
+)
+def test_exit_code_contract(tmp_path, capsys, argv, want):
+    x = FinSet.interval(3, 40)
+    colorings = {
+        "{C1}": ColoringTable.from_function(x, 1, 2, lambda v: v % 2),
+        "{C2}": ColoringTable.from_function(x, 2, 2, lambda a, b: 0),
+    }
+    argv = [write_coloring(tmp_path, "f.json", colorings[a]) if a in colorings else a for a in argv]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code in (0, 1, 2, 3) and code == want
+    assert "Traceback" not in err
+    if code == 3:
+        assert out == "" and "not large" in err
+    else:
+        (line,) = out.splitlines()
+        obj = json.loads(line)
+        assert obj["exit"] == code and isinstance(obj["reason"], str) and obj["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["formula", "eval", "0 in A", "--param-A", "012"],
+        ["large", "check", "--interval", "3:8", "--n", "1", "--theta", "x < y", "--param-A", "012"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_a_malformed_param_a_is_named(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3 and out == ""
+    assert err.startswith("usage error: bad --param-A: ")
+
+
 def test_large_check_leaves_no_cyclic_garbage(capsys):
     cli.build_parser()  # built once per process, with cycles of its own
     gc.collect()

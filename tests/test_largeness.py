@@ -16,6 +16,7 @@ from omegalarge.largeness import (
     check_large,
     is_large,
     is_minimal,
+    is_plain_large,
     minimal_interval_card,
     minimal_large_interval,
     t_apart,
@@ -263,6 +264,39 @@ def test_minimal_interval_card_rejects_a_negative_exponent():
         minimal_interval_card(3, -1, 10)
     with pytest.raises(PreconditionError):
         minimal_large_interval(3, -1)
+
+
+def _uncapped_card(b: int, n: int) -> int:
+    # the recurrence down to exponent 2's closed form, with no cap
+    if n == 2:
+        return 1 + (b + 2) * ((1 << b) - 1)
+    total, nxt = 1, b + 1
+    for _ in range(b):
+        c = _uncapped_card(nxt, n - 1)
+        total += c
+        nxt += c
+    return total
+
+
+@pytest.mark.parametrize("base,exponent", [(b, 2) for b in range(1, 13)] + [(1, 3), (2, 3), (1, 4)])
+def test_minimal_interval_card_overflows_exactly_past_the_cap(base, exponent):
+    # the lower bound checked before the recurrence descends never fires at
+    # or above the true card
+    card = _uncapped_card(base, exponent)
+    assert minimal_interval_card(base, exponent, card) == card
+    with pytest.raises(SizeOverflow):
+        minimal_interval_card(base, exponent, card - 1)
+
+
+def test_exponents_past_the_recursion_limit_are_decided():
+    for cap in (10, 10 ** 6, 10 ** 400):
+        with pytest.raises(SizeOverflow):
+            minimal_interval_card(3, 5000, cap)
+    assert check_large(FinSet.interval(3, 10), LargenessSpec(5000)) is None
+    assert not is_large(FinSet.interval(3, 2000), LargenessSpec(1500, 1, TOP))
+    # a positive minimum needs 2^n elements at exponent n; a zero one does not
+    assert is_plain_large((1, 2, 3, 4), 2) and not is_plain_large((1, 2, 3), 2)
+    assert is_plain_large((0,), 5000)
 
 
 def test_certificate_classes_have_no_instance_dict():

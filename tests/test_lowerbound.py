@@ -16,13 +16,19 @@ from omegalarge.lowerbound import (
     CONFIRMED,
     CONSISTENT,
     BlockAddress,
+    BlockfreeView,
     CanonicalTree,
     tree,
     verify_lower_bound,
 )
 from omegalarge.sets import FinSet
 
-from oracles import blockfree_separates, per_triple_separation_bits, plain_decompositions
+from oracles import (
+    DescentNavigation,
+    blockfree_separates,
+    per_triple_separation_bits,
+    plain_decompositions,
+)
 
 T31 = tree(3, 1)
 T32 = tree(3, 2)
@@ -78,6 +84,46 @@ def test_separates_examples():
     assert not T32.separates(3, 3, 3)  # y = x fails the strictness clause
 
 
+def _materializes(base: int, rank: int) -> bool:
+    try:
+        tree(base, rank).materialize(budget=256)
+    except SizeOverflow:
+        return False
+    return True
+
+
+# tree(b, r) for b 3-5 and r 1-3 wherever it materializes under 256, at
+# depth 0 (the tree itself) and as its depth-1 and depth-2 views
+NAVIGABLE = [
+    (b, r, d) for b in (3, 4, 5) for r in (1, 2, 3) if _materializes(b, r) for d in range(min(r, 2) + 1)
+]
+
+
+@pytest.mark.parametrize("base,rank,depth", NAVIGABLE)
+def test_navigation_matches_the_descent_oracle(base, rank, depth):
+    t = tree(base, rank)
+    owner = BlockfreeView(t, depth) if depth else t
+    oracle = DescentNavigation(t, depth)
+    top = t.max_value()
+    members = owner.materialize().elements
+    for v in range(base - 1, top + 3):
+        assert owner.contains(v) == oracle.contains(v), v
+        for c in range(-1, owner.rank + 2):
+            a = owner.block_of(v, c)
+            assert (None if a is None else (a.path, a.level)) == oracle.block_of(v, c), (v, c)
+    for v in members:
+        assert owner.node_rank_of(v) == oracle.node_rank_of(v), v
+        assert owner.parity_color(v) == oracle.parity_color(v), v
+    for v in (base - 1, top + 1):
+        with pytest.raises(PreconditionError):
+            owner.parity_color(v)
+    probes = members[:: max(1, len(members) // 40)] + (top + 1,)
+    for x in probes:
+        for y in probes:
+            for c in range(owner.rank + 1):
+                assert owner.same_block(x, y, c) == oracle.same_block(x, y, c), (x, y, c)
+
+
 def test_parity_coloring_patterns():
     assert T31.parity_color(3) == 1
     assert all(T31.parity_color(v) == 0 for v in (4, 5, 6))
@@ -95,17 +141,17 @@ def test_parity_characterization_exhaustive():
 
 
 def test_zero_blockfree_views():
-    assert T31.zero_blockfree().to_finset().elements == (3,)
+    assert T31.zero_blockfree().materialize().elements == (3,)
     view = T32.zero_blockfree()
-    assert view.to_finset().elements == (3, 4, 9, 19)
-    assert is_minimal(view.to_finset(), 1)
-    assert view.zero_blockfree().to_finset().elements == (3,)
+    assert view.materialize().elements == (3, 4, 9, 19)
+    assert is_minimal(view.materialize(), 1)
+    assert view.zero_blockfree().materialize().elements == (3,)
 
 
 def test_blockfree_separates_keeps_its_answers():
     # the view shares the tree's body; compare it with the view's former copy
     view = T32.zero_blockfree()
-    members = view.to_finset().elements
+    members = view.materialize().elements
     probes = sorted({v + d for v in members for d in (-1, 0, 1)} | {38, 39})
     answers = set()
     for x in probes:
@@ -179,7 +225,7 @@ def test_locality_of_large_subsets():
 
 def test_blockfree_theta_transport():
     view = T32.zero_blockfree()
-    elems = view.to_finset().elements
+    elems = view.materialize().elements
     for x in elems:
         for y in elems:
             for z in elems:

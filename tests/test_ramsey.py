@@ -209,6 +209,22 @@ def test_em_extract_rechecks_its_output(monkeypatch, check):
         em_extract(X38, f, 1, TOP, Budget(400_000), EmConstants.scaled(1))
 
 
+def test_em_extract_cannot_walk_only_minimal_blocks():
+    # Under the scaled constants l0 is exponent 0, so every minimal block is
+    # a singleton, and level-1 recursion into a singleton is always absent:
+    # the same join that succeeds on the canonical blocks of [3,62] fails on
+    # the minimal blocks starting at the same points.
+    x = FinSet.interval(3, 62)
+    f = ColoringTable.from_function(x, 2, 2, lambda a, b: 0)
+    constants = EmConstants.scaled(2)
+    canonical = [FinSet.interval(lo, 2 * lo) for lo in (3, 7, 15, 31)]
+    out = ramsey._em_join(canonical, f, 2, TOP, Budget(None), constants)
+    assert out.status == FOUND and len(out.subset) == 60
+    singletons = [FinSet((v,)) for v in (3, 4, 5, 6)]
+    out = ramsey._em_join(singletons, f, 2, TOP, Budget(None), constants)
+    assert out.status == ABSENT and out.stage == "recursion into a block at level 2"
+
+
 def test_em_extract_rejects_a_negative_exponent():
     f = ColoringTable.from_function(X38, 2, 2, lambda x, y: 1)
     with pytest.raises(PreconditionError, match=">= 0"):
