@@ -437,6 +437,7 @@ def cmd_lowerbound_verify(args) -> Outcome:
         "complete": report.complete,
         "checked_subsets": report.checked_subsets,
         "sub_instances": report.sub_instances,
+        "skipped": report.skipped,
         "detail": report.detail,
     }
     if report.status == CONFIRMED:

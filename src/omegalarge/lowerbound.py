@@ -9,6 +9,7 @@ instances fail fast.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
@@ -61,16 +62,20 @@ class _Blocks:
 
     # -- membership and navigation ----------------------------------------
 
+    def _member_path(self, v: int) -> Optional[tuple[int, ...]]:
+        """v's path in the tree if v is in this set (at most rank steps)."""
+        path = self.tree._path(v)
+        return path if path is not None and len(path) <= self.rank else None
+
     def contains(self, v: int) -> bool:
-        # at depth 0 every member of the interval heads a block at a level
-        # >= 0, so the interval test alone answers, without a descent
-        return self.tree._reaches(v) and (not self.depth or len(self.tree._path(v)) <= self.rank)
+        return self._member_path(v) is not None
 
     def node_rank_of(self, v: int) -> int:
         """The level whose block has v as its minimum."""
-        if not self.contains(v):
+        path = self._member_path(v)
+        if path is None:
             raise PreconditionError(f"{v} is not in the set")
-        return self.rank - len(self.tree._path(v))
+        return self.rank - len(path)
 
     def block_of(self, v: int, c: int) -> Optional[BlockAddress]:
         """Address of the canonical c-block containing v, if any: the first
@@ -79,11 +84,10 @@ class _Blocks:
         Block minima live only at their own level: the head of a block at
         level r belongs to no block below r.
         """
-        if c > self.rank or not self.contains(v):
+        path, steps = self._member_path(v), self.rank - c
+        if path is None or not 0 <= steps <= len(path):
             return None
-        steps = self.rank - c
-        path = self.tree._path(v)
-        return BlockAddress(path[:steps], c + self.depth) if len(path) >= steps else None
+        return BlockAddress(path[:steps], c + self.depth)
 
     # -- the induced predicates -------------------------------------------
 
@@ -93,15 +97,16 @@ class _Blocks:
 
     def separates(self, x: int, y: int, z: int) -> bool:
         """Membership-guarded separation: whenever x and z are in the set
-        with z >= y, some level must group y with z but split x from y."""
-        if not (self.contains(x) and self.contains(z) and z >= y):
+        with z >= y, some level must group y with z but split x from y.
+        Members share the blocks of their paths' common steps, so: iff y
+        and z share more steps than x and y."""
+        px, pz = self._member_path(x), self._member_path(z)
+        if px is None or pz is None or z < y:
             return True
-        if not (y > x and self.contains(y)):
+        py = self._member_path(y)
+        if y <= x or py is None:
             return False
-        return any(
-            self.same_block(y, z, c) and not self.same_block(x, y, c)
-            for c in range(self.rank + 1)
-        )
+        return _common_steps(py, pz) > _common_steps(px, py)
 
     def parity_color(self, v: int) -> int:
         """Color by the parity of the smallest level whose block contains v."""
@@ -126,6 +131,26 @@ class _Blocks:
     def materialize(self, budget: int = DEFAULT_SIZE_CAP) -> FinSet:
         return FinSet(tuple(self.iter_elements(budget)))
 
+    def _table_formula(self, ceiling: int) -> tuple[int, FIn]:
+        """The table's bound B = max + 2, and x*B^2 + y*B + z + shift in A,
+        which reads entry (x+1, y+1, z+1).  The one fit test of exports and
+        of verification: SizeOverflow when B passes the ceiling."""
+        bound = self.max_value(cap=ceiling) + 2
+        if bound > ceiling:
+            raise SizeOverflow("export table bound", ceiling)
+        return bound, FIn(TAdd(
+            TAdd(TMul(TVar("x"), TConst(bound * bound)), TMul(TVar("y"), TConst(bound))),
+            TAdd(TVar("z"), TConst(bound * bound + bound + 1)),
+        ))
+
+    def separation_sentence(self, ceiling: int = EXPORT_VALUE_CEILING) -> Pi03Sentence:
+        """`export_sentence` without the table: the same formula, with
+        membership in A decoded and asked of `separates`, so theta(x, y, z)
+        is separates(x+1, y+1, z+1) and reads every triple as the table
+        does.  Nothing is tabulated; verification uses this."""
+        bound, theta = self._table_formula(ceiling)
+        return Pi03Sentence(theta, 0, _SeparationTable(self, bound))
+
     def export_sentence(self, ceiling: int = EXPORT_VALUE_CEILING) -> Pi03Sentence:
         """The separation sentence as a formula over a tabulated parameter.
 
@@ -143,10 +168,8 @@ class _Blocks:
         once.  As a bitmask over y, the column is the union over levels c of
         z's c-block minus x's c-block, cut to x < y <= z.
         """
+        bound, theta = self._table_formula(ceiling)
         members = self.materialize(budget=ceiling).elements
-        bound = members[-1] + 2
-        if bound > ceiling:
-            raise SizeOverflow("export table bound", ceiling)
         addrs = [(v, [self.block_of(v, c) for c in range(self.rank + 1)]) for v in members]
         block_mask: dict[BlockAddress, int] = {}  # an address carries its level
         for v, row in addrs:
@@ -166,12 +189,24 @@ class _Blocks:
                 col &= above_x & ((2 << z) - 1)
                 # entry (x, y, z) sits at xb + y*bound + z, for y = 0..z
                 bits[xb + z: xb + z + (z + 1) * bound: bound] = format(col, f"0{z + 1}b")[::-1].encode()
-        shift = bound * bound + bound + 1  # move (x, y, z) to (x+1, y+1, z+1)
-        term = TAdd(
-            TAdd(TMul(TVar("x"), TConst(bound * bound)), TMul(TVar("y"), TConst(bound))),
-            TAdd(TVar("z"), TConst(shift)),
-        )
-        return Pi03Sentence(FIn(term), 0, SecondOrderParam(bits.decode()))
+        return Pi03Sentence(theta, 0, SecondOrderParam(bits.decode()))
+
+
+class _SeparationTable:
+    """The exported bits of A, each read off `separates` when asked."""
+
+    def __init__(self, blocks: _Blocks, bound: int):
+        self.blocks, self.bound = blocks, bound
+
+    def member(self, i: int) -> bool:
+        xy, z = divmod(i, self.bound)
+        x, y = divmod(xy, self.bound)
+        return 0 <= x < self.bound and self.blocks.separates(x, y, z)
+
+
+def _common_steps(p: tuple[int, ...], q: tuple[int, ...]) -> int:
+    """The length of the longest common prefix of two paths."""
+    return next((i for i, (a, b) in enumerate(zip(p, q)) if a != b), min(len(p), len(q)))
 
 
 class CanonicalTree(_Blocks):
@@ -246,12 +281,11 @@ class CanonicalTree(_Blocks):
             if self._reaches(v):
                 node, path = self, ()
                 while v != node.base:
-                    # children tile the interval minus its head, left to right
-                    for i in range(node.child_count):
-                        if node.child(i)._reaches(v):
-                            break
-                    else:
-                        raise RuntimeError(f"{v} lies in the set but in no child of {node!r}")
+                    # children tile the interval: v is in the last one based <= v
+                    i = bisect_right(node._child_bases, v) - 1
+                    while i == len(node._child_bases) - 1 and not node.child(i)._reaches(v):
+                        i += 1
+                        node.child(i)
                     path += (i,)
                     node = node.child(i)
             self._paths[v] = path
@@ -292,6 +326,9 @@ class BlockfreeView(_Blocks):
         # bases are discovered depth-first but emitted in increasing order
         yield from sorted(walk(self.tree))
 
+    def cardinality(self, cap: int = DEFAULT_SIZE_CAP) -> int:
+        return sum(1 for _ in self.iter_elements(cap))
+
     def max_value(self, cap: int = DEFAULT_SIZE_CAP) -> int:
         return self.materialize(budget=cap).maximum
 
@@ -318,11 +355,9 @@ class LowerBoundReport:
     detail: str = ""
 
 
-def _instance(
-    tree_or_view, ceiling: int = EXPORT_VALUE_CEILING
-) -> tuple[FinSet, Pi03Sentence, dict[int, int]]:
+def _instance(tree_or_view, ceiling: int) -> tuple[FinSet, Pi03Sentence, dict[int, int]]:
+    sentence = tree_or_view.separation_sentence(ceiling)
     elems = tree_or_view.materialize(budget=ceiling)
-    sentence = tree_or_view.export_sentence(ceiling)
     colors = {v: tree_or_view.parity_color(v) for v in elems}
     return elems, sentence, colors
 
@@ -351,9 +386,11 @@ def verify_lower_bound(
     budget.enter("lower-bound verification")
 
     if mode == "exhaustive":
-        elems, sentence, colors = _instance(t)
-        if len(elems) > EXHAUSTIVE_LIMIT:
-            raise SizeOverflow("exhaustive subset enumeration", 2 ** EXHAUSTIVE_LIMIT)
+        try:  # refused on the count alone, before any set or sentence is built
+            t.cardinality(cap=EXHAUSTIVE_LIMIT)
+        except SizeOverflow:
+            raise SizeOverflow("exhaustive subset enumeration", 2 ** EXHAUSTIVE_LIMIT) from None
+        elems, sentence, colors = _instance(t, EXPORT_VALUE_CEILING)
         spec = LargenessSpec(n, 1, sentence)
         checked = 0
         for size in range(1, len(elems) + 1):
@@ -387,9 +424,10 @@ def _class_check(
 
 def _exportable(node, ceiling: int) -> bool:
     try:
-        return node.max_value(cap=ceiling) + 1 <= ceiling
+        node._table_formula(ceiling)
     except SizeOverflow:
         return False
+    return True
 
 
 PRUNED_SUB_CEILING = 128

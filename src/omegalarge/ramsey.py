@@ -80,6 +80,8 @@ def _pieces(z: FinSet, cuts) -> list[FinSet]:
 class _Exhaustive:
     """Every challenge of each kind, within the ceilings."""
 
+    clause_order = "bcda"  # the verdict does not depend on it: cheap clauses first
+
     def colorings(self, z: FinSet, statement: RtLikeStatement):
         """Checks the ceiling when called, like `_subsets`."""
         slots, colors = comb(len(z), statement.arity), statement.colors
@@ -108,6 +110,7 @@ class _Sampled:
 
     rng: random.Random
     trials: int
+    clause_order = "abcd"  # the draws come in the order they were pinned in
 
     def colorings(self, z: FinSet, statement: RtLikeStatement):
         slots = comb(len(z), statement.arity)
@@ -172,29 +175,26 @@ def _dense0(y: FinSet, sentence: Pi03Sentence) -> bool:
 
 
 def _failed_clause(y: FinSet, m: int, sentence, statement, source, dense) -> Optional[str]:
-    """The first density clause, (a) to (d), that y fails at level m >= 1
-    against the challenges of `source`, or None; `dense(sub, m - 1)`
-    decides the level below."""
+    """The first density clause, in `source.clause_order`, that y fails at
+    level m >= 1 against the challenges of `source`, or None;
+    `dense(sub, m - 1)` decides the level below."""
 
     def dense_subset(ok) -> bool:
         return any(ok(sub) and dense(sub, m - 1) for sub in _subsets(y))
 
-    # (a) one statement application
-    for f in source.colorings(y, statement):
-        if not dense_subset(lambda sub: statement.solution_ok(f, sub)):
-            return "a"
-    # (b) interval partitions with at most min-many parts
-    for pieces in source.partitions(y):
-        if not any(dense(p, m - 1) for p in pieces):
-            return "b"
-    # (c) colorings of points by fewer than min colors
-    for coloring in source.point_colorings(y):
-        if not dense_subset(lambda sub: len({coloring[v] for v in sub}) == 1):
-            return "c"
-    # (d) a bounding step for the sentence
-    if not dense_subset(lambda sub: sentence.holds_bounded(y.minimum, sub.minimum, sub.maximum)):
-        return "d"
-    return None
+    refuted = {
+        # (a) one statement application
+        "a": lambda: any(not dense_subset(lambda sub: statement.solution_ok(f, sub))
+                         for f in source.colorings(y, statement)),
+        # (b) interval partitions with at most min-many parts
+        "b": lambda: any(not any(dense(p, m - 1) for p in pieces) for pieces in source.partitions(y)),
+        # (c) colorings of points by fewer than min colors
+        "c": lambda: any(not dense_subset(lambda sub: len({col[v] for v in sub}) == 1)
+                         for col in source.point_colorings(y)),
+        # (d) a bounding step for the sentence
+        "d": lambda: not dense_subset(lambda sub: sentence.holds_bounded(y.minimum, sub.minimum, sub.maximum)),
+    }
+    return next((clause for clause in source.clause_order if refuted[clause]()), None)
 
 
 # what a sampled refutation reports, by the clause that failed

@@ -419,6 +419,12 @@ class DescentNavigation:
             node = node.child(i)
         return (tuple(path), c)
 
+    def path(self, v: int):
+        """v's child-index path in the tree, or None outside the interval."""
+        if not self._in_interval(v):
+            return None
+        return self._tree_block_of(v, self._tree_node_rank(v))[0]
+
     def contains(self, v: int) -> bool:
         return self._in_interval(v) and self._tree_node_rank(v) >= self.depth
 
@@ -476,6 +482,16 @@ def per_triple_separation_bits(owner, ceiling: int) -> str:
                 if not ok:
                     bits[base_idx + y * bound] = ord("0")
     return bits.decode()
+
+
+def table_instance(tree_or_view, ceiling: int):
+    """The lower-bound instance as `verify_lower_bound` read it before the
+    structural separation sentence: the members, the exported bit-table
+    sentence and the parity colors."""
+    elems = tree_or_view.materialize(budget=ceiling)
+    sentence = tree_or_view.export_sentence(ceiling)
+    colors = {v: tree_or_view.parity_color(v) for v in elems}
+    return elems, sentence, colors
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,9 @@ def test_sampled_runs_never_exit_zero(tmp_path, capsys):
         (["large", "--interval", "3:30", "--gamma", "rt12", "--r", "1"], "subset space 2^28 exceeds"),
         (["large", "--interval", "3:12", "--gamma", "rt22", "--r", "1"], "coloring space 2^45 exceeds"),
         (["dense", "--interval", "3:6", "--gamma", "true", "--m", "3"], "capped at level 2"),
-        (["dense", "--interval", "3:19", "--arity", "1", "--psi0", "a < 2", "--m", "1"], "over 17 elements"),
+        # sampled density draws statement colorings first, so psi0 meets 17 points
+        (["dense", "--interval", "3:19", "--arity", "1", "--psi0", "a < 2", "--m", "1", "--mode", "sampled"],
+         "over 17 elements"),
     ],
 )
 def test_gamma_ceilings_read_inconclusive(argv, reason, capsys):
@@ -215,6 +217,14 @@ def test_gamma_ceilings_read_inconclusive(argv, reason, capsys):
     obj = json.loads(out)
     assert code == 2 and obj["verdict"] == "inconclusive" and reason in obj["reason"]
     assert "Traceback" not in err
+
+
+def test_exact_density_refutes_by_a_cheap_clause_before_the_psi0_ceiling(capsys):
+    # exact density tries the interval partitions before the statement's
+    # colorings: three parts of [3,19] with no large part refute it
+    argv = ["dense", "--interval", "3:19", "--arity", "1", "--psi0", "a < 2", "--m", "1"]
+    code, out, _ = run(capsys, "gamma", *argv, "--format", "json")
+    assert code == 1 and json.loads(out)["verdict"] == "false"
 
 
 @pytest.mark.parametrize(
@@ -313,6 +323,10 @@ def test_lowerbound_verify_exit_codes(capsys):
     assert code == 0
     code, out, _ = run(capsys, "lowerbound", "verify", "--n", "2", "--mode", "pruned")
     assert code == 2 and "consistent" in out
+    # a consistent answer says how many sub-instances went unexplored
+    code, out, _ = run(capsys, "lowerbound", "verify", "--n", "2", "--mode", "pruned", "--format", "json")
+    payload = json.loads(out)
+    assert code == 2 and (payload["status"], payload["sub_instances"], payload["skipped"]) == ("consistent", 5, 21)
 
 
 def test_bounds_table_tsv(capsys):

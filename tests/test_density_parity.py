@@ -7,7 +7,9 @@ the reasons.  Sampled groups run seeds 0-7 in turn, so a change in the order
 of the generator's draws shows.  A ceiling the earlier code raised as
 `CeilingExceeded` is pinned as `inconclusive` with the ceiling's message.
 The groups of the formula psi0 were pinned later, from the tree interpreter
-that evaluated psi0 before the compiled function did.
+that evaluated psi0 before the compiled function did.  One entry of each
+group in `REORDERED` was re-pinned, from `i` to `f`, when exact density
+began to try the cheap clauses first.
 
 Regenerate with `PYTHONPATH=src python tests/test_density_parity.py`.
 """
@@ -19,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from omegalarge.formula import TOP, Pi03Sentence, RtLikeStatement, parse
-from omegalarge.ramsey import Mode, is_large_gamma, is_n_dense
+from omegalarge.formula import TOP, CeilingExceeded, Pi03Sentence, RtLikeStatement, parse
+from omegalarge.ramsey import _EXHAUSTIVE, Mode, _failed_clause, is_large_gamma, is_n_dense
 from omegalarge.sets import FinSet
 
 PINNED = Path(__file__).with_name("density_parity.json")
@@ -81,6 +83,7 @@ def summary(vs) -> list[str]:
 
 
 GROUPS = list(groups())
+GROUP_SETS = {g[0]: g[-1] for g in GROUPS}
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +99,31 @@ def test_the_pinned_table_names_every_group(pinned):
 def test_verdicts_and_reasons_match_the_pinned_table(group, pinned):
     name, *spec = group
     assert summary(verdicts(*spec)) == pinned[name]
+
+
+# Exact density tries the cheap clauses (b)-(d) before the statement's
+# colorings (a).  That changed one pinned entry in each of these groups: the
+# 7-element set [3,9], whose 2^21 pair colorings pass the coloring ceiling,
+# read inconclusive when (a) came first; clause (b) refutes it.
+REORDERED = [
+    f"exact-{s}-{g}-dense{level}" for s in ("top", "theta") for g in ("rt22", "em") for level in (1, 2)
+]
+
+
+@pytest.mark.parametrize("name", REORDERED)
+def test_a_cheap_clause_refutes_the_set_the_colorings_cannot(name, pinned):
+    _, sname, gname, level = name.split("-")
+    sentence, statement, level = SENTENCES[sname], STATEMENTS[gname], int(level[-1])
+    z = FinSet(tuple(range(3, 10)))
+    assert pinned[name][0][126] == "f" and GROUP_SETS[name][126] == z
+    with pytest.raises(CeilingExceeded):
+        _EXHAUSTIVE.colorings(z, statement)
+
+    def dense(y, m):
+        return is_n_dense(y, m, sentence, statement).value == "true"
+
+    assert _failed_clause(z, level, sentence, statement, _EXHAUSTIVE, dense) == "b"
+    assert is_n_dense(z, level, sentence, statement).value == "false"
 
 
 if __name__ == "__main__":

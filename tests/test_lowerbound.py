@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 
+from omegalarge import lowerbound
+from omegalarge.cli import main
 from omegalarge.largeness import (
     LargenessSpec,
     PreconditionError,
@@ -28,6 +30,7 @@ from oracles import (
     blockfree_separates,
     per_triple_separation_bits,
     plain_decompositions,
+    table_instance,
 )
 
 T31 = tree(3, 1)
@@ -317,3 +320,131 @@ def test_export_table_overflow_cases():
     with pytest.raises(SizeOverflow):
         per_triple_separation_bits(tree(5, 2), 128)
     assert tree(4, 2).export_sentence(128).param_A.length == 96 ** 3
+
+
+# ---------------------------------------------------------------------------
+# Verification reads the tree: the structural separation sentence
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("base,rank", [(b, r) for b in (3, 4, 5, 6) for r in (1, 2, 3)])
+def test_bisected_paths_match_the_descent_oracle(base, rank):
+    # a fresh tree asked in a shuffled order extends its child bases from
+    # every state: near the start, and far out where sizes overflow (each
+    # leaf block is a child of its own, so far values are few)
+    rng = random.Random(base * 10 + rank)
+    values = list(range(base - 1, base + 300)) + [rng.randrange(base, 10_000) for _ in range(20)]
+    rng.shuffle(values)
+    t = tree(base, rank)
+    oracle = DescentNavigation(tree(base, rank))
+    for v in values:
+        assert t._path(v) == oracle.path(v), v
+
+
+# (base, rank, depth): tree(b, r) for b 3-5 and r 1-2, and its depth-1 view
+OWNERS = [(b, r, d) for b in (3, 4, 5) for r in (1, 2) for d in (0, 1)]
+
+
+@pytest.mark.parametrize("base,rank,depth", OWNERS)
+def test_separation_sentence_reads_the_exported_table(base, rank, depth):
+    """The structural theta answers every triple as the table does: every
+    entry below b = 5; for b = 5 (tree(5,2)'s table has 11.2M entries) every
+    triple over the values next to a block head or an end, and a sample."""
+    owner = BlockfreeView(tree(base, rank), depth) if depth else tree(base, rank)
+    structural = owner.separation_sentence()
+    table = owner.export_sentence()
+    bits, member = table.param_A.bits, structural.param_A.member
+    bound = owner.max_value() + 2
+    assert structural.theta == table.theta and len(bits) == bound ** 3
+    assert not member(bound ** 3) and not member(-1)
+    if base < 5:
+        assert "".join("1" if member(i) else "0" for i in range(len(bits))) == bits
+        return
+    members = owner.materialize().elements
+    heads = [v for v in members if owner.node_rank_of(v) >= 1] + [members[0], members[-1]]
+    edge = sorted({0, bound - 1} | {v + d for v in heads for d in (-1, 0, 1)})
+    rng = random.Random(5)
+    triples = [(x, y, z) for x in edge for y in edge for z in edge]
+    triples += [tuple(rng.randrange(bound) for _ in range(3)) for _ in range(5_000)]
+    for x, y, z in triples:
+        i = (x * bound + y) * bound + z
+        assert member(i) == (bits[i] == "1"), (x, y, z)
+        if max(x, y, z) < bound - 1:
+            assert structural.theta_at(x, y, z) == table.theta_at(x, y, z), (x, y, z)
+
+
+# (base, rank, depth, mode): trees b 3-7 at rank 1 in both modes, pruned
+# rank 3, and rank-1 views in both modes, tree(6, 2)'s past the ceiling
+VERIFICATION_CASES = (
+    [(b, 1, 0, mode) for b in range(3, 8) for mode in ("exhaustive", "pruned")]
+    + [(b, 3, 0, "pruned") for b in (3, 4, 5)]
+    + [(b, 2, 1, mode) for b in (3, 4, 5, 6) for mode in ("exhaustive", "pruned")]
+    + [(3, 3, 2, "pruned")]
+)
+
+
+def _report(base, rank, depth, mode):
+    t = tree(base, rank)
+    try:
+        return verify_lower_bound(BlockfreeView(t, depth) if depth else t, mode=mode)
+    except SizeOverflow as err:
+        return repr(err)
+
+
+@pytest.mark.parametrize("base,rank,depth,mode", VERIFICATION_CASES)
+def test_verification_reports_match_the_table_oracle(base, rank, depth, mode, monkeypatch):
+    got = _report(base, rank, depth, mode)
+    with monkeypatch.context() as m:
+        m.setattr(lowerbound, "_instance", table_instance)
+        want = _report(base, rank, depth, mode)
+    assert got == want
+
+
+def _no_export(self, *args):
+    raise AssertionError("verification built a table")
+
+
+def test_verification_builds_no_table(monkeypatch, capsys):
+    monkeypatch.setattr(CanonicalTree, "export_sentence", _no_export)
+    monkeypatch.setattr(BlockfreeView, "export_sentence", _no_export)
+    for t in (tree(3, 1), tree(5, 1), tree(3, 2).zero_blockfree(), tree(4, 2).zero_blockfree()):
+        for mode in ("exhaustive", "pruned"):
+            assert verify_lower_bound(t, mode=mode).status == CONFIRMED
+    assert verify_lower_bound(tree(3, 3), mode="pruned").status == CONSISTENT
+    assert main(["lowerbound", "verify", "--n", "1"]) == 0
+    assert main(["lowerbound", "verify", "--n", "2", "--mode", "pruned"]) == 2
+    capsys.readouterr()
+
+
+def _exports(owner, ceiling) -> bool:
+    try:
+        owner.export_sentence(ceiling)
+    except SizeOverflow:
+        return False
+    return True
+
+
+def test_one_fit_test_for_export_and_verification():
+    # {3}'s table has bound 5: it fits a ceiling of 5, not 4
+    view = tree(3, 1).zero_blockfree()
+    for ceiling in (4, 5, 6):
+        assert lowerbound._exportable(view, ceiling) == _exports(view, ceiling) == (ceiling >= 5)
+    # tree(6, 2) ends at 255, so its view's bound 257 passes 256; verifying
+    # the view used to raise "export table bound" instead of answering
+    view = tree(6, 2).zero_blockfree()
+    assert view.max_value() == 255 and not lowerbound._exportable(view, 256)
+    report = verify_lower_bound(view, mode="pruned")
+    assert (report.status, report.complete, report.skipped) == (CONSISTENT, False, 1)
+
+
+def test_exhaustive_refuses_on_the_count_before_materializing(monkeypatch):
+    def materialize(self, budget=None):
+        raise AssertionError("materialized")
+
+    monkeypatch.setattr(CanonicalTree, "materialize", materialize)
+    monkeypatch.setattr(BlockfreeView, "materialize", materialize)
+    # 17 members in tree(16, 1) and in tree(16, 2)'s view (the root and its
+    # 16 children), far more in tree(3, 3)
+    for t in (tree(16, 1), tree(16, 2).zero_blockfree(), tree(3, 3)):
+        with pytest.raises(SizeOverflow, match="exhaustive subset enumeration"):
+            verify_lower_bound(t, mode="exhaustive")
