@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 import traceback
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 # Only the modules behind `large check` load with the CLI; a handler that
@@ -43,6 +42,7 @@ from .largeness import (
     t_apart,
     verify_certificate,
 )
+from .record import Record
 from .sets import DEFAULT_FLOOR, ColoringTable, FinSet, SparsityPolicy
 
 if TYPE_CHECKING:
@@ -53,8 +53,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class Outcome:
+class Outcome(Record):
     code: int
     payload: dict
     human: str

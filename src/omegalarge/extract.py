@@ -8,7 +8,6 @@ scratch before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .budget import Budget, budget_or_unlimited
 from .formula import Pi03Sentence
@@ -24,6 +23,7 @@ from .largeness import (
     t_apart,
     verify_certificate,
 )
+from .record import Record
 from .sets import ColoringTable, FinSet, SparsityPolicy, is_sparse
 
 
@@ -44,8 +44,7 @@ class ExtractionFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PigeonholeResult:
+class PigeonholeResult(Record):
     homogeneous: FinSet
     color: int
     certificate: Certificate
@@ -186,8 +185,7 @@ def _color_class_fallback(x, blk, f, b, sentence, budget):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DecomposeResult:
+class DecomposeResult(Record):
     blocks: tuple[FinSet, ...]
     block_certificates: tuple[Certificate, ...]
     minima: FinSet
@@ -259,8 +257,7 @@ def decompose_mixed(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FuseResult:
+class FuseResult(Record):
     fused: FinSet
     certificate: Certificate
 

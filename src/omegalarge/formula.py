@@ -9,11 +9,11 @@ terminates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
 from types import FunctionType
 from typing import Callable
 
+from .record import FrozenRecord, Record
 from .sets import ColoringTable, is_transitive, json_int, json_typed, restrict_coloring
 
 # ---------------------------------------------------------------------------
@@ -21,35 +21,29 @@ from .sets import ColoringTable, is_transitive, json_int, json_typed, restrict_c
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TConst:
+class TConst(FrozenRecord):
     value: int
 
 
-@dataclass(frozen=True)
-class TConstA:
+class TConstA(FrozenRecord):
     """The distinguished first-order constant `a`."""
 
 
-@dataclass(frozen=True)
-class TVar:
+class TVar(FrozenRecord):
     name: str
 
 
-@dataclass(frozen=True)
-class TAdd:
+class TAdd(FrozenRecord):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class TMul:
+class TMul(FrozenRecord):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class TPow:
+class TPow(FrozenRecord):
     base: "Term"
     exponent: int  # exponentiation by a numeral only
 
@@ -57,55 +51,46 @@ class TPow:
 Term = TConst | TConstA | TVar | TAdd | TMul | TPow
 
 
-@dataclass(frozen=True)
-class FTrue:
+class FTrue(FrozenRecord):
     pass
 
 
-@dataclass(frozen=True)
-class FFalse:
+class FFalse(FrozenRecord):
     pass
 
 
-@dataclass(frozen=True)
-class FCmp:
+class FCmp(FrozenRecord):
     op: str  # '<' | '=' | '<='
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class FIn:
+class FIn(FrozenRecord):
     """Membership of a term's value in the second-order parameter A."""
 
     term: Term
 
 
-@dataclass(frozen=True)
-class FNot:
+class FNot(FrozenRecord):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class FAnd:
+class FAnd(FrozenRecord):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class FOr:
+class FOr(FrozenRecord):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class FImp:
+class FImp(FrozenRecord):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class FQuant:
+class FQuant(FrozenRecord):
     kind: str  # 'forall' | 'exists'
     var: str
     bound: Term  # quantified variable ranges over 0 <= v < bound
@@ -191,8 +176,7 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass
-class _Token:
+class _Token(Record):
     kind: str  # 'num' | 'ident' | 'sym' | 'eof'
     text: str
     pos: int
@@ -457,8 +441,7 @@ def _or_text(phi: Formula) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SecondOrderParam:
+class SecondOrderParam(FrozenRecord):
     """A finite initial segment of a set of naturals, coded as a bit string.
 
     Position i is a member iff bits[i] == '1'; positions at or beyond the
@@ -642,8 +625,7 @@ def compile_formula(phi: Formula, variables: list[str]) -> Callable[[int, Callab
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pi03Sentence:
+class Pi03Sentence(FrozenRecord):
     """A sentence forall x exists y forall z theta(x, y, z), with parameters.
 
     theta may mention the constant `a` and the set parameter A; its free
@@ -653,9 +635,10 @@ class Pi03Sentence:
     theta: Formula
     param_a: int = 0
     param_A: SecondOrderParam = EMPTY_PARAM
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict  # the compiled theta and the apartness memos
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_cache", {})
         extra = free_vars(self.theta) - {"x", "y", "z"}
         if extra:
             raise ValueError(f"theta has stray free variables {sorted(extra)}")
@@ -759,8 +742,7 @@ def _psi0_builtin(name: str, table) -> bool:
     raise ValueError(f"unknown builtin {name!r}")
 
 
-@dataclass(frozen=True)
-class RtLikeStatement:
+class RtLikeStatement(FrozenRecord):
     """Arity, color count, and the per-restriction predicate psi0.
 
     psi0 is either a builtin name or a formula over the coded table: the
@@ -773,7 +755,7 @@ class RtLikeStatement:
     colors: int
     psi0: str | Formula
     # a formula psi0, compiled once for every table it reads
-    _bind_psi0: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    _bind_psi0: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.colors < 1:
@@ -822,15 +804,13 @@ class RtLikeStatement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuantStep:
+class QuantStep(FrozenRecord):
     kind: str  # 'forall' | 'exists'
     var: str
     bound: str | None = None  # name of an earlier variable, or None for unbounded
 
 
-@dataclass(frozen=True)
-class PrefixedSentence:
+class PrefixedSentence(FrozenRecord):
     """Quantifier prefix over a bounded core, after the implicit set and
     first-order parameter quantifiers."""
 

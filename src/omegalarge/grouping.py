@@ -8,7 +8,7 @@ that every set meeting all blocks is large in the L1 sense.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_left
 from itertools import combinations, product
 from typing import Optional
 
@@ -23,6 +23,7 @@ from .largeness import (
     minimal_interval_card,
     t_apart,
 )
+from .record import FrozenRecord, Record
 from .sets import ColoringTable, FinSet, json_int, json_typed
 
 FOUND = "found"
@@ -30,8 +31,7 @@ ABSENT = "absent"
 EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class LSpec:
+class LSpec(FrozenRecord):
     """A largeness requirement: either a LargenessSpec or a cardinality bound."""
 
     kind: str  # 'largeness' | 'card_at_least'
@@ -52,8 +52,7 @@ class LSpec:
         return check_large(s, self.spec) is not None
 
 
-@dataclass(frozen=True)
-class GroupingWitness:
+class GroupingWitness(FrozenRecord):
     blocks: tuple[FinSet, ...]
     coloring: ColoringTable
 
@@ -143,8 +142,7 @@ def is_grouping(
     return True
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(Record):
     status: str  # found | absent | exhausted
     witness: Optional[GroupingWitness] = None
     subset: Optional[FinSet] = None
@@ -191,6 +189,7 @@ class GroupingWalk:
         self.minimal = minimal
         self.ceiling_hit = False
         self.min_blocks = _min_block_count(l0, l1, z)
+        self._least_block: dict[int, int] = {}  # open-block minimum -> l0's least size
 
     def witnesses(self):
         if self.min_blocks > len(self.z):
@@ -243,12 +242,34 @@ class GroupingWalk:
             out.append(c)
         return out
 
+    def _least_open(self, first: int) -> int:
+        """l0's least size for a block with minimum `first`, remembered for
+        the walk; past the elements from `first` on when none fits."""
+        elems = self.z.elements
+        least = self._least_block[first] = _least_size(self.l0, first, len(elems) - bisect_left(elems, first))
+        return least
+
     def _node(self, i, blocks, current, cur_cross, fresh):
-        """One walk node: blocks are closed, current is the open block."""
+        """One walk node: blocks are closed, current is the open block.
+
+        A node whose open block cannot reach l0's least size with the
+        elements from position i on has no witness below it.  Every witness
+        below closes the open block: a witness is tested where its last
+        block closes, and the open block closes there or where a new block
+        starts.  Below the node the open block gains elements only from
+        position i on, and once closed it satisfies l0 with minimum
+        current[0], so it holds at least l0's least size at that minimum.
+        """
         self.budget.tick()
         elems = self.z.elements
         if len(blocks) + (1 if current else 0) + (len(elems) - i) < self.min_blocks:
             return
+        if current:
+            least = self._least_block.get(current[0])
+            if least is None:
+                least = self._least_open(current[0])
+            if len(current) + len(elems) - i < least:
+                return
         closeable = None
         if fresh:
             # a candidate family is tested once, right after it changed

@@ -9,10 +9,10 @@ Under an apartness sentence T, blocks must additionally be pairwise T-apart.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .budget import Budget, budget_or_unlimited
 from .formula import TOP, Pi03Sentence
+from .record import FrozenRecord
 from .sets import FinSet, json_int, json_typed
 
 
@@ -26,8 +26,7 @@ class SizeOverflow(ValueError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class LargenessSpec:
+class LargenessSpec(FrozenRecord):
     """Denotes largeness at omega^exponent * multiplier under `sentence`."""
 
     exponent: int
@@ -44,33 +43,45 @@ class LargenessSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
+class Leaf(FrozenRecord):
     """Witnesses exponent 0: the block is nonempty."""
 
+    __slots__ = ("witness",)
     witness: int
 
+    def __init__(self, witness: int) -> None:
+        object.__setattr__(self, "witness", witness)
 
-@dataclass(frozen=True, slots=True)
-class Node:
+
+class Node(FrozenRecord):
     """Witnesses exponent n >= 1: head is the block minimum, children are
     exactly `head` blocks at exponent n-1 drawn from the block minus head."""
 
+    __slots__ = ("head", "children")
     head: int
     children: tuple["Block", ...]
 
+    def __init__(self, head: int, children: tuple["Block", ...]) -> None:
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "children", children)
 
-@dataclass(frozen=True, slots=True)
-class Block:
+
+class Block(FrozenRecord):
     """Half-open index range [lo, hi) into the root set's element list."""
 
+    __slots__ = ("lo", "hi", "cert")
     lo: int
     hi: int
     cert: "Leaf | Node"
 
+    def __init__(self, lo: int, hi: int, cert: "Leaf | Node") -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "cert", cert)
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+
+class Certificate(FrozenRecord):
+    __slots__ = ("exponent", "multiplier", "blocks")
     exponent: int
     multiplier: int
     blocks: tuple[Block, ...]

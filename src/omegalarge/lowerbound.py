@@ -10,7 +10,6 @@ instances fail fast.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -31,18 +30,22 @@ from .largeness import (
     check_large,
     minimal_interval_card,
 )
+from .record import FrozenRecord, Record
 from .sets import FinSet
 
 DEFAULT_SIZE_CAP = 10 ** 7
 EXPORT_VALUE_CEILING = 256
 
 
-@dataclass(frozen=True)
-class BlockAddress:
+class BlockAddress(FrozenRecord):
     """Child-index path from the root to one canonical block."""
 
     path: tuple[int, ...]
     level: int
+
+    def __init__(self, path: tuple[int, ...], level: int) -> None:
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "level", level)
 
 
 class _Blocks:
@@ -212,9 +215,11 @@ def _common_steps(p: tuple[int, ...], q: tuple[int, ...]) -> int:
 class CanonicalTree(_Blocks):
     """The minimal interval large at `rank` above `base`, symbolically.
 
-    Children are generated on demand, left to right; each child's base is
-    the previous child's maximum plus one.  All sizes are exact integers
-    guarded by a cap.
+    Children are built on demand.  Child i's base is child i-1's base plus
+    its cardinality, so bases extend by the size recurrence alone, without
+    building the children before; under a rank-1 node every child is a
+    singleton, and child i's base is base + 1 + i.  All sizes are exact
+    integers guarded by a cap.
     """
 
     depth = 0
@@ -248,14 +253,36 @@ class CanonicalTree(_Blocks):
     def child(self, i: int) -> "CanonicalTree":
         if not 0 <= i < self.child_count:
             raise IndexError(f"child {i} of a node with {self.child_count} children")
-        if i in self._children:
-            return self._children[i]
-        while len(self._child_bases) <= i:
-            prev = self.child(len(self._child_bases) - 1)
-            self._child_bases.append(prev.max_value() + 1)
-        node = CanonicalTree(self._child_bases[i], self.rank - 1)
-        self._children[i] = node
+        node = self._children.get(i)
+        if node is None:
+            if self.rank == 1:
+                base = self.base + 1 + i
+            else:
+                while len(self._child_bases) <= i:
+                    self._extend_child_bases(DEFAULT_SIZE_CAP)
+                base = self._child_bases[i]
+            node = self._children[i] = CanonicalTree(base, self.rank - 1)
         return node
+
+    def _extend_child_bases(self, cap: int) -> None:
+        """Append the next child's base: the last one plus that child's
+        cardinality (SizeOverflow past cap)."""
+        last = self._child_bases[-1]
+        self._child_bases.append(last + minimal_interval_card(last, self.rank - 1, cap))
+
+    def _child_index(self, v: int) -> int:
+        """The child whose interval holds v, for v in this interval past
+        its base.  Children tile the interval: v is in the last child based
+        at or below v, and the bases are extended only as far as v."""
+        if self.rank == 1:
+            return v - self.base - 1
+        bases = self._child_bases
+        while bases[-1] <= v and len(bases) < self.child_count:
+            try:
+                self._extend_child_bases(v - bases[-1] + 1)
+            except SizeOverflow:
+                break  # the last child provably extends past v
+        return bisect_right(bases, v) - 1
 
     def children(self) -> Iterator["CanonicalTree"]:
         return map(self.child, range(self.child_count))
@@ -281,11 +308,7 @@ class CanonicalTree(_Blocks):
             if self._reaches(v):
                 node, path = self, ()
                 while v != node.base:
-                    # children tile the interval: v is in the last one based <= v
-                    i = bisect_right(node._child_bases, v) - 1
-                    while i == len(node._child_bases) - 1 and not node.child(i)._reaches(v):
-                        i += 1
-                        node.child(i)
+                    i = node._child_index(v)
                     path += (i,)
                     node = node.child(i)
             self._paths[v] = path
@@ -344,8 +367,7 @@ CONSISTENT = "consistent"
 EXHAUSTIVE_LIMIT = 16  # elements; beyond this the 2^N enumeration is refused
 
 
-@dataclass
-class LowerBoundReport:
+class LowerBoundReport(Record):
     status: str
     complete: bool
     checked_subsets: int = 0

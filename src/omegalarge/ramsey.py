@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 from typing import Optional
@@ -30,6 +29,7 @@ from .largeness import (
     check_large,
     verify_certificate,
 )
+from .record import FrozenRecord, Record
 from .sets import ColoringTable, FinSet, is_transitive
 
 TRUE = "true"
@@ -41,17 +41,19 @@ COLORING_CEILING = 2 ** 20
 SUBSET_CEILING = 2 ** 20
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(FrozenRecord):
     value: str  # true | false | inconclusive
     reason: str = ""
+
+    def __init__(self, value: str, reason: str = "") -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:  # pragma: no cover - guard against misuse
         raise TypeError("three-valued verdict; compare .value explicitly")
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(FrozenRecord):
     """Exact enumeration, or `trials` seeded draws per challenge."""
 
     kind: str = "exact"  # 'exact' | 'sampled'
@@ -104,8 +106,7 @@ class _Exhaustive:
             yield dict(zip(z.elements, values))
 
 
-@dataclass
-class _Sampled:
+class _Sampled(Record):
     """`trials` seeded draws of each kind of challenge."""
 
     rng: random.Random
@@ -256,8 +257,7 @@ def is_n_dense(
 FAITHFUL_BASE = 16 ** 6 + 1
 
 
-@dataclass(frozen=True)
-class EmConstants:
+class EmConstants(FrozenRecord):
     """Per-level block exponents and the transversal requirement.
 
     The faithful values ((16^6+1)^(level-1) blocks, plainly large transversal
@@ -286,8 +286,7 @@ class EmConstants:
         return self.block_exponents[level - 1]
 
 
-@dataclass
-class EmResult:
+class EmResult(Record):
     status: str  # found | absent | exhausted
     stage: str = ""
     subset: Optional[FinSet] = None
@@ -520,8 +519,7 @@ def ads_extract(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(FrozenRecord):
     n: int
     pigeonhole: int
     grouping_chain: tuple[int, int, int, int]

@@ -9,10 +9,11 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
+
+from .record import FrozenRecord
 
 DEFAULT_FLOOR = 3
 
@@ -35,12 +36,16 @@ class SparsityPolicy(enum.Enum):
         return -1
 
 
-@dataclass(frozen=True)
-class FinSet:
+class FinSet(FrozenRecord):
     """Strictly increasing finite sequence of naturals with a minimum floor."""
 
     elements: tuple[int, ...]
     floor: int = DEFAULT_FLOOR
+
+    def __init__(self, elements: Iterable[int], floor: int = DEFAULT_FLOOR) -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "floor", floor)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         elems = tuple(int(v) for v in self.elements)
@@ -157,8 +162,7 @@ def is_sparse(x: FinSet, policy: SparsityPolicy) -> bool:
     return all(policy.threshold(a) < b for a, b in zip(x.elements, x.elements[1:]))
 
 
-@dataclass(frozen=True)
-class ColoringTable:
+class ColoringTable(FrozenRecord):
     """Total coloring of increasing arity-tuples over a finite domain.
 
     The flat table lists colors in lexicographic tuple order, matching the
@@ -172,8 +176,8 @@ class ColoringTable:
     arity: int
     colors: int
     table: tuple[int, ...]
-    _pos: dict = field(init=False, repr=False, compare=False)
-    _row: tuple = field(init=False, repr=False, compare=False)
+    _pos: dict  # value -> domain position
+    _row: tuple  # pair row offsets, for arity 2
 
     def __post_init__(self) -> None:
         if self.arity < 0:

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+import time
 
 import pytest
 
@@ -164,6 +165,21 @@ def test_grouping_absent(tmp_path, capsys):
         "--l0", "card:1", "--l1", "card:99",
     )
     assert code == 1
+
+
+def test_grouping_absent_when_no_open_block_can_fill(tmp_path, capsys):
+    # no two 2-large blocks fit in [3,40]: the first needs 36 of its 38
+    # elements; without a cut on the open block's least size the walk
+    # ran for minutes
+    f = ColoringTable.from_function(FinSet.interval(3, 40), 2, 2, lambda x, y: 0)
+    coloring = write_coloring(tmp_path, "f.json", f)
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "grouping", "find", "--interval", "3:40", "--coloring", coloring,
+        "--l0", "omega:2", "--l1", "card:2", "--format", "json",
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 1 and json.loads(out)["result"] == "absent"
 
 
 def test_grouping_find_rejects_a_coloring_that_misses_the_set(tmp_path, capsys):

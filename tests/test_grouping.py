@@ -271,13 +271,15 @@ def _blocks(witnesses, limit):
 @given(walk_inputs(max_size=8), st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_walk_matches_recursive_walk(inputs, minimal):
-    # same witnesses in the same order, after the same number of steps
+    # same witnesses in the same order; the walk cuts open blocks that
+    # cannot be filled, which the recursive walk does not, so it takes at
+    # most as many steps
     stacked = GroupingWalk(*inputs, Budget(None), minimal=minimal)
     recursive = GroupingWalk(*inputs, Budget(None), minimal=minimal)
     assert _blocks(stacked.witnesses(), 200) == _blocks(
         recursive_grouping_witnesses(recursive), 200
     )
-    assert stacked.budget.spent == recursive.budget.spent
+    assert stacked.budget.spent <= recursive.budget.spent
 
 
 @given(walk_inputs(max_size=11))

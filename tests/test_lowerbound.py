@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from omegalarge.largeness import (
     SizeOverflow,
     check_large,
     is_minimal,
+    minimal_interval_card,
     minimal_large_interval,
     t_apart,
 )
@@ -334,11 +336,48 @@ def test_bisected_paths_match_the_descent_oracle(base, rank):
     # leaf block is a child of its own, so far values are few)
     rng = random.Random(base * 10 + rank)
     values = list(range(base - 1, base + 300)) + [rng.randrange(base, 10_000) for _ in range(20)]
+    far = [10 ** 6, rng.randrange(10 ** 6, 2 * 10 ** 6)]
+    values += far
     rng.shuffle(values)
     t = tree(base, rank)
     oracle = DescentNavigation(tree(base, rank))
     for v in values:
-        assert t._path(v) == oracle.path(v), v
+        # the oracle builds every earlier child, so far values are checked
+        # against the size recurrence instead
+        want = _path_by_recurrence(base, rank, v) if v in far else oracle.path(v)
+        assert t._path(v) == want, v
+
+
+def _path_by_recurrence(base, rank, v):
+    """v's child-index path from minimal_interval_card alone: child i of a
+    node starts where child i - 1 ends."""
+    try:
+        if v < base or v >= base + minimal_interval_card(base, rank, v - base + 1):
+            return None
+    except SizeOverflow:
+        pass  # the interval extends past v
+    path = ()
+    while v != base:
+        child, i = base + 1, 0
+        while True:
+            try:
+                size = minimal_interval_card(child, rank - 1, v - child + 1)
+            except SizeOverflow:
+                break
+            if v < child + size:
+                break
+            child, i = child + size, i + 1
+        path, base, rank = path + (i,), child, rank - 1
+    return path
+
+
+def test_a_late_child_is_found_without_building_the_earlier_ones():
+    # 10^6 is child 205,376 of a rank-1 node; each earlier child used to be built
+    t = tree(3, 3)
+    start = time.perf_counter()
+    assert t._path(10 ** 6) == (1, 13, 205376)
+    assert time.perf_counter() - start < 0.5
+    assert t.child(1).child(13).child(205376).base == 10 ** 6
 
 
 # (base, rank, depth): tree(b, r) for b 3-5 and r 1-2, and its depth-1 view

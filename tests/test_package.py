@@ -39,7 +39,7 @@ EXPORTED = {
 NAMES = sorted(name for names in EXPORTED.values() for name in names.split())
 
 CORE = ["omegalarge", "omegalarge.budget", "omegalarge.cli", "omegalarge.formula",
-        "omegalarge.largeness", "omegalarge.sets"]
+        "omegalarge.largeness", "omegalarge.record", "omegalarge.sets"]
 
 PRELUDE = """
 import contextlib, io, json, sys
@@ -117,4 +117,23 @@ def test_unknown_names_raise_and_submodules_resolve():
     # the package never loaded the CLI itself, so it is no attribute until imported
     assert raised and not has_cli and same
     assert modules == ["omegalarge", "omegalarge.budget", "omegalarge.formula",
-                       "omegalarge.largeness", "omegalarge.sets"]
+                       "omegalarge.largeness", "omegalarge.record", "omegalarge.sets"]
+
+
+# modules that code generation at import pulls in: `dataclasses` and, through
+# it, `inspect`; the records need neither
+GENERATORS = ["dataclasses", "inspect"]
+
+
+def test_no_code_generator_is_loaded():
+    after_check, after_all = fresh(
+        "def generators():\n    return sorted(m for m in " + repr(GENERATORS) + " if m in sys.modules)\n"
+        "large_check()\nafter_check = generators()\n"
+        "import importlib, os, omegalarge\n"
+        "for name in os.listdir(omegalarge.__path__[0]):\n"
+        "    if name.endswith('.py') and name != '__init__.py':\n"
+        "        importlib.import_module('omegalarge.' + name[:-3])\n"
+        "assert 'omegalarge.ramsey' in sys.modules and 'omegalarge.record' in sys.modules\n"
+        "print(json.dumps([after_check, generators()]))"
+    )
+    assert after_check == [] and after_all == []

@@ -7,6 +7,8 @@ class's `repr` text is pinned, and so is the construction by keyword and
 from defaults that the package and its tests use.
 """
 
+import copy
+import pickle
 import random
 import re
 import sys
@@ -246,9 +248,22 @@ def test_private_state_stays_out_of_equality_and_repr():
     st = RtLikeStatement(2, 2, psi)
     assert st == RtLikeStatement(2, 2, parse("a < 3")) and "_bind_psi0" not in repr(st)
     for cls, args, name in ((ColoringTable, (S345, 2, 2, (0, 1, 0)), "_pos"),
-                            (RtLikeStatement, (2, 2, psi), "_bind_psi0")):
+                            (RtLikeStatement, (2, 2, psi), "_bind_psi0"),
+                            (Pi03Sentence, (parse("x < y"),), "_cache")):
         with pytest.raises(TypeError):
             cls(*args, **{name: None})
+
+
+def test_copies_and_pickles_rebuild_through_the_constructor():
+    for cls, fields, _ in FROZEN + RESULTS:
+        a = cls(*fields())
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(b) is cls and b == a and b is not a
+    # a sentence's compiled theta and memos are rebuilt, not copied
+    s = Pi03Sentence(parse("x < y or z < y"))
+    t = pickle.loads(pickle.dumps(s))
+    assert [t.holds_bounded(*q) for q in ((3, 3, 3), (3, 4, 3))] == [False, True]
+    assert t._cache is not s._cache and copy.copy(s)._cache is not s._cache
 
 
 def test_certificate_classes_stay_slotted():
