@@ -181,6 +181,9 @@ class _Token(Record):
     text: str
     pos: int
 
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        self.kind, self.text, self.pos = kind, text, pos
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []

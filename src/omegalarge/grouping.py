@@ -262,13 +262,14 @@ class GroupingWalk:
         """
         self.budget.tick()
         elems = self.z.elements
-        if len(blocks) + (1 if current else 0) + (len(elems) - i) < self.min_blocks:
+        left = len(elems) - i
+        if len(blocks) + (1 if current else 0) + left < self.min_blocks:
             return
         if current:
             least = self._least_block.get(current[0])
             if least is None:
                 least = self._least_open(current[0])
-            if len(current) + len(elems) - i < least:
+            if len(current) + left < least:
                 return
         closeable = None
         if fresh:

@@ -57,23 +57,30 @@ class Record:
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{type(self).__name__}() takes {len(fields)} fields, got {len(args)}")
+        if kwargs or len(args) != len(fields):
+            args = self._complete(args, kwargs)
         for name, value in zip(fields, args):
             _set(self, name, value)
-        if len(args) < len(fields) or kwargs:
-            defaults = self._defaults
-            for name in fields[len(args):]:
-                if name in kwargs:
-                    value = kwargs.pop(name)
-                elif name in defaults:
-                    value = defaults[name]
-                else:
-                    raise TypeError(f"{type(self).__name__}() missing field {name!r}")
-                _set(self, name, value)
-            if kwargs:
-                raise TypeError(f"{type(self).__name__}() got unexpected fields {sorted(kwargs)}")
         self.__post_init__()
+
+    def _complete(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value, from positional and keyword arguments and
+        the defaults."""
+        name = type(self).__name__
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in self._defaults:
+                values.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing field {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got unexpected fields {sorted(kwargs)}")
+        return values
 
     def __post_init__(self) -> None:
         """Checks and private state, after the fields are set."""
