@@ -56,6 +56,10 @@ class GroupingWitness(FrozenRecord):
     blocks: tuple[FinSet, ...]
     coloring: ColoringTable
 
+    def __init__(self, blocks: tuple[FinSet, ...], coloring: ColoringTable) -> None:
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "coloring", coloring)
+
     def to_json(self) -> str:
         return json.dumps({"blocks": [[str(v) for v in b] for b in self.blocks]})
 
@@ -144,11 +148,23 @@ def is_grouping(
 
 class SearchOutcome(Record):
     status: str  # found | absent | exhausted
-    witness: Optional[GroupingWitness] = None
-    subset: Optional[FinSet] = None
-    certificate: Optional[Certificate] = None
-    steps: int = 0
-    detail: str = ""
+    witness: Optional[GroupingWitness]
+    subset: Optional[FinSet]
+    certificate: Optional[Certificate]
+    steps: int
+    detail: str
+
+    def __init__(
+        self,
+        status: str,
+        witness: Optional[GroupingWitness] = None,
+        subset: Optional[FinSet] = None,
+        certificate: Optional[Certificate] = None,
+        steps: int = 0,
+        detail: str = "",
+    ) -> None:
+        self.status, self.witness, self.subset = status, witness, subset
+        self.certificate, self.steps, self.detail = certificate, steps, detail
 
 
 class ColoringMismatch(ValueError):
@@ -189,7 +205,10 @@ class GroupingWalk:
         self.minimal = minimal
         self.ceiling_hit = False
         self.min_blocks = _min_block_count(l0, l1, z)
-        self._least_block: dict[int, int] = {}  # open-block minimum -> l0's least size
+        # l0's least block size: one number for a cardinality bound, else
+        # by block minimum, as the walk meets them
+        self._fixed_least = l0.at_least if l0.kind == "card_at_least" else None
+        self._least_block: dict[int, int] = {}
 
     def witnesses(self):
         if self.min_blocks > len(self.z):
@@ -266,9 +285,9 @@ class GroupingWalk:
         if len(blocks) + (1 if current else 0) + left < self.min_blocks:
             return
         if current:
-            least = self._least_block.get(current[0])
+            least = self._fixed_least
             if least is None:
-                least = self._least_open(current[0])
+                least = self._least_block.get(current[0]) or self._least_open(current[0])
             if len(current) + left < least:
                 return
         closeable = None

@@ -1,7 +1,8 @@
 """The base of the package's value and result records.
 
-A record lists its fields as class annotations, in order, each with an
-optional class-level default.  A name that starts with an underscore is
+A record lists its fields as class annotations, in order; a field with a
+class-level default follows every field without one, and an instance
+built without it reads the default from the class.  A name that starts with an underscore is
 private state: it takes no part in construction, equality, hashing or
 repr, and the class sets it in `__post_init__`.
 
@@ -24,10 +25,6 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-# sets a field past a frozen record's guard, and keeps the instance's
-# attributes in their compact per-class layout
-_set = object.__setattr__
-
 
 def _values_getter(names: tuple[str, ...]):
     """The function from a record to the tuple of its field values."""
@@ -44,7 +41,8 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
+    _required = 0  # the leading fields, which have no default
+    _set_field = staticmethod(setattr)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -52,35 +50,34 @@ class Record:
         cls._fields = tuple(n for n in own.get("__annotations__", ()) if not n.startswith("_"))
         # a slotted record's fields are its slots' descriptors, never defaults
         slots = own.get("__slots__", ())
-        cls._defaults = {n: own[n] for n in cls._fields if n in own and n not in slots}
+        defaulted = [n in own and n not in slots for n in cls._fields]
+        cls._required = defaulted.index(True) if True in defaulted else len(defaulted)
+        if not all(defaulted[cls._required:]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
         cls._values = staticmethod(_values_getter(cls._fields))
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._complete(args, kwargs)
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} fields, got {len(args)}")
+        set_field = self._set_field
         for name, value in zip(fields, args):
-            _set(self, name, value)
+            set_field(self, name, value)
+        if kwargs or len(args) < self._required:
+            self._set_keywords(len(args), kwargs)
         self.__post_init__()
 
-    def _complete(self, args: tuple, kwargs: dict) -> list:
-        """Every field's value, from positional and keyword arguments and
-        the defaults."""
-        name = type(self).__name__
-        fields = self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
-        values = list(args)
-        for field in fields[len(args):]:
-            if field in kwargs:
-                values.append(kwargs.pop(field))
-            elif field in self._defaults:
-                values.append(self._defaults[field])
-            else:
-                raise TypeError(f"{name}() missing field {field!r}")
-        if kwargs:
-            raise TypeError(f"{name}() got unexpected fields {sorted(kwargs)}")
-        return values
+    def _set_keywords(self, given: int, kwargs: dict) -> None:
+        """Set the fields passed by keyword after `given` positional ones;
+        a field left out reads its default from the class."""
+        rest = self._fields[given:]
+        for name, value in kwargs.items():
+            if name not in rest:
+                raise TypeError(f"{type(self).__name__}() got an unexpected or repeated field {name!r}")
+            self._set_field(self, name, value)
+        for name in rest[:self._required - given]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__}() missing field {name!r}")
 
     def __post_init__(self) -> None:
         """Checks and private state, after the fields are set."""
@@ -107,6 +104,9 @@ class FrozenRecord(Record):
     """An immutable value record: field-wise equality and hash."""
 
     __slots__ = ()
+    # sets a field past the guard below, and keeps the instance's
+    # attributes in their compact per-class layout
+    _set_field = staticmethod(object.__setattr__)
 
     def __hash__(self) -> int:
         return hash(self._values(self))
