@@ -179,6 +179,13 @@ class ColoringTable(FrozenRecord):
     _pos: dict  # value -> domain position
     _row: tuple  # pair row offsets, for arity 2
 
+    def __init__(self, domain: FinSet, arity: int, colors: int, table: tuple[int, ...]) -> None:
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "table", table)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         if self.arity < 0:
             raise ValueError("arity must be non-negative")
