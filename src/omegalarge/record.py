@@ -1,10 +1,10 @@
 """The base of the package's value and result records.
 
 A record lists its fields as class annotations, in order; a field with a
-class-level default follows every field without one, and an instance
-built without it reads the default from the class.  A name that starts with an underscore is
-private state: it takes no part in construction, equality, hashing or
-repr, and the class sets it in `__post_init__`.
+class-level default follows every field without one, and an instance built
+without it reads the default from the class.  A name that starts with an
+underscore is private state: it takes no part in construction, equality,
+hashing or repr, and the class sets it in `__post_init__`.
 
 The base supplies, once and in source, what a record needs:
 
@@ -75,7 +75,7 @@ class Record:
             if name not in rest:
                 raise TypeError(f"{type(self).__name__}() got an unexpected or repeated field {name!r}")
             self._set_field(self, name, value)
-        for name in rest[:self._required - given]:
+        for name in self._fields[given:self._required]:
             if name not in kwargs:
                 raise TypeError(f"{type(self).__name__}() missing field {name!r}")
 

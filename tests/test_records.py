@@ -219,6 +219,11 @@ def test_keyword_construction_and_defaults():
     assert SearchOutcome("absent", steps=3) == SearchOutcome("absent", None, None, None, 3, "")
     report = LowerBoundReport("consistent", False, skipped=1, detail="view too large")
     assert (report.checked_subsets, report.sub_instances, report.witness) == (0, 0, None)
+    assert LowerBoundReport("consistent", False, 3, skipped=1) == LowerBoundReport("consistent", False, 3, 0, 1)
+    with pytest.raises(TypeError):
+        LowerBoundReport("consistent", checked_subsets=1)  # `complete` has no default
+    with pytest.raises(TypeError):
+        QuantStep("exists", "x", var="y")  # a field given twice
     with pytest.raises(TypeError):
         FinSet()
     with pytest.raises(TypeError):
@@ -251,7 +256,7 @@ def test_private_state_stays_out_of_equality_and_repr():
                             (RtLikeStatement, (2, 2, psi), "_bind_psi0"),
                             (Pi03Sentence, (parse("x < y"),), "_cache")):
         with pytest.raises(TypeError):
-            cls(*args, **{name: None})
+            cls(*args, **{name: {}})
 
 
 def test_copies_and_pickles_rebuild_through_the_constructor():
