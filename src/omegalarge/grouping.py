@@ -35,8 +35,15 @@ class LSpec(FrozenRecord):
     """A largeness requirement: either a LargenessSpec or a cardinality bound."""
 
     kind: str  # 'largeness' | 'card_at_least'
-    spec: Optional[LargenessSpec] = None
-    at_least: Optional[int] = None
+    spec: Optional[LargenessSpec]
+    at_least: Optional[int]
+
+    def __init__(
+        self, kind: str, spec: Optional[LargenessSpec] = None, at_least: Optional[int] = None
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "at_least", at_least)
 
     @classmethod
     def largeness(cls, spec: LargenessSpec) -> "LSpec":

@@ -30,8 +30,14 @@ class LargenessSpec(FrozenRecord):
     """Denotes largeness at omega^exponent * multiplier under `sentence`."""
 
     exponent: int
-    multiplier: int = 1
-    sentence: Pi03Sentence = TOP
+    multiplier: int
+    sentence: Pi03Sentence
+
+    def __init__(self, exponent: int, multiplier: int = 1, sentence: Pi03Sentence = TOP) -> None:
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "sentence", sentence)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.exponent < 0 or self.multiplier < 1:
@@ -85,6 +91,11 @@ class Certificate(FrozenRecord):
     exponent: int
     multiplier: int
     blocks: tuple[Block, ...]
+
+    def __init__(self, exponent: int, multiplier: int, blocks: tuple[Block, ...]) -> None:
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "blocks", blocks)
 
     def to_obj(self) -> dict:
         return {

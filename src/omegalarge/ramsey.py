@@ -288,10 +288,21 @@ class EmConstants(FrozenRecord):
 
 class EmResult(Record):
     status: str  # found | absent | exhausted
-    stage: str = ""
-    subset: Optional[FinSet] = None
-    certificate: Optional[Certificate] = None
-    blocks: tuple[FinSet, ...] = ()
+    stage: str
+    subset: Optional[FinSet]
+    certificate: Optional[Certificate]
+    blocks: tuple[FinSet, ...]
+
+    def __init__(
+        self,
+        status: str,
+        stage: str = "",
+        subset: Optional[FinSet] = None,
+        certificate: Optional[Certificate] = None,
+        blocks: tuple[FinSet, ...] = (),
+    ) -> None:
+        self.status, self.stage, self.subset = status, stage, subset
+        self.certificate, self.blocks = certificate, blocks
 
 
 def em_extract(

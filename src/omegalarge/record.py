@@ -16,9 +16,10 @@ The base supplies, once and in source, what a record needs:
   deletion that raise AttributeError.  A plain `Record` is a mutable
   result and is unhashable.
 
-No code is generated at import.  A class that searches build at every
-step writes its own straight-line `__init__`.  A slotted record names its
-fields in `__slots__` as well, and has no defaults.
+No code is generated at import.  The shared constructor costs about twice
+what a generated one did, so a class that searches build at every step,
+or once per search, writes its own straight-line `__init__`.  A slotted
+record names its fields in `__slots__` as well, and has no defaults.
 """
 
 from __future__ import annotations
