@@ -408,12 +408,20 @@ def formula_text(phi: Formula) -> str:
         return f"{term_text(phi.left)} {phi.op} {term_text(phi.right)}"
     if isinstance(phi, FIn):
         return f"{term_text(phi.term)} in A"
+    # a stack of `not`s and a left-nested `and` or `or` chain print in one
+    # loop, so the printer goes as deep as the parser does
     if isinstance(phi, FNot):
-        return f"not {_unary_text(phi.body)}"
-    if isinstance(phi, FAnd):
-        return f"{_and_text(phi.left)} and {_unary_text(phi.right)}"
-    if isinstance(phi, FOr):
-        return f"{_or_text(phi.left)} or {_and_text(phi.right)}"
+        count = 0
+        while isinstance(phi, FNot):
+            phi, count = phi.body, count + 1
+        return "not " * count + _unary_text(phi)
+    if isinstance(phi, (FAnd, FOr)):
+        kind, rights = type(phi), []
+        while isinstance(phi, kind):
+            rights.append(phi.right)
+            phi = phi.left
+        op, first, rest = (" and ", _and_text, _unary_text) if kind is FAnd else (" or ", _or_text, _and_text)
+        return op.join([first(phi), *map(rest, reversed(rights))])
     if isinstance(phi, FImp):
         return f"{_or_text(phi.left)} -> {formula_text(phi.right)}"
     if isinstance(phi, FQuant):
@@ -662,20 +670,30 @@ class Pi03Sentence(FrozenRecord):
     def holds_bounded(self, x_bound: int, y_bound: int, z_bound: int) -> bool:
         """forall x < x_bound exists y < y_bound forall z < z_bound theta.
 
-        Layered memoization keeps repeated block-apartness queries cheap.
+        Two memos in `_cache` answer repeated block-apartness queries; they
+        live as long as this sentence object.  `z_frontier` holds one entry
+        per (x, y), O(X·Y) in all: n >= 0 says theta holds for every z < n,
+        ~n < 0 says z = n is the first z where it fails.  A query past an
+        open frontier extends it, so theta runs at most once per (x, y, z).
+        `some_y` holds one answer per (x, y_bound, z_bound), O(X·Y·Z).
         """
         if self.is_top:
             return True
-        all_z = self._cache.setdefault("all_z", {})
+        z_frontier = self._cache.setdefault("z_frontier", {})
         some_y = self._cache.setdefault("some_y", {})
 
         def forall_z(x: int, y: int, c: int) -> bool:
-            key = (x, y, c)
-            hit = all_z.get(key)
-            if hit is None:
-                hit = all(self.theta_at(x, y, z) for z in range(c))
-                all_z[key] = hit
-            return hit
+            n = z_frontier.get((x, y), 0)
+            if n < 0:
+                return c <= ~n
+            if c <= n:
+                return True
+            for z in range(n, c):
+                if not self.theta_at(x, y, z):
+                    z_frontier[x, y] = ~z
+                    return False
+            z_frontier[x, y] = c
+            return True
 
         def exists_y(x: int, b: int, c: int) -> bool:
             key = (x, b, c)

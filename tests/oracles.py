@@ -92,15 +92,21 @@ class BruteForcePlain:
 # ---------------------------------------------------------------------------
 
 
-def _apart_literal(left: tuple[int, ...], right: tuple[int, ...], sentence) -> bool:
-    # forall v < max(left) exists w < min(right) forall u < max(right) theta
-    for v in range(left[-1]):
+def holds_bounded_literal(sentence, x_bound: int, y_bound: int, z_bound: int) -> bool:
+    """forall x < x_bound exists y < y_bound forall z < z_bound theta, by
+    the triple loop over `theta_at` with no memo."""
+    for x in range(x_bound):
         if not any(
-            all(sentence.theta_at(v, w, u) for u in range(right[-1]))
-            for w in range(right[0])
+            all(sentence.theta_at(x, y, z) for z in range(z_bound))
+            for y in range(y_bound)
         ):
             return False
     return True
+
+
+def _apart_literal(left: tuple[int, ...], right: tuple[int, ...], sentence) -> bool:
+    # forall v < max(left) exists w < min(right) forall u < max(right) theta
+    return holds_bounded_literal(sentence, left[-1], right[0], right[-1])
 
 
 def bf_large_t(values: tuple[int, ...], n: int, k: int, sentence) -> bool:

@@ -367,6 +367,22 @@ def test_formula_commands(capsys):
     assert code == 1 and "beyond the coded length" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        " or ".join(f"x + {i} = y" for i in range(600)),
+        " and ".join(f"x < {i}" for i in range(600)),
+        "not " * 600 + "x < y",
+    ],
+    ids=["or-600", "and-600", "not-600"],
+)
+def test_formula_parse_prints_long_chains(capsys, text):
+    # the printed text is compared, not the formula: equality of records
+    # nested this deep recurses past the interpreter's limit
+    code, out, _ = run(capsys, "formula", "parse", text, "--format", "json")
+    assert code == 0 and json.loads(out)["canonical"] == text
+
+
 def test_membership_beyond_length_is_false_and_reported(capsys):
     code, out, err = run(
         capsys, "formula", "eval", "exists i < 5 . i + 2 in A", "--param-A", "01", "--format", "json"

@@ -24,7 +24,7 @@ from omegalarge.formula import (
 )
 from omegalarge.sets import ColoringTable, FinSet, restrict_coloring
 
-from oracles import closure_compile_formula, naive_eval, random_formula
+from oracles import closure_compile_formula, holds_bounded_literal, naive_eval, random_formula
 
 
 def test_parse_examples():
@@ -243,6 +243,57 @@ def test_pi03_sentence_validation_and_bounded_check():
     assert t.holds_bounded(4, 9, 10)
     assert not Pi03Sentence(parse("y < x")).holds_bounded(4, 9, 10)
     assert TOP.holds_bounded(10 ** 9, 0, 10 ** 9)  # short-circuit
+
+
+_BOUND = st.integers(min_value=0, max_value=12)
+
+
+@given(
+    st.integers(min_value=0, max_value=2 ** 63),
+    st.integers(min_value=0, max_value=10),
+    st.lists(st.tuples(_BOUND, _BOUND, _BOUND), min_size=20, max_size=50),
+)
+@settings(max_examples=150, deadline=None)
+def test_holds_bounded_matches_the_literal_triple_loop(seed, size, queries):
+    # size 0 is TOP; A is at most 12 bits long, so reads at values up to
+    # 12 and beyond (through `a` and arithmetic) go past its coded length
+    rng = random.Random(seed)
+    if size == 0:
+        sentence = TOP
+    else:
+        bits = "".join(rng.choice("01") for _ in range(rng.randrange(0, 13)))
+        theta = random_formula(rng, ["x", "y", "z"], size)
+        sentence = Pi03Sentence(theta, rng.randrange(5), SecondOrderParam(bits))
+    # one sentence object answers every query, in hypothesis's order; TOP
+    # is no constraint at all, so it holds even where no y < 0 exists
+    for x_bound, y_bound, z_bound in queries:
+        want = sentence.is_top or holds_bounded_literal(sentence, x_bound, y_bound, z_bound)
+        assert sentence.holds_bounded(x_bound, y_bound, z_bound) == want, (
+            formula_text(sentence.theta), x_bound, y_bound, z_bound)
+
+
+def test_holds_bounded_evaluates_each_triple_at_most_once(monkeypatch):
+    sentence = Pi03Sentence(parse("z < x + y or z in A"), 0, SecondOrderParam("0110011101"))
+    calls = []
+    theta_at = Pi03Sentence.theta_at
+
+    def counted(self, x, y, z):
+        if self is sentence:
+            calls.append((x, y, z))
+        return theta_at(self, x, y, z)
+
+    monkeypatch.setattr(Pi03Sentence, "theta_at", counted)
+    rng = random.Random(13)
+    queries = [(rng.randrange(16), rng.randrange(16), rng.randrange(16)) for _ in range(300)]
+    answers = [sentence.holds_bounded(*q) for q in queries]
+    assert calls and len(calls) == len(set(calls))
+    first = len(calls)
+    # replaying the same sequence answers from the memos alone
+    assert [sentence.holds_bounded(*q) for q in queries] == answers
+    assert len(calls) == first
+    # and the answers are the literal ones, read on a fresh sentence object
+    fresh = Pi03Sentence(sentence.theta, 0, sentence.param_A)
+    assert answers == [holds_bounded_literal(fresh, *q) for q in queries]
 
 
 def test_sentence_json_roundtrip():
