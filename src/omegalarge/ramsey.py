@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Optional
 
 from .budget import Budget, BudgetExceeded, budget_or_unlimited
-from .formula import TOP, CeilingExceeded, Pi03Sentence, RtLikeStatement
+from .formula import HOMOGENEOUS, TOP, CeilingExceeded, Pi03Sentence, RtLikeStatement
 from .grouping import (
     ABSENT,
     EXHAUSTED,
@@ -63,6 +63,8 @@ class Mode(FrozenRecord):
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.kind!r}; use 'exact' or 'sampled'")
+        if self.trials < 0:
+            raise ValueError("trials must be >= 0")
 
 
 def _subsets(z: FinSet):
@@ -84,26 +86,34 @@ class _Exhaustive:
 
     clause_order = "bcda"  # the verdict does not depend on it: cheap clauses first
 
-    def colorings(self, z: FinSet, statement: RtLikeStatement):
-        """Checks the ceiling when called, like `_subsets`."""
-        slots, colors = comb(len(z), statement.arity), statement.colors
+    def counterexample(self, z: FinSet, statement: RtLikeStatement, good) -> Optional[ColoringTable]:
+        """The first coloring of z in table order under which no subset y with
+        good(y) is a solution, or None.  Meets the coloring ceiling, then the
+        subset ceiling, when called; walks the table's slots depth first."""
+        arity, colors, slots = statement.arity, statement.colors, comb(len(z), statement.arity)
         if colors ** slots > COLORING_CEILING:
             raise CeilingExceeded(f"coloring space {colors}^{slots} exceeds ceiling {COLORING_CEILING}")
-        return (ColoringTable(z, statement.arity, colors, t) for t in product(range(colors), repeat=slots))
+        subsets = _subsets(z)
+        last = {t: depth for depth, t in enumerate(combinations(z.elements, arity), 1)}
+        due = {}  # y is due at the depth that colors its lexicographically last tuple
+        for y in subsets:
+            due.setdefault(last.get(y.elements[len(y) - arity:], 0), []).append(y)
+        prefixes = [()]  # popped in lexicographic order
+        while prefixes:
+            prefix = prefixes.pop()
+            f = ColoringTable(z, arity, colors, prefix + (0,) * (slots - len(prefix)))
+            if any(statement.solution_ok(f, y) and good(y) for y in due.get(len(prefix), ())):
+                continue  # solution_ok reads f only on y's tuples, so every completion admits y
+            if len(prefix) == slots:
+                return f
+            prefixes.extend(prefix + (c,) for c in reversed(range(colors)))
+        return None
 
     def partitions(self, z: FinSet):
         """Interval partitions into at most min-many parts."""
         for parts in range(1, min(z.minimum, len(z)) + 1):
             for cuts in combinations(range(1, len(z)), parts - 1):
                 yield _pieces(z, cuts)
-
-    def point_colorings(self, z: FinSet):
-        """Colorings of the points by fewer than min colors."""
-        count = z.minimum ** len(z)
-        if count > COLORING_CEILING:
-            raise CeilingExceeded(f"point-coloring space {count} exceeds ceiling")
-        for values in product(range(z.minimum), repeat=len(z)):
-            yield dict(zip(z.elements, values))
 
 
 class _Sampled(Record):
@@ -113,20 +123,17 @@ class _Sampled(Record):
     trials: int
     clause_order = "abcd"  # the draws come in the order they were pinned in
 
-    def colorings(self, z: FinSet, statement: RtLikeStatement):
-        slots = comb(len(z), statement.arity)
+    def counterexample(self, z: FinSet, statement: RtLikeStatement, good) -> Optional[ColoringTable]:
         for _ in range(self.trials):
-            table = tuple(self.rng.randrange(statement.colors) for _ in range(slots))
-            yield ColoringTable(z, statement.arity, statement.colors, table)
+            f = ColoringTable.random(z, statement.arity, statement.colors, self.rng)
+            if not any(statement.solution_ok(f, y) and good(y) for y in _subsets(z)):
+                return f
+        return None
 
     def partitions(self, z: FinSet):
         for _ in range(self.trials):
             parts = self.rng.randrange(1, min(z.minimum, len(z)) + 1)
             yield _pieces(z, sorted(self.rng.sample(range(1, len(z)), parts - 1)))
-
-    def point_colorings(self, z: FinSet):
-        for _ in range(self.trials):
-            yield {v: self.rng.randrange(z.minimum) for v in z.elements}
 
 
 _EXHAUSTIVE = _Exhaustive()
@@ -160,12 +167,10 @@ def is_large_gamma(
     reads inconclusive.
     """
     spec = LargenessSpec(r, s, sentence)
-    # both ceilings are met before the first largeness check
-    subsets, colorings = _subsets(z), _source(mode).colorings(z, statement)
-    large_subsets = [y for y in subsets if check_large(y, spec)]
-    for f in colorings:
-        if not any(statement.solution_ok(f, y) for y in large_subsets):
-            return Verdict(FALSE, f"counterexample coloring {list(f.table)}")
+    _subsets(z)  # the subset ceiling is met before the coloring ceiling
+    f = _source(mode).counterexample(z, statement, functools.cache(lambda y: check_large(y, spec) is not None))
+    if f is not None:
+        return Verdict(FALSE, f"counterexample coloring {list(f.table)}")
     if mode.kind == "exact":
         return Verdict(TRUE, "exhaustive over the coloring space")
     return Verdict(INCONCLUSIVE, f"{mode.trials} sampled colorings all admit solutions")
@@ -175,25 +180,21 @@ def _dense0(y: FinSet, sentence: Pi03Sentence) -> bool:
     return check_large(y, LargenessSpec(1, 1, sentence)) is not None
 
 
-def _failed_clause(y: FinSet, m: int, sentence, statement, source, dense) -> Optional[str]:
-    """The first density clause, in `source.clause_order`, that y fails at
-    level m >= 1 against the challenges of `source`, or None;
-    `dense(sub, m - 1)` decides the level below."""
-
-    def dense_subset(ok) -> bool:
-        return any(ok(sub) and dense(sub, m - 1) for sub in _subsets(y))
-
+def _failed_clause(y: FinSet, sentence, statement, source, below) -> Optional[str]:
+    """The first density clause, in `source.clause_order`, that y fails
+    against the challenges of `source`, or None; `below(sub)` decides
+    density of a subset one level down."""
     refuted = {
         # (a) one statement application
-        "a": lambda: any(not dense_subset(lambda sub: statement.solution_ok(f, sub))
-                         for f in source.colorings(y, statement)),
+        "a": lambda: source.counterexample(y, statement, below) is not None,
         # (b) interval partitions with at most min-many parts
-        "b": lambda: any(not any(dense(p, m - 1) for p in pieces) for pieces in source.partitions(y)),
-        # (c) colorings of points by fewer than min colors
-        "c": lambda: any(not dense_subset(lambda sub: len({col[v] for v in sub}) == 1)
-                         for col in source.point_colorings(y)),
+        "b": lambda: any(not any(below(p) for p in pieces) for pieces in source.partitions(y)),
+        # (c) colorings of the points by the min(y) values below min(y); none if min(y) = 0
+        "c": lambda: y.minimum > 0 and source.counterexample(
+            y, RtLikeStatement(1, y.minimum, HOMOGENEOUS), below) is not None,
         # (d) a bounding step for the sentence
-        "d": lambda: not dense_subset(lambda sub: sentence.holds_bounded(y.minimum, sub.minimum, sub.maximum)),
+        "d": lambda: not any(sentence.holds_bounded(y.minimum, sub.minimum, sub.maximum) and below(sub)
+                             for sub in _subsets(y)),
     }
     return next((clause for clause in source.clause_order if refuted[clause]()), None)
 
@@ -220,31 +221,30 @@ def is_n_dense(
     each question one level down of a fresh sampled call, and can only
     refute or stay inconclusive.  A ceiling reads inconclusive.
     """
+    if m < 0:
+        raise ValueError("density level must be >= 0")
     source = _source(mode)
     if mode.kind == "exact":
         if m > 2:
             raise CeilingExceeded("exact density is capped at level 2")
-        memo: dict[tuple[tuple[int, ...], int], bool] = {}
 
+        @functools.cache
         def dense(y: FinSet, level: int) -> bool:
-            key = (y.elements, level)
-            if key not in memo:
-                memo[key] = bool(y.elements) and (
-                    _dense0(y, sentence) if level == 0
-                    else _failed_clause(y, level, sentence, statement, source, dense) is None
-                )
-            return memo[key]
+            return bool(y.elements) and (
+                _dense0(y, sentence) if level == 0
+                else _failed_clause(y, sentence, statement, source, lambda sub: dense(sub, level - 1)) is None
+            )
 
         return Verdict(TRUE if dense(z, m) else FALSE, "exhaustive density recursion")
 
     if m == 0:
         return Verdict(TRUE if _dense0(z, sentence) else FALSE, "level 0 is a largeness check")
 
-    def sampled_dense(y: FinSet, level: int) -> bool:
+    def sampled_below(y: FinSet) -> bool:
         draw = Mode("sampled", source.rng.randrange(2 ** 30), max(1, mode.trials // 4))
-        return is_n_dense(y, level, sentence, statement, draw).value != FALSE
+        return is_n_dense(y, m - 1, sentence, statement, draw).value != FALSE
 
-    clause = _failed_clause(z, m, sentence, statement, source, sampled_dense)
+    clause = _failed_clause(z, sentence, statement, source, sampled_below)
     if clause is not None:
         return Verdict(FALSE, _SAMPLED_REFUTATIONS[clause])
     return Verdict(INCONCLUSIVE, f"{mode.trials} trials per item found no counterexample")

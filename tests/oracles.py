@@ -6,16 +6,21 @@ decompositions over all subsets, formulas by ground substitution.  The
 exceptions are replaced code kept as the reference for what replaced it:
 the recursive grouping walk, the recursive include-first subset search,
 the blockfree view's own copy of the separation test, the per-triple
-export table and the closure compiler for formulas.
+export table, the closure compiler for formulas, and Γ-largeness and
+density clauses (a) and (c) over every coloring in `product` order.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 from omegalarge import formula as fm
-from omegalarge.largeness import SizeOverflow
+from omegalarge import ramsey
+from omegalarge.largeness import LargenessSpec, SizeOverflow, check_large
+from omegalarge.ramsey import FALSE, INCONCLUSIVE, TRUE, Verdict
+from omegalarge.sets import ColoringTable
 
 # ---------------------------------------------------------------------------
 # Plain largeness by exhaustive decomposition enumeration (bitmask form)
@@ -659,6 +664,125 @@ def closure_compile_formula(phi, variables, a: int, member):
         return fn(env)
 
     return call
+
+
+# ---------------------------------------------------------------------------
+# Coloring challenges by enumeration: `is_large_gamma` and density clauses
+# (a) and (c) as they were before one pruned counterexample walk replaced
+# their three loops
+# ---------------------------------------------------------------------------
+
+
+class ProductChallenges:
+    """Every statement coloring and every point coloring of z, in `product`
+    order, within the coloring ceiling; partitions as in `ramsey`."""
+
+    clause_order = ramsey._Exhaustive.clause_order
+    partitions = ramsey._Exhaustive.partitions
+
+    def colorings(self, z, statement):
+        slots, colors = comb(len(z), statement.arity), statement.colors
+        if colors ** slots > ramsey.COLORING_CEILING:
+            raise fm.CeilingExceeded(f"coloring space {colors}^{slots} exceeds ceiling {ramsey.COLORING_CEILING}")
+        return (ColoringTable(z, statement.arity, colors, t) for t in product(range(colors), repeat=slots))
+
+    def point_colorings(self, z):
+        count = z.minimum ** len(z)
+        if count > ramsey.COLORING_CEILING:
+            raise fm.CeilingExceeded(f"point-coloring space {count} exceeds ceiling")
+        for values in product(range(z.minimum), repeat=len(z)):
+            yield dict(zip(z.elements, values))
+
+
+class DrawnChallenges:
+    """`trials` seeded draws of each kind of challenge, in the order
+    `ramsey` draws them."""
+
+    clause_order = ramsey._Sampled.clause_order
+    partitions = ramsey._Sampled.partitions
+
+    def __init__(self, seed: int, trials: int):
+        self.rng, self.trials = random.Random(seed), trials
+
+    def colorings(self, z, statement):
+        slots = comb(len(z), statement.arity)
+        for _ in range(self.trials):
+            table = tuple(self.rng.randrange(statement.colors) for _ in range(slots))
+            yield ColoringTable(z, statement.arity, statement.colors, table)
+
+    def point_colorings(self, z):
+        for _ in range(self.trials):
+            yield {v: self.rng.randrange(z.minimum) for v in z.elements}
+
+
+def _challenges(mode):
+    return ProductChallenges() if mode.kind == "exact" else DrawnChallenges(mode.seed, mode.trials)
+
+
+@ramsey._ceilings_inconclusive
+def product_is_large_gamma(z, r, s, sentence, statement, mode):
+    """`ramsey.is_large_gamma`: the large subsets, then each coloring."""
+    spec = LargenessSpec(r, s, sentence)
+    subsets, colorings = ramsey._subsets(z), _challenges(mode).colorings(z, statement)
+    large_subsets = [y for y in subsets if check_large(y, spec)]
+    for f in colorings:
+        if not any(statement.solution_ok(f, y) for y in large_subsets):
+            return Verdict(FALSE, f"counterexample coloring {list(f.table)}")
+    if mode.kind == "exact":
+        return Verdict(TRUE, "exhaustive over the coloring space")
+    return Verdict(INCONCLUSIVE, f"{mode.trials} sampled colorings all admit solutions")
+
+
+def product_failed_clause(y, m, sentence, statement, source, dense):
+    """`ramsey._failed_clause`, with clauses (a) and (c) over the colorings
+    of `source`."""
+
+    def dense_subset(ok) -> bool:
+        return any(ok(sub) and dense(sub, m - 1) for sub in ramsey._subsets(y))
+
+    refuted = {
+        "a": lambda: any(not dense_subset(lambda sub: statement.solution_ok(f, sub))
+                         for f in source.colorings(y, statement)),
+        "b": lambda: any(not any(dense(p, m - 1) for p in pieces) for pieces in source.partitions(y)),
+        "c": lambda: any(not dense_subset(lambda sub: len({col[v] for v in sub}) == 1)
+                         for col in source.point_colorings(y)),
+        "d": lambda: not dense_subset(lambda sub: sentence.holds_bounded(y.minimum, sub.minimum, sub.maximum)),
+    }
+    return next((clause for clause in source.clause_order if refuted[clause]()), None)
+
+
+@ramsey._ceilings_inconclusive
+def product_is_n_dense(z, m, sentence, statement, mode):
+    """`ramsey.is_n_dense` over `product_failed_clause`, recursing into
+    itself in sampled mode."""
+    source = _challenges(mode)
+    if mode.kind == "exact":
+        if m > 2:
+            raise fm.CeilingExceeded("exact density is capped at level 2")
+        memo = {}
+
+        def dense(y, level):
+            key = (y.elements, level)
+            if key not in memo:
+                memo[key] = bool(y.elements) and (
+                    ramsey._dense0(y, sentence) if level == 0
+                    else product_failed_clause(y, level, sentence, statement, source, dense) is None
+                )
+            return memo[key]
+
+        return Verdict(TRUE if dense(z, m) else FALSE, "exhaustive density recursion")
+
+    if m == 0:
+        return Verdict(TRUE if ramsey._dense0(z, sentence) else FALSE, "level 0 is a largeness check")
+
+    def sampled_dense(y, level):
+        draw = ramsey.Mode("sampled", source.rng.randrange(2 ** 30), max(1, mode.trials // 4))
+        return product_is_n_dense(y, level, sentence, statement, draw).value != FALSE
+
+    clause = product_failed_clause(z, m, sentence, statement, source, sampled_dense)
+    if clause is not None:
+        return Verdict(FALSE, ramsey._SAMPLED_REFUTATIONS[clause])
+    return Verdict(INCONCLUSIVE, f"{mode.trials} trials per item found no counterexample")
 
 
 # ---------------------------------------------------------------------------

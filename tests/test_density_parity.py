@@ -117,12 +117,12 @@ def test_a_cheap_clause_refutes_the_set_the_colorings_cannot(name, pinned):
     z = FinSet(tuple(range(3, 10)))
     assert pinned[name][0][126] == "f" and GROUP_SETS[name][126] == z
     with pytest.raises(CeilingExceeded):
-        _EXHAUSTIVE.colorings(z, statement)
+        _EXHAUSTIVE.counterexample(z, statement, lambda y: True)
 
-    def dense(y, m):
-        return is_n_dense(y, m, sentence, statement).value == "true"
+    def below(y):
+        return is_n_dense(y, level - 1, sentence, statement).value == "true"
 
-    assert _failed_clause(z, level, sentence, statement, _EXHAUSTIVE, dense) == "b"
+    assert _failed_clause(z, sentence, statement, _EXHAUSTIVE, below) == "b"
     assert is_n_dense(z, level, sentence, statement).value == "false"
 
 

@@ -1,12 +1,17 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegalarge import ramsey
 from omegalarge.budget import Budget
 from omegalarge.formula import (
+    BUILTIN_PSI0,
     HOMOGENEOUS,
+    PAIR_PSI0,
     TOP,
     Pi03Sentence,
     RtLikeStatement,
@@ -31,7 +36,13 @@ from omegalarge.ramsey import (
 )
 from omegalarge.sets import ColoringTable, FinSet
 
-from oracles import BruteForcePlain
+from oracles import (
+    BruteForcePlain,
+    ProductChallenges,
+    product_is_large_gamma,
+    product_is_n_dense,
+    random_formula,
+)
 
 RT1_2 = RtLikeStatement(1, 2, HOMOGENEOUS)
 PSI_TRUE = RtLikeStatement(1, 1, "true")
@@ -83,6 +94,12 @@ def test_mode_kind_is_checked():
     with pytest.raises(ValueError, match="exhaustive"):
         Mode("exhaustive")
     assert Mode().kind == "exact" and Mode("sampled").kind == "sampled"
+
+
+def test_mode_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        Mode("sampled", trials=-3)
+    assert Mode("sampled", trials=0).trials == 0
 
 
 def test_exact_gamma_meets_its_ceilings_before_any_largeness_check(monkeypatch):
@@ -170,6 +187,60 @@ def test_density_ceiling_reports_inconclusive():
 def test_density_sampled_mode():
     out = is_n_dense(tiny(3, 4, 5, 6), 1, TOP, PSI_TRUE, Mode("sampled", seed=9, trials=6))
     assert out.value in ("inconclusive", "false")
+
+
+def test_density_rejects_a_negative_level_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ramsey, "_source", lambda mode: calls.append(mode))
+    for mode in (Mode(), Mode("sampled")):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            is_n_dense(tiny(3, 4, 5), -1, TOP, RT1_2, mode)
+    assert calls == []
+
+
+# the two sentences `tests/test_density_parity.py` pins
+SENTENCES = (TOP, Pi03Sentence(parse("x < y or z < y")))
+
+
+@st.composite
+def coloring_challenges(draw):
+    """A set of at most 5 points from [3,9], a pinned sentence, and a
+    statement of arity 1-2 with 1-3 colors and a builtin psi0, or two colors
+    and a random formula psi0."""
+    psi0 = draw(st.sampled_from(BUILTIN_PSI0 + ("formula",)))
+    arity = 2 if psi0 in PAIR_PSI0 else draw(st.integers(1, 2))
+    colors = 2 if psi0 == "formula" else draw(st.integers(1, 3))
+    # the product loops took 2-18 s over the 3^10 pair colorings of 5
+    # points, and a formula psi0 is read on every subset of a solution, so
+    # 5 points come with at most 2^10 colorings, or 2^5 under a formula
+    most = 5 if colors ** comb(5, arity) <= (2 ** 5 if psi0 == "formula" else 2 ** 10) else 4
+    if psi0 == "formula":
+        psi0 = random_formula(random.Random(draw(st.integers(0, 2 ** 16))), [], draw(st.integers(1, 5)))
+    points = draw(st.lists(st.integers(3, 9), min_size=1, max_size=most, unique=True))
+    return FinSet(tuple(sorted(points))), draw(st.sampled_from(SENTENCES)), RtLikeStatement(arity, colors, psi0)
+
+
+@given(coloring_challenges(), st.integers(0, 1), st.integers(0, 2 ** 16), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_the_counterexample_walk_answers_as_the_product_loops(case, level, seed, trials):
+    z, sentence, statement = case
+    # equal reasons: an exact false names the same least coloring, and a
+    # sampled run makes the same draws in the same order
+    for mode in (Mode(), Mode("sampled", seed, trials)):
+        want = product_is_large_gamma(z, level, 1, sentence, statement, mode)
+        assert is_large_gamma(z, level, 1, sentence, statement, mode) == want
+        want = product_is_n_dense(z, level, sentence, statement, mode)
+        assert is_n_dense(z, level, sentence, statement, mode) == want
+
+    def dense0(y):
+        return ramsey._dense0(y, sentence)
+
+    # exact density meets clause (b) first, which refutes most of these
+    # sets, so ask for the least counterexample of clauses (a) and (c) alone
+    for challenge in (statement, RtLikeStatement(1, z.minimum, HOMOGENEOUS)):
+        want = next((f for f in ProductChallenges().colorings(z, challenge)
+                     if not any(challenge.solution_ok(f, y) and dense0(y) for y in ramsey._subsets(z))), None)
+        assert ramsey._EXHAUSTIVE.counterexample(z, challenge, dense0) == want
 
 
 # -- transitive extraction ------------------------------------------------------
