@@ -86,23 +86,26 @@ class _Exhaustive:
 
     clause_order = "bcda"  # the verdict does not depend on it: cheap clauses first
 
-    def counterexample(self, z: FinSet, statement: RtLikeStatement, good) -> Optional[ColoringTable]:
-        """The first coloring of z in table order under which no subset y with
-        good(y) is a solution, or None.  Meets the coloring ceiling, then the
-        subset ceiling, when called; walks the table's slots depth first."""
+    def counterexample(self, z: FinSet, statement: RtLikeStatement, candidates, good) -> Optional[ColoringTable]:
+        """The first coloring of z in table order under which no y in candidates()
+        (subsets, largest first) with good(y) is a solution, or None.  Meets
+        the coloring ceiling, then calls candidates(); walks slots depth first."""
         arity, colors, slots = statement.arity, statement.colors, comb(len(z), statement.arity)
         if colors ** slots > COLORING_CEILING:
             raise CeilingExceeded(f"coloring space {colors}^{slots} exceeds ceiling {COLORING_CEILING}")
-        subsets = _subsets(z)
         last = {t: depth for depth, t in enumerate(combinations(z.elements, arity), 1)}
         due = {}  # y is due at the depth that colors its lexicographically last tuple
-        for y in subsets:
+        for y in candidates():
+            if not due:  # a loop over all colorings asks this first; solution_ok's ceiling reads |y| only
+                statement.solution_ok(ColoringTable(z, arity, colors, (0,) * slots), y)
             due.setdefault(last.get(y.elements[len(y) - arity:], 0), []).append(y)
+        not_good = set()  # good is deterministic, so a y found not good is not tried again
         prefixes = [()]  # popped in lexicographic order
         while prefixes:
             prefix = prefixes.pop()
             f = ColoringTable(z, arity, colors, prefix + (0,) * (slots - len(prefix)))
-            if any(statement.solution_ok(f, y) and good(y) for y in due.get(len(prefix), ())):
+            if any(y not in not_good and statement.solution_ok(f, y) and (good(y) or not_good.add(y))
+                   for y in due.get(len(prefix), ())):  # add returns None: not admitted
                 continue  # solution_ok reads f only on y's tuples, so every completion admits y
             if len(prefix) == slots:
                 return f
@@ -123,10 +126,10 @@ class _Sampled(Record):
     trials: int
     clause_order = "abcd"  # the draws come in the order they were pinned in
 
-    def counterexample(self, z: FinSet, statement: RtLikeStatement, good) -> Optional[ColoringTable]:
+    def counterexample(self, z: FinSet, statement: RtLikeStatement, candidates, good) -> Optional[ColoringTable]:
         for _ in range(self.trials):
             f = ColoringTable.random(z, statement.arity, statement.colors, self.rng)
-            if not any(statement.solution_ok(f, y) and good(y) for y in _subsets(z)):
+            if not any(statement.solution_ok(f, y) and good(y) for y in candidates()):
                 return f
         return None
 
@@ -167,8 +170,9 @@ def is_large_gamma(
     reads inconclusive.
     """
     spec = LargenessSpec(r, s, sentence)
-    _subsets(z)  # the subset ceiling is met before the coloring ceiling
-    f = _source(mode).counterexample(z, statement, functools.cache(lambda y: check_large(y, spec) is not None))
+    subsets = _subsets(z)  # the subset ceiling, then the coloring ceiling, then the largeness checks
+    large = functools.cache(lambda: [y for y in subsets if check_large(y, spec)])
+    f = _source(mode).counterexample(z, statement, large, lambda y: True)
     if f is not None:
         return Verdict(FALSE, f"counterexample coloring {list(f.table)}")
     if mode.kind == "exact":
@@ -186,12 +190,12 @@ def _failed_clause(y: FinSet, sentence, statement, source, below) -> Optional[st
     density of a subset one level down."""
     refuted = {
         # (a) one statement application
-        "a": lambda: source.counterexample(y, statement, below) is not None,
+        "a": lambda: source.counterexample(y, statement, lambda: _subsets(y), below) is not None,
         # (b) interval partitions with at most min-many parts
         "b": lambda: any(not any(below(p) for p in pieces) for pieces in source.partitions(y)),
         # (c) colorings of the points by the min(y) values below min(y); none if min(y) = 0
         "c": lambda: y.minimum > 0 and source.counterexample(
-            y, RtLikeStatement(1, y.minimum, HOMOGENEOUS), below) is not None,
+            y, RtLikeStatement(1, y.minimum, HOMOGENEOUS), lambda: _subsets(y), below) is not None,
         # (d) a bounding step for the sentence
         "d": lambda: not any(sentence.holds_bounded(y.minimum, sub.minimum, sub.maximum) and below(sub)
                              for sub in _subsets(y)),
@@ -449,12 +453,8 @@ def ads_q_coloring(
             raise QTotalityError(
                 f"pair ({v}, {w}) is long at exponent {n}; no case applies"
             )
-        extra = (
-            1
-            if interval_long(x, f, sentence, v, w, i, best, succ=True, successor=successor, budget=budget)
-            else 0
-        )
-        return 4 * best + 2 * i + extra
+        extra = interval_long(x, f, sentence, v, w, i, best, succ=True, successor=successor, budget=budget)
+        return 4 * best + 2 * i + int(extra)
 
     return ColoringTable.from_function(x, 2, 4 * n, q)
 

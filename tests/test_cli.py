@@ -244,6 +244,27 @@ def test_exact_density_refutes_by_a_cheap_clause_before_the_psi0_ceiling(capsys)
 
 
 @pytest.mark.parametrize(
+    "psi0, r, mode, code, reason",
+    [
+        # no subset of [3,19] is omega^2-large, so psi0 is never read and
+        # every coloring is a counterexample; exact mode names the first
+        ("a < 2", "2", "exact", 1, "counterexample coloring ["),
+        ("a < 2", "2", "sampled", 1, "counterexample coloring ["),
+        # [3,19] itself is omega-large, and the first coloring is tried on
+        # the largest large subset first, before any smaller solution
+        ("not 4 < 0", "1", "exact", 2, "subset enumeration over 17 elements exceeds ceiling"),
+    ],
+)
+def test_gamma_large_reads_psi0_only_on_large_subsets(psi0, r, mode, code, reason, capsys):
+    argv = ["large", "--interval", "3:19", "--arity", "1", "--psi0", psi0, "--r", r, "--mode", mode]
+    got, out, _ = run(capsys, "gamma", *argv, "--format", "json")
+    obj = json.loads(out)
+    assert got == code and obj["reason"].startswith(reason)
+    if mode == "exact" and code == 1:
+        assert obj["reason"] == f"counterexample coloring {[0] * 17}"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["--psi0", "x<1", "--r", "0"], "free variables"),

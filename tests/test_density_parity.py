@@ -117,7 +117,7 @@ def test_a_cheap_clause_refutes_the_set_the_colorings_cannot(name, pinned):
     z = FinSet(tuple(range(3, 10)))
     assert pinned[name][0][126] == "f" and GROUP_SETS[name][126] == z
     with pytest.raises(CeilingExceeded):
-        _EXHAUSTIVE.counterexample(z, statement, lambda y: True)
+        _EXHAUSTIVE.counterexample(z, statement, lambda: [z], lambda y: True)
 
     def below(y):
         return is_n_dense(y, level - 1, sentence, statement).value == "true"

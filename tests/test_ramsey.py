@@ -240,7 +240,7 @@ def test_the_counterexample_walk_answers_as_the_product_loops(case, level, seed,
     for challenge in (statement, RtLikeStatement(1, z.minimum, HOMOGENEOUS)):
         want = next((f for f in ProductChallenges().colorings(z, challenge)
                      if not any(challenge.solution_ok(f, y) and dense0(y) for y in ramsey._subsets(z))), None)
-        assert ramsey._EXHAUSTIVE.counterexample(z, challenge, dense0) == want
+        assert ramsey._EXHAUSTIVE.counterexample(z, challenge, lambda: ramsey._subsets(z), dense0) == want
 
 
 # -- transitive extraction ------------------------------------------------------
