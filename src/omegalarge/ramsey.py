@@ -105,7 +105,7 @@ class _Exhaustive:
             prefix = prefixes.pop()
             f = ColoringTable(z, arity, colors, prefix + (0,) * (slots - len(prefix)))
             if any(y not in not_good and statement.solution_ok(f, y) and (good(y) or not_good.add(y))
-                   for y in due.get(len(prefix), ())):  # add returns None: not admitted
+                   for y in due.get(len(prefix), ())):  # set.add returns None: recorded, not admitted
                 continue  # solution_ok reads f only on y's tuples, so every completion admits y
             if len(prefix) == slots:
                 return f
@@ -453,8 +453,12 @@ def ads_q_coloring(
             raise QTotalityError(
                 f"pair ({v}, {w}) is long at exponent {n}; no case applies"
             )
-        extra = interval_long(x, f, sentence, v, w, i, best, succ=True, successor=successor, budget=budget)
-        return 4 * best + 2 * i + int(extra)
+        extra = (
+            1
+            if interval_long(x, f, sentence, v, w, i, best, succ=True, successor=successor, budget=budget)
+            else 0
+        )
+        return 4 * best + 2 * i + extra
 
     return ColoringTable.from_function(x, 2, 4 * n, q)
 
