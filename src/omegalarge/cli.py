@@ -209,10 +209,7 @@ def cmd_large_check(args) -> Outcome:
 
 
 def cmd_large_minimal(args) -> Outcome:
-    try:
-        out = minimal_large_interval(args.x, args.n, budget=args.budget)
-    except SizeOverflow as err:
-        return Outcome(2, {"result": "overflow", "reason": str(err)}, f"overflow: {err}")
+    out = minimal_large_interval(args.x, args.n, budget=args.budget)
     payload = {"elements": [str(v) for v in out], "cardinality": len(out), "max": str(out.maximum)}
     if args.out:
         write_text(args.out, out.to_lines())
@@ -387,10 +384,7 @@ def cmd_lowerbound_tree(args) -> Outcome:
 
     t = tree(args.base, args.rank)
     cap = args.budget
-    try:
-        card, top = t.cardinality(cap), t.max_value(cap)
-    except SizeOverflow as err:
-        return Outcome(2, {"result": "overflow", "reason": str(err)}, f"overflow: {err}")
+    card, top = t.cardinality(cap), t.max_value(cap)
     payload = {"base": str(args.base), "rank": args.rank, "cardinality": str(card), "max": str(top)}
     human = f"tree base={args.base} rank={args.rank} cardinality={card} max={top}"
     if args.materialize:
@@ -427,10 +421,7 @@ def cmd_lowerbound_verify(args) -> Outcome:
     base = args.base
     rank = 2 * args.n - 1
     t = tree(base, rank)
-    try:
-        report = verify_lower_bound(t, mode=args.mode, budget=make_budget(args))
-    except SizeOverflow as err:
-        return Outcome(2, {"result": "overflow", "reason": str(err)}, str(err))
+    report = verify_lower_bound(t, mode=args.mode, budget=make_budget(args))
     payload = {
         "status": report.status,
         "complete": report.complete,
@@ -772,7 +763,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as err:
         outcome = Outcome(2, {"result": "exhausted", "reason": str(err)}, str(err))
     except SizeOverflow as err:
-        outcome = Outcome(2, {"result": "overflow", "reason": str(err)}, str(err))
+        outcome = Outcome(2, {"result": "overflow", "reason": str(err)}, f"overflow: {err}")
     except Exception as err:  # a fault of the program must never read as "false"
         traceback.print_exc()
         reason = f"{type(err).__name__}: {err}"

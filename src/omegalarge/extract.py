@@ -317,13 +317,10 @@ def fuse(
         assert isinstance(node, Node)
         children = []
         for z in node.children:
-            sub_vals, sub_block = w_assemble(z, bb - 1)
+            _, sub_block = w_assemble(z, bb - 1)
             pos = offsets[z.lo] + len(family[z.lo]) - 1
-            assert tuple(vals[pos: pos + len(sub_vals)]) == sub_vals
             children.append(Block(pos + sub_block.lo, pos + sub_block.hi, shift_cert(sub_block.cert, pos)))
-        head = vals[0]
-        assert len(children) == head
-        return tuple(vals), Block(0, len(vals), Node(head, tuple(children)))
+        return tuple(vals), Block(0, len(vals), Node(vals[0], tuple(children)))
 
     # widened to the whole family, so later members past the maxima
     # certificate's block still belong to the fused set

@@ -233,15 +233,6 @@ class GroupingWalk:
             else:
                 stack.append(self._node(*item))
 
-    def _closeable(self, blocks, current) -> bool:
-        cur = FinSet(current)
-        if not self.l0.holds(cur):
-            return False
-        if blocks:
-            if not t_apart(FinSet(blocks[-1]), cur, self.sentence):
-                return False
-        return True
-
     def _hit(self, blocks) -> Optional[GroupingWitness]:
         if not blocks or len(blocks) < self.min_blocks:
             return None
@@ -278,6 +269,14 @@ class GroupingWalk:
     def _node(self, i, blocks, current, cur_cross, fresh):
         """One walk node: blocks are closed, current is the open block.
 
+        The open block y is apart from the last closed block x, so it may
+        close as soon as it satisfies l0.  Apartness of x < y is
+        holds_bounded(max x, min y, max y), and x stays the last closed
+        block while y is open.  The start of y asked holds_bounded(max x,
+        min y, min y), and each extension by v asked holds_bounded(max x,
+        min y, v); the last of these questions is the one for y as it
+        stands, and the walk only built y because the answer was yes.
+
         A node whose open block cannot reach l0's least size with the
         elements from position i on has no witness below it.  Every witness
         below closes the open block: a witness is tested where its last
@@ -297,38 +296,28 @@ class GroupingWalk:
                 least = self._least_block.get(current[0]) or self._least_open(current[0])
             if len(current) + left < least:
                 return
-        closeable = None
-        if fresh:
-            # a candidate family is tested once, right after it changed
-            candidate = blocks
-            if current:
-                closeable = self._closeable(blocks, current)
-                candidate = blocks + (current,) if closeable else None
-            if candidate is not None:
-                w = self._hit(candidate)
-                if w is not None:
-                    yield w
-        if i == len(elems):
+        # no block is open, or the open one satisfies l0 and so may close;
+        # l0 is asked only where a family is tested or a block may start
+        closeable = not current or ((fresh or left > 0) and self.l0.holds(FinSet(current)))
+        closed = blocks + (current,) if current and closeable else blocks
+        # a candidate family is tested once, right after it changed
+        if fresh and closeable:
+            w = self._hit(closed)
+            if w is not None:
+                yield w
+        if left == 0:
             return
         v = elems[i]
         # start a new block with v (closing the open one first); starting
         # before extending finds small witnesses without walking long spines
-        base, ok = blocks, True
-        if current:
-            if closeable is None:
-                closeable = self._closeable(blocks, current)
-            if closeable:
-                base = blocks + (current,)
-            else:
-                ok = False
-        if ok:
-            cross = self._cross_ok(base, v, None)
-            if cross is not None and _apart_start_ok(base, v, self.sentence):
-                yield i + 1, base, (v,), cross, True
+        if closeable:
+            cross = self._cross_ok(closed, v, None)
+            if cross is not None and _apart(closed, v, v, self.sentence):
+                yield i + 1, closed, (v,), cross, True
         # extend the open block; a minimal block stops once it can close
         if current and not (self.minimal and closeable):
             cross = self._cross_ok(blocks, v, cur_cross)
-            if cross is not None and _apart_extension_ok(blocks, current, v, self.sentence):
+            if cross is not None and _apart(blocks, current[0], v, self.sentence):
                 yield i + 1, blocks, current + (v,), cross, True
         # skip v
         yield i + 1, blocks, current, cur_cross, False
@@ -394,20 +383,11 @@ def _least_size(spec: LSpec, first: int, available: int) -> int:
     return _needed_count(first, spec.spec.exponent, spec.spec.multiplier, available)
 
 
-def _apart_extension_ok(blocks, current, v, sentence) -> bool:
-    # apartness from the previous block only worsens as the open block
-    # grows, so a failure here prunes the whole extension subtree
-    if not blocks:
-        return True
-    prev = blocks[-1]
-    return sentence.holds_bounded(prev[-1], current[0], v)
-
-
-def _apart_start_ok(blocks, v, sentence) -> bool:
-    if not blocks:
-        return True
-    prev = blocks[-1]
-    return sentence.holds_bounded(prev[-1], v, v)
+def _apart(blocks, first, last, sentence) -> bool:
+    """Is an open block from first to last apart from the last closed
+    block?  A failure prunes every extension of the open block: the
+    question only gets harder as last grows."""
+    return not blocks or sentence.holds_bounded(blocks[-1][-1], first, last)
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,9 @@ class _Sampled(Record):
 
     def counterexample(self, z: FinSet, statement: RtLikeStatement, candidates, good) -> Optional[ColoringTable]:
         for _ in range(self.trials):
+            ys = candidates()  # meets the subset ceiling before a coloring is drawn
             f = ColoringTable.random(z, statement.arity, statement.colors, self.rng)
-            if not any(statement.solution_ok(f, y) and good(y) for y in candidates()):
+            if not any(statement.solution_ok(f, y) and good(y) for y in ys):
                 return f
         return None
 

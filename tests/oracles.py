@@ -18,9 +18,9 @@ from math import comb
 
 from omegalarge import formula as fm
 from omegalarge import ramsey
-from omegalarge.largeness import LargenessSpec, SizeOverflow, check_large
+from omegalarge.largeness import LargenessSpec, SizeOverflow, check_large, t_apart
 from omegalarge.ramsey import FALSE, INCONCLUSIVE, TRUE, Verdict
-from omegalarge.sets import ColoringTable
+from omegalarge.sets import ColoringTable, FinSet
 
 # ---------------------------------------------------------------------------
 # Plain largeness by exhaustive decomposition enumeration (bitmask form)
@@ -256,13 +256,27 @@ def plain_decompositions(values: tuple[int, ...], n: int, limit: int = 16):
 def recursive_grouping_witnesses(walk):
     """Witnesses of a GroupingWalk, visited by plain generator recursion.
 
-    This is the walk as it was before it kept its own stack; it reuses the
-    walk's block checks so that only the traversal is compared.  Its depth
-    grows with the set, so it suits small sets only.
+    This is the walk as it was before it kept its own stack, with the
+    block checks it had then: a block closes when it satisfies l0 and is
+    apart from the last closed block, asked afresh with t_apart.  It reuses
+    the walk's cross-monochromaticity and witness tests, so only the
+    traversal and the apartness bookkeeping are compared.  Its depth grows
+    with the set, so it suits small sets only.
     """
-    from omegalarge.grouping import _apart_extension_ok, _apart_start_ok
-
     elems = walk.z.elements
+    sentence = walk.sentence
+
+    def may_close(blocks, current):
+        cur = FinSet(tuple(current))
+        if not walk.l0.holds(cur):
+            return False
+        return not blocks or t_apart(FinSet(blocks[-1]), cur, sentence)
+
+    def apart_start_ok(blocks, v):
+        return not blocks or sentence.holds_bounded(blocks[-1][-1], v, v)
+
+    def apart_extension_ok(blocks, current, v):
+        return not blocks or sentence.holds_bounded(blocks[-1][-1], current[0], v)
 
     def rec(i, blocks, current, cur_cross, fresh):
         walk.budget.tick()
@@ -274,7 +288,7 @@ def recursive_grouping_witnesses(walk):
         if fresh:
             candidate = list(blocks)
             if current:
-                closeable = walk._closeable(blocks, current)
+                closeable = may_close(blocks, current)
                 candidate = blocks + [tuple(current)] if closeable else None
             if candidate is not None:
                 w = walk._hit(candidate)
@@ -286,18 +300,18 @@ def recursive_grouping_witnesses(walk):
         base, ok = blocks, True
         if current:
             if closeable is None:
-                closeable = walk._closeable(blocks, current)
+                closeable = may_close(blocks, current)
             if closeable:
                 base = blocks + [tuple(current)]
             else:
                 ok = False
         if ok:
             cross = walk._cross_ok(base, v, None)
-            if cross is not None and _apart_start_ok(base, v, walk.sentence):
+            if cross is not None and apart_start_ok(base, v):
                 yield from rec(i + 1, base, [v], cross, True)
         if current and not (walk.minimal and closeable):
             cross = walk._cross_ok(blocks, v, cur_cross)
-            if cross is not None and _apart_extension_ok(blocks, current, v, walk.sentence):
+            if cross is not None and apart_extension_ok(blocks, current, v):
                 current.append(v)
                 yield from rec(i + 1, blocks, current, cross, True)
                 current.pop()

@@ -572,6 +572,25 @@ def test_exit_code_contract(tmp_path, capsys, argv, want):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["large", "minimal", "--x", "3", "--n", "5000"],
+        ["lowerbound", "tree", "--base", "3", "--rank", "4000"],
+        ["lowerbound", "verify", "--n", "3000", "--mode", "exhaustive"],
+        ["lowerbound", "fx", "--base", "3", "--rank", "3"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_every_size_overflow_reads_the_same(capsys, argv):
+    # one outcome: the human line is the JSON reason after an `overflow: ` prefix
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err == "" and out.startswith("overflow: ")
+    code, line, _ = run(capsys, *argv, "--format", "json")
+    obj = json.loads(line)
+    assert code == 2 and obj["result"] == "overflow" and out == f"overflow: {obj['reason']}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["formula", "eval", "0 in A", "--param-A", "012"],
         ["large", "check", "--interval", "3:8", "--n", "1", "--theta", "x < y", "--param-A", "012"],
     ],

@@ -241,7 +241,9 @@ def test_witness_json_roundtrip():
 
 # -- the walk: explicit stack, minimal blocks --------------------------------
 
-SENTENCES = [TOP, Pi03Sentence(parse("x < y or z < y")), Pi03Sentence(parse("y < x"))]
+# under `z < y + y` a block [m, M] is apart from any earlier block iff
+# M <= 2m - 3, so apartness reads both ends of the open block
+SENTENCES = [TOP] + [Pi03Sentence(parse(t)) for t in ("x < y or z < y", "y < x", "z < y + y")]
 
 
 def _lspec(kind, sentence):

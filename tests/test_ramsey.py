@@ -189,6 +189,16 @@ def test_density_sampled_mode():
     assert out.value in ("inconclusive", "false")
 
 
+def test_sampled_density_meets_the_subset_ceiling_before_drawing_a_coloring(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew a coloring")
+
+    monkeypatch.setattr(ColoringTable, "random", no_draws)
+    statement = RtLikeStatement(3, 2, HOMOGENEOUS)
+    out = is_n_dense(FinSet.interval(3, 122), 1, TOP, statement, Mode("sampled", seed=1, trials=1))
+    assert out == Verdict("inconclusive", "subset space 2^120 exceeds ceiling 1048576")
+
+
 def test_density_rejects_a_negative_level_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(ramsey, "_source", lambda mode: calls.append(mode))
