@@ -242,7 +242,7 @@ def test_witness_json_roundtrip():
 # -- the walk: explicit stack, minimal blocks --------------------------------
 
 # under `z < y + y` a block [m, M] is apart from any earlier block iff
-# M <= 2m - 3, so apartness reads both ends of the open block
+# M <= 2m - 2, so apartness reads both ends of the open block
 SENTENCES = [TOP] + [Pi03Sentence(parse(t)) for t in ("x < y or z < y", "y < x", "z < y + y")]
 
 
