@@ -17,10 +17,10 @@ class Budget:
     search gave up.
     """
 
-    def __init__(self, limit: int | None = None, stage: str = "search"):
+    def __init__(self, limit: int | None = None):
         self.limit = limit
         self.spent = 0
-        self.stage = stage
+        self.stage = "search"
 
     def tick(self, n: int = 1) -> None:
         self.spent += n

@@ -21,6 +21,7 @@ from .budget import Budget, BudgetExceeded
 from .formula import (
     BUILTIN_PSI0,
     TOP,
+    CeilingExceeded,
     Pi03Sentence,
     PrefixShapeError,
     PrefixedSentence,
@@ -137,7 +138,7 @@ def load_coloring(args, attr: str = "coloring") -> ColoringTable:
     path = getattr(args, attr, None)
     if not path:
         raise UsageError("a coloring is required (--coloring FILE)")
-    return read_json(path, lambda text: ColoringTable.from_json(text, floor=0))
+    return read_json(path, ColoringTable.from_json)
 
 
 def load_lspec(text: str, sentence: Pi03Sentence) -> LSpec:
@@ -309,6 +310,8 @@ def cmd_grouping_check(args) -> Outcome:
         ok = is_grouping(witness, l0, l1, sentence)
     except (MalformedWitness, KeyError) as err:
         raise UsageError(f"malformed witness: {err}") from err
+    except CeilingExceeded as err:
+        return Outcome(2, {"result": "inconclusive", "reason": str(err)}, f"inconclusive: {err}")
     return Outcome(0 if ok else 1, {"grouping": ok}, "valid grouping" if ok else "not a grouping")
 
 

@@ -19,6 +19,7 @@ from .largeness import (
     PreconditionError,
     check_large,
     is_plain_large,
+    large_color_class,
     shift_cert,
     t_apart,
     verify_certificate,
@@ -90,74 +91,28 @@ def pigeonhole_extract(
     if cert is None:
         raise PreconditionError(f"input is not large at exponent {2 * b}")
 
-    xs = x.elements
+    spec_out = LargenessSpec(b, 1, sentence)
     flags: list[bool] = []
-
-    def vals(blk: Block) -> tuple[int, ...]:
-        return xs[blk.lo: blk.hi]
-
-    def induct(blk: Block, bb: int) -> tuple[tuple[int, ...], int]:
-        budget.tick()
-        if bb == 0:
-            v = xs[blk.lo]
-            return (v,), f(v)
-        node = blk.cert
-        assert isinstance(node, Node)
-        children = node.children
-        first_colors = f.image(vals(children[0]))
-        if len(first_colors) == 1:
-            return vals(children[0]), first_colors.pop()
-        prefix_colors: list[set[int]] = [set()]
-        for ch in children:
-            prefix_colors.append(prefix_colors[-1] | f.image(vals(ch)))
-        candidates = [
-            t
-            for t in range(len(children) - 1, 0, -1)
-            if prefix_colors[t] >= f.image(vals(children[t]))
-        ]
-        if not candidates:
-            raise CountingFailure("no prefix covers a later block's colors")
-        for t in candidates:
-            sub_node = children[t].cert
-            assert isinstance(sub_node, Node)
-            pieces = [induct(y, bb - 1) for y in sub_node.children]
-            groups: dict[int, list[tuple[int, ...]]] = {}
-            for piece, c in pieces:
-                groups.setdefault(c, []).append(piece)
-            anchor_pool = [v for i in range(t) for v in vals(children[i])]
-            prev_max = vals(children[t - 1])[-1]
-            min_t = vals(children[t])[0]
-            order = sorted(groups, key=lambda c: (-len(groups[c]), c))
-            for c in order:
-                group = groups[c]
-                anchors = [v for v in anchor_pool if f(v) == c and v <= len(group)]
-                if not anchors:
-                    continue
-                anchor = min(anchors)
-                flags.append(node.head * prev_max < min_t)
-                merged = (anchor,) + tuple(v for piece in group for v in piece)
-                return merged, c
-        raise CountingFailure(
-            f"pigeonhole counting failed: block minimum {min_t} admits no anchor "
-            f"below the group sizes (policy {policy.value} too weak here)"
-        )
-
     used_fallback = False
     try:
-        out_vals, color = induct(cert.blocks[0], b)
+        out_vals, color = _induct(x.elements, f, policy, budget, flags, cert.blocks[0], b)
         out = FinSet(out_vals)
-        out_cert = check_large(out, LargenessSpec(b, 1, sentence), budget=budget)
+        out_cert = check_large(out, spec_out, budget=budget)
         if out_cert is None:
             raise CountingFailure("inductive merge not large after regrouping")
     except CountingFailure:
         if strict:
             raise
         used_fallback = True
-        out, color, out_cert = _color_class_fallback(x, cert.blocks[0], f, b, sentence, budget)
+        blk = cert.blocks[0]
+        found = large_color_class(x.elements[blk.lo: blk.hi], f, spec_out, budget)
+        if found is None:
+            raise ExtractionFailure(f"no homogeneous subset large at exponent {b} exists in this instance")
+        color, out, out_cert = found
 
     if any(f(v) != color for v in out):
         raise RuntimeError("extracted subset is not homogeneous")
-    if out_cert is None or not verify_certificate(out, out_cert, LargenessSpec(b, 1, sentence)):
+    if out_cert is None or not verify_certificate(out, out_cert, spec_out):
         raise RuntimeError("extracted subset failed its certificate re-check")
     # held means every regrouping step on the successful inductive path had
     # the sparsity counting inequality; moot when the fallback was used
@@ -165,18 +120,54 @@ def pigeonhole_extract(
     return PigeonholeResult(out, color, out_cert, used_fallback, counting_held)
 
 
-def _color_class_fallback(x, blk, f, b, sentence, budget):
-    """Complete fallback: largeness is closed under supersets, so a large
-    homogeneous subset exists iff some whole color class is large."""
-    xs = x.elements
-    pool = xs[blk.lo: blk.hi]
-    for c in sorted(f.image(pool)):
-        cls = FinSet(tuple(v for v in pool if f(v) == c))
-        cert = check_large(cls, LargenessSpec(b, 1, sentence), budget=budget)
-        if cert is not None:
-            return cls, c, cert
-    raise ExtractionFailure(
-        f"no homogeneous subset large at exponent {b} exists in this instance"
+def _induct(xs, f: ColoringTable, policy, budget: Budget, flags: list[bool], blk: Block, bb: int):
+    """pigeonhole_extract's induction on xs[blk.lo:blk.hi] at exponent 2*bb:
+    a homogeneous run and its color; flags records whether the counting
+    inequality held at each regrouping.  Like every recursive helper here
+    it is module-level, as a nested function naming itself is a cycle."""
+    budget.tick()
+    if bb == 0:
+        v = xs[blk.lo]
+        return (v,), f(v)
+    node = blk.cert
+    assert isinstance(node, Node)
+    children = node.children
+    first_colors = f.image(xs[children[0].lo: children[0].hi])
+    if len(first_colors) == 1:
+        return xs[children[0].lo: children[0].hi], first_colors.pop()
+    prefix_colors: list[set[int]] = [set()]
+    for ch in children:
+        prefix_colors.append(prefix_colors[-1] | f.image(xs[ch.lo: ch.hi]))
+    candidates = [
+        t
+        for t in range(len(children) - 1, 0, -1)
+        if prefix_colors[t] >= f.image(xs[children[t].lo: children[t].hi])
+    ]
+    if not candidates:
+        raise CountingFailure("no prefix covers a later block's colors")
+    for t in candidates:
+        sub_node = children[t].cert
+        assert isinstance(sub_node, Node)
+        pieces = [_induct(xs, f, policy, budget, flags, y, bb - 1) for y in sub_node.children]
+        groups: dict[int, list[tuple[int, ...]]] = {}
+        for piece, c in pieces:
+            groups.setdefault(c, []).append(piece)
+        anchor_pool = [v for ch in children[:t] for v in xs[ch.lo: ch.hi]]
+        prev_max = xs[children[t - 1].hi - 1]
+        min_t = xs[children[t].lo]
+        order = sorted(groups, key=lambda c: (-len(groups[c]), c))
+        for c in order:
+            group = groups[c]
+            anchors = [v for v in anchor_pool if f(v) == c and v <= len(group)]
+            if not anchors:
+                continue
+            anchor = min(anchors)
+            flags.append(node.head * prev_max < min_t)
+            merged = (anchor,) + tuple(v for piece in group for v in piece)
+            return merged, c
+    raise CountingFailure(
+        f"pigeonhole counting failed: block minimum {min_t} admits no anchor "
+        f"below the group sizes (policy {policy.value} too weak here)"
     )
 
 
@@ -213,29 +204,10 @@ def decompose_mixed(
     if cert is None:
         raise PreconditionError(f"input is not large at exponent {n + m + 1}")
     xs = x.elements
-
-    def vals(blk: Block) -> tuple[int, ...]:
-        return xs[blk.lo: blk.hi]
-
-    def helper(pair0: Block, pair1: Block, mm: int) -> list[Block]:
-        budget.tick()
-        if mm == 0:
-            return [pair0]
-        node1 = pair1.cert
-        assert isinstance(node1, Node)
-        z = node1.children
-        min_y0 = vals(pair0)[0]
-        if 2 * min_y0 > len(z):
-            raise RuntimeError("decomposition shorter than the doubling argument needs")
-        out = [pair0]
-        for j in range(min_y0):
-            out.extend(helper(z[2 * j], z[2 * j + 1], mm - 1))
-        return out
-
     top = cert.blocks[0].cert
     assert isinstance(top, Node)
-    raw = helper(top.children[0], top.children[1], m)
-    blocks = tuple(FinSet(vals(blk)) for blk in raw)
+    raw = _decompose(xs, budget, top.children[0], top.children[1], m)
+    blocks = tuple(FinSet(xs[blk.lo: blk.hi]) for blk in raw)
 
     certs = []
     for blk in blocks:
@@ -250,6 +222,25 @@ def decompose_mixed(
     if not is_plain_large(minima.elements, m):
         raise RuntimeError("minima set is not plainly large")
     return DecomposeResult(blocks, tuple(certs), minima)
+
+
+def _decompose(xs: tuple[int, ...], budget: Budget, pair0: Block, pair1: Block, mm: int) -> list[Block]:
+    """decompose_mixed's induction on m: pair0 alone at mm = 0, else pair0
+    and the decompositions of the first min(pair0) consecutive pairs of
+    pair1's sub-blocks."""
+    budget.tick()
+    if mm == 0:
+        return [pair0]
+    node1 = pair1.cert
+    assert isinstance(node1, Node)
+    z = node1.children
+    min_y0 = xs[pair0.lo]
+    if 2 * min_y0 > len(z):
+        raise RuntimeError("decomposition shorter than the doubling argument needs")
+    out = [pair0]
+    for j in range(min_y0):
+        out.extend(_decompose(xs, budget, z[2 * j], z[2 * j + 1], mm - 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,35 +290,38 @@ def fuse(
     if mcert is None:
         raise PreconditionError(f"maxima set is not large at exponent {b + 1}")
 
-    def w_assemble(mblock: Block, bb: int) -> tuple[tuple[int, ...], Block]:
-        """Fused form of the members whose maxima lie in mblock: the first
-        member's maximum followed by the later members in full."""
-        lo, hi = mblock.lo, mblock.hi
-        vals: list[int] = [family[lo].maximum]
-        offsets = {}
-        for s in range(lo + 1, hi):
-            offsets[s] = len(vals)
-            vals.extend(family[s].elements)
-        if bb == 0:
-            inner = member_certs[lo + 1]
-            off = offsets[lo + 1]
-            block = Block(off + inner.lo, off + inner.hi, shift_cert(inner.cert, off))
-            return tuple(vals), block
-        node = mblock.cert
-        assert isinstance(node, Node)
-        children = []
-        for z in node.children:
-            _, sub_block = w_assemble(z, bb - 1)
-            pos = offsets[z.lo] + len(family[z.lo]) - 1
-            children.append(Block(pos + sub_block.lo, pos + sub_block.hi, shift_cert(sub_block.cert, pos)))
-        return tuple(vals), Block(0, len(vals), Node(vals[0], tuple(children)))
-
     # widened to the whole family, so later members past the maxima
     # certificate's block still belong to the fused set
-    out_vals, top = w_assemble(Block(0, len(family), mcert.blocks[0].cert), b)
+    out_vals, top = _w_assemble(family, member_certs, Block(0, len(family), mcert.blocks[0].cert), b)
     fused = FinSet(out_vals)
     certificate = Certificate(a + b, 1, (top,))
     spec_out = LargenessSpec(a + b, 1, sentence)
     if not verify_certificate(fused, certificate, spec_out):
         raise RuntimeError("assembled certificate failed re-check")
     return FuseResult(fused, certificate)
+
+
+def _w_assemble(
+    family: list[FinSet], member_certs: list[Block], mblock: Block, bb: int
+) -> tuple[tuple[int, ...], Block]:
+    """Fused form of the members whose maxima lie in mblock: the first
+    member's maximum followed by the later members in full."""
+    lo, hi = mblock.lo, mblock.hi
+    vals: list[int] = [family[lo].maximum]
+    offsets = {}
+    for s in range(lo + 1, hi):
+        offsets[s] = len(vals)
+        vals.extend(family[s].elements)
+    if bb == 0:
+        inner = member_certs[lo + 1]
+        off = offsets[lo + 1]
+        block = Block(off + inner.lo, off + inner.hi, shift_cert(inner.cert, off))
+        return tuple(vals), block
+    node = mblock.cert
+    assert isinstance(node, Node)
+    children = []
+    for z in node.children:
+        _, sub_block = _w_assemble(family, member_certs, z, bb - 1)
+        pos = offsets[z.lo] + len(family[z.lo]) - 1
+        children.append(Block(pos + sub_block.lo, pos + sub_block.hi, shift_cert(sub_block.cert, pos)))
+    return tuple(vals), Block(0, len(vals), Node(vals[0], tuple(children)))

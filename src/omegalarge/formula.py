@@ -14,7 +14,7 @@ from types import FunctionType
 from typing import Callable
 
 from .record import FrozenRecord, Record
-from .sets import ColoringTable, is_transitive, json_int, json_typed, restrict_coloring
+from .sets import ColoringTable, FinSet, is_transitive, json_int, json_typed, restrict_coloring
 
 # ---------------------------------------------------------------------------
 # AST
@@ -815,7 +815,7 @@ class RtLikeStatement(FrozenRecord):
             raise CeilingExceeded(f"subset enumeration over {len(y)} elements exceeds ceiling")
         for size in range(len(y) + 1):
             for sub in combinations(y.elements, size):
-                if not self.psi0_holds(restrict_coloring(f, y.restrict(sub))):
+                if not self.psi0_holds(restrict_coloring(f, FinSet(sub, y.floor))):
                     return False
         return True
 

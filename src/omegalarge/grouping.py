@@ -13,14 +13,13 @@ from itertools import combinations, product
 from typing import Optional
 
 from .budget import Budget, BudgetExceeded, budget_or_unlimited
-from .formula import Pi03Sentence
+from .formula import CeilingExceeded, Pi03Sentence
 from .largeness import (
     Certificate,
     LargenessSpec,
     PreconditionError,
-    SizeOverflow,
     check_large,
-    minimal_interval_card,
+    least_card,
     t_apart,
 )
 from .record import FrozenRecord, Record
@@ -30,9 +29,12 @@ FOUND = "found"
 ABSENT = "absent"
 EXHAUSTED = "exhausted"
 
+TRANSVERSAL_CEILING = 200_000
+
 
 class LSpec(FrozenRecord):
-    """A largeness requirement: either a LargenessSpec or a cardinality bound."""
+    """A largeness requirement: either a LargenessSpec or a cardinality
+    bound, both closed under supersets; only its methods read `kind`."""
 
     kind: str  # 'largeness' | 'card_at_least'
     spec: Optional[LargenessSpec]
@@ -58,6 +60,26 @@ class LSpec(FrozenRecord):
             return len(s) >= self.at_least
         return check_large(s, self.spec) is not None
 
+    def least_size(self, first: int, available: int) -> int:
+        """Least size of a set with minimum >= first that meets the
+        requirement; any value past available means none fits."""
+        if self.kind == "card_at_least":
+            return self.at_least
+        return least_card(first, self.spec.exponent, self.spec.multiplier, available)
+
+    def every_transversal(self, blocks: tuple[FinSet, ...]) -> bool:
+        """Does every set meeting all the blocks meet the requirement?  By
+        superset closure, the one-point-per-block selections decide it; past
+        TRANSVERSAL_CEILING of them it raises CeilingExceeded."""
+        if self.kind == "card_at_least":
+            return len(blocks) >= self.at_least
+        count = 1
+        for b in blocks:
+            count *= len(b)
+            if count > TRANSVERSAL_CEILING:
+                raise CeilingExceeded(f"transversal space {count}+ exceeds ceiling {TRANSVERSAL_CEILING}")
+        return all(self.holds(FinSet(sel)) for sel in product(*(b.elements for b in blocks)))
+
 
 class GroupingWitness(FrozenRecord):
     blocks: tuple[FinSet, ...]
@@ -81,9 +103,6 @@ class MalformedWitness(ValueError):
     pass
 
 
-TRANSVERSAL_CEILING = 200_000
-
-
 def _validate_witness(w: GroupingWitness) -> None:
     if not w.blocks:
         raise MalformedWitness("a grouping needs at least one block")
@@ -96,27 +115,6 @@ def _validate_witness(w: GroupingWitness) -> None:
     union = [v for b in w.blocks for v in b]
     for t in combinations(union, w.coloring.arity):
         w.coloring(*t)  # raises KeyError if the coloring is not total here
-
-
-def _transversals_in_l1(blocks: tuple[FinSet, ...], l1: LSpec) -> bool:
-    """Condition on sets meeting every block, via minimal transversals.
-
-    Both LSpec kinds are closed under supersets, so it is enough that every
-    one-point-per-block selection satisfies l1; for a cardinality bound that
-    collapses to comparing the block count.
-    """
-    if l1.kind == "card_at_least":
-        return len(blocks) >= l1.at_least
-    count = 1
-    for b in blocks:
-        count *= len(b)
-        if count > TRANSVERSAL_CEILING:
-            raise MalformedWitness(
-                f"transversal space {count}+ exceeds ceiling {TRANSVERSAL_CEILING}"
-            )
-    return all(
-        l1.holds(FinSet(sel)) for sel in product(*(b.elements for b in blocks))
-    )
 
 
 def _cross_monochromatic(blocks: tuple[FinSet, ...], f: ColoringTable) -> bool:
@@ -138,11 +136,12 @@ def is_grouping(
     l1: LSpec,
     sentence: Pi03Sentence,
 ) -> bool:
-    """Check the four grouping conditions; malformed witnesses raise."""
+    """Check the four grouping conditions; malformed witnesses raise, and so
+    does a transversal space past the ceiling (CeilingExceeded)."""
     _validate_witness(w)
     if not all(l0.holds(b) for b in w.blocks):
         return False
-    if not _transversals_in_l1(w.blocks, l1):
+    if not l1.every_transversal(w.blocks):
         return False
     if not _cross_monochromatic(w.blocks, w.coloring):
         return False
@@ -212,10 +211,8 @@ class GroupingWalk:
         self.minimal = minimal
         self.ceiling_hit = False
         self.min_blocks = _min_block_count(l0, l1, z)
-        # l0's least block size: one number for a cardinality bound, else
-        # by block minimum, as the walk meets them
-        self._fixed_least = l0.at_least if l0.kind == "card_at_least" else None
-        self._least_block: dict[int, int] = {}
+        # l0's least size of a block, by block minimum, as the walk meets them
+        self._least: dict[int, int] = {}
 
     def witnesses(self):
         if self.min_blocks > len(self.z):
@@ -237,8 +234,8 @@ class GroupingWalk:
         if not blocks or len(blocks) < self.min_blocks:
             return None
         try:
-            ok = _transversals_in_l1(tuple(FinSet(b) for b in blocks), self.l1)
-        except MalformedWitness:
+            ok = self.l1.every_transversal(tuple(FinSet(b) for b in blocks))
+        except CeilingExceeded:
             self.ceiling_hit = True  # could not decide: absence claims are off
             return None
         if not ok:
@@ -258,13 +255,6 @@ class GroupingWalk:
                 return None
             out.append(c)
         return out
-
-    def _least_open(self, first: int) -> int:
-        """l0's least size for a block with minimum `first`, remembered for
-        the walk; past the elements from `first` on when none fits."""
-        elems = self.z.elements
-        least = self._least_block[first] = _least_size(self.l0, first, len(elems) - bisect_left(elems, first))
-        return least
 
     def _node(self, i, blocks, current, cur_cross, fresh):
         """One walk node: blocks are closed, current is the open block.
@@ -291,9 +281,10 @@ class GroupingWalk:
         if len(blocks) + (1 if current else 0) + left < self.min_blocks:
             return
         if current:
-            least = self._fixed_least
+            least = self._least.get(current[0])
             if least is None:
-                least = self._least_block.get(current[0]) or self._least_open(current[0])
+                available = len(elems) - bisect_left(elems, current[0])  # elements from current[0] on
+                least = self._least[current[0]] = self.l0.least_size(current[0], available)
             if len(current) + left < least:
                 return
         # no block is open, or the open one satisfies l0 and so may close;
@@ -369,18 +360,10 @@ def _min_block_count(l0: LSpec, l1: LSpec, z: FinSet) -> int:
     not even a block at min z fits in z, no grouping exists: len(z) + 1.
     """
     if not z.elements:
-        return l1.at_least if l1.kind == "card_at_least" else 1
-    if _least_size(l0, z.minimum, len(z)) > len(z):
+        return l1.least_size(1, 0)  # no minimum: the least over all minima
+    if l0.least_size(z.minimum, len(z)) > len(z):
         return len(z) + 1
-    return _least_size(l1, z.minimum, len(z))
-
-
-def _least_size(spec: LSpec, first: int, available: int) -> int:
-    """Least size of a set with minimum >= first that meets spec; any value
-    past available means none fits."""
-    if spec.kind == "card_at_least":
-        return spec.at_least
-    return _needed_count(first, spec.spec.exponent, spec.spec.multiplier, available)
+    return l1.least_size(z.minimum, len(z))
 
 
 def _apart(blocks, first, last, sentence) -> bool:
@@ -393,22 +376,6 @@ def _apart(blocks, first, last, sentence) -> bool:
 # ---------------------------------------------------------------------------
 # Structured-subset searches (homogeneous / transitive)
 # ---------------------------------------------------------------------------
-
-
-def _needed_count(first: int, exponent: int, multiplier: int, available: int) -> int:
-    """Least cardinality any witness with minimum >= first can have; any
-    value past available means none fits."""
-    total, v = 0, first
-    try:
-        for _ in range(multiplier):
-            c = minimal_interval_card(v, exponent, cap=available + 1)
-            total += c
-            v += c
-            if total > available:
-                break
-    except SizeOverflow:
-        return available + 1
-    return total
 
 
 def _subset_search(
@@ -432,12 +399,9 @@ def _subset_search(
             return check_large(FinSet(chosen), target, budget=budget)
 
     def bound_ok(chosen: tuple[int, ...], i: int) -> bool:
-        pool = len(elems) - i
-        first = chosen[0] if chosen else (elems[i] if i < len(elems) else None)
-        if first is None:
-            return False
-        available = len(chosen) + pool
-        return available >= _needed_count(first, target.exponent, target.multiplier, available)
+        available = len(chosen) + len(elems) - i  # i < len(elems) here
+        first = chosen[0] if chosen else elems[i]
+        return available >= least_card(first, target.exponent, target.multiplier, available)
 
     try:
         out = _include_first_dfs(elems, budget, compatible, accept_fn, bound_ok, anchor)

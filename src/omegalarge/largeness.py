@@ -250,6 +250,21 @@ def _interval_card(b: int, n: int, cap: int, work: list[int]) -> int:
     return out
 
 
+def least_card(first: int, exponent: int, multiplier: int, available: int) -> int:
+    """Least size of a set with minimum >= first that is large at
+    omega^exponent * multiplier under any sentence (apartness only shrinks
+    the witness family); any value past `available` means none fits."""
+    total = 0
+    try:
+        for _ in range(multiplier):  # blocks no smaller than minimal intervals
+            total += minimal_interval_card(first + total, exponent, cap=available + 1)
+            if total > available:
+                break
+    except SizeOverflow:
+        return available + 1
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Plain (TOP) largeness: greedy leftmost-minimal checker
 # ---------------------------------------------------------------------------
@@ -351,12 +366,7 @@ class _Searcher:
             out: int | None = s + 1
         else:
             m = self.xs[s]
-            # lower bound from the plain cardinality recurrence (apartness
-            # only shrinks the witness family, never the needed count)
-            try:
-                least = s + minimal_interval_card(self.xs[s], n, cap=len(self.xs))
-            except SizeOverflow:
-                least = len(self.xs) + 1
+            least = s + least_card(m, n, 1, len(self.xs) - s)
             out = None
             e = least
             while e <= len(self.xs):
@@ -458,6 +468,22 @@ def check_large(
     if blocks is None:
         return None
     return Certificate(spec.exponent, spec.multiplier, blocks)
+
+
+def large_color_class(values, color, spec: LargenessSpec, budget: Budget | None = None):
+    """(color, class, certificate) for the first color, in increasing order,
+    whose whole class among the increasing values is large at spec, or None.
+    Largeness is closed under supersets, so a homogeneous subset large at
+    spec exists iff some whole color class is large."""
+    classes: dict[int, list[int]] = {}
+    for v in values:
+        classes.setdefault(color(v), []).append(v)
+    for c in sorted(classes):
+        cls = FinSet(tuple(classes[c]))
+        cert = check_large(cls, spec, budget=budget)
+        if cert is not None:
+            return c, cls, cert
+    return None
 
 
 def is_large(x: FinSet, spec: LargenessSpec, budget: Budget | None = None) -> bool:

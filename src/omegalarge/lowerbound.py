@@ -28,6 +28,7 @@ from .largeness import (
     PreconditionError,
     SizeOverflow,
     check_large,
+    large_color_class,
     minimal_interval_card,
 )
 from .record import FrozenRecord, Record
@@ -334,20 +335,21 @@ class BlockfreeView(_Blocks):
         self.rank = base_tree.rank - depth
 
     def iter_elements(self, budget: int = DEFAULT_SIZE_CAP) -> Iterator[int]:
-        count = 0
-
-        def walk(node: CanonicalTree) -> Iterator[int]:
-            nonlocal count
-            count += 1
-            if count > budget:
+        # bases are discovered depth-first, children built as they are
+        # reached, but emitted in increasing order
+        bases: list[int] = []
+        stack = [iter((self.tree,))]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                continue
+            if len(bases) >= budget:
                 raise SizeOverflow("view iteration", budget)
-            yield node.base
+            bases.append(node.base)
             if node.rank > self.depth:
-                for child in node.children():
-                    yield from walk(child)
-
-        # bases are discovered depth-first but emitted in increasing order
-        yield from sorted(walk(self.tree))
+                stack.append(node.children())
+        yield from sorted(bases)
 
     def cardinality(self, cap: int = DEFAULT_SIZE_CAP) -> int:
         return sum(1 for _ in self.iter_elements(cap))
@@ -433,15 +435,10 @@ def verify_lower_bound(
 def _class_check(
     t, n: int, budget: Budget, ceiling: int = EXPORT_VALUE_CEILING
 ) -> tuple[str, Optional[FinSet]]:
-    """Complete check via color classes: a homogeneous large subset exists
-    iff one whole class is large, by closure under supersets."""
+    """Complete check through the parity classes (see large_color_class)."""
     elems, sentence, colors = _instance(t, ceiling)
-    spec = LargenessSpec(n, 1, sentence)
-    for c in (0, 1):
-        cls = FinSet(tuple(v for v in elems if colors[v] == c))
-        if cls.elements and check_large(cls, spec, budget=budget) is not None:
-            return COUNTEREXAMPLE, cls
-    return CONFIRMED, None
+    found = large_color_class(elems, colors.__getitem__, LargenessSpec(n, 1, sentence), budget)
+    return (CONFIRMED, None) if found is None else (COUNTEREXAMPLE, found[1])
 
 
 def _exportable(node, ceiling: int) -> bool:

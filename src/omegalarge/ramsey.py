@@ -204,6 +204,20 @@ def _failed_clause(y: FinSet, sentence, statement, source, below) -> Optional[st
     return next((clause for clause in source.clause_order if refuted[clause]()), None)
 
 
+def _exact_dense(y: FinSet, level: int, sentence, statement, memo: dict) -> bool:
+    """Exact density of y at level, memoised in memo by (y, level)."""
+    key = (y, level)
+    if key not in memo:
+        memo[key] = bool(y.elements) and (
+            _dense0(y, sentence) if level == 0
+            else _failed_clause(
+                y, sentence, statement, _EXHAUSTIVE,
+                lambda sub: _exact_dense(sub, level - 1, sentence, statement, memo),
+            ) is None
+        )
+    return memo[key]
+
+
 # what a sampled refutation reports, by the clause that failed
 _SAMPLED_REFUTATIONS = {
     "a": "sampled statement coloring admits no dense solution",
@@ -232,15 +246,8 @@ def is_n_dense(
     if mode.kind == "exact":
         if m > 2:
             raise CeilingExceeded("exact density is capped at level 2")
-
-        @functools.cache
-        def dense(y: FinSet, level: int) -> bool:
-            return bool(y.elements) and (
-                _dense0(y, sentence) if level == 0
-                else _failed_clause(y, sentence, statement, source, lambda sub: dense(sub, level - 1)) is None
-            )
-
-        return Verdict(TRUE if dense(z, m) else FALSE, "exhaustive density recursion")
+        dense = _exact_dense(z, m, sentence, statement, {})
+        return Verdict(TRUE if dense else FALSE, "exhaustive density recursion")
 
     if m == 0:
         return Verdict(TRUE if _dense0(z, sentence) else FALSE, "level 0 is a largeness check")
@@ -296,7 +303,6 @@ class EmResult(Record):
     stage: str
     subset: Optional[FinSet]
     certificate: Optional[Certificate]
-    blocks: tuple[FinSet, ...]
 
     def __init__(
         self,
@@ -304,10 +310,9 @@ class EmResult(Record):
         stage: str = "",
         subset: Optional[FinSet] = None,
         certificate: Optional[Certificate] = None,
-        blocks: tuple[FinSet, ...] = (),
     ) -> None:
-        self.status, self.stage, self.subset = status, stage, subset
-        self.certificate, self.blocks = certificate, blocks
+        self.status, self.stage = status, stage
+        self.subset, self.certificate = subset, certificate
 
 
 def em_extract(
@@ -397,7 +402,7 @@ def _em_join(blocks, f, n, sentence, budget, constants) -> EmResult:
     cert = check_large(union, LargenessSpec(n, 1, sentence), budget=budget)
     if cert is None:
         return EmResult(ABSENT, stage=f"final certification at level {n}")
-    return EmResult(FOUND, subset=union, certificate=cert, blocks=tuple(pieces))
+    return EmResult(FOUND, subset=union, certificate=cert)
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,6 @@ class FinSet(FrozenRecord):
     def subset_of(self, other: "FinSet") -> bool:
         return set(self.elements) <= set(other.elements)
 
-    def restrict(self, values: Iterable[int]) -> "FinSet":
-        keep = set(values)
-        return FinSet(tuple(v for v in self.elements if v in keep), self.floor)
-
     # -- text formats: one decimal per line, or a JSON array of integers --
 
     def to_lines(self) -> str:
@@ -258,7 +254,7 @@ class ColoringTable(FrozenRecord):
         )
 
     @classmethod
-    def from_json(cls, text: str, floor: int = 0) -> "ColoringTable":
+    def from_json(cls, text: str) -> "ColoringTable":
         """Numbers are read as in set files; colors must be JSON integers."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
@@ -270,7 +266,7 @@ class ColoringTable(FrozenRecord):
             if isinstance(c, bool) or not isinstance(c, int):
                 raise ValueError(f"table entry {pos} is not an integer: {json.dumps(c)}")
         return cls(
-            FinSet(tuple(json_int(v, f"domain entry {pos}") for pos, v in enumerate(domain)), floor),
+            FinSet(tuple(json_int(v, f"domain entry {pos}") for pos, v in enumerate(domain)), 0),
             json_int(obj["arity"], "arity"),
             json_int(obj["colors"], "colors"),
             tuple(table),

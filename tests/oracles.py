@@ -92,6 +92,27 @@ class BruteForcePlain:
         return self.multi(self.mask_of(values), n, k)
 
 
+def interval_is_large(lo: int, hi: int, n: int, k: int, memo: dict) -> bool:
+    """Is the interval [lo, hi) large at omega^n * k?  Straight from the
+    definition, with no size recurrence: it splits into k consecutive runs,
+    each large at omega^n, and a run [a, b) is large at omega^(n+1) iff
+    [a+1, b) is large at omega^n * a.  memo is keyed by (lo, hi, n, k).
+
+    Unlike BruteForcePlain, whose subset enumeration stops at a few dozen
+    elements, this decides intervals of any length the memo can hold."""
+    if k == 0:
+        return True
+    if n == 0:
+        return hi - lo >= k
+    key = (lo, hi, n, k)
+    if key not in memo:
+        memo[key] = any(
+            interval_is_large(lo + 1, s, n - 1, lo, memo) and interval_is_large(s, hi, n, k - 1, memo)
+            for s in range(lo + 1, hi + 1)
+        )
+    return memo[key]
+
+
 # ---------------------------------------------------------------------------
 # Largeness under an apartness sentence, tiny sets only
 # ---------------------------------------------------------------------------

@@ -531,7 +531,9 @@ def test_out_of_range_numbers_exit_3(tmp_path, capsys, argv):
 # The exit-code contract where an exponent lies far past the interpreter's
 # recursion limit, or a number is too long to print: each row exits with its
 # own answer, never 4.  "{C1}" and "{C2}" stand for a coloring of the points
-# and a constant pair coloring of [3,40].
+# and a constant pair coloring of [3,40]; "{C3}" and "{W}" for a constant pair
+# coloring of [3,90] and its four blocks of 22 points, whose 22^4 transversals
+# pass the transversal ceiling.
 EXIT_CONTRACT = [
     (["large", "check", "--interval", "3:10", "--n", "5000"], 1),
     (["large", "check", "--interval", "3:40", "--n", "3000", "--theta", "x<y"], 1),
@@ -545,6 +547,7 @@ EXIT_CONTRACT = [
     (["large", "decompose", "--interval", "3:40", "--n", "3000", "--m", "1"], 3),
     (["large", "pigeonhole", "--interval", "3:40", "--b", "3000", "--coloring", "{C1}"], 3),
     (["lowerbound", "fx", "--base", "3", "--rank", "3000", "--value", "5"], 0),
+    (["grouping", "check", "--coloring", "{C3}", "--witness", "{W}", "--l0", "card:1", "--l1", "omega:1"], 2),
 ]
 
 
@@ -553,11 +556,21 @@ EXIT_CONTRACT = [
 )
 def test_exit_code_contract(tmp_path, capsys, argv, want):
     x = FinSet.interval(3, 40)
-    colorings = {
-        "{C1}": ColoringTable.from_function(x, 1, 2, lambda v: v % 2),
-        "{C2}": ColoringTable.from_function(x, 2, 2, lambda a, b: 0),
+
+    def witness():
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"blocks": [[str(v) for v in range(3 + 22 * i, 25 + 22 * i)] for i in range(4)]}))
+        return str(path)
+
+    files = {
+        "{C1}": lambda: write_coloring(tmp_path, "f.json", ColoringTable.from_function(x, 1, 2, lambda v: v % 2)),
+        "{C2}": lambda: write_coloring(tmp_path, "f.json", ColoringTable.from_function(x, 2, 2, lambda a, b: 0)),
+        "{C3}": lambda: write_coloring(
+            tmp_path, "f.json", ColoringTable.from_function(FinSet.interval(3, 90), 2, 1, lambda a, b: 0)
+        ),
+        "{W}": witness,
     }
-    argv = [write_coloring(tmp_path, "f.json", colorings[a]) if a in colorings else a for a in argv]
+    argv = [files[a]() if a in files else a for a in argv]
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code in (0, 1, 2, 3) and code == want
     assert "Traceback" not in err
@@ -602,18 +615,40 @@ def test_a_malformed_param_a_is_named(capsys, argv):
     assert err.startswith("usage error: bad --param-A: ")
 
 
-def test_large_check_leaves_no_cyclic_garbage(capsys):
-    cli.build_parser()  # built once per process, with cycles of its own
+# "{C1}" stands for a 3-coloring of the points of [3,38], "{BLOCKS}" for the
+# singletons of [3,38], one set file each
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["large", "check", "--interval", "3:10", "--n", "1"],
+        ["large", "pigeonhole", "--interval", "3:38", "--coloring", "{C1}", "--b", "1"],
+        ["large", "decompose", "--interval", "3:38", "--n", "0", "--m", "1"],
+        ["large", "fuse", "--blocks", "{BLOCKS}", "--a", "0", "--b", "1"],
+        ["gamma", "dense", "--interval", "3:7", "--gamma", "rt12", "--m", "1"],
+        ["lowerbound", "verify", "--mode", "pruned", "--n", "2"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_large_check_leaves_no_cyclic_garbage(tmp_path, capsys, argv):
+    x38 = FinSet.interval(3, 38)
+    if "{C1}" in argv:
+        f = ColoringTable.from_function(x38, 1, 3, lambda v: v % 3)
+        argv[argv.index("{C1}")] = write_coloring(tmp_path, "f.json", f)
+    if "{BLOCKS}" in argv:
+        i = argv.index("{BLOCKS}")
+        argv[i: i + 1] = [write_set(tmp_path, f"b{v}.txt", [v]) for v in x38]
+    # the first call builds the parser and what else a process keeps
+    first = main(argv)
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        code = main(["large", "check", "--interval", "3:10", "--n", "1"])
+        code = main(argv)
         gc.collect()
         garbage = [type(obj).__name__ for obj in gc.garbage]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
-    assert code == 0 and garbage == []
+    assert code == first and garbage == []
 
 
 def test_the_parser_is_built_once():

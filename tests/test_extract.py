@@ -67,12 +67,12 @@ def test_pigeonhole_strict_never_falls_back():
 def test_pigeonhole_fallback_is_complete():
     # the fallback reduces to whole color classes: largeness is closed
     # under supersets, so it finds a witness exactly when one exists
-    from omegalarge.extract import _color_class_fallback
     from omegalarge.largeness import check_large as cl
+    from omegalarge.largeness import large_color_class
 
-    cert = cl(X38, LargenessSpec(2, 1, TOP))
+    blk = cl(X38, LargenessSpec(2, 1, TOP)).blocks[0]
     f = ColoringTable.from_function(X38, 1, 3, lambda v: 0 if v < 20 else 1)
-    cls, color, out_cert = _color_class_fallback(X38, cert.blocks[0], f, 1, TOP, None)
+    color, cls, out_cert = large_color_class(X38.elements[blk.lo: blk.hi], f, LargenessSpec(1, 1, TOP))
     assert color == 0 and verify_certificate(cls, out_cert, LargenessSpec(1, 1, TOP))
 
 

@@ -17,6 +17,8 @@ from omegalarge.largeness import (
     is_large,
     is_minimal,
     is_plain_large,
+    large_color_class,
+    least_card,
     minimal_interval_card,
     minimal_large_interval,
     t_apart,
@@ -24,7 +26,7 @@ from omegalarge.largeness import (
 )
 from omegalarge.sets import FinSet
 
-from oracles import BruteForcePlain, bf_large_t
+from oracles import BruteForcePlain, bf_large_t, interval_is_large
 
 
 def fs(*values):
@@ -286,6 +288,56 @@ def test_minimal_interval_card_overflows_exactly_past_the_cap(base, exponent):
     assert minimal_interval_card(base, exponent, card) == card
     with pytest.raises(SizeOverflow):
         minimal_interval_card(base, exponent, card - 1)
+
+
+def test_least_card_is_the_shortest_large_prefix():
+    memo: dict = {}
+    for first in range(1, 13):
+        for exponent in range(4):
+            for multiplier in range(1, 4):
+                shortest = next(
+                    (size for size in range(1, 61)
+                     if interval_is_large(first, first + size, exponent, multiplier, memo)),
+                    None,
+                )
+                for available in range(61):
+                    got = least_card(first, exponent, multiplier, available)
+                    if shortest is not None and shortest <= available:
+                        assert got == shortest, (first, exponent, multiplier, available)
+                    else:
+                        assert got > available, (first, exponent, multiplier, available)
+
+
+@pytest.mark.parametrize("theta", ["top", "x < y or z < y", "z < y"])
+def test_large_color_class_matches_a_homogeneous_subset_search(theta):
+    sentence = TOP if theta == "top" else Pi03Sentence(parse(theta))
+    rng = random.Random(1607)
+    for _ in range(60):
+        values = tuple(sorted(rng.sample(range(3, 15), rng.randint(1, 10))))
+        colors = {v: rng.randrange(3) for v in values}
+        oracle = BruteForcePlain(values)
+        for n, k in ((0, 1), (0, 3), (1, 1)):
+            spec = LargenessSpec(n, k, sentence)
+
+            def large(sub):
+                return oracle.is_large(sub, n, k) if sentence.is_top else bf_large_t(sub, n, k, sentence)
+
+            # the least color with a large homogeneous subset, over every subset
+            want = min(
+                (c for c in set(colors.values())
+                 for size in range(1, len(values) + 1)
+                 for sub in combinations([v for v in values if colors[v] == c], size)
+                 if large(sub)),
+                default=None,
+            )
+            got = large_color_class(values, colors.__getitem__, spec)
+            if want is None:
+                assert got is None, (values, colors, n, k)
+                continue
+            color, cls, cert = got
+            assert color == want, (values, colors, n, k)
+            assert cls.elements == tuple(v for v in values if colors[v] == want)
+            assert verify_certificate(cls, cert, spec)
 
 
 def test_exponents_past_the_recursion_limit_are_decided():

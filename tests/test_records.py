@@ -100,10 +100,10 @@ RESULTS = [
      "LowerBoundReport(status='confirmed', complete=True, checked_subsets=1, sub_instances=2, "
      "skipped=3, witness=FinSet(elements=(3, 4, 5), floor=3), detail='d')"),
     (_Sampled, lambda: (None, 3), "_Sampled(rng=None, trials=3)"),
-    (EmResult, lambda: ("found", "s", S345, CERT, ()),
+    (EmResult, lambda: ("found", "s", S345, CERT),
      "EmResult(status='found', stage='s', subset=FinSet(elements=(3, 4, 5), floor=3), "
      "certificate=Certificate(exponent=0, multiplier=1, blocks=(Block(lo=0, hi=1, "
-     "cert=Leaf(witness=3)),)), blocks=())"),
+     "cert=Leaf(witness=3)),)))"),
     (SearchOutcome, lambda: ("absent", None, None, None, 4, "d"),
      "SearchOutcome(status='absent', witness=None, subset=None, certificate=None, steps=4, detail='d')"),
     (PigeonholeResult, lambda: (S345, 1, CERT, False, True),
@@ -215,7 +215,7 @@ def test_keyword_construction_and_defaults():
     assert Mode() == Mode("exact", 1729, 200) and Mode("sampled", seed=5, trials=8).trials == 8
     row = BoundsRow(n=0, pigeonhole=1, grouping_chain=(2, 3, 4, 5), em=6, ads=7, rt22=8, lower=9)
     assert row == BoundsRow(0, 1, (2, 3, 4, 5), 6, 7, 8, 9)
-    assert EmResult("absent", stage="empty input") == EmResult("absent", "empty input", None, None, ())
+    assert EmResult("absent", stage="empty input") == EmResult("absent", "empty input", None, None)
     assert SearchOutcome("absent", steps=3) == SearchOutcome("absent", None, None, None, 3, "")
     report = LowerBoundReport("consistent", False, skipped=1, detail="view too large")
     assert (report.checked_subsets, report.sub_instances, report.witness) == (0, 0, None)

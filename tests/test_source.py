@@ -1,7 +1,7 @@
 """Source-level rules for the package: postconditions must not rely on
 `assert`, which `python -O` strips, only the θ compiler runs generated
-code, and every function and module-level name is called or named from
-somewhere."""
+code, no nested function calls itself, and every function and module-level
+name is called or named from somewhere."""
 
 import ast
 import re
@@ -63,6 +63,22 @@ def test_no_asserts_outside_the_allowlist():
                 offending.append(f"{path.name}:{node.lineno} in {func}: assert {key[2]}")
     assert not offending, "\n".join(offending)
     assert found == ALLOWED  # stale entries are dropped from the list
+
+
+def test_no_nested_function_names_itself():
+    # a recursive closure is a function <-> cell cycle, which keeps the
+    # function and all it closes over alive until a full garbage collection
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    offending = sorted({
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in _sources()
+        for outer in ast.walk(tree)
+        if isinstance(outer, funcs)
+        for node in ast.walk(outer)
+        if node is not outer and isinstance(node, funcs)
+        and any(isinstance(n, ast.Name) and n.id == node.name for n in ast.walk(node))
+    })
+    assert not offending, "\n".join(offending)
 
 
 def test_only_the_theta_compiler_runs_generated_code():
