@@ -68,10 +68,13 @@ class Outcome(Record):
 def load_set(args) -> FinSet:
     if args.interval:
         try:
-            lo, hi = args.interval.split(":")
-            return FinSet.interval(int(lo), int(hi), floor=args.floor)
+            lo, hi = map(int, args.interval.split(":"))
+            if lo <= hi:
+                return FinSet.interval(lo, hi, floor=args.floor)
         except ValueError as err:
             raise UsageError(f"bad --interval {args.interval!r}: expected LO:HI") from err
+        # an inverted interval is a typo, not the empty set
+        raise UsageError(f"bad --interval {args.interval!r}: LO > HI")
     if not args.set:
         raise UsageError("a set is required (--set FILE or --interval LO:HI)")
     return read_set(args.set, args.floor)

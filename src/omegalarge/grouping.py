@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from itertools import combinations, product
+from math import inf
 from typing import Optional
 
 from .budget import Budget, BudgetExceeded, budget_or_unlimited
@@ -55,10 +56,13 @@ class LSpec(FrozenRecord):
     def card(cls, m: int) -> "LSpec":
         return cls("card_at_least", at_least=m)
 
-    def holds(self, s: FinSet) -> bool:
+    def holds(self, elements: tuple[int, ...]) -> bool:
+        """Does the set of these increasing elements meet the requirement?
+        A cardinality bound reads only their number, so only a largeness
+        requirement builds the set."""
         if self.kind == "card_at_least":
-            return len(s) >= self.at_least
-        return check_large(s, self.spec) is not None
+            return len(elements) >= self.at_least
+        return check_large(FinSet(elements), self.spec) is not None
 
     def least_size(self, first: int, available: int) -> int:
         """Least size of a set with minimum >= first that meets the
@@ -66,6 +70,11 @@ class LSpec(FrozenRecord):
         if self.kind == "card_at_least":
             return self.at_least
         return least_card(first, self.spec.exponent, self.spec.multiplier, available)
+
+    def fixed_least_size(self) -> Optional[int]:
+        """The least size when it is the same at every minimum (a
+        cardinality bound), else None."""
+        return self.at_least if self.kind == "card_at_least" else None
 
     def every_transversal(self, blocks: tuple[FinSet, ...]) -> bool:
         """Does every set meeting all the blocks meet the requirement?  By
@@ -78,7 +87,7 @@ class LSpec(FrozenRecord):
             count *= len(b)
             if count > TRANSVERSAL_CEILING:
                 raise CeilingExceeded(f"transversal space {count}+ exceeds ceiling {TRANSVERSAL_CEILING}")
-        return all(self.holds(FinSet(sel)) for sel in product(*(b.elements for b in blocks)))
+        return all(self.holds(sel) for sel in product(*(b.elements for b in blocks)))
 
 
 class GroupingWitness(FrozenRecord):
@@ -139,7 +148,7 @@ def is_grouping(
     """Check the four grouping conditions; malformed witnesses raise, and so
     does a transversal space past the ceiling (CeilingExceeded)."""
     _validate_witness(w)
-    if not all(l0.holds(b) for b in w.blocks):
+    if not all(l0.holds(b.elements) for b in w.blocks):
         return False
     if not l1.every_transversal(w.blocks):
         return False
@@ -213,6 +222,13 @@ class GroupingWalk:
         self.min_blocks = _min_block_count(l0, l1, z)
         # l0's least size of a block, by block minimum, as the walk meets them
         self._least: dict[int, int] = {}
+        self._fixed_least = l0.fixed_least_size()
+        # dead block starts are jumped over in the minimal walk; under TOP
+        # every start is apart, so there is nothing to jump
+        self._jump = minimal and not sentence.is_top
+        # by position: the least last-block maximum known to make a block
+        # starting there not apart
+        self._dead = [inf] * len(z) if self._jump else []
 
     def witnesses(self):
         if self.min_blocks > len(self.z):
@@ -274,6 +290,23 @@ class GroupingWalk:
         starts.  Below the node the open block gains elements only from
         position i on, and once closed it satisfies l0 with minimum
         current[0], so it holds at least l0's least size at that minimum.
+
+        The minimal walk jumps over dead block starts.  Let the node be
+        closeable with an open block ending at m.  Its skip child keeps the
+        same closed and open blocks, and the open block stays closeable: l0
+        reads only the block, and a skip child has elements left.  A minimal
+        walk never extends a closeable block, so every node p on the skip
+        chain is not fresh and tests no family, and its only child besides
+        the next skip is the start at e_p, which needs holds_bounded(m, e_p,
+        e_p).  Where that is false, the next skip is the node's only child,
+        and both cuts above only get stronger along the chain, since fewer
+        elements are left.  So the skip child may go straight to the first
+        position p whose start is apart, and the chain may end when there is
+        none: the walk yields the same witnesses in the same order, and the
+        jumped positions tick no budget step.  holds_bounded is antitone in
+        its first bound (a larger bound adds conjuncts), so a start that is
+        not apart after m is not apart after any larger maximum either; that
+        is what `_dead` keeps.
         """
         self.budget.tick()
         elems = self.z.elements
@@ -281,7 +314,8 @@ class GroupingWalk:
         if len(blocks) + (1 if current else 0) + left < self.min_blocks:
             return
         if current:
-            least = self._least.get(current[0])
+            # a falsy fixed size (card:0) takes the lookup, which gives 0
+            least = self._fixed_least or self._least.get(current[0])
             if least is None:
                 available = len(elems) - bisect_left(elems, current[0])  # elements from current[0] on
                 least = self._least[current[0]] = self.l0.least_size(current[0], available)
@@ -289,7 +323,7 @@ class GroupingWalk:
                 return
         # no block is open, or the open one satisfies l0 and so may close;
         # l0 is asked only where a family is tested or a block may start
-        closeable = not current or ((fresh or left > 0) and self.l0.holds(FinSet(current)))
+        closeable = not current or ((fresh or left > 0) and self.l0.holds(current))
         closed = blocks + (current,) if current and closeable else blocks
         # a candidate family is tested once, right after it changed
         if fresh and closeable:
@@ -310,8 +344,22 @@ class GroupingWalk:
             cross = self._cross_ok(blocks, v, cur_cross)
             if cross is not None and _apart(blocks, current[0], v, self.sentence):
                 yield i + 1, blocks, current + (v,), cross, True
-        # skip v
-        yield i + 1, blocks, current, cur_cross, False
+        # skip v, straight to the next start that can be apart
+        if not (self._jump and current and closeable):
+            yield i + 1, blocks, current, cur_cross, False
+        elif (p := self._next_start(i + 1, current[-1])) < len(elems):
+            yield p, blocks, current, cur_cross, False
+
+    def _next_start(self, i: int, m: int) -> int:
+        """The first position from i on where a block can start apart from
+        a block ending at m, or len(z) if there is none."""
+        elems, dead = self.z.elements, self._dead
+        for p in range(i, len(elems)):
+            if m < dead[p]:
+                if self.sentence.holds_bounded(m, elems[p], elems[p]):
+                    return p
+                dead[p] = m
+        return len(elems)
 
 
 def find_grouping(

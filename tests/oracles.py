@@ -288,10 +288,9 @@ def recursive_grouping_witnesses(walk):
     sentence = walk.sentence
 
     def may_close(blocks, current):
-        cur = FinSet(tuple(current))
-        if not walk.l0.holds(cur):
+        if not walk.l0.holds(tuple(current)):
             return False
-        return not blocks or t_apart(FinSet(blocks[-1]), cur, sentence)
+        return not blocks or t_apart(FinSet(blocks[-1]), FinSet(tuple(current)), sentence)
 
     def apart_start_ok(blocks, v):
         return not blocks or sentence.holds_bounded(blocks[-1][-1], v, v)

@@ -1,7 +1,11 @@
 import argparse
 import gc
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -534,27 +538,31 @@ def test_out_of_range_numbers_exit_3(tmp_path, capsys, argv):
 # and a constant pair coloring of [3,40]; "{C3}" and "{W}" for a constant pair
 # coloring of [3,90] and its four blocks of 22 points, whose 22^4 transversals
 # pass the transversal ceiling.
+# argv, exit code, and a fragment of the reason: of stderr on exit 3, else
+# of the JSON "reason"
 EXIT_CONTRACT = [
-    (["large", "check", "--interval", "3:10", "--n", "5000"], 1),
-    (["large", "check", "--interval", "3:40", "--n", "3000", "--theta", "x<y"], 1),
-    (["grouping", "find", "--interval", "3:40", "--l0", "omega:3000", "--l1", "card:2", "--coloring", "{C2}"], 1),
-    (["gamma", "large", "--interval", "3:6", "--r", "3000", "--gamma", "rt12"], 1),
-    (["large", "minimal", "--x", "3", "--n", "5000"], 2),
-    (["lowerbound", "tree", "--base", "3", "--rank", "4000"], 2),
-    (["lowerbound", "verify", "--n", "3000", "--mode", "exhaustive"], 2),
-    (["lowerbound", "verify", "--n", "3000", "--mode", "pruned"], 2),
-    (["bounds-table", "--n-max", "200"], 2),
-    (["large", "decompose", "--interval", "3:40", "--n", "3000", "--m", "1"], 3),
-    (["large", "pigeonhole", "--interval", "3:40", "--b", "3000", "--coloring", "{C1}"], 3),
-    (["lowerbound", "fx", "--base", "3", "--rank", "3000", "--value", "5"], 0),
-    (["grouping", "check", "--coloring", "{C3}", "--witness", "{W}", "--l0", "card:1", "--l1", "omega:1"], 2),
+    (["large", "check", "--interval", "3:10", "--n", "5000"], 1, "not large"),
+    (["large", "check", "--interval", "3:40", "--n", "3000", "--theta", "x<y"], 1, "not large"),
+    (["grouping", "find", "--interval", "3:40", "--l0", "omega:3000", "--l1", "card:2", "--coloring", "{C2}"], 1,
+     "no grouping exists"),
+    (["gamma", "large", "--interval", "3:6", "--r", "3000", "--gamma", "rt12"], 1, "counterexample coloring"),
+    (["large", "minimal", "--x", "3", "--n", "5000"], 2, "exceeds budget"),
+    (["lowerbound", "tree", "--base", "3", "--rank", "4000"], 2, "exceeds budget"),
+    (["lowerbound", "verify", "--n", "3000", "--mode", "exhaustive"], 2, "exceeds budget"),
+    (["lowerbound", "verify", "--n", "3000", "--mode", "pruned"], 2, "consistent with the claim"),
+    (["bounds-table", "--n-max", "200"], 2, "too long to print"),
+    (["large", "decompose", "--interval", "3:40", "--n", "3000", "--m", "1"], 3, "not large"),
+    (["large", "pigeonhole", "--interval", "3:40", "--b", "3000", "--coloring", "{C1}"], 3, "not large"),
+    (["lowerbound", "fx", "--base", "3", "--rank", "3000", "--value", "5"], 0, "f(5) = 0"),
+    (["grouping", "check", "--coloring", "{C3}", "--witness", "{W}", "--l0", "card:1", "--l1", "omega:1"], 2,
+     "exceeds ceiling"),
+    # an inverted interval is a usage error, not the empty set
+    (["large", "check", "--interval", "5:3", "--n", "1"], 3, "bad --interval '5:3': LO > HI"),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv,want", [pytest.param(argv, want, id=" ".join(argv)) for argv, want in EXIT_CONTRACT]
-)
-def test_exit_code_contract(tmp_path, capsys, argv, want):
+def contract_argv(tmp_path, argv):
+    """The row's argv with each placeholder replaced by a file it writes."""
     x = FinSet.interval(3, 40)
 
     def witness():
@@ -563,23 +571,51 @@ def test_exit_code_contract(tmp_path, capsys, argv, want):
         return str(path)
 
     files = {
-        "{C1}": lambda: write_coloring(tmp_path, "f.json", ColoringTable.from_function(x, 1, 2, lambda v: v % 2)),
-        "{C2}": lambda: write_coloring(tmp_path, "f.json", ColoringTable.from_function(x, 2, 2, lambda a, b: 0)),
+        "{C1}": lambda: write_coloring(tmp_path, "c1.json", ColoringTable.from_function(x, 1, 2, lambda v: v % 2)),
+        "{C2}": lambda: write_coloring(tmp_path, "c2.json", ColoringTable.from_function(x, 2, 2, lambda a, b: 0)),
         "{C3}": lambda: write_coloring(
-            tmp_path, "f.json", ColoringTable.from_function(FinSet.interval(3, 90), 2, 1, lambda a, b: 0)
+            tmp_path, "c3.json", ColoringTable.from_function(FinSet.interval(3, 90), 2, 1, lambda a, b: 0)
         ),
         "{W}": witness,
     }
-    argv = [files[a]() if a in files else a for a in argv]
-    code, out, err = run(capsys, *argv, "--format", "json")
+    return [files[a]() if a in files else a for a in argv]
+
+
+@pytest.mark.parametrize(
+    "argv,want,fragment", [pytest.param(*row, id=" ".join(row[0])) for row in EXIT_CONTRACT]
+)
+def test_exit_code_contract(tmp_path, capsys, argv, want, fragment):
+    code, out, err = run(capsys, *contract_argv(tmp_path, argv), "--format", "json")
     assert code in (0, 1, 2, 3) and code == want
     assert "Traceback" not in err
     if code == 3:
-        assert out == "" and "not large" in err
+        assert out == "" and fragment in err
     else:
         (line,) = out.splitlines()
         obj = json.loads(line)
-        assert obj["exit"] == code and isinstance(obj["reason"], str) and obj["reason"]
+        assert obj["exit"] == code and fragment in obj["reason"]
+
+
+def test_exit_code_contract_under_optimize(tmp_path):
+    # `python -O` strips asserts: every row must answer the same without them
+    rows = [contract_argv(tmp_path, argv) for argv, _, _ in EXIT_CONTRACT]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from omegalarge.cli import main\n"
+        "assert False, 'asserts are on'\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps(codes))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, json.dumps(rows)], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [want for _, want, _ in EXIT_CONTRACT]
 
 
 @pytest.mark.parametrize(

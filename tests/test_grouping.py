@@ -296,12 +296,36 @@ def test_minimal_walk_decides_like_full_walk(inputs):
             assert not any(l0.holds(FinSet(b.elements[:j])) for j in range(1, len(b)))
 
 
+@given(walk_inputs(max_size=11), st.sampled_from(["x + x < y", "z < x + y + 2"]))
+@settings(max_examples=100, deadline=None)
+def test_jump_reads_the_last_block_maximum(inputs, theta):
+    # under these θ a start at v is apart from a block ending at m only for
+    # small m, so a jump that reads a later maximum skips live starts
+    z, f, l0, l1, _ = inputs
+    args = (z, f, l0, l1, Pi03Sentence(parse(theta)))
+    stacked = GroupingWalk(*args, Budget(None), minimal=True)
+    recursive = GroupingWalk(*args, Budget(None), minimal=True)
+    assert _blocks(stacked.witnesses(), 200) == _blocks(recursive_grouping_witnesses(recursive), 200)
+    assert stacked.budget.spent <= recursive.budget.spent
+
+
 def test_walk_is_deeper_than_the_recursion_limit():
     # the one block is built by 1499 extensions, one walk level each
     z = interval(3, 1502)
     f = pair_coloring(z, lambda x, y: 0)
     out = find_grouping(z, f, LSpec.card(len(z)), LSpec.card(1), TOP)
     assert out.status == FOUND and out.witness.blocks == (z,)
+
+
+def test_dead_block_starts_are_jumped():
+    # under `y < x` no block is apart from an earlier one; each block start
+    # is one node, and its skip chain is one jump to the end, so the walk
+    # takes under 2 steps per element, not one per skipped position
+    z = interval(3, 1502)
+    f = pair_coloring(z, lambda x, y: 0)
+    never = Pi03Sentence(parse("y < x"))
+    out = find_grouping(z, f, LSpec.card(1), LSpec.card(2), never, Budget(2 * len(z)))
+    assert out.status == ABSENT and out.steps <= 2 * len(z)
 
 
 def test_walk_rejects_a_coloring_that_misses_the_set():

@@ -1,7 +1,8 @@
 """Source-level rules for the package: postconditions must not rely on
 `assert`, which `python -O` strips, only the θ compiler runs generated
-code, no nested function calls itself, and every function and module-level
-name is called or named from somewhere."""
+code, no nested function calls itself, the grouping walk's nodes build no
+set, and every function and module-level name is called or named from
+somewhere."""
 
 import ast
 import re
@@ -93,6 +94,20 @@ def test_only_the_theta_compiler_runs_generated_code():
     assert not offending, "\n".join(offending)
     # one call each: stale entries are dropped from the list
     assert sorted(found) == sorted(ALLOWED_DYNAMIC)
+
+
+def test_grouping_walk_nodes_build_no_finset():
+    # a node is the walk's unit of work: LSpec answers a card: requirement
+    # from the open block's length, and only an omega: one builds its set
+    tree = ast.parse((SRC / "grouping.py").read_text())
+    (walk,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GroupingWalk"]
+    (node,) = [n for n in walk.body if isinstance(n, ast.FunctionDef) and n.name == "_node"]
+    builds = [
+        f"grouping.py:{n.lineno} {ast.unparse(n)}"
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] == "FinSet"
+    ]
+    assert not builds, "\n".join(builds)
 
 
 # a string that is a name or a dotted path of names (getattr, monkeypatch,
