@@ -25,9 +25,8 @@ _BY_MODULE = {
         "evaluate", "formula_text", "parse", "weakly_pi04_transform"
     ),
     "grouping": (
-        "ABSENT", "EXHAUSTED", "FOUND", "ColoringMismatch", "GroupingWalk", "GroupingWitness",
-        "LSpec", "MalformedWitness", "SearchOutcome", "find_grouping", "find_homogeneous",
-        "find_transitive", "is_grouping"
+        "ABSENT", "EXHAUSTED", "FOUND", "GroupingWalk", "GroupingWitness", "LSpec", "MalformedWitness",
+        "SearchOutcome", "find_grouping", "find_homogeneous", "find_transitive", "is_grouping"
     ),
     "largeness": (
         "Block", "Certificate", "LargenessSpec", "Leaf", "Node", "PreconditionError",

@@ -38,13 +38,14 @@ from .largeness import (
     LargenessSpec,
     PreconditionError,
     SizeOverflow,
+    _check_admissible,
     check_large,
     minimal_large_interval,
     t_apart,
     verify_certificate,
 )
 from .record import Record
-from .sets import DEFAULT_FLOOR, ColoringTable, FinSet, SparsityPolicy
+from .sets import ColoringTable, FinSet, SparsityPolicy
 
 if TYPE_CHECKING:
     from .grouping import LSpec
@@ -67,17 +68,17 @@ class Outcome(Record):
 
 def load_set(args) -> FinSet:
     if args.interval:
+        what = f"bad --interval {args.interval!r}"
         try:
             lo, hi = map(int, args.interval.split(":"))
-            if lo <= hi:
-                return FinSet.interval(lo, hi, floor=args.floor)
         except ValueError as err:
-            raise UsageError(f"bad --interval {args.interval!r}: expected LO:HI") from err
-        # an inverted interval is a typo, not the empty set
-        raise UsageError(f"bad --interval {args.interval!r}: LO > HI")
+            raise UsageError(f"{what}: expected LO:HI") from err
+        if lo > hi:  # a typo, not the empty set
+            raise UsageError(f"{what}: LO > HI")
+        return read_input(what, lambda: FinSet.interval(lo, hi))
     if not args.set:
         raise UsageError("a set is required (--set FILE or --interval LO:HI)")
-    return read_set(args.set, args.floor)
+    return read_set(args.set)
 
 
 def read_text(path: str) -> str:
@@ -100,10 +101,10 @@ def write_text(path: str, text: str) -> None:
         raise UsageError(f"{path}: {err}") from err
 
 
-def read_set(path: str, floor: int) -> FinSet:
+def read_set(path: str) -> FinSet:
     text = read_text(path)
     try:
-        return FinSet.parse(text, floor, source=path)
+        return FinSet.parse(text, source=path)
     except ValueError as err:
         raise UsageError(str(err)) from err
     except RecursionError as err:
@@ -194,6 +195,7 @@ def cmd_large_check(args) -> Outcome:
     x = load_set(args)
     sentence = load_sentence(args)
     spec = LargenessSpec(args.n, args.k, sentence)
+    _check_admissible(x, sentence)  # verify_certificate would only reject the set
     if args.verify:
         cert = read_json(args.verify, Certificate.from_json)
         ok = verify_certificate(x, cert, spec, paranoid=args.paranoid)
@@ -261,7 +263,7 @@ def cmd_large_decompose(args) -> Outcome:
 def cmd_large_fuse(args) -> Outcome:
     from .extract import fuse
 
-    sets = [read_set(p, args.floor) for p in args.blocks]
+    sets = [read_set(p) for p in args.blocks]
     sentence = load_sentence(args)
     out = fuse(sets[0], sets[1:], args.a, args.b, sentence, budget=make_budget(args))
     payload = {
@@ -272,25 +274,22 @@ def cmd_large_fuse(args) -> Outcome:
 
 
 def cmd_apart(args) -> Outcome:
-    x = read_set(args.x, args.floor)
-    y = read_set(args.y, args.floor)
+    x = read_set(args.x)
+    y = read_set(args.y)
     sentence = load_sentence(args)
     ok = t_apart(x, y, sentence)
     return Outcome(0 if ok else 1, {"apart": ok}, "apart" if ok else "not apart")
 
 
 def cmd_grouping_find(args) -> Outcome:
-    from .grouping import ABSENT, FOUND, ColoringMismatch, find_grouping
+    from .grouping import ABSENT, FOUND, find_grouping
 
     z = load_set(args)
     f = load_coloring(args)
     sentence = load_sentence(args)
     l0 = load_lspec(args.l0, sentence)
     l1 = load_lspec(args.l1, sentence)
-    try:
-        out = find_grouping(z, f, l0, l1, sentence, make_budget(args))
-    except ColoringMismatch as err:
-        raise UsageError(f"{args.coloring}: {err}") from err
+    out = find_grouping(z, f, l0, l1, sentence, make_budget(args))
     if out.status == FOUND:
         payload = {"result": "found", "blocks": [[str(v) for v in b] for b in out.witness.blocks]}
         if args.witness_out:
@@ -311,7 +310,7 @@ def cmd_grouping_check(args) -> Outcome:
     l1 = load_lspec(args.l1, sentence)
     try:
         ok = is_grouping(witness, l0, l1, sentence)
-    except (MalformedWitness, KeyError) as err:
+    except MalformedWitness as err:
         raise UsageError(f"malformed witness: {err}") from err
     except CeilingExceeded as err:
         return Outcome(2, {"result": "inconclusive", "reason": str(err)}, f"inconclusive: {err}")
@@ -552,14 +551,10 @@ def positive(text: str) -> int:
     return value
 
 
-def _set_input(p, files_only=False):
-    """--set/--interval for the one set load_set reads, and the --floor it is
-    read with; with files_only, --floor alone, for the set files a handler
-    names through options of its own."""
-    if not files_only:
-        p.add_argument("--set", help="set file: one decimal per line, or a JSON array")
-        p.add_argument("--interval", help="LO:HI shorthand instead of --set")
-    p.add_argument("--floor", type=int, default=DEFAULT_FLOOR, help="least admissible element")
+def _set_input(p):
+    """--set/--interval for the one set load_set reads."""
+    p.add_argument("--set", help="set file: one decimal per line, or a JSON array")
+    p.add_argument("--interval", help="LO:HI shorthand instead of --set")
 
 
 def _size_cap(p, default: int):
@@ -628,14 +623,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", nargs="+", required=True, help="block set files, increasing")
     p.add_argument("--a", type=natural, required=True)
     p.add_argument("--b", type=natural, required=True)
-    _set_input(p, files_only=True)
     _common(p)
     p.set_defaults(handler=cmd_large_fuse)
 
     p = sub.add_parser("apart")
     p.add_argument("--x", required=True, help="left set file")
     p.add_argument("--y", required=True, help="right set file")
-    _set_input(p, files_only=True)
     _common(p, budget=False)
     p.set_defaults(handler=cmd_apart)
 

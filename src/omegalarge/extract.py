@@ -17,6 +17,8 @@ from .largeness import (
     LargenessSpec,
     Node,
     PreconditionError,
+    _check_admissible,
+    _check_coloring,
     check_large,
     is_plain_large,
     large_color_class,
@@ -72,10 +74,8 @@ def pigeonhole_extract(
     search over color classes finishes the job.  Either way the output is
     re-verified: homogeneous by scan, large by an independent certificate.
     """
-    if f.arity != 1:
-        raise PreconditionError("pigeonhole extraction expects a singleton coloring")
-    if not x.subset_of(f.domain):
-        raise PreconditionError("coloring is not total on the set")
+    _check_admissible(x, sentence)
+    _check_coloring(x, f, 1)
     if not x.elements:
         raise PreconditionError("empty set")
     if f.colors > x.minimum:
@@ -196,6 +196,7 @@ def decompose_mixed(
     the step decomposes the right member and recurses on consecutive pairs
     of its sub-blocks.
     """
+    _check_admissible(x, sentence)
     if n < 0 or m < 0:
         raise PreconditionError("exponents n and m must be >= 0")
     budget = budget_or_unlimited(budget)
@@ -268,6 +269,7 @@ def fuse(
     its certificate is assembled recursively from the maxima certificate,
     then re-verified independently.
     """
+    _check_admissible(first, sentence)  # the least block, once the family is increasing
     budget = budget_or_unlimited(budget)
     budget.enter("fusion")
     family = [first, *rest]

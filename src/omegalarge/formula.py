@@ -815,7 +815,7 @@ class RtLikeStatement(FrozenRecord):
             raise CeilingExceeded(f"subset enumeration over {len(y)} elements exceeds ceiling")
         for size in range(len(y) + 1):
             for sub in combinations(y.elements, size):
-                if not self.psi0_holds(restrict_coloring(f, FinSet(sub, y.floor))):
+                if not self.psi0_holds(restrict_coloring(f, FinSet(sub))):
                     return False
         return True
 

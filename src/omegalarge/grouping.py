@@ -18,7 +18,8 @@ from .formula import CeilingExceeded, Pi03Sentence
 from .largeness import (
     Certificate,
     LargenessSpec,
-    PreconditionError,
+    _check_admissible,
+    _check_coloring,
     check_large,
     least_card,
     t_apart,
@@ -121,9 +122,6 @@ def _validate_witness(w: GroupingWitness) -> None:
     for left, right in zip(w.blocks, w.blocks[1:]):
         if left.maximum >= right.minimum:
             raise MalformedWitness("blocks must be increasing and disjoint")
-    union = [v for b in w.blocks for v in b]
-    for t in combinations(union, w.coloring.arity):
-        w.coloring(*t)  # raises KeyError if the coloring is not total here
 
 
 def _cross_monochromatic(blocks: tuple[FinSet, ...], f: ColoringTable) -> bool:
@@ -145,9 +143,11 @@ def is_grouping(
     l1: LSpec,
     sentence: Pi03Sentence,
 ) -> bool:
-    """Check the four grouping conditions; malformed witnesses raise, and so
-    does a transversal space past the ceiling (CeilingExceeded)."""
+    """Check the four grouping conditions; a malformed witness, a broken
+    precondition and a transversal space past the ceiling each raise."""
     _validate_witness(w)
+    _check_admissible(w.blocks[0], sentence)  # the blocks increase
+    _check_coloring((v for b in w.blocks for v in b.elements), w.coloring, 2)
     if not all(l0.holds(b.elements) for b in w.blocks):
         return False
     if not l1.every_transversal(w.blocks):
@@ -182,10 +182,6 @@ class SearchOutcome(Record):
         self.certificate, self.steps, self.detail = certificate, steps, detail
 
 
-class ColoringMismatch(ValueError):
-    """The coloring cannot color the pairs of the set being searched."""
-
-
 class GroupingWalk:
     """Generator-backed walk over the groupings of f on z.
 
@@ -209,12 +205,8 @@ class GroupingWalk:
         budget: Budget,
         minimal: bool = False,
     ):
-        if f.arity != 2:
-            raise ColoringMismatch("grouping search expects a pair coloring")
-        if not z.subset_of(f.domain):
-            raise ColoringMismatch("the coloring's domain does not cover the set")
-        if z.elements and z.minimum < sentence.floor():
-            raise PreconditionError("set minimum below the sentence's admissible floor")
+        _check_admissible(z, sentence)
+        _check_coloring(z, f, 2)
         self.z, self.f, self.l0, self.l1, self.sentence = z, f, l0, l1, sentence
         self.budget = budget
         self.minimal = minimal
@@ -503,8 +495,8 @@ def find_homogeneous(
     the walk to finish.  `color` pins the homogeneous color and `anchor`
     forces the subset minimum.
     """
-    if f.arity != 2:
-        raise ValueError("homogeneous search expects a pair coloring")
+    _check_admissible(x, target.sentence)
+    _check_coloring(x, f, 2)
     budget = budget_or_unlimited(budget)
     budget.enter("homogeneous search")
 
@@ -528,8 +520,8 @@ def find_transitive(
     budget: Budget | None = None,
 ) -> SearchOutcome:
     """Search for an f-transitive subset meeting the largeness target."""
-    if f.arity != 2:
-        raise ValueError("transitive search expects a pair coloring")
+    _check_admissible(x, target.sentence)
+    _check_coloring(x, f, 2)
     budget = budget_or_unlimited(budget)
     budget.enter("transitive search")
 

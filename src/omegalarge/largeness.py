@@ -9,11 +9,12 @@ Under an apartness sentence T, blocks must additionally be pairwise T-apart.
 from __future__ import annotations
 
 import json
+from typing import Iterable
 
 from .budget import Budget, budget_or_unlimited
 from .formula import TOP, Pi03Sentence
 from .record import FrozenRecord
-from .sets import FinSet, json_int, json_typed
+from .sets import ColoringTable, FinSet, json_int, json_typed
 
 
 class PreconditionError(ValueError):
@@ -157,15 +158,26 @@ def shift_cert(cert: Leaf | Node, delta: int) -> Leaf | Node:
 
 
 # ---------------------------------------------------------------------------
-# Apartness
+# Input preconditions and apartness
 # ---------------------------------------------------------------------------
+# Each precondition on an input has one owner here; every public entry that
+# takes a set with a sentence or a coloring calls it before any work.
 
 
 def _check_admissible(x: FinSet, sentence: Pi03Sentence) -> None:
-    if x.elements and x.minimum < sentence.floor():
-        raise PreconditionError(
-            f"min {x.minimum} below admissible floor {sentence.floor()} for this sentence"
-        )
+    """The sentence reads only sets whose minimum is at least its floor."""
+    floor = sentence.floor()
+    if x.elements and x.minimum < floor:
+        raise PreconditionError(f"min {x.minimum} below admissible floor {floor} for this sentence")
+
+
+def _check_coloring(values: Iterable[int], f: ColoringTable, arity: int) -> None:
+    """f colors the arity-tuples of the values (a set, or the points of a
+    family of blocks): it has that arity, and its domain covers them."""
+    if f.arity != arity:
+        raise PreconditionError(f"expects a coloring of arity {arity}, not {f.arity}")
+    if not set(values).issubset(f.domain.elements):
+        raise PreconditionError("the coloring's domain does not cover the set")
 
 
 def t_apart(x: FinSet, y: FinSet, sentence: Pi03Sentence) -> bool:

@@ -26,6 +26,8 @@ from .largeness import (
     Certificate,
     LargenessSpec,
     PreconditionError,
+    _check_admissible,
+    _check_coloring,
     check_large,
     verify_certificate,
 )
@@ -72,13 +74,13 @@ def _subsets(z: FinSet):
     when this is called, not when the first subset is drawn."""
     if 2 ** len(z) > SUBSET_CEILING:
         raise CeilingExceeded(f"subset space 2^{len(z)} exceeds ceiling {SUBSET_CEILING}")
-    return (FinSet(sub, z.floor) for size in range(len(z), 0, -1) for sub in combinations(z.elements, size))
+    return (FinSet(sub) for size in range(len(z), 0, -1) for sub in combinations(z.elements, size))
 
 
 def _pieces(z: FinSet, cuts) -> list[FinSet]:
     """z cut into consecutive runs at the increasing positions `cuts`."""
     bounds = (0, *cuts, len(z))
-    return [FinSet(z.elements[a:b], z.floor) for a, b in zip(bounds, bounds[1:])]
+    return [FinSet(z.elements[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 class _Exhaustive:
@@ -170,6 +172,7 @@ def is_large_gamma(
     ways; sampled mode can only refute or stay inconclusive.  A ceiling
     reads inconclusive.
     """
+    _check_admissible(z, sentence)
     spec = LargenessSpec(r, s, sentence)
     subsets = _subsets(z)  # the subset ceiling, then the coloring ceiling, then the largeness checks
     large = functools.cache(lambda: [y for y in subsets if check_large(y, spec)])
@@ -240,6 +243,7 @@ def is_n_dense(
     each question one level down of a fresh sampled call, and can only
     refute or stay inconclusive.  A ceiling reads inconclusive.
     """
+    _check_admissible(z, sentence)
     if m < 0:
         raise ValueError("density level must be >= 0")
     source = _source(mode)
@@ -337,8 +341,8 @@ def em_extract(
     exponent 0, so minimal blocks are singletons, where level-1 recursion
     is always absent.
     """
-    if f.arity != 2:
-        raise PreconditionError("expects a pair coloring")
+    _check_admissible(x, sentence)
+    _check_coloring(x, f, 2)
     if n < 0:
         raise PreconditionError("exponent must be >= 0")
     budget = budget_or_unlimited(budget)
@@ -434,8 +438,8 @@ def ads_q_coloring(
     to dropping the minimum.  Pairs with no applicable case raise
     QTotalityError.
     """
-    if f.arity != 2:
-        raise PreconditionError("expects a pair coloring")
+    _check_admissible(x, sentence)
+    _check_coloring(x, f, 2)
     if successor not in (DROP_MAX, DROP_MIN):
         raise ValueError(f"unknown successor reading {successor!r}")
     if not is_transitive(f, x.elements):
@@ -530,6 +534,8 @@ def ads_extract(
     budget: Budget | None = None,
 ) -> SearchOutcome:
     """Homogeneous large subset of a transitive instance (direct search)."""
+    _check_admissible(x, sentence)
+    _check_coloring(x, f, 2)
     if not is_transitive(f, x.elements):
         raise PreconditionError("coloring is not transitive on the set")
     return find_homogeneous(x, f, LargenessSpec(n, 1, sentence), budget=budget)

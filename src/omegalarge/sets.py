@@ -15,8 +15,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .record import FrozenRecord
 
-DEFAULT_FLOOR = 3
-
 
 class SparsityPolicy(enum.Enum):
     """Gap requirement between consecutive elements: threshold(x) < next."""
@@ -37,14 +35,14 @@ class SparsityPolicy(enum.Enum):
 
 
 class FinSet(FrozenRecord):
-    """Strictly increasing finite sequence of naturals with a minimum floor."""
+    """Strictly increasing finite sequence of naturals.  Which minimum a
+    sentence can read is the sentence's rule, checked by the procedures
+    that take both."""
 
     elements: tuple[int, ...]
-    floor: int = DEFAULT_FLOOR
 
-    def __init__(self, elements: Iterable[int], floor: int = DEFAULT_FLOOR) -> None:
+    def __init__(self, elements: Iterable[int]) -> None:
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "floor", floor)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -53,16 +51,13 @@ class FinSet(FrozenRecord):
         for a, b in zip(elems, elems[1:]):
             if a >= b:
                 raise ValueError(f"elements not strictly increasing at {a}, {b}")
-        if elems:
-            if elems[0] < 0:
-                raise ValueError("negative element")
-            if elems[0] < self.floor:
-                raise ValueError(f"min {elems[0]} below floor {self.floor}")
+        if elems and elems[0] < 0:
+            raise ValueError("negative element")
 
     @classmethod
-    def interval(cls, lo: int, hi: int, floor: int = DEFAULT_FLOOR) -> "FinSet":
+    def interval(cls, lo: int, hi: int) -> "FinSet":
         """Closed interval [lo, hi]."""
-        return cls(tuple(range(lo, hi + 1)), floor)
+        return cls(tuple(range(lo, hi + 1)))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -86,9 +81,6 @@ class FinSet(FrozenRecord):
             raise ValueError("empty set has no maximum")
         return self.elements[-1]
 
-    def subset_of(self, other: "FinSet") -> bool:
-        return set(self.elements) <= set(other.elements)
-
     # -- text formats: one decimal per line, or a JSON array of integers --
 
     def to_lines(self) -> str:
@@ -98,7 +90,7 @@ class FinSet(FrozenRecord):
         return json.dumps([str(v) for v in self.elements])
 
     @classmethod
-    def parse(cls, text: str, floor: int = DEFAULT_FLOOR, source: str = "<text>") -> "FinSet":
+    def parse(cls, text: str, source: str = "<text>") -> "FinSet":
         """Read either text format; JSON entries are integers or decimal
         strings.  Every error is a ValueError whose message starts with
         `source` (with the line number for a bad line)."""
@@ -122,7 +114,7 @@ class FinSet(FrozenRecord):
                         f"{source}:{lineno}: not a decimal numeral: {line!r}"
                     ) from None
         try:
-            return cls(tuple(values), floor)
+            return cls(tuple(values))
         except ValueError as err:
             raise ValueError(f"{source}: {err}") from err
 
@@ -266,7 +258,7 @@ class ColoringTable(FrozenRecord):
             if isinstance(c, bool) or not isinstance(c, int):
                 raise ValueError(f"table entry {pos} is not an integer: {json.dumps(c)}")
         return cls(
-            FinSet(tuple(json_int(v, f"domain entry {pos}") for pos, v in enumerate(domain)), 0),
+            FinSet(tuple(json_int(v, f"domain entry {pos}") for pos, v in enumerate(domain))),
             json_int(obj["arity"], "arity"),
             json_int(obj["colors"], "colors"),
             tuple(table),
@@ -299,14 +291,12 @@ def restrict_coloring(f: ColoringTable, g: FinSet) -> ColoringTable:
     """Reindex f to g: the result colors index tuples over {0, ..., |g|-1}.
 
     Entry (i0, ..., i_{n-1}) of the result is f at the corresponding
-    elements of g, so only the order type of g survives.
+    elements of g, so only the order type of g survives.  A tuple of g
+    outside f's domain is a ValueError.
     """
-    if not g.subset_of(f.domain):
-        raise ValueError("restriction target is not a subset of the coloring domain")
-    index_domain = FinSet(tuple(range(len(g))), floor=0)
     elems = g.elements
-    table = tuple(
-        f(*(elems[i] for i in idx))
-        for idx in combinations(range(len(g)), f.arity)
-    )
-    return ColoringTable(index_domain, f.arity, f.colors, table)
+    try:
+        table = tuple(f(*(elems[i] for i in idx)) for idx in combinations(range(len(g)), f.arity))
+    except KeyError as err:
+        raise ValueError(f"restriction target is not a subset of the coloring domain: {err}") from None
+    return ColoringTable(FinSet(tuple(range(len(g)))), f.arity, f.colors, table)

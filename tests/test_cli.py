@@ -558,6 +558,27 @@ EXIT_CONTRACT = [
      "exceeds ceiling"),
     # an inverted interval is a usage error, not the empty set
     (["large", "check", "--interval", "5:3", "--n", "1"], 3, "bad --interval '5:3': LO > HI"),
+    # a well-formed interval is read as written; what the command cannot take is its own error
+    (["large", "check", "--interval", "1:5", "--n", "1"], 3, "precondition violated: min 1 below admissible floor 3"),
+    (["large", "check", "--interval=-2:5", "--n", "1"], 3, "usage error: bad --interval '-2:5': negative element"),
+    # a set below the sentence's floor max(3, a) is a precondition error on every command
+    (["large", "check", "--set", "{ONE}", "--n", "0"], 3, "precondition violated: min 1 below admissible floor 3"),
+    (["apart", "--x", "{ONE}", "--y", "{Y}"], 3, "precondition violated: min 1 below admissible floor 3"),
+    (["ads", "extract", "--interval", "4:8", "--param-a", "7", "--theta", "x < y", "--n", "5", "--coloring", "{C2}"],
+     3, "precondition violated: min 4 below admissible floor 7"),
+    (["grouping", "check", "--coloring", "{C2}", "--witness", "{W45}", "--l0", "card:1", "--l1", "card:1",
+      "--param-a", "7", "--theta", "x < y"], 3, "precondition violated: min 4 below admissible floor 7"),
+    (["gamma", "large", "--interval", "4:30", "--param-a", "7", "--theta", "x < y", "--r", "1", "--gamma", "rt12"],
+     3, "precondition violated: min 4 below admissible floor 7"),
+    (["gamma", "dense", "--interval", "4:30", "--param-a", "7", "--theta", "x < y", "--m", "3", "--gamma", "rt12"],
+     3, "precondition violated: min 4 below admissible floor 7"),
+    # and so is a coloring whose domain misses the set
+    (["ads", "extract", "--interval", "3:50", "--n", "1", "--coloring", "{C2}"], 3,
+     "precondition violated: the coloring's domain does not cover the set"),
+    (["ads", "q", "--interval", "3:50", "--n", "1", "--coloring", "{C2}"], 3,
+     "precondition violated: the coloring's domain does not cover the set"),
+    (["em", "extract", "--interval", "3:50", "--n", "1", "--coloring", "{C2}"], 3,
+     "precondition violated: the coloring's domain does not cover the set"),
 ]
 
 
@@ -565,9 +586,9 @@ def contract_argv(tmp_path, argv):
     """The row's argv with each placeholder replaced by a file it writes."""
     x = FinSet.interval(3, 40)
 
-    def witness():
-        path = tmp_path / "w.json"
-        path.write_text(json.dumps({"blocks": [[str(v) for v in range(3 + 22 * i, 25 + 22 * i)] for i in range(4)]}))
+    def witness(name, blocks):
+        path = tmp_path / name
+        path.write_text(json.dumps({"blocks": [[str(v) for v in b] for b in blocks]}))
         return str(path)
 
     files = {
@@ -576,7 +597,10 @@ def contract_argv(tmp_path, argv):
         "{C3}": lambda: write_coloring(
             tmp_path, "c3.json", ColoringTable.from_function(FinSet.interval(3, 90), 2, 1, lambda a, b: 0)
         ),
-        "{W}": witness,
+        "{W}": lambda: witness("w.json", [range(3 + 22 * i, 25 + 22 * i) for i in range(4)]),
+        "{W45}": lambda: witness("w45.json", [[4, 5]]),
+        "{ONE}": lambda: write_set(tmp_path, "one.txt", [1]),
+        "{Y}": lambda: write_set(tmp_path, "y.txt", [5, 6]),
     }
     return [files[a]() if a in files else a for a in argv]
 
@@ -790,7 +814,7 @@ def test_json_nested_too_deeply_exits_3(tmp_path, capsys, flag):
 
 # every option of every subcommand is one its handler reads
 _FMT = {"--format"}
-_SET = {"--set", "--interval", "--floor"}
+_SET = {"--set", "--interval"}
 _THETA = {"--theta", "--theta-file", "--param-a", "--param-A"}
 _GAMMA = _FMT | _SET | _THETA | {"--gamma", "--arity", "--colors", "--psi0", "--mode", "--trials", "--seed"}
 _EXTRACTOR = _FMT | _SET | _THETA | {"--budget", "--coloring", "--n"}
@@ -799,8 +823,8 @@ OPTIONS = {
     "large minimal": _FMT | {"--budget", "--x", "--n", "--out"},
     "large pigeonhole": _FMT | _SET | _THETA | {"--budget", "--coloring", "--b", "--sparsity", "--strict"},
     "large decompose": _FMT | _SET | _THETA | {"--budget", "--n", "--m"},
-    "large fuse": _FMT | _THETA | {"--floor", "--budget", "--blocks", "--a", "--b"},
-    "apart": _FMT | _THETA | {"--floor", "--x", "--y"},
+    "large fuse": _FMT | _THETA | {"--budget", "--blocks", "--a", "--b"},
+    "apart": _FMT | _THETA | {"--x", "--y"},
     "grouping find": _FMT | _SET | _THETA | {"--budget", "--coloring", "--l0", "--l1", "--witness-out"},
     "grouping check": _FMT | _THETA | {"--coloring", "--witness", "--l0", "--l1"},
     "gamma large": _GAMMA | {"--r", "--s"},
@@ -831,7 +855,7 @@ def _subcommands(parser, path=()):
 def test_each_subcommand_registers_only_the_options_its_handler_reads():
     found = dict(_subcommands(cli.build_parser()))
     assert found == OPTIONS
-    assert sum(map(len, found.values())) == 180
+    assert sum(map(len, found.values())) == 169
 
 
 @pytest.mark.parametrize(
@@ -840,9 +864,11 @@ def test_each_subcommand_registers_only_the_options_its_handler_reads():
         ["large", "check", "--interval", "3:10", "--n", "1", "--seed", "1"],
         ["large", "check", "--interval", "3:10", "--n", "1", "--mode", "greedy"],
         ["formula", "parse", "--floor", "3", "x < y"],
+        ["large", "check", "--interval", "3:10", "--n", "1", "--floor", "0"],
+        ["apart", "--x", "{x}", "--y", "{y}", "--floor", "0"],
         ["apart", "--x", "{x}", "--y", "{y}", "--budget", "5"],
     ],
-    ids=["check --seed", "check --mode", "parse --floor", "apart --budget"],
+    ids=["check --seed", "check --mode", "parse --floor", "check --floor", "apart --floor", "apart --budget"],
 )
 def test_removed_options_exit_3(tmp_path, capsys, argv):
     files = {"{x}": write_set(tmp_path, "x.txt", [3, 4]), "{y}": write_set(tmp_path, "y.txt", [9, 10])}

@@ -13,7 +13,6 @@ from omegalarge.grouping import (
     ABSENT,
     EXHAUSTED,
     FOUND,
-    ColoringMismatch,
     GroupingWalk,
     GroupingWitness,
     LSpec,
@@ -23,7 +22,7 @@ from omegalarge.grouping import (
     find_transitive,
     is_grouping,
 )
-from omegalarge.largeness import LargenessSpec, verify_certificate
+from omegalarge.largeness import LargenessSpec, PreconditionError, verify_certificate
 from omegalarge.sets import ColoringTable, FinSet
 
 from oracles import BruteForcePlain, recursive_grouping_witnesses, recursive_include_first_dfs
@@ -91,7 +90,7 @@ def test_is_grouping_malformed():
             LSpec.card(1),
             TOP,
         )
-    with pytest.raises(KeyError):
+    with pytest.raises(PreconditionError):
         is_grouping(
             GroupingWitness((FinSet((4,)), FinSet((40,))), f),
             LSpec.card(1),
@@ -330,10 +329,10 @@ def test_dead_block_starts_are_jumped():
 
 def test_walk_rejects_a_coloring_that_misses_the_set():
     f = pair_coloring(interval(3, 10), lambda x, y: 0)
-    with pytest.raises(ColoringMismatch):
+    with pytest.raises(PreconditionError):
         find_grouping(interval(3, 11), f, LSpec.card(1), LSpec.card(2), TOP)
     g = ColoringTable.from_function(interval(3, 10), 1, 2, lambda x: 0)
-    with pytest.raises(ColoringMismatch):
+    with pytest.raises(PreconditionError):
         find_grouping(interval(3, 10), g, LSpec.card(1), LSpec.card(2), TOP)
 
 

@@ -5,7 +5,18 @@ from itertools import combinations
 
 import pytest
 
-from omegalarge.formula import TOP, Pi03Sentence, SecondOrderParam, parse
+from omegalarge.budget import Budget
+from omegalarge.extract import decompose_mixed, fuse, pigeonhole_extract
+from omegalarge.formula import HOMOGENEOUS, TOP, Pi03Sentence, RtLikeStatement, SecondOrderParam, parse
+from omegalarge.grouping import (
+    GroupingWalk,
+    GroupingWitness,
+    LSpec,
+    find_grouping,
+    find_homogeneous,
+    find_transitive,
+    is_grouping,
+)
 from omegalarge.largeness import (
     Block,
     Certificate,
@@ -24,7 +35,8 @@ from omegalarge.largeness import (
     t_apart,
     verify_certificate,
 )
-from omegalarge.sets import FinSet
+from omegalarge.ramsey import ads_extract, ads_q_coloring, em_extract, is_large_gamma, is_n_dense
+from omegalarge.sets import ColoringTable, FinSet
 
 from oracles import BruteForcePlain, bf_large_t, interval_is_large
 
@@ -163,6 +175,62 @@ def test_floor_enforcement():
     with pytest.raises(PreconditionError):
         t_apart(fs(5, 6), fs(8, 9), t)
     assert check_large(fs(7, 8), LargenessSpec(0, 1, t)) is not None
+
+
+def _entries(x, sentence, pairs, points):
+    """Every public entry that takes a set with a sentence or a coloring,
+    called on x (and two blocks of it) with the colorings it is handed:
+    `pairs` where it wants a pair coloring, `points` where a point one."""
+    spec, one, rt12 = LargenessSpec(0, 1, sentence), LSpec.card(1), RtLikeStatement(1, 2, HOMOGENEOUS)
+    head, tail = FinSet(x.elements[:2]), FinSet(x.elements[-2:])
+    colored = {
+        "GroupingWalk": lambda: GroupingWalk(x, pairs, one, one, sentence, Budget()),
+        "find_grouping": lambda: find_grouping(x, pairs, one, one, sentence),
+        "is_grouping": lambda: is_grouping(GroupingWitness((head, tail), pairs), one, one, sentence),
+        "find_homogeneous": lambda: find_homogeneous(x, pairs, spec),
+        "find_transitive": lambda: find_transitive(x, pairs, spec),
+        "pigeonhole_extract": lambda: pigeonhole_extract(x, points, 0, sentence),
+        "em_extract": lambda: em_extract(x, pairs, 1, sentence),
+        "ads_q_coloring": lambda: ads_q_coloring(x, pairs, 1, sentence),
+        "ads_extract": lambda: ads_extract(x, pairs, 1, sentence),
+    }
+    return colored, {
+        **colored,
+        "check_large": lambda: check_large(x, spec),
+        "t_apart": lambda: t_apart(head, tail, sentence),
+        "is_large_gamma": lambda: is_large_gamma(x, 1, 1, sentence, rt12),
+        "is_n_dense": lambda: is_n_dense(x, 3, sentence, rt12),
+        "decompose_mixed": lambda: decompose_mixed(x, 0, 0, sentence),
+        "fuse": lambda: fuse(head, [tail], 0, 0, sentence),
+    }
+
+
+def test_every_entry_rejects_what_its_preconditions_exclude():
+    # one table: a set below the sentence's floor max(3, a), a coloring whose
+    # domain misses the set, and a coloring of the wrong arity, each a
+    # PreconditionError from every entry that takes one.  `low` is past the
+    # subset ceiling and level 3 past the exact density cap, so the Γ entries
+    # raise only by their own check, not by a largeness check inside.
+    low, x, short = interval(4, 30), interval(3, 10), interval(3, 9)
+    a7 = Pi03Sentence(parse("x < y"), 7)
+
+    def pairs(d):
+        return ColoringTable.from_function(d, 2, 2, lambda u, v: 0)
+
+    def points(d):
+        return ColoringTable.from_function(d, 1, 2, lambda v: 0)
+
+    _, every = _entries(low, a7, pairs(low), points(low))
+    misses, _ = _entries(x, TOP, pairs(short), points(short))
+    swapped, _ = _entries(x, TOP, points(x), pairs(x))
+    assert len(every) == 15 and len(misses) == len(swapped) == 9
+    for cases, why in ((every, "below admissible floor 7"), (misses, "does not cover"), (swapped, "arity")):
+        for name, call in cases.items():
+            with pytest.raises(PreconditionError, match=why):
+                call()
+                pytest.fail(f"{name} accepted its input")
+    cert = check_large(low, LargenessSpec(0, 1, TOP))
+    assert cert is not None and not verify_certificate(low, cert, LargenessSpec(0, 1, a7))
 
 
 # -- certificate verification ------------------------------------------------

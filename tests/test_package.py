@@ -23,7 +23,7 @@ EXPORTED = {
                "TRANSITIVE FormulaSyntaxError Pi03Sentence PrefixShapeError PrefixedSentence "
                "QuantStep RtLikeStatement SecondOrderParam compile_formula evaluate formula_text "
                "parse weakly_pi04_transform",
-    "grouping": "ABSENT EXHAUSTED FOUND ColoringMismatch GroupingWalk GroupingWitness LSpec "
+    "grouping": "ABSENT EXHAUSTED FOUND GroupingWalk GroupingWitness LSpec "
                 "MalformedWitness SearchOutcome find_grouping find_homogeneous find_transitive "
                 "is_grouping",
     "largeness": "Block Certificate LargenessSpec Leaf Node PreconditionError SizeOverflow "

@@ -69,9 +69,9 @@ FROZEN = [
     (QuantStep, lambda: ("exists", "x", "y"), "QuantStep(kind='exists', var='x', bound='y')"),
     (PrefixedSentence, lambda: ((QuantStep("forall", "x"),), fm.FTrue()),
      "PrefixedSentence(prefix=(QuantStep(kind='forall', var='x', bound=None),), matrix=FTrue())"),
-    (FinSet, lambda: ((3, 4, 5), 3), "FinSet(elements=(3, 4, 5), floor=3)"),
+    (FinSet, lambda: ((3, 4, 5),), "FinSet(elements=(3, 4, 5))"),
     (ColoringTable, lambda: (S345, 2, 2, (0, 1, 0)),
-     "ColoringTable(domain=FinSet(elements=(3, 4, 5), floor=3), arity=2, colors=2, table=(0, 1, 0))"),
+     "ColoringTable(domain=FinSet(elements=(3, 4, 5)), arity=2, colors=2, table=(0, 1, 0))"),
     (LargenessSpec, lambda: (1, 2, TOP),
      "LargenessSpec(exponent=1, multiplier=2, sentence=Pi03Sentence(theta=FTrue(), param_a=0, "
      "param_A=SecondOrderParam(bits='')))"),
@@ -90,32 +90,32 @@ FROZEN = [
      "BoundsRow(n=0, pigeonhole=1, grouping_chain=(2, 3, 4, 5), em=6, ads=7, rt22=8, lower=9)"),
     (LSpec, lambda: ("card_at_least", None, 2), "LSpec(kind='card_at_least', spec=None, at_least=2)"),
     (GroupingWitness, lambda: ((FinSet((3,)),), F345),
-     "GroupingWitness(blocks=(FinSet(elements=(3,), floor=3),), coloring=ColoringTable(domain="
-     "FinSet(elements=(3, 4, 5), floor=3), arity=2, colors=2, table=(0, 1, 0)))"),
+     "GroupingWitness(blocks=(FinSet(elements=(3,)),), coloring=ColoringTable(domain="
+     "FinSet(elements=(3, 4, 5)), arity=2, colors=2, table=(0, 1, 0)))"),
 ]
 
 RESULTS = [
     (fm._Token, lambda: ("num", "5", 0), "_Token(kind='num', text='5', pos=0)"),
     (LowerBoundReport, lambda: ("confirmed", True, 1, 2, 3, S345, "d"),
      "LowerBoundReport(status='confirmed', complete=True, checked_subsets=1, sub_instances=2, "
-     "skipped=3, witness=FinSet(elements=(3, 4, 5), floor=3), detail='d')"),
+     "skipped=3, witness=FinSet(elements=(3, 4, 5)), detail='d')"),
     (_Sampled, lambda: (None, 3), "_Sampled(rng=None, trials=3)"),
     (EmResult, lambda: ("found", "s", S345, CERT),
-     "EmResult(status='found', stage='s', subset=FinSet(elements=(3, 4, 5), floor=3), "
+     "EmResult(status='found', stage='s', subset=FinSet(elements=(3, 4, 5)), "
      "certificate=Certificate(exponent=0, multiplier=1, blocks=(Block(lo=0, hi=1, "
      "cert=Leaf(witness=3)),)))"),
     (SearchOutcome, lambda: ("absent", None, None, None, 4, "d"),
      "SearchOutcome(status='absent', witness=None, subset=None, certificate=None, steps=4, detail='d')"),
     (PigeonholeResult, lambda: (S345, 1, CERT, False, True),
-     "PigeonholeResult(homogeneous=FinSet(elements=(3, 4, 5), floor=3), color=1, "
+     "PigeonholeResult(homogeneous=FinSet(elements=(3, 4, 5)), color=1, "
      "certificate=Certificate(exponent=0, multiplier=1, blocks=(Block(lo=0, hi=1, "
      "cert=Leaf(witness=3)),)), used_fallback=False, counting_inequality_held=True)"),
     (DecomposeResult, lambda: ((S345,), (CERT,), FinSet((3,))),
-     "DecomposeResult(blocks=(FinSet(elements=(3, 4, 5), floor=3),), block_certificates="
+     "DecomposeResult(blocks=(FinSet(elements=(3, 4, 5)),), block_certificates="
      "(Certificate(exponent=0, multiplier=1, blocks=(Block(lo=0, hi=1, cert=Leaf(witness=3)),)),), "
-     "minima=FinSet(elements=(3,), floor=3))"),
+     "minima=FinSet(elements=(3,)))"),
     (FuseResult, lambda: (S345, CERT),
-     "FuseResult(fused=FinSet(elements=(3, 4, 5), floor=3), certificate=Certificate(exponent=0, "
+     "FuseResult(fused=FinSet(elements=(3, 4, 5)), certificate=Certificate(exponent=0, "
      "multiplier=1, blocks=(Block(lo=0, hi=1, cert=Leaf(witness=3)),)))"),
     (Outcome, lambda: (0, {"result": "ok"}, "fine"), "Outcome(code=0, payload={'result': 'ok'}, human='fine')"),
 ]
@@ -201,8 +201,7 @@ def test_same_shape_classes_stay_unequal():
 
 
 def test_keyword_construction_and_defaults():
-    assert FinSet((3, 4)).floor == 3 and FinSet((1,), 0).floor == 0
-    assert FinSet(elements=(5,), floor=4) == FinSet((5,), 4)
+    assert FinSet(elements=(5,)) == FinSet((5,))
     assert SecondOrderParam().bits == "" and SecondOrderParam() == EMPTY_PARAM
     s = Pi03Sentence(parse("x < y"))
     assert (s.param_a, s.param_A) == (0, EMPTY_PARAM)
@@ -234,7 +233,7 @@ def test_keyword_construction_and_defaults():
 
 def test_checks_run_on_construction_and_normalize():
     assert FinSet(("3", 4.0)).elements == (3, 4)
-    for bad in (lambda: FinSet((4, 3)), lambda: FinSet((2,)), lambda: SecondOrderParam("012"),
+    for bad in (lambda: FinSet((4, 3)), lambda: FinSet((-2,)), lambda: SecondOrderParam("012"),
                 lambda: LargenessSpec(-1), lambda: Mode("exhaustive"),
                 lambda: RtLikeStatement(2, 0, "homogeneous"), lambda: ColoringTable(S345, 2, 2, (0, 1)),
                 lambda: Pi03Sentence(parse("w < y"))):
@@ -322,7 +321,7 @@ def test_random_records_round_trip_through_their_fields():
     rng = random.Random(7)
     for _ in range(50):
         elems = tuple(sorted(rng.sample(range(3, 40), rng.randrange(6))))
-        s = FinSet(elems, 3)
-        assert s == FinSet(s.elements, s.floor) and hash(s) == hash((s.elements, s.floor))
+        s = FinSet(elems)
+        assert s == FinSet(s.elements) and hash(s) == hash((s.elements,))
         addr = BlockAddress(tuple(rng.randrange(4) for _ in range(3)), rng.randrange(4))
         assert hash(addr) == hash((addr.path, addr.level))

@@ -22,8 +22,8 @@ def test_finset_validation():
     with pytest.raises(ValueError):
         FinSet((5, 4))
     with pytest.raises(ValueError):
-        FinSet((2, 4))  # below default floor
-    assert FinSet((0, 1), floor=0).elements == (0, 1)
+        FinSet((-1, 4))
+    assert FinSet((0, 1)).elements == (0, 1)  # a sentence's floor is not the set's
     assert len(FinSet(())) == 0
 
 
@@ -118,7 +118,7 @@ def test_restrict_coloring_functorial():
                 for h_idx in combinations(range(gsize), hsize):
                     h_vals = FinSet(tuple(g_vals[i] for i in h_idx))
                     direct = restrict_coloring(f, h_vals)
-                    via_g = restrict_coloring(fg, FinSet(h_idx, floor=0))
+                    via_g = restrict_coloring(fg, FinSet(h_idx))
                     assert direct.table == via_g.table
 
 
@@ -130,7 +130,7 @@ def test_restrict_coloring_functorial():
 @settings(max_examples=150, deadline=None)
 def test_coloring_lookup_matches_lexicographic_table(values, arity, rng):
     # domains are arbitrary sets, not intervals, so positions and values differ
-    dom = FinSet(tuple(sorted(values)), floor=0)
+    dom = FinSet(tuple(sorted(values)))
     f = ColoringTable.random(dom, arity, 3, rng)
     tuples = list(combinations(dom.elements, arity))
     assert len(tuples) == len(f.table)

@@ -1,8 +1,8 @@
 """Source-level rules for the package: postconditions must not rely on
 `assert`, which `python -O` strips, only the θ compiler runs generated
 code, no nested function calls itself, the grouping walk's nodes build no
-set, and every function and module-level name is called or named from
-somewhere."""
+set, each input precondition is checked by its one owner, and every
+function and module-level name is called or named from somewhere."""
 
 import ast
 import re
@@ -108,6 +108,33 @@ def test_grouping_walk_nodes_build_no_finset():
         if isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] == "FinSet"
     ]
     assert not builds, "\n".join(builds)
+
+
+# set relations a coverage test could be written with, besides comparisons
+SET_TESTS = {"issubset", "issuperset", "isdisjoint", "difference"}
+
+
+def _reads_precondition(node: ast.AST) -> bool:
+    """A call of a sentence's `floor()`, or a comparison or set-relation
+    call that reads a coloring's `.domain`."""
+    method = node.func.attr if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) else None
+    if method == "floor":
+        return True
+    return (isinstance(node, ast.Compare) or method in SET_TESTS) and any(
+        isinstance(n, ast.Attribute) and n.attr == "domain" for n in ast.walk(node)
+    )
+
+
+def test_each_input_precondition_has_one_owner():
+    # a sentence's floor is read, and a coloring's domain tested for
+    # coverage, only by the helper that owns the precondition
+    readers = sorted(
+        (path.name, func)
+        for path, tree in _sources()
+        for func, node in _nodes(tree, (ast.Call, ast.Compare))
+        if _reads_precondition(node)
+    )
+    assert readers == [("largeness.py", "_check_admissible"), ("largeness.py", "_check_coloring")]
 
 
 # a string that is a name or a dotted path of names (getattr, monkeypatch,
