@@ -9,6 +9,7 @@ terminates.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from itertools import combinations
 from types import FunctionType
 from typing import Callable
@@ -653,8 +654,12 @@ class Pi03Sentence(FrozenRecord):
         extra = free_vars(self.theta) - {"x", "y", "z"}
         if extra:
             raise ValueError(f"theta has stray free variables {sorted(extra)}")
-        # compiled here, so a theta too deep to compile fails where it is read
-        self._cache["fn"] = compile_formula(self.theta, ["x", "y", "z"])(self.param_a, self.param_A.member)
+        # compiled here, so a theta too deep to compile fails where it is read;
+        # the memos are made here once, so a query only reads them
+        self._cache.update(
+            fn=compile_formula(self.theta, ["x", "y", "z"])(self.param_a, self.param_A.member),
+            z_frontier={}, y_frontier={}, z_seen={},
+        )
 
     @property
     def is_top(self) -> bool:
@@ -670,17 +675,23 @@ class Pi03Sentence(FrozenRecord):
     def holds_bounded(self, x_bound: int, y_bound: int, z_bound: int) -> bool:
         """forall x < x_bound exists y < y_bound forall z < z_bound theta.
 
-        Two memos in `_cache` answer repeated block-apartness queries; they
-        live as long as this sentence object.  `z_frontier` holds one entry
-        per (x, y), O(X·Y) in all: n >= 0 says theta holds for every z < n,
-        ~n < 0 says z = n is the first z where it fails.  A query past an
-        open frontier extends it, so theta runs at most once per (x, y, z).
-        `some_y` holds one answer per (x, y_bound, z_bound), O(X·Y·Z).
+        Two frontiers in `_cache` answer repeated block-apartness queries;
+        they live as long as this sentence object.  `z_frontier` holds one
+        entry per (x, y), O(X·Y) in all: n >= 0 says theta holds for every
+        z < n, ~n < 0 says z = n is the first z where it fails.  A query past
+        an open frontier extends it, so theta runs at most once per (x, y, z).
+        `y_frontier` holds one entry per (x, Z), O(X·Z) in all: ~w < 0 says w
+        is the least y with theta(x, y, z) for every z < Z, n >= 0 says no
+        y < n is such a witness.  A query reads w < y_bound or resumes the
+        scan at n, never at 0.  A witness for Z is one for every Z' < Z, so
+        the least witness is nondecreasing in Z, and either kind of entry at
+        the nearest smaller Z' seen for x (`z_seen`, sorted) is a lower
+        bound that a new (x, Z) entry starts from.
         """
         if self.is_top:
             return True
-        z_frontier = self._cache.setdefault("z_frontier", {})
-        some_y = self._cache.setdefault("some_y", {})
+        cache = self._cache
+        z_frontier, y_frontier, z_seen = cache["z_frontier"], cache["y_frontier"], cache["z_seen"]
 
         def forall_z(x: int, y: int, c: int) -> bool:
             n = z_frontier.get((x, y), 0)
@@ -696,12 +707,22 @@ class Pi03Sentence(FrozenRecord):
             return True
 
         def exists_y(x: int, b: int, c: int) -> bool:
-            key = (x, b, c)
-            hit = some_y.get(key)
-            if hit is None:
-                hit = any(forall_z(x, y, c) for y in range(b))
-                some_y[key] = hit
-            return hit
+            n = y_frontier.get((x, c))
+            if n is None:
+                seen = z_seen.setdefault(x, [])
+                i = bisect_left(seen, c)
+                n = y_frontier[x, seen[i - 1]] if i else 0
+                if n < 0:
+                    n = ~n
+                seen.insert(i, c)
+            elif n < 0:
+                return ~n < b
+            for y in range(n, b):
+                if forall_z(x, y, c):
+                    y_frontier[x, c] = ~y
+                    return True
+            y_frontier[x, c] = max(n, b)
+            return False
 
         return all(exists_y(x, y_bound, z_bound) for x in range(x_bound))
 

@@ -272,6 +272,36 @@ def test_holds_bounded_matches_the_literal_triple_loop(seed, size, queries):
             formula_text(sentence.theta), x_bound, y_bound, z_bound)
 
 
+# θ whose least witness y grows with the z bound, or which has none for
+# some x, so a new (x, Z) entry is seeded from a witness entry as well as
+# from an exhausted scan
+_GROWING = ("z < x + y", "z < y or z in A", "y < x and z < x + y + 3", "x + z < y + y")
+
+
+@given(
+    st.integers(min_value=0, max_value=2 ** 63),
+    st.one_of(st.sampled_from(_GROWING), st.integers(min_value=1, max_value=10)),
+    st.sampled_from(["rising", "falling", "mixed"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_seeded_y_frontier_matches_the_literal_triple_loop(seed, theta, order):
+    # few x and y bounds per z bound, so most queries reuse an (x, Z)
+    # entry or seed a new one from the entry at a nearby Z
+    rng = random.Random(seed)
+    theta = parse(theta) if isinstance(theta, str) else random_formula(rng, ["x", "y", "z"], theta)
+    bits = "".join(rng.choice("01") for _ in range(rng.randrange(0, 13)))
+    sentence = Pi03Sentence(theta, rng.randrange(5), SecondOrderParam(bits))
+    fresh = Pi03Sentence(theta, sentence.param_a, sentence.param_A)
+    xs, ys, zs = rng.sample(range(1, 8), 2), rng.sample(range(13), 3), rng.sample(range(13), 5)
+    if order != "mixed":
+        zs.sort(reverse=order == "falling")
+    for z_bound in zs:
+        for _ in range(4):
+            q = (rng.choice(xs), rng.choice(ys), z_bound)
+            want = sentence.is_top or holds_bounded_literal(fresh, *q)
+            assert sentence.holds_bounded(*q) == want, (formula_text(theta), order, q)
+
+
 def test_holds_bounded_evaluates_each_triple_at_most_once(monkeypatch):
     sentence = Pi03Sentence(parse("z < x + y or z in A"), 0, SecondOrderParam("0110011101"))
     calls = []

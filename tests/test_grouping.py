@@ -327,6 +327,32 @@ def test_dead_block_starts_are_jumped():
     assert out.status == ABSENT and out.steps <= 2 * len(z)
 
 
+class _CountedGets(dict):
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_dead_chain_reads_the_z_frontier_linearly():
+    # each jump asks holds_bounded(m, v, v) for a later v; x = 0 has no
+    # witness, so its y scan resumes where the one for the last z bound
+    # stopped, instead of reading every y < v again
+    z = interval(3, 1502)
+    f = pair_coloring(z, lambda x, y: 0)
+    never = Pi03Sentence(parse("y < x"))
+    reads = never._cache["z_frontier"] = _CountedGets()
+    out = find_grouping(z, f, LSpec.card(1), LSpec.card(2), never, Budget(2 * len(z)))
+    assert out.status == ABSENT and reads.gets <= 2 * len(z)
+    # no memo key carries the y bound: the same queries under smaller y
+    # bounds add no entry to any memo
+    sizes = [len(memo) for memo in never._cache.values() if isinstance(memo, dict)]
+    last = z.elements[-1]
+    assert not any(never.holds_bounded(3, y, last) for y in range(last))
+    assert [len(memo) for memo in never._cache.values() if isinstance(memo, dict)] == sizes
+
+
 def test_walk_rejects_a_coloring_that_misses_the_set():
     f = pair_coloring(interval(3, 10), lambda x, y: 0)
     with pytest.raises(PreconditionError):

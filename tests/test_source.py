@@ -1,8 +1,9 @@
 """Source-level rules for the package: postconditions must not rely on
 `assert`, which `python -O` strips, only the θ compiler runs generated
-code, no nested function calls itself, the grouping walk's nodes build no
-set, each input precondition is checked by its one owner, and every
-function and module-level name is called or named from somewhere."""
+code, a sentence calls its compiled θ only through `theta_at`, no nested
+function calls itself, the grouping walk's nodes build no set, each input
+precondition is checked by its one owner, and every function and
+module-level name is called or named from somewhere."""
 
 import ast
 import re
@@ -94,6 +95,26 @@ def test_only_the_theta_compiler_runs_generated_code():
     assert not offending, "\n".join(offending)
     # one call each: stale entries are dropped from the list
     assert sorted(found) == sorted(ALLOWED_DYNAMIC)
+
+
+def test_theta_is_called_only_through_theta_at():
+    # perfbench's theta_evals counter and the at-most-once test patch
+    # `theta_at`; a call of the compiled θ anywhere else hides from both
+    tree = ast.parse((SRC / "formula.py").read_text())
+    (sentence,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Pi03Sentence"]
+    # θ is bound once, by the constructor, and kept under "fn", which
+    # nothing else in the module names
+    binds = [(func, ast.unparse(node)) for func, node in _nodes(sentence, ast.Call)
+             if ast.unparse(node.func).startswith("compile_formula(")]
+    assert binds == [("__post_init__", "compile_formula(self.theta, ['x', 'y', 'z'])(self.param_a, self.param_A.member)")]
+    mentions = sorted(
+        (func, type(node).__name__)
+        for func, node in _nodes(tree, (ast.Constant, ast.keyword))
+        if (node.arg if isinstance(node, ast.keyword) else node.value) == "fn"
+    )
+    assert mentions == [("__post_init__", "keyword"), ("theta_at", "Constant")]
+    (theta_at,) = [n for n in sentence.body if isinstance(n, ast.FunctionDef) and n.name == "theta_at"]
+    assert [ast.unparse(n) for n in theta_at.body] == ["return self._cache['fn'](x, y, z)"]
 
 
 def test_grouping_walk_nodes_build_no_finset():
