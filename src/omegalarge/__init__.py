@@ -38,7 +38,7 @@ _BY_MODULE = {
         "CanonicalTree", "LowerBoundReport", "tree", "verify_lower_bound"
     ),
     "ramsey": (
-        "BoundsRow", "EmConstants", "EmResult", "Mode", "QTotalityError",
+        "BoundsRow", "EmConstants", "Mode", "QTotalityError",
         "Verdict", "ads_extract", "ads_q_coloring", "bounds_table", "bounds_tsv", "em_extract",
         "is_large_gamma", "is_n_dense"
     ),

@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 import traceback
-from typing import TYPE_CHECKING
 
 # Only the modules behind `large check` load with the CLI; a handler that
 # needs extract, grouping, lowerbound or ramsey imports it when it runs.
@@ -46,9 +45,6 @@ from .largeness import (
 )
 from .record import Record
 from .sets import ColoringTable, FinSet, SparsityPolicy
-
-if TYPE_CHECKING:
-    from .grouping import LSpec
 
 
 class UsageError(ValueError):
@@ -145,19 +141,17 @@ def load_coloring(args, attr: str = "coloring") -> ColoringTable:
     return read_json(path, ColoringTable.from_json)
 
 
-def load_lspec(text: str, sentence: Pi03Sentence) -> LSpec:
+def load_lspec(text: str, sentence: Pi03Sentence) -> LargenessSpec:
     """card:M, or omega:N[:K][:top] largeness forms."""
-    from .grouping import LSpec
-
     parts = text.split(":")
     try:
         if parts[0] == "card":
-            return LSpec.card(natural(parts[1]))
+            return LargenessSpec.card(natural(parts[1]))
         if parts[0] == "omega":
             exponent = natural(parts[1])
             multiplier = positive(parts[2]) if len(parts) > 2 and parts[2] else 1
             sent = TOP if parts[-1] == "top" else sentence
-            return LSpec.largeness(LargenessSpec(exponent, multiplier, sent))
+            return LargenessSpec(exponent, multiplier, sent)
     except (IndexError, ValueError) as err:
         raise UsageError(f"bad largeness requirement {text!r}") from err
     raise UsageError(f"bad largeness requirement {text!r}; use card:M or omega:N[:K][:top]")
@@ -350,7 +344,7 @@ def cmd_em_extract(args) -> Outcome:
         }
         return Outcome(0, payload, f"transitive subset of {len(out.subset)} elements")
     code = 1 if out.status == ABSENT else 2
-    return Outcome(code, {"result": out.status, "stage": out.stage}, f"{out.status} at stage: {out.stage}")
+    return Outcome(code, {"result": out.status, "stage": out.detail}, f"{out.status} at stage: {out.detail}")
 
 
 def cmd_ads_q(args) -> Outcome:

@@ -104,30 +104,36 @@ TRUE = FTrue()
 FALSE = FFalse()
 
 
-def term_vars(t: Term) -> set[str]:
-    if isinstance(t, TVar):
-        return {t.name}
-    if isinstance(t, (TAdd, TMul)):
-        return term_vars(t.left) | term_vars(t.right)
-    if isinstance(t, TPow):
-        return term_vars(t.base)
-    return set()
-
-
 def free_vars(phi: Formula) -> set[str]:
-    if isinstance(phi, (FTrue, FFalse)):
-        return set()
-    if isinstance(phi, FCmp):
-        return term_vars(phi.left) | term_vars(phi.right)
-    if isinstance(phi, FIn):
-        return term_vars(phi.term)
-    if isinstance(phi, FNot):
-        return free_vars(phi.body)
-    if isinstance(phi, (FAnd, FOr, FImp)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, FQuant):
-        return term_vars(phi.bound) | (free_vars(phi.body) - {phi.var})
-    raise TypeError(phi)
+    return _variables(phi, free=True)
+
+
+def _variables(phi: Formula, free: bool) -> set[str]:
+    """The variables phi names: its free ones, or with `free` off every one,
+    binders included.  The walk keeps its own stack, so a flat `and`, `or`
+    or `+` chain of any length is read, as the parser and compiler read it."""
+    out: set[str] = set()
+    stack = [(phi, frozenset())]  # a node, and the variables bound above it
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, TVar):
+            if node.name not in bound:
+                out.add(node.name)
+        elif isinstance(node, (TAdd, TMul, FCmp, FAnd, FOr, FImp)):
+            stack += ((node.left, bound), (node.right, bound))
+        elif isinstance(node, TPow):
+            stack.append((node.base, bound))
+        elif isinstance(node, FIn):
+            stack.append((node.term, bound))
+        elif isinstance(node, FNot):
+            stack.append((node.body, bound))
+        elif isinstance(node, FQuant):
+            if not free:
+                out.add(node.var)
+            stack += ((node.bound, bound), (node.body, bound | {node.var} if free else bound))
+        elif not isinstance(node, (TConst, TConstA, FTrue, FFalse)):
+            raise TypeError(node)
+    return out
 
 
 def subst_term(t: Term, mapping: dict[str, str]) -> Term:
@@ -169,6 +175,14 @@ def rename_free(phi: Formula, mapping: dict[str, str]) -> Formula:
 # ---------------------------------------------------------------------------
 
 KEYWORDS = {"forall", "exists", "and", "or", "not", "in", "true", "false"}
+
+
+def _is_variable_name(name) -> bool:
+    """Is name one identifier that a quantifier may bind: letters, digits,
+    `_` and `'`, led by a letter or `_`, and neither a keyword nor `a`/`A`?"""
+    if not isinstance(name, str) or not name or name in KEYWORDS or name in ("a", "A"):
+        return False
+    return (name[0].isalpha() or name[0] == "_") and all(c.isalnum() or c in "_'" for c in name)
 
 
 class FormulaSyntaxError(ValueError):
@@ -271,7 +285,7 @@ class _Parser:
         if tok.text in ("forall", "exists"):
             self.next()
             var = self.next()
-            if var.kind != "ident" or var.text in KEYWORDS or var.text in ("a", "A"):
+            if var.kind != "ident" or not _is_variable_name(var.text):
                 raise FormulaSyntaxError("expected a quantified variable name", var.pos)
             if self.peek().text != "<":
                 raise FormulaSyntaxError(
@@ -531,7 +545,8 @@ class _ThetaSource:
 
     Same-operator chains come out flat and `not` unparenthesized wherever
     Python's precedence allows, and the emitter recurses once per AST level
-    elsewhere, so it goes as deep as `free_vars` does.
+    elsewhere, so only nesting, never a chain's length, meets the
+    interpreter's recursion limit.
     """
 
     def __init__(self) -> None:
@@ -880,6 +895,11 @@ class PrefixedSentence(FrozenRecord):
         steps = [json_typed(q, list, "a prefix step") for q in json_typed(obj["prefix"], list, "prefix")]
         if any(len(q) != 3 for q in steps):
             raise ValueError("a prefix step is [kind, variable, bound]")
+        for kind, var, _ in steps:
+            if kind not in ("forall", "exists"):
+                raise ValueError(f"a prefix step's kind must be forall or exists, not {json.dumps(kind)}")
+            if not _is_variable_name(var):
+                raise ValueError(f"a prefix step's variable must be a variable name, not {json.dumps(var)}")
         return cls(tuple(QuantStep(*q) for q in steps), parse(json_typed(obj["matrix"], str, "matrix")))
 
 
@@ -900,7 +920,10 @@ def weakly_pi04_transform(sentence: PrefixedSentence) -> PrefixedSentence:
             "input must have prefix exists x forall y exists z with no bounds"
         )
     x, y, z = (q.var for q in sentence.prefix)
-    used = free_vars(sentence.matrix) | {x, y, z}
+    if len({x, y, z}) < 3:
+        raise PrefixShapeError(f"the prefix binds a variable twice: exists {x} forall {y} exists {z}")
+    # fresh names avoid the matrix's bound variables too, or x' would be captured
+    used = _variables(sentence.matrix, free=False) | {x, y, z}
     xp = _fresh(x + "'", used)
     yp = _fresh(y + "'", used | {xp})
     matrix = rename_free(sentence.matrix, {x: xp, y: yp})

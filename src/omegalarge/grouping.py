@@ -14,7 +14,7 @@ from math import inf
 from typing import Optional
 
 from .budget import Budget, BudgetExceeded, budget_or_unlimited
-from .formula import CeilingExceeded, Pi03Sentence
+from .formula import TOP, CeilingExceeded, Pi03Sentence
 from .largeness import (
     Certificate,
     LargenessSpec,
@@ -34,61 +34,33 @@ EXHAUSTED = "exhausted"
 TRANSVERSAL_CEILING = 200_000
 
 
-class LSpec(FrozenRecord):
-    """A largeness requirement: either a LargenessSpec or a cardinality
-    bound, both closed under supersets; only its methods read `kind`."""
+# a grouping requirement is a LargenessSpec (`card:M` is LargenessSpec.card(M));
+# the older name stays for callers outside the package
+LSpec = LargenessSpec
 
-    kind: str  # 'largeness' | 'card_at_least'
-    spec: Optional[LargenessSpec]
-    at_least: Optional[int]
 
-    def __init__(
-        self, kind: str, spec: Optional[LargenessSpec] = None, at_least: Optional[int] = None
-    ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "at_least", at_least)
+def _holds(spec: LargenessSpec, elements: tuple[int, ...]) -> bool:
+    """Is the set of these increasing elements large at spec?  A bare count
+    (exponent 0 under TOP) reads only their number and builds no set."""
+    if spec.exponent == 0 and spec.sentence is TOP:
+        return len(elements) >= spec.multiplier
+    return check_large(FinSet(elements), spec) is not None
 
-    @classmethod
-    def largeness(cls, spec: LargenessSpec) -> "LSpec":
-        return cls("largeness", spec=spec)
 
-    @classmethod
-    def card(cls, m: int) -> "LSpec":
-        return cls("card_at_least", at_least=m)
-
-    def holds(self, elements: tuple[int, ...]) -> bool:
-        """Does the set of these increasing elements meet the requirement?
-        A cardinality bound reads only their number, so only a largeness
-        requirement builds the set."""
-        if self.kind == "card_at_least":
-            return len(elements) >= self.at_least
-        return check_large(FinSet(elements), self.spec) is not None
-
-    def least_size(self, first: int, available: int) -> int:
-        """Least size of a set with minimum >= first that meets the
-        requirement; any value past available means none fits."""
-        if self.kind == "card_at_least":
-            return self.at_least
-        return least_card(first, self.spec.exponent, self.spec.multiplier, available)
-
-    def fixed_least_size(self) -> Optional[int]:
-        """The least size when it is the same at every minimum (a
-        cardinality bound), else None."""
-        return self.at_least if self.kind == "card_at_least" else None
-
-    def every_transversal(self, blocks: tuple[FinSet, ...]) -> bool:
-        """Does every set meeting all the blocks meet the requirement?  By
-        superset closure, the one-point-per-block selections decide it; past
-        TRANSVERSAL_CEILING of them it raises CeilingExceeded."""
-        if self.kind == "card_at_least":
-            return len(blocks) >= self.at_least
-        count = 1
-        for b in blocks:
-            count *= len(b)
-            if count > TRANSVERSAL_CEILING:
-                raise CeilingExceeded(f"transversal space {count}+ exceeds ceiling {TRANSVERSAL_CEILING}")
-        return all(self.holds(sel) for sel in product(*(b.elements for b in blocks)))
+def _every_transversal(spec: LargenessSpec, blocks: tuple[FinSet, ...]) -> bool:
+    """Is every set meeting all the blocks large at spec?  By superset
+    closure, the one-point-per-block selections decide it.  Under a bare
+    count each selection has one point per block, so the block count
+    answers; otherwise past TRANSVERSAL_CEILING selections it raises
+    CeilingExceeded."""
+    if spec.exponent == 0 and spec.sentence is TOP:
+        return len(blocks) >= spec.multiplier
+    count = 1
+    for b in blocks:
+        count *= len(b)
+        if count > TRANSVERSAL_CEILING:
+            raise CeilingExceeded(f"transversal space {count}+ exceeds ceiling {TRANSVERSAL_CEILING}")
+    return all(_holds(spec, sel) for sel in product(*(b.elements for b in blocks)))
 
 
 class GroupingWitness(FrozenRecord):
@@ -139,8 +111,8 @@ def _cross_monochromatic(blocks: tuple[FinSet, ...], f: ColoringTable) -> bool:
 
 def is_grouping(
     w: GroupingWitness,
-    l0: LSpec,
-    l1: LSpec,
+    l0: LargenessSpec,
+    l1: LargenessSpec,
     sentence: Pi03Sentence,
 ) -> bool:
     """Check the four grouping conditions; a malformed witness, a broken
@@ -148,9 +120,9 @@ def is_grouping(
     _validate_witness(w)
     _check_admissible(w.blocks[0], sentence)  # the blocks increase
     _check_coloring((v for b in w.blocks for v in b.elements), w.coloring, 2)
-    if not all(l0.holds(b.elements) for b in w.blocks):
+    if not all(_holds(l0, b.elements) for b in w.blocks):
         return False
-    if not l1.every_transversal(w.blocks):
+    if not _every_transversal(l1, w.blocks):
         return False
     if not _cross_monochromatic(w.blocks, w.coloring):
         return False
@@ -199,8 +171,8 @@ class GroupingWalk:
         self,
         z: FinSet,
         f: ColoringTable,
-        l0: LSpec,
-        l1: LSpec,
+        l0: LargenessSpec,
+        l1: LargenessSpec,
         sentence: Pi03Sentence,
         budget: Budget,
         minimal: bool = False,
@@ -214,7 +186,7 @@ class GroupingWalk:
         self.min_blocks = _min_block_count(l0, l1, z)
         # l0's least size of a block, by block minimum, as the walk meets them
         self._least: dict[int, int] = {}
-        self._fixed_least = l0.fixed_least_size()
+        self._fixed_least = l0.multiplier if l0.exponent == 0 else None
         # dead block starts are jumped over in the minimal walk; under TOP
         # every start is apart, so there is nothing to jump
         self._jump = minimal and not sentence.is_top
@@ -242,7 +214,7 @@ class GroupingWalk:
         if not blocks or len(blocks) < self.min_blocks:
             return None
         try:
-            ok = self.l1.every_transversal(tuple(FinSet(b) for b in blocks))
+            ok = _every_transversal(self.l1, tuple(FinSet(b) for b in blocks))
         except CeilingExceeded:
             self.ceiling_hit = True  # could not decide: absence claims are off
             return None
@@ -306,16 +278,17 @@ class GroupingWalk:
         if len(blocks) + (1 if current else 0) + left < self.min_blocks:
             return
         if current:
-            # a falsy fixed size (card:0) takes the lookup, which gives 0
             least = self._fixed_least or self._least.get(current[0])
             if least is None:
                 available = len(elems) - bisect_left(elems, current[0])  # elements from current[0] on
-                least = self._least[current[0]] = self.l0.least_size(current[0], available)
+                least = self._least[current[0]] = least_card(
+                    current[0], self.l0.exponent, self.l0.multiplier, available
+                )
             if len(current) + left < least:
                 return
         # no block is open, or the open one satisfies l0 and so may close;
         # l0 is asked only where a family is tested or a block may start
-        closeable = not current or ((fresh or left > 0) and self.l0.holds(current))
+        closeable = not current or ((fresh or left > 0) and _holds(self.l0, current))
         closed = blocks + (current,) if current and closeable else blocks
         # a candidate family is tested once, right after it changed
         if fresh and closeable:
@@ -357,8 +330,8 @@ class GroupingWalk:
 def find_grouping(
     z: FinSet,
     f: ColoringTable,
-    l0: LSpec,
-    l1: LSpec,
+    l0: LargenessSpec,
+    l1: LargenessSpec,
     sentence: Pi03Sentence,
     budget: Budget | None = None,
 ) -> SearchOutcome:
@@ -393,17 +366,17 @@ def find_grouping(
     return SearchOutcome(FOUND, witness=w, steps=budget.spent)
 
 
-def _min_block_count(l0: LSpec, l1: LSpec, z: FinSet) -> int:
+def _min_block_count(l0: LargenessSpec, l1: LargenessSpec, z: FinSet) -> int:
     """Lower bound on the block count any grouping must have: a transversal
     has one point per block, all at least min z, so l1's least size.  Every
     block needs l0's least size, which grows with the block minimum; when
     not even a block at min z fits in z, no grouping exists: len(z) + 1.
     """
     if not z.elements:
-        return l1.least_size(1, 0)  # no minimum: the least over all minima
-    if l0.least_size(z.minimum, len(z)) > len(z):
+        return least_card(1, l1.exponent, l1.multiplier, 0)  # no minimum: the least over all minima
+    if least_card(z.minimum, l0.exponent, l0.multiplier, len(z)) > len(z):
         return len(z) + 1
-    return l1.least_size(z.minimum, len(z))
+    return least_card(z.minimum, l1.exponent, l1.multiplier, len(z))
 
 
 def _apart(blocks, first, last, sentence) -> bool:

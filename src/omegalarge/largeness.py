@@ -44,6 +44,16 @@ class LargenessSpec(FrozenRecord):
         if self.exponent < 0 or self.multiplier < 1:
             raise ValueError("exponent must be >= 0 and multiplier >= 1")
 
+    @classmethod
+    def card(cls, m: int) -> "LargenessSpec":
+        """At least m elements: omega^0 * m under TOP, whose blocks are any
+        m points, since TOP keeps every pair apart.  card(0) is card(1): a
+        requirement is asked only of a block or of a transversal of a
+        family of blocks, and both are nonempty (blocks are nonempty and a
+        family has one), so "at least 0 elements" and "at least 1" agree
+        on every set they are asked of."""
+        return cls(0, max(m, 1), TOP)
+
 
 # ---------------------------------------------------------------------------
 # Certificates
@@ -265,7 +275,10 @@ def _interval_card(b: int, n: int, cap: int, work: list[int]) -> int:
 def least_card(first: int, exponent: int, multiplier: int, available: int) -> int:
     """Least size of a set with minimum >= first that is large at
     omega^exponent * multiplier under any sentence (apartness only shrinks
-    the witness family); any value past `available` means none fits."""
+    the witness family); any value past `available` means none fits.  At
+    exponent 0 every block is one point, so the least size is `multiplier`."""
+    if exponent == 0:
+        return multiplier
     total = 0
     try:
         for _ in range(multiplier):  # blocks no smaller than minimal intervals

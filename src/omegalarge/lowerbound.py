@@ -173,7 +173,12 @@ class _Blocks:
         z's c-block minus x's c-block, cut to x < y <= z.
         """
         bound, theta = self._table_formula(ceiling)
-        members = self.materialize(budget=ceiling).elements
+        return Pi03Sentence(theta, 0, SecondOrderParam(self._table_bits(bound)))
+
+    def _table_bits(self, bound: int) -> str:
+        """The export table below the bound, as the bits of A; its members
+        are below the bound, so it sizes the materialization too."""
+        members = self.materialize(budget=bound).elements
         addrs = [(v, [self.block_of(v, c) for c in range(self.rank + 1)]) for v in members]
         block_mask: dict[BlockAddress, int] = {}  # an address carries its level
         for v, row in addrs:
@@ -193,14 +198,19 @@ class _Blocks:
                 col &= above_x & ((2 << z) - 1)
                 # entry (x, y, z) sits at xb + y*bound + z, for y = 0..z
                 bits[xb + z: xb + z + (z + 1) * bound: bound] = format(col, f"0{z + 1}b")[::-1].encode()
-        return Pi03Sentence(theta, 0, SecondOrderParam(bits.decode()))
+        return bits.decode()
 
 
 class _SeparationTable:
-    """The exported bits of A, each read off `separates` when asked."""
+    """The exported bits of A, each read off `separates` when asked; the
+    whole table is built only when `bits` is read."""
 
     def __init__(self, blocks: _Blocks, bound: int):
         self.blocks, self.bound = blocks, bound
+
+    @property
+    def bits(self) -> str:
+        return self.blocks._table_bits(self.bound)
 
     def member(self, i: int) -> bool:
         xy, z = divmod(i, self.bound)

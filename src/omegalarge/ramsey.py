@@ -17,13 +17,11 @@ from .grouping import (
     EXHAUSTED,
     FOUND,
     GroupingWalk,
-    LSpec,
     SearchOutcome,
     find_homogeneous,
     find_transitive,
 )
 from .largeness import (
-    Certificate,
     LargenessSpec,
     PreconditionError,
     _check_admissible,
@@ -282,41 +280,24 @@ class EmConstants(FrozenRecord):
     """
 
     block_exponents: tuple[int, ...]
-    transversal: LSpec
+    transversal: LargenessSpec
 
     @classmethod
     def faithful(cls, n: int) -> "EmConstants":
         return cls(
             tuple(FAITHFUL_BASE ** (level - 1) for level in range(1, n + 1)),
-            LSpec.largeness(LargenessSpec(6, 1, TOP)),
+            LargenessSpec(6, 1, TOP),
         )
 
     @classmethod
     def scaled(cls, n: int) -> "EmConstants":
         return cls(
             tuple(0 for _ in range(n)),
-            LSpec.largeness(LargenessSpec(1, 1, TOP)),
+            LargenessSpec(1, 1, TOP),
         )
 
     def exponent(self, level: int) -> int:
         return self.block_exponents[level - 1]
-
-
-class EmResult(Record):
-    status: str  # found | absent | exhausted
-    stage: str
-    subset: Optional[FinSet]
-    certificate: Optional[Certificate]
-
-    def __init__(
-        self,
-        status: str,
-        stage: str = "",
-        subset: Optional[FinSet] = None,
-        certificate: Optional[Certificate] = None,
-    ) -> None:
-        self.status, self.stage = status, stage
-        self.subset, self.certificate = subset, certificate
 
 
 def em_extract(
@@ -326,14 +307,15 @@ def em_extract(
     sentence: Pi03Sentence,
     budget: Budget | None = None,
     constants: EmConstants | None = None,
-) -> EmResult:
+) -> SearchOutcome:
     """Extract a transitive subset large at exponent n under the sentence.
 
     Level by level: find a grouping whose blocks are large at the previous
     level's exponent, recurse inside each block for a transitive piece, and
     join the pieces along a transitive tournament over their minima found
-    by homogeneous-style search.  Failures report the failing stage; every
-    success is re-validated (triple scan plus certificate check).
+    by homogeneous-style search.  A failure names the failing stage in the
+    outcome's `detail`; every success is re-validated (triple scan plus
+    certificate check).
 
     The walk visits every grouping, not only those of minimal l0 blocks as
     `find_grouping` does: each block must hold a transitive piece one level
@@ -357,15 +339,15 @@ def em_extract(
     return result
 
 
-def _em_level(x, f, n, sentence, budget, constants) -> EmResult:
+def _em_level(x, f, n, sentence, budget, constants) -> SearchOutcome:
     if not x.elements:
-        return EmResult(ABSENT, stage="empty input")
+        return SearchOutcome(ABSENT, detail="empty input")
     if n == 0:
         single = FinSet((x.minimum,))
         cert = check_large(single, LargenessSpec(0, 1, sentence), budget=budget)
-        return EmResult(FOUND, subset=single, certificate=cert)
+        return SearchOutcome(FOUND, subset=single, certificate=cert)
 
-    l0 = LSpec.largeness(LargenessSpec(constants.exponent(n), 1, sentence))
+    l0 = LargenessSpec(constants.exponent(n), 1, sentence)
     budget.enter(f"grouping at level {n}")
     walk = GroupingWalk(x, f, l0, constants.transversal, sentence, budget)
     stage = f"grouping at level {n}"
@@ -376,20 +358,20 @@ def _em_level(x, f, n, sentence, budget, constants) -> EmResult:
             out = _em_join(witness.blocks, f, n, sentence, budget, constants)
             if out.status == FOUND:
                 return out
-            stage = out.stage
+            stage = out.detail
     except BudgetExceeded as err:
-        return EmResult(EXHAUSTED, stage=err.stage)
+        return SearchOutcome(EXHAUSTED, detail=err.stage)
     if walk.ceiling_hit:
-        return EmResult(EXHAUSTED, stage=stage)
-    return EmResult(ABSENT, stage=stage)
+        return SearchOutcome(EXHAUSTED, detail=stage)
+    return SearchOutcome(ABSENT, detail=stage)
 
 
-def _em_join(blocks, f, n, sentence, budget, constants) -> EmResult:
+def _em_join(blocks, f, n, sentence, budget, constants) -> SearchOutcome:
     pieces: list[FinSet] = []
     for blk in blocks:
         sub = _em_level(blk, f, n - 1, sentence, budget, constants)
         if sub.status != FOUND:
-            return EmResult(sub.status, stage=f"recursion into a block at level {n}")
+            return SearchOutcome(sub.status, detail=f"recursion into a block at level {n}")
         pieces.append(sub.subset)
 
     minima = FinSet(tuple(p.minimum for p in pieces))
@@ -399,14 +381,14 @@ def _em_join(blocks, f, n, sentence, budget, constants) -> EmResult:
     budget.enter(f"representative selection at level {n}")
     sel = find_transitive(minima, tournament, LargenessSpec(1, 1, TOP), budget)
     if sel.status != FOUND:
-        return EmResult(sel.status, stage=f"representative selection at level {n}")
+        return SearchOutcome(sel.status, detail=f"representative selection at level {n}")
 
     chosen = [reps[v] for v in sel.subset]
     union = FinSet(tuple(v for p in chosen for v in p))
     cert = check_large(union, LargenessSpec(n, 1, sentence), budget=budget)
     if cert is None:
-        return EmResult(ABSENT, stage=f"final certification at level {n}")
-    return EmResult(FOUND, subset=union, certificate=cert)
+        return SearchOutcome(ABSENT, detail=f"final certification at level {n}")
+    return SearchOutcome(FOUND, subset=union, certificate=cert)
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,7 @@ def recursive_grouping_witnesses(walk):
     sentence = walk.sentence
 
     def may_close(blocks, current):
-        if not walk.l0.holds(tuple(current)):
+        if check_large(FinSet(tuple(current)), walk.l0) is None:
             return False
         return not blocks or t_apart(FinSet(blocks[-1]), FinSet(tuple(current)), sentence)
 

@@ -23,7 +23,6 @@ from omegalarge.grouping import (
     EXHAUSTED,
     FOUND,
     GroupingWitness,
-    LSpec,
     find_grouping,
     is_grouping,
 )
@@ -254,8 +253,8 @@ def test_criterion_8_formula_engine_oracle():
 
 def _mutated_witnesses(rng: random.Random):
     """Valid grouping plus one broken condition, cycling all four kinds."""
-    l0 = LSpec.largeness(LargenessSpec(1, 1, TOP))
-    l1 = LSpec.card(2)
+    l0 = LargenessSpec(1, 1, TOP)
+    l1 = LargenessSpec.card(2)
     offset = rng.randrange(0, 3)
     flip = rng.randrange(2)
     blocks = (
@@ -289,7 +288,7 @@ def _mutated_witnesses(rng: random.Random):
 def test_criterion_9_grouping_soundness():
     clock = Clock(9, 120)
     rng = random.Random(SEED + 4)
-    l0, l1 = LSpec.card(2), LSpec.card(2)
+    l0, l1 = LargenessSpec.card(2), LargenessSpec.card(2)
     found = 0
     for _ in range(500):
         f = ColoringTable.random(X38, 2, 2, rng)
@@ -331,5 +330,5 @@ def test_criterion_10_transitive_extractor():
                         )
         else:
             failures += 1
-            assert out.status == "exhausted", f"non-budget failure: {out.status} at {out.stage}"
+            assert out.status == "exhausted", f"non-budget failure: {out.status} at {out.detail}"
     clock.done(f"{successes} successes all re-validated, {failures} budget exhaustions")

@@ -537,7 +537,9 @@ def test_out_of_range_numbers_exit_3(tmp_path, capsys, argv):
 # own answer, never 4.  "{C1}" and "{C2}" stand for a coloring of the points
 # and a constant pair coloring of [3,40]; "{C3}" and "{W}" for a constant pair
 # coloring of [3,90] and its four blocks of 22 points, whose 22^4 transversals
-# pass the transversal ceiling.
+# pass the transversal ceiling.  "{PKIND}", "{PVAR}" and "{PTWICE}" are
+# prefixed sentences with a bad step kind, a number for a variable, and one
+# variable bound three times.
 # argv, exit code, and a fragment of the reason: of stderr on exit 3, else
 # of the JSON "reason"
 EXIT_CONTRACT = [
@@ -579,6 +581,10 @@ EXIT_CONTRACT = [
      "precondition violated: the coloring's domain does not cover the set"),
     (["em", "extract", "--interval", "3:50", "--n", "1", "--coloring", "{C2}"], 3,
      "precondition violated: the coloring's domain does not cover the set"),
+    # a prefix the weakening cannot read, or would read as another sentence
+    (["formula", "weaken", "--file", "{PKIND}"], 3, "a prefix step's kind must be forall or exists, not \"some\""),
+    (["formula", "weaken", "--file", "{PVAR}"], 3, "a prefix step's variable must be a variable name, not 5"),
+    (["formula", "weaken", "--file", "{PTWICE}"], 3, "the prefix binds a variable twice: exists x forall x exists x"),
 ]
 
 
@@ -591,6 +597,11 @@ def contract_argv(tmp_path, argv):
         path.write_text(json.dumps({"blocks": [[str(v) for v in b] for b in blocks]}))
         return str(path)
 
+    def prefixed(name, prefix):
+        path = tmp_path / name
+        path.write_text(json.dumps({"prefix": prefix, "matrix": "x < y"}))
+        return str(path)
+
     files = {
         "{C1}": lambda: write_coloring(tmp_path, "c1.json", ColoringTable.from_function(x, 1, 2, lambda v: v % 2)),
         "{C2}": lambda: write_coloring(tmp_path, "c2.json", ColoringTable.from_function(x, 2, 2, lambda a, b: 0)),
@@ -601,6 +612,9 @@ def contract_argv(tmp_path, argv):
         "{W45}": lambda: witness("w45.json", [[4, 5]]),
         "{ONE}": lambda: write_set(tmp_path, "one.txt", [1]),
         "{Y}": lambda: write_set(tmp_path, "y.txt", [5, 6]),
+        "{PKIND}": lambda: prefixed("pkind.json", [["some", "x", None], ["forall", "y", None], ["exists", "z", None]]),
+        "{PVAR}": lambda: prefixed("pvar.json", [["exists", 5, None], ["forall", "y", None], ["exists", "z", None]]),
+        "{PTWICE}": lambda: prefixed("ptwice.json", [["exists", "x", None], ["forall", "x", None], ["exists", "x", None]]),
     }
     return [files[a]() if a in files else a for a in argv]
 
@@ -779,7 +793,8 @@ def test_json_of_the_wrong_type_exits_3(tmp_path, capsys, flag, obj):
 
 
 @pytest.mark.parametrize(
-    "theta", ["(" * 400 + "x < y" + ")" * 400, "x < y" + " + 1" * 1500], ids=["parens-400", "plus-1500"]
+    "theta", ["(" * 400 + "x < y" + ")" * 400, "x < " + "2 * (" * 300 + "y" + ")" * 300],
+    ids=["parens-400", "times-300"],
 )
 @pytest.mark.parametrize("source", ["--theta", "--theta-file"])
 def test_theta_deeper_than_the_recursion_limit_exits_3(tmp_path, capsys, theta, source):
@@ -795,6 +810,27 @@ def test_theta_deeper_than_the_recursion_limit_exits_3(tmp_path, capsys, theta, 
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert f"usage error: {where}: nested too deeply to read" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [" or ".join(f"x < y + {i}" for i in range(3000)), " and ".join(f"x < y + {i}" for i in range(3000)),
+     "x < y" + " + 1" * 1500],
+    ids=["or-3000", "and-3000", "plus-1500"],
+)
+@pytest.mark.parametrize("source", ["--theta", "--theta-file"])
+def test_flat_theta_chains_are_read(tmp_path, capsys, theta, source):
+    # a chain is flat, not nested: it reads and compiles at any length
+    # under the default recursion limit, and the sentence answers
+    argv = ["large", "check", "--interval", "3:20", "--n", "1", "--format", "json"]
+    if source == "--theta":
+        argv += ["--theta", theta]
+    else:
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"theta": theta}))
+        argv += ["--theta-file", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and json.loads(out)["result"] == "large"
 
 
 @pytest.mark.parametrize("flag", ["--set", "--coloring", "--verify"])

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 
@@ -435,6 +436,45 @@ def test_weakly_pi04_transform_twice_errors():
     s = _std_prefix(parse("x < z"))
     with pytest.raises(PrefixShapeError):
         weakly_pi04_transform(weakly_pi04_transform(s))
+
+
+def test_weakly_pi04_transform_avoids_bound_variables():
+    # x' is bound in the matrix, so the fresh name for x must be another
+    out = weakly_pi04_transform(_std_prefix(parse("exists x' < 5 . x < x'")))
+    assert [q.var for q in out.prefix] == ["x", "y", "x''", "y'", "z"]
+    assert out.matrix == parse("exists x' < 5 . x'' < x'")
+
+
+def test_weakly_pi04_transform_rejects_a_repeated_variable():
+    s = PrefixedSentence(
+        (QuantStep("exists", "x"), QuantStep("forall", "x"), QuantStep("exists", "x")), parse("x < y")
+    )
+    with pytest.raises(PrefixShapeError, match="binds a variable twice"):
+        weakly_pi04_transform(s)
+
+
+@pytest.mark.parametrize(
+    "step,message",
+    [
+        (["some", "x", None], "kind must be forall or exists"),
+        (["exists", 5, None], "variable must be a variable name, not 5"),
+        (["exists", "a", None], "variable must be a variable name"),
+        (["exists", "and", None], "variable must be a variable name"),
+        (["exists", "x y", None], "variable must be a variable name"),
+        (["exists", "", None], "variable must be a variable name"),
+    ],
+    ids=["kind", "number", "constant-a", "keyword", "two-words", "empty"],
+)
+def test_prefixed_sentence_json_rejects_a_bad_step(step, message):
+    text = json.dumps({"prefix": [step], "matrix": "x < y"})
+    with pytest.raises(ValueError, match=message):
+        PrefixedSentence.from_json(text)
+
+
+@pytest.mark.parametrize("op", ["or", "and"])
+def test_free_vars_reads_a_flat_chain_past_the_recursion_limit(op):
+    phi = parse(f" {op} ".join(f"x < w + {i}" for i in range(3000)) + f" {op} exists v < 3 . v < y")
+    assert fm.free_vars(phi) == {"x", "y", "w"}
 
 
 def test_prefixed_sentence_json_roundtrip():

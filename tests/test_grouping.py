@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from unittest.mock import patch
 
 import pytest
@@ -15,14 +15,13 @@ from omegalarge.grouping import (
     FOUND,
     GroupingWalk,
     GroupingWitness,
-    LSpec,
     MalformedWitness,
     find_grouping,
     find_homogeneous,
     find_transitive,
     is_grouping,
 )
-from omegalarge.largeness import LargenessSpec, PreconditionError, verify_certificate
+from omegalarge.largeness import LargenessSpec, PreconditionError, check_large, verify_certificate
 from omegalarge.sets import ColoringTable, FinSet
 
 from oracles import BruteForcePlain, recursive_grouping_witnesses, recursive_include_first_dfs
@@ -36,7 +35,7 @@ def interval(lo, hi):
     return FinSet.interval(lo, hi)
 
 
-L0_OMEGA = LSpec.largeness(LargenessSpec(1, 1, TOP))
+L0_OMEGA = LargenessSpec(1, 1, TOP)
 
 
 def test_is_grouping_vacuous_cross_condition():
@@ -44,7 +43,7 @@ def test_is_grouping_vacuous_cross_condition():
     dom = interval(3, 10)
     f = pair_coloring(dom, lambda x, y: (x + y) % 2)
     w = GroupingWitness((FinSet((4, 5)),), f)
-    assert is_grouping(w, LSpec.card(1), LSpec.card(0), TOP)
+    assert is_grouping(w, LargenessSpec.card(1), LargenessSpec.card(0), TOP)
 
 
 def test_is_grouping_positive_example():
@@ -52,7 +51,7 @@ def test_is_grouping_positive_example():
     f = pair_coloring(dom, lambda x, y: 1)
     blocks = (FinSet(tuple(range(4, 9))), FinSet(tuple(range(9, 19))))
     w = GroupingWitness(blocks, f)
-    assert is_grouping(w, L0_OMEGA, LSpec.card(2), TOP)
+    assert is_grouping(w, L0_OMEGA, LargenessSpec.card(2), TOP)
 
 
 def test_is_grouping_rejects_non_monochromatic():
@@ -60,41 +59,41 @@ def test_is_grouping_rejects_non_monochromatic():
     f = pair_coloring(dom, lambda x, y: x % 2)
     blocks = (FinSet(tuple(range(4, 9))), FinSet(tuple(range(9, 19))))
     w = GroupingWitness(blocks, f)
-    assert not is_grouping(w, L0_OMEGA, LSpec.card(2), TOP)
+    assert not is_grouping(w, L0_OMEGA, LargenessSpec.card(2), TOP)
 
 
 def test_is_grouping_rejects_each_broken_condition():
     dom = interval(3, 38)
     f = pair_coloring(dom, lambda x, y: 0)
     good = GroupingWitness((FinSet(tuple(range(4, 9))), FinSet(tuple(range(9, 19)))), f)
-    assert is_grouping(good, L0_OMEGA, LSpec.card(2), TOP)
+    assert is_grouping(good, L0_OMEGA, LargenessSpec.card(2), TOP)
     # (i) first block too small for the largeness requirement
     w1 = GroupingWitness((FinSet((4, 5)), FinSet(tuple(range(9, 19)))), f)
-    assert not is_grouping(w1, L0_OMEGA, LSpec.card(2), TOP)
+    assert not is_grouping(w1, L0_OMEGA, LargenessSpec.card(2), TOP)
     # (ii) not enough blocks for the transversal requirement
-    assert not is_grouping(good, L0_OMEGA, LSpec.card(3), TOP)
+    assert not is_grouping(good, L0_OMEGA, LargenessSpec.card(3), TOP)
     # (iv) apartness broken under a non-trivial sentence
     never = Pi03Sentence(parse("y < x"))
-    assert not is_grouping(good, L0_OMEGA, LSpec.card(2), never)
+    assert not is_grouping(good, L0_OMEGA, LargenessSpec.card(2), never)
 
 
 def test_is_grouping_malformed():
     dom = interval(3, 10)
     f = pair_coloring(dom, lambda x, y: 0)
     with pytest.raises(MalformedWitness):
-        is_grouping(GroupingWitness((), f), LSpec.card(1), LSpec.card(1), TOP)
+        is_grouping(GroupingWitness((), f), LargenessSpec.card(1), LargenessSpec.card(1), TOP)
     with pytest.raises(MalformedWitness):
         is_grouping(
             GroupingWitness((FinSet((4, 6)), FinSet((5, 7))), f),
-            LSpec.card(1),
-            LSpec.card(1),
+            LargenessSpec.card(1),
+            LargenessSpec.card(1),
             TOP,
         )
     with pytest.raises(PreconditionError):
         is_grouping(
             GroupingWitness((FinSet((4,)), FinSet((40,))), f),
-            LSpec.card(1),
-            LSpec.card(1),
+            LargenessSpec.card(1),
+            LargenessSpec.card(1),
             TOP,
         )
 
@@ -108,19 +107,37 @@ def test_transversal_reduction_matches_cardinality():
         blocks = tuple(FinSet((3 + 2 * i,)) for i in range(k))
         w = GroupingWitness(blocks, f)
         for m in range(0, 6):
-            assert is_grouping(w, LSpec.card(1), LSpec.card(m), TOP) == (k >= m)
+            assert is_grouping(w, LargenessSpec.card(1), LargenessSpec.card(m), TOP) == (k >= m)
+
+
+def test_a_bare_count_answers_as_check_large_does():
+    # card:M and omega:0:M:top read a length; the search over every block
+    # and every one-point-per-block selection must agree
+    rng = random.Random(3)
+    for _ in range(150):
+        points = sorted(rng.sample(range(3, 30), rng.randrange(1, 8)))
+        cuts = sorted(rng.sample(range(1, len(points)), rng.randrange(len(points))))
+        blocks = tuple(FinSet(tuple(points[a:b])) for a, b in zip([0, *cuts], [*cuts, len(points)]))
+        for m in range(5):
+            spec = LargenessSpec.card(m)
+            assert spec == LargenessSpec(0, max(m, 1), TOP)
+            selections = product(*(b.elements for b in blocks))
+            every = all(check_large(FinSet(sel), spec) is not None for sel in selections)
+            assert grouping._every_transversal(spec, blocks) == every
+            for b in blocks:
+                assert grouping._holds(spec, b.elements) == (check_large(b, spec) is not None)
 
 
 def test_transversal_largeness_requirement():
     dom = interval(3, 30)
     f = pair_coloring(dom, lambda x, y: 0)
-    l1 = LSpec.largeness(LargenessSpec(1, 1, TOP))
+    l1 = LargenessSpec(1, 1, TOP)
     # singleton blocks have one transversal, their minima set; {5..9} has
     # 5 elements with minimum 5, one short of plainly large
     blocks = tuple(FinSet((v,)) for v in (5, 6, 7, 8, 9))
-    assert not is_grouping(GroupingWitness(blocks, f), LSpec.card(1), l1, TOP)
+    assert not is_grouping(GroupingWitness(blocks, f), LargenessSpec.card(1), l1, TOP)
     blocks6 = tuple(FinSet((v,)) for v in (4, 5, 6, 7, 8, 9))
-    assert is_grouping(GroupingWitness(blocks6, f), LSpec.card(1), l1, TOP)
+    assert is_grouping(GroupingWitness(blocks6, f), LargenessSpec.card(1), l1, TOP)
 
 
 def test_downward_closure_of_l1():
@@ -128,23 +145,23 @@ def test_downward_closure_of_l1():
     f = pair_coloring(dom, lambda x, y: 0)
     blocks = (FinSet(tuple(range(4, 9))), FinSet(tuple(range(9, 19))))
     w = GroupingWitness(blocks, f)
-    assert is_grouping(w, L0_OMEGA, LSpec.card(2), TOP)
-    assert is_grouping(w, L0_OMEGA, LSpec.card(1), TOP)
-    assert is_grouping(w, L0_OMEGA, LSpec.card(0), TOP)
+    assert is_grouping(w, L0_OMEGA, LargenessSpec.card(2), TOP)
+    assert is_grouping(w, L0_OMEGA, LargenessSpec.card(1), TOP)
+    assert is_grouping(w, L0_OMEGA, LargenessSpec.card(0), TOP)
 
 
 def test_find_grouping_constant_coloring():
     z = interval(3, 38)
     f = pair_coloring(z, lambda x, y: 0)
-    out = find_grouping(z, f, L0_OMEGA, LSpec.card(2), TOP)
+    out = find_grouping(z, f, L0_OMEGA, LargenessSpec.card(2), TOP)
     assert out.status == FOUND
-    assert is_grouping(out.witness, L0_OMEGA, LSpec.card(2), TOP)
+    assert is_grouping(out.witness, L0_OMEGA, LargenessSpec.card(2), TOP)
 
 
 def test_find_grouping_proven_absence():
     z = interval(3, 10)
     f = pair_coloring(z, lambda x, y: 0)
-    out = find_grouping(z, f, LSpec.card(1), LSpec.card(len(z) + 1), TOP)
+    out = find_grouping(z, f, LargenessSpec.card(1), LargenessSpec.card(len(z) + 1), TOP)
     assert out.status == ABSENT
 
 
@@ -152,7 +169,7 @@ def test_find_grouping_budget_exhaustion_is_distinct():
     z = interval(3, 38)
     rng = random.Random(0)
     f = ColoringTable.random(z, 2, 2, rng)
-    out = find_grouping(z, f, L0_OMEGA, LSpec.card(3), TOP, Budget(60))
+    out = find_grouping(z, f, L0_OMEGA, LargenessSpec.card(3), TOP, Budget(60))
     assert out.status == EXHAUSTED
 
 
@@ -162,10 +179,10 @@ def test_find_grouping_random_soundness():
     found = 0
     for _ in range(25):
         f = ColoringTable.random(z, 2, 2, rng)
-        out = find_grouping(z, f, LSpec.card(2), LSpec.card(2), TOP, Budget(30_000))
+        out = find_grouping(z, f, LargenessSpec.card(2), LargenessSpec.card(2), TOP, Budget(30_000))
         if out.status == FOUND:
             found += 1
-            assert is_grouping(out.witness, LSpec.card(2), LSpec.card(2), TOP)
+            assert is_grouping(out.witness, LargenessSpec.card(2), LargenessSpec.card(2), TOP)
     assert found > 0
 
 
@@ -173,7 +190,7 @@ def test_find_grouping_respects_apartness_sentence():
     z = interval(3, 10)
     f = pair_coloring(z, lambda x, y: 0)
     never = Pi03Sentence(parse("y < x"))
-    out = find_grouping(z, f, LSpec.card(1), LSpec.card(2), never, Budget(500_000))
+    out = find_grouping(z, f, LargenessSpec.card(1), LargenessSpec.card(2), never, Budget(500_000))
     assert out.status == ABSENT  # no two blocks can ever be apart
 
 
@@ -247,8 +264,8 @@ SENTENCES = [TOP] + [Pi03Sentence(parse(t)) for t in ("x < y or z < y", "y < x",
 
 def _lspec(kind, sentence):
     if kind[0] == "card":
-        return LSpec.card(kind[1])
-    return LSpec.largeness(LargenessSpec(kind[1], kind[2], sentence))
+        return LargenessSpec.card(kind[1])
+    return LargenessSpec(kind[1], kind[2], sentence)
 
 
 LSPEC_KINDS = [("card", 1), ("card", 2), ("card", 3), ("omega", 1, 1), ("omega", 0, 2)]
@@ -292,7 +309,7 @@ def test_minimal_walk_decides_like_full_walk(inputs):
     assert out.status == (FOUND if full is not None else ABSENT)
     if out.status == FOUND:
         for b in out.witness.blocks:  # no block extends one that satisfies l0
-            assert not any(l0.holds(FinSet(b.elements[:j])) for j in range(1, len(b)))
+            assert not any(grouping._holds(l0, b.elements[:j]) for j in range(1, len(b)))
 
 
 @given(walk_inputs(max_size=11), st.sampled_from(["x + x < y", "z < x + y + 2"]))
@@ -312,7 +329,7 @@ def test_walk_is_deeper_than_the_recursion_limit():
     # the one block is built by 1499 extensions, one walk level each
     z = interval(3, 1502)
     f = pair_coloring(z, lambda x, y: 0)
-    out = find_grouping(z, f, LSpec.card(len(z)), LSpec.card(1), TOP)
+    out = find_grouping(z, f, LargenessSpec.card(len(z)), LargenessSpec.card(1), TOP)
     assert out.status == FOUND and out.witness.blocks == (z,)
 
 
@@ -323,7 +340,7 @@ def test_dead_block_starts_are_jumped():
     z = interval(3, 1502)
     f = pair_coloring(z, lambda x, y: 0)
     never = Pi03Sentence(parse("y < x"))
-    out = find_grouping(z, f, LSpec.card(1), LSpec.card(2), never, Budget(2 * len(z)))
+    out = find_grouping(z, f, LargenessSpec.card(1), LargenessSpec.card(2), never, Budget(2 * len(z)))
     assert out.status == ABSENT and out.steps <= 2 * len(z)
 
 
@@ -343,7 +360,7 @@ def test_dead_chain_reads_the_z_frontier_linearly():
     f = pair_coloring(z, lambda x, y: 0)
     never = Pi03Sentence(parse("y < x"))
     reads = never._cache["z_frontier"] = _CountedGets()
-    out = find_grouping(z, f, LSpec.card(1), LSpec.card(2), never, Budget(2 * len(z)))
+    out = find_grouping(z, f, LargenessSpec.card(1), LargenessSpec.card(2), never, Budget(2 * len(z)))
     assert out.status == ABSENT and reads.gets <= 2 * len(z)
     # no memo key carries the y bound: the same queries under smaller y
     # bounds add no entry to any memo
@@ -356,10 +373,10 @@ def test_dead_chain_reads_the_z_frontier_linearly():
 def test_walk_rejects_a_coloring_that_misses_the_set():
     f = pair_coloring(interval(3, 10), lambda x, y: 0)
     with pytest.raises(PreconditionError):
-        find_grouping(interval(3, 11), f, LSpec.card(1), LSpec.card(2), TOP)
+        find_grouping(interval(3, 11), f, LargenessSpec.card(1), LargenessSpec.card(2), TOP)
     g = ColoringTable.from_function(interval(3, 10), 1, 2, lambda x: 0)
     with pytest.raises(PreconditionError):
-        find_grouping(interval(3, 10), g, LSpec.card(1), LSpec.card(2), TOP)
+        find_grouping(interval(3, 10), g, LargenessSpec.card(1), LargenessSpec.card(2), TOP)
 
 
 def test_find_grouping_rechecks_its_witness(monkeypatch):
@@ -367,7 +384,7 @@ def test_find_grouping_rechecks_its_witness(monkeypatch):
     f = pair_coloring(z, lambda x, y: 0)
     monkeypatch.setattr(grouping, "is_grouping", lambda *args: False)
     with pytest.raises(RuntimeError):
-        find_grouping(z, f, LSpec.card(1), LSpec.card(2), TOP)
+        find_grouping(z, f, LargenessSpec.card(1), LargenessSpec.card(2), TOP)
 
 
 # -- the include-first subset search: explicit stack --------------------------

@@ -11,7 +11,6 @@ from omegalarge.formula import HOMOGENEOUS, TOP, Pi03Sentence, RtLikeStatement, 
 from omegalarge.grouping import (
     GroupingWalk,
     GroupingWitness,
-    LSpec,
     find_grouping,
     find_homogeneous,
     find_transitive,
@@ -181,7 +180,7 @@ def _entries(x, sentence, pairs, points):
     """Every public entry that takes a set with a sentence or a coloring,
     called on x (and two blocks of it) with the colorings it is handed:
     `pairs` where it wants a pair coloring, `points` where a point one."""
-    spec, one, rt12 = LargenessSpec(0, 1, sentence), LSpec.card(1), RtLikeStatement(1, 2, HOMOGENEOUS)
+    spec, one, rt12 = LargenessSpec(0, 1, sentence), LargenessSpec.card(1), RtLikeStatement(1, 2, HOMOGENEOUS)
     head, tail = FinSet(x.elements[:2]), FinSet(x.elements[-2:])
     colored = {
         "GroupingWalk": lambda: GroupingWalk(x, pairs, one, one, sentence, Budget()),

@@ -380,6 +380,13 @@ def test_a_late_child_is_found_without_building_the_earlier_ones():
     assert t.child(1).child(13).child(205376).base == 10 ** 6
 
 
+@pytest.mark.parametrize("base,rank,depth", [(3, 1, 0), (3, 2, 0), (3, 2, 1)])
+def test_separation_sentence_prints_as_the_export(base, rank, depth):
+    # its A prints the export table, built by the export's own code
+    owner = BlockfreeView(tree(base, rank), depth) if depth else tree(base, rank)
+    assert owner.separation_sentence().to_json() == owner.export_sentence().to_json()
+
+
 # (base, rank, depth): tree(b, r) for b 3-5 and r 1-2, and its depth-1 view
 OWNERS = [(b, r, d) for b in (3, 4, 5) for r in (1, 2) for d in (0, 1)]
 

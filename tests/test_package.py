@@ -31,7 +31,7 @@ EXPORTED = {
                  "minimal_large_interval t_apart verify_certificate",
     "lowerbound": "CONFIRMED CONSISTENT COUNTEREXAMPLE BlockAddress BlockfreeView CanonicalTree "
                   "LowerBoundReport tree verify_lower_bound",
-    "ramsey": "BoundsRow EmConstants EmResult Mode QTotalityError Verdict "
+    "ramsey": "BoundsRow EmConstants Mode QTotalityError Verdict "
               "ads_extract ads_q_coloring bounds_table bounds_tsv em_extract is_large_gamma "
               "is_n_dense",
     "sets": "ColoringTable FinSet SparsityPolicy is_sparse is_transitive restrict_coloring",

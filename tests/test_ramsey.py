@@ -272,7 +272,7 @@ def test_em_extract_level_one_scaled():
             hits += 1
             assert verify_certificate(out.subset, out.certificate, LargenessSpec(1, 1, TOP))
         else:
-            assert out.stage
+            assert out.detail
     assert hits > 0
 
 
@@ -303,7 +303,7 @@ def test_em_extract_cannot_walk_only_minimal_blocks():
     assert out.status == FOUND and len(out.subset) == 60
     singletons = [FinSet((v,)) for v in (3, 4, 5, 6)]
     out = ramsey._em_join(singletons, f, 2, TOP, Budget(None), constants)
-    assert out.status == ABSENT and out.stage == "recursion into a block at level 2"
+    assert out.status == ABSENT and out.detail == "recursion into a block at level 2"
 
 
 def test_em_extract_rejects_a_negative_exponent():
@@ -316,13 +316,13 @@ def test_em_extract_faithful_constants_fail_honestly():
     f = ColoringTable.from_function(X38, 2, 2, lambda x, y: 0)
     out = em_extract(X38, f, 1, TOP, Budget(100_000), EmConstants.faithful(1))
     assert out.status in (ABSENT, "exhausted")
-    assert "grouping" in out.stage
+    assert "grouping" in out.detail
 
 
 def test_em_constants_faithful_values():
     c = EmConstants.faithful(3)
     assert c.block_exponents == (1, FAITHFUL_BASE, FAITHFUL_BASE ** 2)
-    assert c.transversal.spec.exponent == 6
+    assert c.transversal == LargenessSpec(6, 1, TOP)
 
 
 # -- interval recoloring ---------------------------------------------------------

@@ -29,10 +29,10 @@ from omegalarge.formula import (
     SecondOrderParam,
     parse,
 )
-from omegalarge.grouping import GroupingWitness, LSpec, SearchOutcome
+from omegalarge.grouping import GroupingWitness, SearchOutcome
 from omegalarge.largeness import Block, Certificate, LargenessSpec, Leaf, Node
 from omegalarge.lowerbound import BlockAddress, LowerBoundReport
-from omegalarge.ramsey import BoundsRow, EmConstants, EmResult, Mode, Verdict, _Sampled
+from omegalarge.ramsey import BoundsRow, EmConstants, Mode, Verdict, _Sampled
 from omegalarge.sets import ColoringTable, FinSet
 
 S345 = FinSet((3, 4, 5))
@@ -84,11 +84,11 @@ FROZEN = [
     (BlockAddress, lambda: ((0, 1), 2), "BlockAddress(path=(0, 1), level=2)"),
     (Verdict, lambda: ("true", "why"), "Verdict(value='true', reason='why')"),
     (Mode, lambda: ("sampled", 5, 8), "Mode(kind='sampled', seed=5, trials=8)"),
-    (EmConstants, lambda: ((0,), LSpec.card(2)),
-     "EmConstants(block_exponents=(0,), transversal=LSpec(kind='card_at_least', spec=None, at_least=2))"),
+    (EmConstants, lambda: ((0,), LargenessSpec.card(2)),
+     "EmConstants(block_exponents=(0,), transversal=LargenessSpec(exponent=0, multiplier=2, "
+     "sentence=Pi03Sentence(theta=FTrue(), param_a=0, param_A=SecondOrderParam(bits=''))))"),
     (BoundsRow, lambda: (0, 1, (2, 3, 4, 5), 6, 7, 8, 9),
      "BoundsRow(n=0, pigeonhole=1, grouping_chain=(2, 3, 4, 5), em=6, ads=7, rt22=8, lower=9)"),
-    (LSpec, lambda: ("card_at_least", None, 2), "LSpec(kind='card_at_least', spec=None, at_least=2)"),
     (GroupingWitness, lambda: ((FinSet((3,)),), F345),
      "GroupingWitness(blocks=(FinSet(elements=(3,)),), coloring=ColoringTable(domain="
      "FinSet(elements=(3, 4, 5)), arity=2, colors=2, table=(0, 1, 0)))"),
@@ -100,10 +100,6 @@ RESULTS = [
      "LowerBoundReport(status='confirmed', complete=True, checked_subsets=1, sub_instances=2, "
      "skipped=3, witness=FinSet(elements=(3, 4, 5)), detail='d')"),
     (_Sampled, lambda: (None, 3), "_Sampled(rng=None, trials=3)"),
-    (EmResult, lambda: ("found", "s", S345, CERT),
-     "EmResult(status='found', stage='s', subset=FinSet(elements=(3, 4, 5)), "
-     "certificate=Certificate(exponent=0, multiplier=1, blocks=(Block(lo=0, hi=1, "
-     "cert=Leaf(witness=3)),)))"),
     (SearchOutcome, lambda: ("absent", None, None, None, 4, "d"),
      "SearchOutcome(status='absent', witness=None, subset=None, certificate=None, steps=4, detail='d')"),
     (PigeonholeResult, lambda: (S345, 1, CERT, False, True),
@@ -208,13 +204,11 @@ def test_keyword_construction_and_defaults():
     assert LargenessSpec(2) == LargenessSpec(2, 1, TOP) == LargenessSpec(exponent=2, sentence=TOP)
     assert QuantStep("exists", "x").bound is None
     assert QuantStep("exists", "x'", bound="x") == QuantStep("exists", "x'", "x")
-    assert LSpec("largeness", spec=LargenessSpec(1)).at_least is None
-    assert LSpec.card(2) == LSpec("card_at_least", at_least=2)
+    assert LargenessSpec.card(2) == LargenessSpec(0, 2, TOP) and LargenessSpec.card(0) == LargenessSpec.card(1)
     assert Verdict("true").reason == ""
     assert Mode() == Mode("exact", 1729, 200) and Mode("sampled", seed=5, trials=8).trials == 8
     row = BoundsRow(n=0, pigeonhole=1, grouping_chain=(2, 3, 4, 5), em=6, ads=7, rt22=8, lower=9)
     assert row == BoundsRow(0, 1, (2, 3, 4, 5), 6, 7, 8, 9)
-    assert EmResult("absent", stage="empty input") == EmResult("absent", "empty input", None, None)
     assert SearchOutcome("absent", steps=3) == SearchOutcome("absent", None, None, None, 3, "")
     report = LowerBoundReport("consistent", False, skipped=1, detail="view too large")
     assert (report.checked_subsets, report.sub_instances, report.witness) == (0, 0, None)

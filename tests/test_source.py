@@ -118,8 +118,9 @@ def test_theta_is_called_only_through_theta_at():
 
 
 def test_grouping_walk_nodes_build_no_finset():
-    # a node is the walk's unit of work: LSpec answers a card: requirement
-    # from the open block's length, and only an omega: one builds its set
+    # a node is the walk's unit of work: `_holds` answers a bare count
+    # (card:M, exponent 0 under TOP) from the open block's length, and only
+    # another requirement builds its set
     tree = ast.parse((SRC / "grouping.py").read_text())
     (walk,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GroupingWalk"]
     (node,) = [n for n in walk.body if isinstance(n, ast.FunctionDef) and n.name == "_node"]
