@@ -125,13 +125,16 @@ def read_json(path: str, reader):
 
 
 def load_sentence(args) -> Pi03Sentence:
+    """The sentence of --theta-file or --theta; one equal to TOP (θ `true`,
+    a = 0, empty A) is TOP itself, so bare-count requirements read as such."""
     if getattr(args, "theta_file", None):
-        return read_json(args.theta_file, Pi03Sentence.from_json)
-    text = getattr(args, "theta", "top")
-    if text == "top":
+        sentence = read_json(args.theta_file, Pi03Sentence.from_json)
+    elif (text := getattr(args, "theta", "top")) == "top":
         return TOP
-    param = read_input("bad --param-A", lambda: SecondOrderParam(getattr(args, "param_A", "") or ""))
-    return read_input("bad --theta", lambda: Pi03Sentence(parse(text), getattr(args, "param_a", 0), param))
+    else:
+        param = read_input("bad --param-A", lambda: SecondOrderParam(getattr(args, "param_A", "") or ""))
+        sentence = read_input("bad --theta", lambda: Pi03Sentence(parse(text), getattr(args, "param_a", 0), param))
+    return TOP if sentence == TOP else sentence
 
 
 def load_coloring(args, attr: str = "coloring") -> ColoringTable:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from itertools import combinations, product
+from itertools import product
 from math import inf
 from typing import Optional
 
@@ -97,15 +97,18 @@ def _validate_witness(w: GroupingWitness) -> None:
 
 
 def _cross_monochromatic(blocks: tuple[FinSet, ...], f: ColoringTable) -> bool:
-    n = f.arity
-    for picks in combinations(range(len(blocks)), n):
-        seen = None
-        for combo in product(*(blocks[i].elements for i in picks)):
-            c = f(*combo)
-            if seen is None:
-                seen = c
-            elif c != seen:
-                return False
+    """Is each pair of blocks one color across?  f colors pairs here, as
+    is_grouping checks first; the scan stops at the first clash."""
+    for i, left in enumerate(blocks):
+        for right in blocks[i + 1:]:
+            seen = None
+            for u in left.elements:
+                for v in right.elements:
+                    c = f(u, v)
+                    if seen is None:
+                        seen = c
+                    elif c != seen:
+                        return False
     return True
 
 
@@ -116,7 +119,11 @@ def is_grouping(
     sentence: Pi03Sentence,
 ) -> bool:
     """Check the four grouping conditions; a malformed witness, a broken
-    precondition and a transversal space past the ceiling each raise."""
+    precondition and a transversal space past the ceiling each raise.
+
+    Under TOP apartness is vacuous, so it is not asked: the witness's shape
+    check and the first block's floor check already establish every
+    precondition that t_apart would check again."""
     _validate_witness(w)
     _check_admissible(w.blocks[0], sentence)  # the blocks increase
     _check_coloring((v for b in w.blocks for v in b.elements), w.coloring, 2)
@@ -126,11 +133,9 @@ def is_grouping(
         return False
     if not _cross_monochromatic(w.blocks, w.coloring):
         return False
-    for i in range(len(w.blocks)):
-        for j in range(i + 1, len(w.blocks)):
-            if not t_apart(w.blocks[i], w.blocks[j], sentence):
-                return False
-    return True
+    return sentence.is_top or all(
+        t_apart(x, y, sentence) for i, x in enumerate(w.blocks) for y in w.blocks[i + 1:]
+    )
 
 
 class SearchOutcome(Record):
@@ -187,9 +192,10 @@ class GroupingWalk:
         # l0's least size of a block, by block minimum, as the walk meets them
         self._least: dict[int, int] = {}
         self._fixed_least = l0.multiplier if l0.exponent == 0 else None
-        # dead block starts are jumped over in the minimal walk; under TOP
-        # every start is apart, so there is nothing to jump
-        self._jump = minimal and not sentence.is_top
+        # under TOP every block is apart from every earlier one, so the walk
+        # asks no apartness question and has no dead block start to jump
+        self._top = sentence.is_top
+        self._jump = minimal and not self._top
         # by position: the least last-block maximum known to make a block
         # starting there not apart
         self._dead = [inf] * len(z) if self._jump else []
@@ -246,6 +252,8 @@ class GroupingWalk:
         min y, min y), and each extension by v asked holds_bounded(max x,
         min y, v); the last of these questions is the one for y as it
         stands, and the walk only built y because the answer was yes.
+        Under TOP every one of these questions is true, so the walk does
+        not ask them and the invariant holds all the same.
 
         A node whose open block cannot reach l0's least size with the
         elements from position i on has no witness below it.  Every witness
@@ -302,12 +310,12 @@ class GroupingWalk:
         # before extending finds small witnesses without walking long spines
         if closeable:
             cross = self._cross_ok(closed, v, None)
-            if cross is not None and _apart(closed, v, v, self.sentence):
+            if cross is not None and (self._top or _apart(closed, v, v, self.sentence)):
                 yield i + 1, closed, (v,), cross, True
         # extend the open block; a minimal block stops once it can close
         if current and not (self.minimal and closeable):
             cross = self._cross_ok(blocks, v, cur_cross)
-            if cross is not None and _apart(blocks, current[0], v, self.sentence):
+            if cross is not None and (self._top or _apart(blocks, current[0], v, self.sentence)):
                 yield i + 1, blocks, current + (v,), cross, True
         # skip v, straight to the next start that can be apart
         if not (self._jump and current and closeable):

@@ -186,7 +186,7 @@ def _check_coloring(values: Iterable[int], f: ColoringTable, arity: int) -> None
     family of blocks): it has that arity, and its domain covers them."""
     if f.arity != arity:
         raise PreconditionError(f"expects a coloring of arity {arity}, not {f.arity}")
-    if not set(values).issubset(f.domain.elements):
+    if not f.covers(values):
         raise PreconditionError("the coloring's domain does not cover the set")
 
 

@@ -225,6 +225,11 @@ class ColoringTable(FrozenRecord):
             pass
         raise KeyError(f"tuple {tuple(values)} not in coloring domain")
 
+    def covers(self, values: Iterable[int]) -> bool:
+        """Is every one of the values in the domain?  Reads the position
+        index, so no set is built."""
+        return all(map(self._pos.__contains__, values))
+
     def tuples(self) -> Iterator[tuple[int, ...]]:
         return combinations(self.domain.elements, self.arity)
 

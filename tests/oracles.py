@@ -4,10 +4,11 @@ Everything here re-derives answers straight from the definitions, sharing
 no search logic with the package: largeness by enumerating block
 decompositions over all subsets, formulas by ground substitution.  The
 exceptions are replaced code kept as the reference for what replaced it:
-the recursive grouping walk, the recursive include-first subset search,
-the blockfree view's own copy of the separation test, the per-triple
-export table, the closure compiler for formulas, and Γ-largeness and
-density clauses (a) and (c) over every coloring in `product` order.
+the recursive grouping walk, the product-loop cross-monochromaticity scan,
+the recursive include-first subset search, the blockfree view's own copy
+of the separation test, the per-triple export table, the closure compiler
+for formulas, and Γ-largeness and density clauses (a) and (c) over every
+coloring in `product` order.
 """
 
 from __future__ import annotations
@@ -340,6 +341,21 @@ def recursive_grouping_witnesses(walk):
     if walk.min_blocks is not None and walk.min_blocks > len(elems):
         return
     yield from rec(0, [], [], None, False)
+
+
+def product_cross_monochromatic(blocks, f) -> bool:
+    """The cross-monochromaticity scan that is_grouping's direct scan over
+    block pairs replaced: every arity-sized choice of blocks, in
+    `combinations` order, is one color on the `product` of its blocks."""
+    for picks in combinations(range(len(blocks)), f.arity):
+        seen = None
+        for combo in product(*(blocks[i].elements for i in picks)):
+            c = f(*combo)
+            if seen is None:
+                seen = c
+            elif c != seen:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

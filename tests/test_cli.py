@@ -11,7 +11,7 @@ import pytest
 
 from omegalarge import cli
 from omegalarge.cli import main
-from omegalarge.formula import Pi03Sentence, parse
+from omegalarge.formula import TOP, Pi03Sentence, parse
 from omegalarge.sets import ColoringTable, FinSet
 
 
@@ -157,6 +157,23 @@ def test_grouping_find_and_check(tmp_path, capsys):
         "--l0", "omega:1", "--l1", "card:5",
     )
     assert code == 1
+
+
+def test_theta_true_is_read_as_top(tmp_path, capsys):
+    # --theta true parses to a sentence equal to TOP; read as TOP itself, a
+    # bare count answers the transversal requirement, as with omega:0:3:top,
+    # instead of one largeness check per one-point-per-block selection
+    f = ColoringTable.from_function(FinSet.interval(3, 176), 2, 2, lambda x, y: 0)
+    coloring = write_coloring(tmp_path, "f.json", f)
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"blocks": [[str(v) for v in range(lo, lo + 58)] for lo in (3, 61, 119)]}))
+    argv = ["grouping", "check", "--witness", str(witness), "--coloring", coloring, "--l0", "card:1"]
+    top = run(capsys, *argv, "--l1", "omega:0:3:top")
+    start = time.perf_counter()
+    parsed = run(capsys, *argv, "--l1", "omega:0:3", "--theta", "true")
+    assert time.perf_counter() - start < 0.1
+    assert parsed == top and top[0] == 0
+    assert cli.load_sentence(argparse.Namespace(theta="true")) is TOP
 
 
 def test_grouping_absent(tmp_path, capsys):

@@ -24,7 +24,12 @@ from omegalarge.grouping import (
 from omegalarge.largeness import LargenessSpec, PreconditionError, check_large, verify_certificate
 from omegalarge.sets import ColoringTable, FinSet
 
-from oracles import BruteForcePlain, recursive_grouping_witnesses, recursive_include_first_dfs
+from oracles import (
+    BruteForcePlain,
+    product_cross_monochromatic,
+    recursive_grouping_witnesses,
+    recursive_include_first_dfs,
+)
 
 
 def pair_coloring(domain, fn):
@@ -426,3 +431,92 @@ def test_subset_search_is_deeper_than_the_recursion_limit():
     f = pair_coloring(z, lambda a, b: (b - a) % 2)
     out = find_homogeneous(z, f, LargenessSpec(2, 1, TOP), Budget(10 ** 5))
     assert out.status == EXHAUSTED
+
+
+class CountingColoring:
+    """A coloring that counts its reads."""
+
+    def __init__(self, f):
+        self.f, self.arity, self.reads = f, f.arity, 0
+
+    def __call__(self, *values):
+        self.reads += 1
+        return self.f(*values)
+
+
+@st.composite
+def cross_inputs(draw):
+    """A family of nonempty increasing blocks over [3, n] and a coloring of
+    its pairs; one color makes every family cross-monochromatic."""
+    dom = interval(3, draw(st.integers(3, 14)))
+    f = ColoringTable.random(dom, 2, draw(st.sampled_from([1, 2])), draw(st.randoms(use_true_random=False)))
+    points = sorted(draw(st.lists(st.sampled_from(dom.elements), min_size=1, unique=True)))
+    cuts = sorted(draw(st.sets(st.integers(1, len(points) - 1)))) if len(points) > 1 else []
+    bounds = [0, *cuts, len(points)]
+    return tuple(FinSet(tuple(points[a:b])) for a, b in zip(bounds, bounds[1:])), f
+
+
+@given(cross_inputs())
+@settings(max_examples=300, deadline=None)
+def test_cross_scan_matches_product_scan(inputs):
+    # the same answer from the same coloring reads as the scan it replaced
+    blocks, f = inputs
+    direct, product_loop = CountingColoring(f), CountingColoring(f)
+    assert grouping._cross_monochromatic(blocks, direct) == product_cross_monochromatic(blocks, product_loop)
+    assert direct.reads == product_loop.reads
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_cross_scan_finds_a_clash_in_the_last_pair_only(count):
+    # blocks of three points; the one clash is the last pair read, between
+    # the maxima of the last two blocks, so both scans read every pair
+    blocks = tuple(FinSet(tuple(range(3 + 3 * i, 6 + 3 * i))) for i in range(count))
+    clash = (blocks[-2].maximum, blocks[-1].maximum) if count > 1 else None
+    f = pair_coloring(interval(3, 20), lambda x, y: int((x, y) == clash))
+    direct, product_loop = CountingColoring(f), CountingColoring(f)
+    assert grouping._cross_monochromatic(blocks, direct) is (count == 1)
+    assert product_cross_monochromatic(blocks, product_loop) is (count == 1)
+    assert direct.reads == product_loop.reads == 9 * (count * (count - 1) // 2)
+
+
+@pytest.mark.parametrize("sentence", [TOP, Pi03Sentence(parse("true"))], ids=["TOP", "parsed-true"])
+def test_top_asks_no_apartness_question(monkeypatch, sentence):
+    calls = []
+    holds_bounded = Pi03Sentence.holds_bounded
+
+    def counted(self, *bounds):
+        calls.append(bounds)
+        return holds_bounded(self, *bounds)
+
+    monkeypatch.setattr(Pi03Sentence, "holds_bounded", counted)
+    z, card2 = interval(3, 38), LargenessSpec.card(2)
+    for seed in range(8):
+        f = ColoringTable.random(z, 2, 2, random.Random(seed))
+        out = find_grouping(z, f, card2, card2, sentence, Budget(2_000))
+        assert out.status == FOUND and is_grouping(out.witness, card2, card2, sentence)
+    assert calls == []
+    # the counter sees the questions of a sentence that is not TOP
+    find_grouping(z, f, card2, card2, Pi03Sentence(parse("z < y + y")), Budget(2_000))
+    assert calls
+
+
+# find_grouping on ColoringTable.random([3, 38], 2, 2, random.Random(seed))
+# at card:2/card:2 and budget 2,000, by seed: the witness blocks and steps
+PINNED_FINDS = [
+    (((3, 4), (5, 7)), 6), (((3, 4), (6, 8)), 7), (((3, 4), (7, 10)), 9), (((3, 4), (5, 13)), 12),
+    (((3, 4), (8, 13)), 12), (((3, 4), (6, 10)), 9), (((3, 4), (5, 14)), 13), (((3, 4), (5, 7)), 6),
+    (((3, 4), (5, 16)), 15), (((3, 4), (8, 12)), 11), (((3, 4), (10, 11)), 10), (((3, 4), (6, 9)), 8),
+    (((3, 4), (7, 14)), 13), (((3, 4), (5, 14)), 13), (((3, 4), (8, 10)), 9), (((3, 4), (6, 8)), 7),
+    (((3, 4), (5, 7)), 6), (((3, 4), (6, 7)), 6), (((3, 4), (6, 11)), 10), (((3, 4), (5, 6)), 5),
+    (((3, 4), (5, 15)), 14), (((3, 4), (5, 16)), 15), (((3, 4), (6, 12)), 11), (((3, 4), (10, 17)), 16),
+    (((3, 4), (9, 10)), 9), (((3, 4), (7, 8)), 7), (((3, 4), (5, 8)), 7), (((3, 4), (5, 11)), 10),
+    (((3, 4), (6, 7)), 6), (((3, 4), (6, 8)), 7), (((3, 4), (6, 11)), 10), (((3, 4), (5, 20)), 19),
+]
+
+
+def test_top_finds_keep_their_witnesses_and_steps():
+    z, card2 = interval(3, 38), LargenessSpec.card(2)
+    for seed, (blocks, steps) in enumerate(PINNED_FINDS):
+        f = ColoringTable.random(z, 2, 2, random.Random(seed))
+        out = find_grouping(z, f, card2, card2, TOP, Budget(2_000))
+        assert (out.status, tuple(b.elements for b in out.witness.blocks), out.steps) == (FOUND, blocks, steps)

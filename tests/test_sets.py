@@ -46,6 +46,20 @@ def test_is_transitive_matches_relation_composition(values, colors, rng):
     assert is_transitive(f, z.elements) == bf_transitive(f, z.elements)
 
 
+@given(
+    st.lists(st.integers(3, 12), unique=True, max_size=7),
+    st.integers(1, 2),
+    st.data(),
+    st.booleans(),
+)
+def test_covers_matches_domain_subset(domain, arity, data, as_generator):
+    f = ColoringTable.from_function(FinSet(tuple(sorted(domain))), arity, 2, lambda *t: 0)
+    inside = st.sampled_from(domain) if domain else st.nothing()
+    values = data.draw(st.lists(inside | st.integers(-2, 16), max_size=10))
+    expected = set(values) <= set(f.domain.elements)
+    assert f.covers((v for v in values) if as_generator else values) is expected
+
+
 def test_finset_text_roundtrips():
     x = FinSet((3, 65, 4 ** 65 + 1))
     assert FinSet.parse(x.to_lines()) == x

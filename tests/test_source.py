@@ -137,10 +137,10 @@ SET_TESTS = {"issubset", "issuperset", "isdisjoint", "difference"}
 
 
 def _reads_precondition(node: ast.AST) -> bool:
-    """A call of a sentence's `floor()`, or a comparison or set-relation
-    call that reads a coloring's `.domain`."""
+    """A call of a sentence's `floor()` or a coloring's `covers()`, or a
+    comparison or set-relation call that reads a coloring's `.domain`."""
     method = node.func.attr if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) else None
-    if method == "floor":
+    if method in ("floor", "covers"):
         return True
     return (isinstance(node, ast.Compare) or method in SET_TESTS) and any(
         isinstance(n, ast.Attribute) and n.attr == "domain" for n in ast.walk(node)
@@ -149,7 +149,8 @@ def _reads_precondition(node: ast.AST) -> bool:
 
 def test_each_input_precondition_has_one_owner():
     # a sentence's floor is read, and a coloring's domain tested for
-    # coverage, only by the helper that owns the precondition
+    # coverage (by `covers` or by reading `.domain`), only by the helper
+    # that owns the precondition
     readers = sorted(
         (path.name, func)
         for path, tree in _sources()
