@@ -174,10 +174,13 @@ def make_statement(args) -> RtLikeStatement:
         "ads-desc": (2, 2, "monotone-descending"),
         "true": (1, 1, "true"),
     }
+    custom = (args.arity, args.colors, args.psi0)
     if name in presets:
+        if custom != (None, None, None):
+            raise UsageError(f"--arity, --colors and --psi0 apply to --gamma custom, not to the preset {name!r}")
         arity, colors, psi0 = presets[name]
     else:
-        arity, colors, psi0 = args.arity, args.colors, args.psi0
+        arity, colors, psi0 = (d if v is None else v for v, d in zip(custom, (2, 2, "homogeneous")))
     if psi0 not in BUILTIN_PSI0:
         psi0 = read_input("bad --psi0", functools.partial(parse, psi0))
     return read_input("bad statement", lambda: RtLikeStatement(arity, colors, psi0))
@@ -650,9 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = gamma.add_parser(name)
         _set_input(p)
         p.add_argument("--gamma", default="custom", help="rt22|rt12|em|ads-asc|ads-desc|true|custom")
-        p.add_argument("--arity", type=natural, default=2)
-        p.add_argument("--colors", type=natural, default=2)
-        p.add_argument("--psi0", default="homogeneous")
+        p.add_argument("--arity", type=natural, help="--gamma custom only (default 2)")
+        p.add_argument("--colors", type=natural, help="--gamma custom only (default 2)")
+        p.add_argument("--psi0", help="--gamma custom only (default homogeneous)")
         p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
         p.add_argument("--trials", type=natural, help="draws per challenge of sampled mode")
         p.add_argument("--seed", type=int, help="seed of the sampled trials")

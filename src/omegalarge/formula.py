@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from itertools import combinations
+from string import Formatter
 from types import FunctionType
 from typing import Callable
 
@@ -108,66 +109,48 @@ def free_vars(phi: Formula) -> set[str]:
     return _variables(phi, free=True)
 
 
+def _scoped(phi: Formula):
+    """(node, the variables bound above it) for every node of phi, each
+    after its operands, which come left to right.  An `FQuant`'s body is
+    inside its binder's scope, its bound is outside.  The walk keeps its own
+    stack, so a flat chain of any length is read, as the parser reads it."""
+    stack = [(phi, frozenset(), False)]
+    while stack:
+        node, bound, expanded = stack.pop()
+        if expanded:
+            yield node, bound
+            continue
+        stack.append((node, bound, True))
+        inner = bound | {node.var} if isinstance(node, FQuant) else bound
+        for field in reversed(node._fields):
+            value = getattr(node, field)
+            if isinstance(value, FrozenRecord):
+                stack.append((value, inner if field == "body" else bound, False))
+
+
 def _variables(phi: Formula, free: bool) -> set[str]:
     """The variables phi names: its free ones, or with `free` off every one,
-    binders included.  The walk keeps its own stack, so a flat `and`, `or`
-    or `+` chain of any length is read, as the parser and compiler read it."""
+    binders included."""
     out: set[str] = set()
-    stack = [(phi, frozenset())]  # a node, and the variables bound above it
-    while stack:
-        node, bound = stack.pop()
-        if isinstance(node, TVar):
-            if node.name not in bound:
-                out.add(node.name)
-        elif isinstance(node, (TAdd, TMul, FCmp, FAnd, FOr, FImp)):
-            stack += ((node.left, bound), (node.right, bound))
-        elif isinstance(node, TPow):
-            stack.append((node.base, bound))
-        elif isinstance(node, FIn):
-            stack.append((node.term, bound))
-        elif isinstance(node, FNot):
-            stack.append((node.body, bound))
-        elif isinstance(node, FQuant):
-            if not free:
-                out.add(node.var)
-            stack += ((node.bound, bound), (node.body, bound | {node.var} if free else bound))
-        elif not isinstance(node, (TConst, TConstA, FTrue, FFalse)):
-            raise TypeError(node)
+    for node, bound in _scoped(phi):
+        if isinstance(node, TVar) and not (free and node.name in bound):
+            out.add(node.name)
+        elif isinstance(node, FQuant) and not free:
+            out.add(node.var)
     return out
 
 
-def subst_term(t: Term, mapping: dict[str, str]) -> Term:
-    if isinstance(t, TVar) and t.name in mapping:
-        return TVar(mapping[t.name])
-    if isinstance(t, TAdd):
-        return TAdd(subst_term(t.left, mapping), subst_term(t.right, mapping))
-    if isinstance(t, TMul):
-        return TMul(subst_term(t.left, mapping), subst_term(t.right, mapping))
-    if isinstance(t, TPow):
-        return TPow(subst_term(t.base, mapping), t.exponent)
-    return t
-
-
 def rename_free(phi: Formula, mapping: dict[str, str]) -> Formula:
-    """Rename free variables; binders shadow as usual."""
-    if isinstance(phi, (FTrue, FFalse)):
-        return phi
-    if isinstance(phi, FCmp):
-        return FCmp(phi.op, subst_term(phi.left, mapping), subst_term(phi.right, mapping))
-    if isinstance(phi, FIn):
-        return FIn(subst_term(phi.term, mapping))
-    if isinstance(phi, FNot):
-        return FNot(rename_free(phi.body, mapping))
-    if isinstance(phi, FAnd):
-        return FAnd(rename_free(phi.left, mapping), rename_free(phi.right, mapping))
-    if isinstance(phi, FOr):
-        return FOr(rename_free(phi.left, mapping), rename_free(phi.right, mapping))
-    if isinstance(phi, FImp):
-        return FImp(rename_free(phi.left, mapping), rename_free(phi.right, mapping))
-    if isinstance(phi, FQuant):
-        inner = {k: v for k, v in mapping.items() if k != phi.var}
-        return FQuant(phi.kind, phi.var, subst_term(phi.bound, mapping), rename_free(phi.body, inner))
-    raise TypeError(phi)
+    """Rename free variables; binders shadow as usual.  The walk gives each
+    node right after its renamed operands, and the node is rebuilt from them."""
+    done: list = []  # renamed operands, not yet read by their parent
+    for node, bound in _scoped(phi):
+        if isinstance(node, TVar):
+            done.append(node if node.name in bound else TVar(mapping.get(node.name, node.name)))
+        else:
+            values = [done.pop() if isinstance(v, FrozenRecord) else v for v in reversed(node._values(node))]
+            done.append(type(node)(*reversed(values)))
+    return done.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -382,84 +365,60 @@ def parse(text: str) -> Formula:
     return phi
 
 
-def term_text(t: Term) -> str:
-    if isinstance(t, TConst):
-        return str(t.value)
-    if isinstance(t, TConstA):
-        return "a"
-    if isinstance(t, TVar):
-        return t.name
-    if isinstance(t, TAdd):
-        # the parser is left-associative, so right-nested sums need parens
-        right = term_text(t.right)
-        if isinstance(t.right, TAdd):
-            right = f"({right})"
-        return f"{term_text(t.left)} + {right}"
-    if isinstance(t, TMul):
-        left = _factor_text(t.left)
-        right = term_text(t.right)
-        if isinstance(t.right, (TAdd, TMul)):
-            right = f"({right})"
-        return f"{left} * {right}"
-    if isinstance(t, TPow):
-        return f"{_primary_text(t.base)} ^ {t.exponent}"
-    raise TypeError(t)
+# The parser's grammar levels, loosest first.  A quantifier's body reaches
+# as far right as the right side of `->`, so a quantifier sits at that level.
+_LEVELS = ("->", "or", "and", "not", "+", "*", "^", "atom")
+
+# node type -> its level and its text; `{field:level}` is an operand that
+# gets parentheses where it binds looser than the level, `{field}` a name
+# or a number
+_LAYOUT = {
+    FImp: ("->", "{left:or} -> {right:->}"),
+    FQuant: ("->", "{kind} {var} < {bound:+} . {body:->}"),
+    FOr: ("or", "{left:or} or {right:and}"),
+    FAnd: ("and", "{left:and} and {right:not}"),
+    FNot: ("not", "not {body:not}"),
+    TAdd: ("+", "{left:+} + {right:*}"),
+    TMul: ("*", "{left:*} * {right:^}"),
+    TPow: ("^", "{base:atom} ^ {exponent}"),
+    FCmp: ("atom", "{left:+} {op} {right:+}"),
+    FIn: ("atom", "{term:+} in A"),
+    FTrue: ("atom", "true"),
+    FFalse: ("atom", "false"),
+    TConst: ("atom", "{value}"),
+    TConstA: ("atom", "a"),
+    TVar: ("atom", "{name}"),
+}
+
+# node type -> its level and its pieces: (text, field or None, the field's level or None)
+_PIECES = {
+    kind: (_LEVELS.index(level), [(text, field, _LEVELS.index(spec) if spec else None)
+                                  for text, field, spec, _ in Formatter().parse(layout)])
+    for kind, (level, layout) in _LAYOUT.items()
+}
 
 
-def _factor_text(t: Term) -> str:
-    return f"({term_text(t)})" if isinstance(t, TAdd) else term_text(t)
-
-
-def _primary_text(t: Term) -> str:
-    return f"({term_text(t)})" if isinstance(t, (TAdd, TMul, TPow)) else term_text(t)
-
-
-def formula_text(phi: Formula) -> str:
-    if isinstance(phi, FTrue):
-        return "true"
-    if isinstance(phi, FFalse):
-        return "false"
-    if isinstance(phi, FCmp):
-        return f"{term_text(phi.left)} {phi.op} {term_text(phi.right)}"
-    if isinstance(phi, FIn):
-        return f"{term_text(phi.term)} in A"
-    # a stack of `not`s and a left-nested `and` or `or` chain print in one
-    # loop, so the printer goes as deep as the parser does
-    if isinstance(phi, FNot):
-        count = 0
-        while isinstance(phi, FNot):
-            phi, count = phi.body, count + 1
-        return "not " * count + _unary_text(phi)
-    if isinstance(phi, (FAnd, FOr)):
-        kind, rights = type(phi), []
-        while isinstance(phi, kind):
-            rights.append(phi.right)
-            phi = phi.left
-        op, first, rest = (" and ", _and_text, _unary_text) if kind is FAnd else (" or ", _or_text, _and_text)
-        return op.join([first(phi), *map(rest, reversed(rights))])
-    if isinstance(phi, FImp):
-        return f"{_or_text(phi.left)} -> {formula_text(phi.right)}"
-    if isinstance(phi, FQuant):
-        return f"{phi.kind} {phi.var} < {term_text(phi.bound)} . {formula_text(phi.body)}"
-    raise TypeError(phi)
-
-
-def _unary_text(phi: Formula) -> str:
-    if isinstance(phi, (FAnd, FOr, FImp, FQuant)):
-        return f"({formula_text(phi)})"
-    return formula_text(phi)
-
-
-def _and_text(phi: Formula) -> str:
-    if isinstance(phi, (FOr, FImp, FQuant)):
-        return f"({formula_text(phi)})"
-    return formula_text(phi)
-
-
-def _or_text(phi: Formula) -> str:
-    if isinstance(phi, (FImp, FQuant)):
-        return f"({formula_text(phi)})"
-    return formula_text(phi)
+def formula_text(phi: Formula | Term) -> str:
+    """The text of a formula or a term, which `parse` reads back to an equal
+    one.  The printer keeps its own stack, so a flat chain of any length
+    prints, as the parser reads it."""
+    out, stack = [], [(phi, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, need = item
+        level, pieces = _PIECES[type(node)]
+        if level < need:
+            out.append("(")
+            stack.append(")")
+        for text, field, spec in reversed(pieces):
+            if field is not None:
+                value = getattr(node, field)
+                stack.append(str(value) if spec is None else (value, spec))
+            stack.append(text)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .largeness import (
     _check_admissible,
     _check_coloring,
     check_large,
+    is_large,
     verify_certificate,
 )
 from .record import FrozenRecord, Record
@@ -173,7 +174,7 @@ def is_large_gamma(
     _check_admissible(z, sentence)
     spec = LargenessSpec(r, s, sentence)
     subsets = _subsets(z)  # the subset ceiling, then the coloring ceiling, then the largeness checks
-    large = functools.cache(lambda: [y for y in subsets if check_large(y, spec)])
+    large = functools.cache(lambda: [y for y in subsets if is_large(y, spec)])
     f = _source(mode).counterexample(z, statement, large, lambda y: True)
     if f is not None:
         return Verdict(FALSE, f"counterexample coloring {list(f.table)}")
@@ -183,7 +184,7 @@ def is_large_gamma(
 
 
 def _dense0(y: FinSet, sentence: Pi03Sentence) -> bool:
-    return check_large(y, LargenessSpec(1, 1, sentence)) is not None
+    return is_large(y, LargenessSpec(1, 1, sentence))
 
 
 def _failed_clause(y: FinSet, sentence, statement, source, below) -> Optional[str]:
@@ -351,7 +352,15 @@ def _em_level(x, f, n, sentence, budget, constants) -> SearchOutcome:
     budget.enter(f"grouping at level {n}")
     walk = GroupingWalk(x, f, l0, constants.transversal, sentence, budget)
     stage = f"grouping at level {n}"
+    undecided = False  # an exhausted join leaves the level undecided
     try:
+        # a walk that cannot start decides nothing about a set large at n;
+        # plain largeness is necessary for that and spends no budget
+        if (walk.min_blocks > len(x) and is_large(x, LargenessSpec(n, 1, TOP))
+                and is_large(x, LargenessSpec(n, 1, sentence), budget)):
+            return SearchOutcome(EXHAUSTED, detail=(
+                f"{stage} cannot start: the constants' blocks (large at exponent {l0.exponent}) and transversals "
+                f"(large at exponent {constants.transversal.exponent}) need more than the set's {len(x)} points"))
         # the first grouping found need not admit transitive pieces with a
         # usable tournament; keep drawing groupings until one does
         for witness in walk.witnesses():
@@ -359,11 +368,10 @@ def _em_level(x, f, n, sentence, budget, constants) -> SearchOutcome:
             if out.status == FOUND:
                 return out
             stage = out.detail
+            undecided = undecided or out.status == EXHAUSTED
     except BudgetExceeded as err:
         return SearchOutcome(EXHAUSTED, detail=err.stage)
-    if walk.ceiling_hit:
-        return SearchOutcome(EXHAUSTED, detail=stage)
-    return SearchOutcome(ABSENT, detail=stage)
+    return SearchOutcome(EXHAUSTED if undecided or walk.ceiling_hit else ABSENT, detail=stage)
 
 
 def _em_join(blocks, f, n, sentence, budget, constants) -> SearchOutcome:

@@ -7,8 +7,8 @@ exceptions are replaced code kept as the reference for what replaced it:
 the recursive grouping walk, the product-loop cross-monochromaticity scan,
 the recursive include-first subset search, the blockfree view's own copy
 of the separation test, the per-triple export table, the closure compiler
-for formulas, and Γ-largeness and density clauses (a) and (c) over every
-coloring in `product` order.
+and the recursive printer and renamer for formulas, and Γ-largeness and
+density clauses (a) and (c) over every coloring in `product` order.
 """
 
 from __future__ import annotations
@@ -714,6 +714,123 @@ def closure_compile_formula(phi, variables, a: int, member):
         return fn(env)
 
     return call
+
+
+# ---------------------------------------------------------------------------
+# The recursive printer and renamer that formula.formula_text and
+# formula.rename_free replaced
+# ---------------------------------------------------------------------------
+
+
+def recursive_term_text(t) -> str:
+    if isinstance(t, fm.TConst):
+        return str(t.value)
+    if isinstance(t, fm.TConstA):
+        return "a"
+    if isinstance(t, fm.TVar):
+        return t.name
+    if isinstance(t, fm.TAdd):
+        # the parser is left-associative, so right-nested sums need parens
+        right = recursive_term_text(t.right)
+        if isinstance(t.right, fm.TAdd):
+            right = f"({right})"
+        return f"{recursive_term_text(t.left)} + {right}"
+    if isinstance(t, fm.TMul):
+        left = _factor_text(t.left)
+        right = recursive_term_text(t.right)
+        if isinstance(t.right, (fm.TAdd, fm.TMul)):
+            right = f"({right})"
+        return f"{left} * {right}"
+    if isinstance(t, fm.TPow):
+        return f"{_primary_text(t.base)} ^ {t.exponent}"
+    raise TypeError(t)
+
+
+def _factor_text(t) -> str:
+    return f"({recursive_term_text(t)})" if isinstance(t, fm.TAdd) else recursive_term_text(t)
+
+
+def _primary_text(t) -> str:
+    return f"({recursive_term_text(t)})" if isinstance(t, (fm.TAdd, fm.TMul, fm.TPow)) else recursive_term_text(t)
+
+
+def recursive_formula_text(phi) -> str:
+    if isinstance(phi, fm.FTrue):
+        return "true"
+    if isinstance(phi, fm.FFalse):
+        return "false"
+    if isinstance(phi, fm.FCmp):
+        return f"{recursive_term_text(phi.left)} {phi.op} {recursive_term_text(phi.right)}"
+    if isinstance(phi, fm.FIn):
+        return f"{recursive_term_text(phi.term)} in A"
+    # a stack of `not`s and a left-nested `and` or `or` chain print in one
+    # loop, so the printer goes as deep as the parser does
+    if isinstance(phi, fm.FNot):
+        count = 0
+        while isinstance(phi, fm.FNot):
+            phi, count = phi.body, count + 1
+        return "not " * count + _unary_text(phi)
+    if isinstance(phi, (fm.FAnd, fm.FOr)):
+        kind, rights = type(phi), []
+        while isinstance(phi, kind):
+            rights.append(phi.right)
+            phi = phi.left
+        op, first, rest = (" and ", _and_text, _unary_text) if kind is fm.FAnd else (" or ", _or_text, _and_text)
+        return op.join([first(phi), *map(rest, reversed(rights))])
+    if isinstance(phi, fm.FImp):
+        return f"{_or_text(phi.left)} -> {recursive_formula_text(phi.right)}"
+    if isinstance(phi, fm.FQuant):
+        return f"{phi.kind} {phi.var} < {recursive_term_text(phi.bound)} . {recursive_formula_text(phi.body)}"
+    raise TypeError(phi)
+
+
+def _unary_text(phi) -> str:
+    if isinstance(phi, (fm.FAnd, fm.FOr, fm.FImp, fm.FQuant)):
+        return f"({recursive_formula_text(phi)})"
+    return recursive_formula_text(phi)
+
+
+def _and_text(phi) -> str:
+    if isinstance(phi, (fm.FOr, fm.FImp, fm.FQuant)):
+        return f"({recursive_formula_text(phi)})"
+    return recursive_formula_text(phi)
+
+
+def _or_text(phi) -> str:
+    if isinstance(phi, (fm.FImp, fm.FQuant)):
+        return f"({recursive_formula_text(phi)})"
+    return recursive_formula_text(phi)
+
+
+def recursive_subst_term(t, mapping: dict):
+    if isinstance(t, fm.TVar) and t.name in mapping:
+        return fm.TVar(mapping[t.name])
+    if isinstance(t, fm.TAdd):
+        return fm.TAdd(recursive_subst_term(t.left, mapping), recursive_subst_term(t.right, mapping))
+    if isinstance(t, fm.TMul):
+        return fm.TMul(recursive_subst_term(t.left, mapping), recursive_subst_term(t.right, mapping))
+    if isinstance(t, fm.TPow):
+        return fm.TPow(recursive_subst_term(t.base, mapping), t.exponent)
+    return t
+
+
+def recursive_rename_free(phi, mapping: dict):
+    """Rename free variables; binders shadow as usual."""
+    if isinstance(phi, (fm.FTrue, fm.FFalse)):
+        return phi
+    if isinstance(phi, fm.FCmp):
+        return fm.FCmp(phi.op, recursive_subst_term(phi.left, mapping), recursive_subst_term(phi.right, mapping))
+    if isinstance(phi, fm.FIn):
+        return fm.FIn(recursive_subst_term(phi.term, mapping))
+    if isinstance(phi, fm.FNot):
+        return fm.FNot(recursive_rename_free(phi.body, mapping))
+    if isinstance(phi, (fm.FAnd, fm.FOr, fm.FImp)):
+        return type(phi)(recursive_rename_free(phi.left, mapping), recursive_rename_free(phi.right, mapping))
+    if isinstance(phi, fm.FQuant):
+        inner = {k: v for k, v in mapping.items() if k != phi.var}
+        return fm.FQuant(phi.kind, phi.var, recursive_subst_term(phi.bound, mapping),
+                         recursive_rename_free(phi.body, inner))
+    raise TypeError(phi)
 
 
 # ---------------------------------------------------------------------------

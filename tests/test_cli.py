@@ -556,7 +556,8 @@ def test_out_of_range_numbers_exit_3(tmp_path, capsys, argv):
 # coloring of [3,90] and its four blocks of 22 points, whose 22^4 transversals
 # pass the transversal ceiling.  "{PKIND}", "{PVAR}" and "{PTWICE}" are
 # prefixed sentences with a bad step kind, a number for a variable, and one
-# variable bound three times.
+# variable bound three times.  "{PLUS}", "{TIMES}" and "{AND}" are formula
+# texts: flat 3,000-term `+`, `*` and `and` chains, which print and weaken.
 # argv, exit code, and a fragment of the reason: of stderr on exit 3, else
 # of the JSON "reason"
 EXIT_CONTRACT = [
@@ -602,11 +603,21 @@ EXIT_CONTRACT = [
     (["formula", "weaken", "--file", "{PKIND}"], 3, "a prefix step's kind must be forall or exists, not \"some\""),
     (["formula", "weaken", "--file", "{PVAR}"], 3, "a prefix step's variable must be a variable name, not 5"),
     (["formula", "weaken", "--file", "{PTWICE}"], 3, "the prefix binds a variable twice: exists x forall x exists x"),
+    (["formula", "parse", "{PLUS}"], 0, "x < y + 1 + 2 + 3"),
+    (["formula", "parse", "{TIMES}"], 0, "x < y * 1 * 2 * 3"),
+    (["formula", "weaken", "--text", "{AND}"], 0, "exists z . x' < y' + 0 and x' < y' + 1 and x' < y' + 2"),
+    # the faithful walk cannot start on [3,20], which is large at exponent 1
+    (["em", "extract", "--interval", "3:20", "--n", "1", "--coloring", "{C2}"], 2,
+     "grouping at level 1 cannot start"),
+    # a preset fixes the statement, so the custom statement's options have nothing to set
+    (["gamma", "large", "--interval", "3:6", "--r", "1", "--gamma", "rt12", "--arity", "5"], 3,
+     "--arity, --colors and --psi0 apply to --gamma custom, not to the preset 'rt12'"),
 ]
 
 
 def contract_argv(tmp_path, argv):
-    """The row's argv with each placeholder replaced by a file it writes."""
+    """The row's argv with each placeholder replaced by a file it writes, or
+    by a formula text."""
     x = FinSet.interval(3, 40)
 
     def witness(name, blocks):
@@ -632,6 +643,9 @@ def contract_argv(tmp_path, argv):
         "{PKIND}": lambda: prefixed("pkind.json", [["some", "x", None], ["forall", "y", None], ["exists", "z", None]]),
         "{PVAR}": lambda: prefixed("pvar.json", [["exists", 5, None], ["forall", "y", None], ["exists", "z", None]]),
         "{PTWICE}": lambda: prefixed("ptwice.json", [["exists", "x", None], ["forall", "x", None], ["exists", "x", None]]),
+        "{PLUS}": lambda: "x < y + " + " + ".join(map(str, range(1, 3000))),
+        "{TIMES}": lambda: "x < y * " + " * ".join(map(str, range(1, 3000))),
+        "{AND}": lambda: " and ".join(f"x < y + {i}" for i in range(3000)),
     }
     return [files[a]() if a in files else a for a in argv]
 

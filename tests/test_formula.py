@@ -25,7 +25,14 @@ from omegalarge.formula import (
 )
 from omegalarge.sets import ColoringTable, FinSet, restrict_coloring
 
-from oracles import closure_compile_formula, holds_bounded_literal, naive_eval, random_formula
+from oracles import (
+    closure_compile_formula,
+    holds_bounded_literal,
+    naive_eval,
+    random_formula,
+    recursive_formula_text,
+    recursive_rename_free,
+)
 
 
 def test_parse_examples():
@@ -70,6 +77,36 @@ def test_print_parse_roundtrip_random():
     for _ in range(300):
         phi = random_formula(rng, ["x", "y"], rng.randrange(1, 9))
         assert parse(formula_text(phi)) == phi
+
+
+def test_printer_and_renamer_match_the_recursive_oracles():
+    # the renaming maps a free variable onto a binder's name, and a binder's
+    # name onto a free one, so shadowing and capture are both exercised
+    rng = random.Random(20261020)
+    mapping = {"x": "q0", "y": "y'", "q1": "x"}
+    for _ in range(10_000):
+        phi = random_formula(rng, ["x", "y", "z"], rng.randrange(1, 14))
+        assert formula_text(phi) == recursive_formula_text(phi)
+        assert fm.rename_free(phi, mapping) == recursive_rename_free(phi, mapping), recursive_formula_text(phi)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x < " + " + ".join(f"y ^ {i % 3}" for i in range(3000)),
+        "x < " + " * ".join(f"(y + {i})" for i in range(3000)),
+        " and ".join(f"x < y + {i}" for i in range(3000)),
+        " or ".join(f"not x = {i} * y" for i in range(3000)),
+    ],
+    ids=["plus-3000", "times-3000", "and-3000", "or-3000"],
+)
+def test_flat_chains_print_and_rename_past_the_recursion_limit(text):
+    # texts are compared, not formulas: equality of records nested this
+    # deep recurses past the interpreter's limit
+    phi = parse(text)
+    assert formula_text(phi) == text
+    renamed = fm.rename_free(phi, {"x": "w", "y": "x"})
+    assert formula_text(renamed) == text.replace("x", "w").replace("y", "x")
 
 
 @given(st.integers(min_value=0, max_value=2 ** 63), st.integers(min_value=1, max_value=12))

@@ -17,7 +17,7 @@ from omegalarge.formula import (
     RtLikeStatement,
     parse,
 )
-from omegalarge.grouping import ABSENT, FOUND
+from omegalarge.grouping import ABSENT, EXHAUSTED, FOUND, SearchOutcome
 from omegalarge.largeness import LargenessSpec, PreconditionError, check_large, verify_certificate
 from omegalarge.ramsey import (
     DROP_MIN,
@@ -317,6 +317,37 @@ def test_em_extract_faithful_constants_fail_honestly():
     out = em_extract(X38, f, 1, TOP, Budget(100_000), EmConstants.faithful(1))
     assert out.status in (ABSENT, "exhausted")
     assert "grouping" in out.detail
+
+
+@pytest.mark.parametrize("hi,status", [(20, EXHAUSTED), (5, ABSENT)])
+def test_em_extract_answers_absent_only_where_no_set_is_large(hi, status):
+    # the faithful walk cannot start on [3,hi]: [3,20] is large at exponent 1,
+    # so the walk decided nothing, while no subset of [3,5] is large at all
+    x = FinSet.interval(3, hi)
+    f = ColoringTable.from_function(x, 2, 2, lambda a, b: 0)
+    out = em_extract(x, f, 1, TOP, Budget(100_000), EmConstants.faithful(1))
+    assert out.status == status and out.detail.startswith("grouping at level 1")
+
+
+def test_em_level_is_exhausted_when_a_join_is(monkeypatch):
+    # [3,6] has one grouping at the scaled constants, four singletons, so
+    # the walk ends without a ceiling or the budget, and only the join's
+    # outcome can leave the level undecided
+    x = FinSet.interval(3, 6)
+    f = ColoringTable.from_function(x, 2, 2, lambda a, b: 0)
+    joins = []
+
+    def join(status):
+        def run(blocks, *args):
+            joins.append(blocks)
+            return SearchOutcome(status, detail="a patched join")
+        return run
+
+    for status, want in [(ABSENT, ABSENT), (EXHAUSTED, EXHAUSTED)]:
+        monkeypatch.setattr(ramsey, "_em_join", join(status))
+        out = em_extract(x, f, 1, TOP, Budget(10_000), EmConstants.scaled(1))
+        assert (out.status, out.detail) == (want, "a patched join")
+    assert joins == [tuple(FinSet((v,)) for v in range(3, 7))] * 2
 
 
 def test_em_constants_faithful_values():

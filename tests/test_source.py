@@ -1,9 +1,10 @@
 """Source-level rules for the package: postconditions must not rely on
 `assert`, which `python -O` strips, only the θ compiler runs generated
 code, a sentence calls its compiled θ only through `theta_at`, no nested
-function calls itself, the grouping walk's nodes build no set, each input
-precondition is checked by its one owner, and every function and
-module-level name is called or named from somewhere."""
+function calls itself, formula.py recurses on nesting depth only, the
+grouping walk's nodes build no set, each input precondition is checked by
+its one owner, and every function and module-level name is called or named
+from somewhere."""
 
 import ast
 import re
@@ -115,6 +116,30 @@ def test_theta_is_called_only_through_theta_at():
     assert mentions == [("__post_init__", "keyword"), ("theta_at", "Constant")]
     (theta_at,) = [n for n in sentence.body if isinstance(n, ast.FunctionDef) and n.name == "theta_at"]
     assert [ast.unparse(n) for n in theta_at.body] == ["return self._cache['fn'](x, y, z)"]
+
+
+# the functions of formula.py that call themselves, each with its reason:
+# every other walk keeps its own stack, so a flat chain of any length is read
+# and printed and only nesting depth meets the interpreter's recursion limit
+SELF_CALLS = {
+    "_Parser.parse_formula": "once per nested `->` right side; callers of parse read a RecursionError as exit 3",
+    "_Parser.parse_unary": "once per nested `not` or quantifier; callers of parse read a RecursionError as exit 3",
+    "_ThetaSource.emit": "once per nesting level, never per chain link; its callers read a RecursionError as exit 3",
+}
+
+
+def test_formula_recurses_on_nesting_depth_only():
+    tree = ast.parse((SRC / "formula.py").read_text())
+    found = set()
+    for scope in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]:
+        prefix = "" if scope is tree else f"{scope.name}."
+        for func in scope.body:
+            if isinstance(func, ast.FunctionDef) and any(
+                isinstance(n, ast.Call) and ast.unparse(n.func) in (func.name, f"self.{func.name}")
+                for n in ast.walk(func)
+            ):
+                found.add(prefix + func.name)
+    assert found == set(SELF_CALLS)
 
 
 def test_grouping_walk_nodes_build_no_finset():
