@@ -63,18 +63,16 @@ class Outcome(Record):
 
 
 def load_set(args) -> FinSet:
-    if args.interval:
-        what = f"bad --interval {args.interval!r}"
-        try:
-            lo, hi = map(int, args.interval.split(":"))
-        except ValueError as err:
-            raise UsageError(f"{what}: expected LO:HI") from err
-        if lo > hi:  # a typo, not the empty set
-            raise UsageError(f"{what}: LO > HI")
-        return read_input(what, lambda: FinSet.interval(lo, hi))
-    if not args.set:
-        raise UsageError("a set is required (--set FILE or --interval LO:HI)")
-    return read_set(args.set)
+    if args.interval is None:
+        return read_set(args.set)
+    what = f"bad --interval {args.interval!r}"
+    try:
+        lo, hi = map(int, args.interval.split(":"))
+    except ValueError as err:
+        raise UsageError(f"{what}: expected LO:HI") from err
+    if lo > hi:  # a typo, not the empty set
+        raise UsageError(f"{what}: LO > HI")
+    return read_input(what, lambda: FinSet.interval(lo, hi))
 
 
 def read_text(path: str) -> str:
@@ -125,23 +123,21 @@ def read_json(path: str, reader):
 
 
 def load_sentence(args) -> Pi03Sentence:
-    """The sentence of --theta-file or --theta; one equal to TOP (θ `true`,
-    a = 0, empty A) is TOP itself, so bare-count requirements read as such."""
-    if getattr(args, "theta_file", None):
+    """The sentence of --theta-file or --theta (absent: top); one equal to
+    TOP (θ `true`, a = 0, empty A) is TOP itself, so bare-count requirements
+    read as such.  --param-a and --param-A set a --theta formula's a and A."""
+    text, own = args.theta, args.theta_file is not None
+    if own or text in (None, "top"):
+        if (args.param_a, args.param_A) != (None, None):
+            where = "--theta-file, which carries its own a and A" if own else "top"
+            raise UsageError(f"--param-a and --param-A apply to a --theta formula, not to {where}")
+        if not own:
+            return TOP
         sentence = read_json(args.theta_file, Pi03Sentence.from_json)
-    elif (text := getattr(args, "theta", "top")) == "top":
-        return TOP
     else:
-        param = read_input("bad --param-A", lambda: SecondOrderParam(getattr(args, "param_A", "") or ""))
-        sentence = read_input("bad --theta", lambda: Pi03Sentence(parse(text), getattr(args, "param_a", 0), param))
+        param = read_input("bad --param-A", lambda: SecondOrderParam(args.param_A or ""))
+        sentence = read_input("bad --theta", lambda: Pi03Sentence(parse(text), args.param_a or 0, param))
     return TOP if sentence == TOP else sentence
-
-
-def load_coloring(args, attr: str = "coloring") -> ColoringTable:
-    path = getattr(args, attr, None)
-    if not path:
-        raise UsageError("a coloring is required (--coloring FILE)")
-    return read_json(path, ColoringTable.from_json)
 
 
 def load_lspec(text: str, sentence: Pi03Sentence) -> LargenessSpec:
@@ -160,27 +156,26 @@ def load_lspec(text: str, sentence: Pi03Sentence) -> LargenessSpec:
     raise UsageError(f"bad largeness requirement {text!r}; use card:M or omega:N[:K][:top]")
 
 
-def make_budget(args) -> Budget:
-    return Budget(args.budget)
+# --gamma's presets, (arity, colors, ψ0); `custom` reads --arity, --colors, --psi0
+GAMMA_PRESETS = {
+    "rt22": (2, 2, "homogeneous"),
+    "rt12": (1, 2, "homogeneous"),
+    "em": (2, 2, "transitive"),
+    "ads-asc": (2, 2, "monotone-ascending"),
+    "ads-desc": (2, 2, "monotone-descending"),
+    "true": (1, 1, "true"),
+}
 
 
 def make_statement(args) -> RtLikeStatement:
     name = args.gamma
-    presets = {
-        "rt22": (2, 2, "homogeneous"),
-        "rt12": (1, 2, "homogeneous"),
-        "em": (2, 2, "transitive"),
-        "ads-asc": (2, 2, "monotone-ascending"),
-        "ads-desc": (2, 2, "monotone-descending"),
-        "true": (1, 1, "true"),
-    }
     custom = (args.arity, args.colors, args.psi0)
-    if name in presets:
-        if custom != (None, None, None):
-            raise UsageError(f"--arity, --colors and --psi0 apply to --gamma custom, not to the preset {name!r}")
-        arity, colors, psi0 = presets[name]
-    else:
+    if name == "custom":
         arity, colors, psi0 = (d if v is None else v for v, d in zip(custom, (2, 2, "homogeneous")))
+    elif custom != (None, None, None):
+        raise UsageError(f"--arity, --colors and --psi0 apply to --gamma custom, not to the preset {name!r}")
+    else:
+        arity, colors, psi0 = GAMMA_PRESETS[name]
     if psi0 not in BUILTIN_PSI0:
         psi0 = read_input("bad --psi0", functools.partial(parse, psi0))
     return read_input("bad statement", lambda: RtLikeStatement(arity, colors, psi0))
@@ -196,7 +191,9 @@ def cmd_large_check(args) -> Outcome:
     sentence = load_sentence(args)
     spec = LargenessSpec(args.n, args.k, sentence)
     _check_admissible(x, sentence)  # verify_certificate would only reject the set
-    if args.verify:
+    if args.verify is not None:
+        if (args.cert_out, args.budget) != (None, None):
+            raise UsageError("--cert-out and --budget apply to a search, not to --verify")
         cert = read_json(args.verify, Certificate.from_json)
         ok = verify_certificate(x, cert, spec, paranoid=args.paranoid)
         return Outcome(
@@ -204,12 +201,12 @@ def cmd_large_check(args) -> Outcome:
             {"verified": ok},
             "certificate accepted" if ok else "certificate rejected",
         )
-    cert = check_large(x, spec, budget=make_budget(args))
+    cert = check_large(x, spec, budget=Budget(args.budget))
     if cert is None:
         return Outcome(1, {"result": "not-large"}, "not large: no decomposition exists")
     if not verify_certificate(x, cert, spec, paranoid=args.paranoid):
         raise RuntimeError("the search returned a certificate that fails re-verification")
-    if args.cert_out:
+    if args.cert_out is not None:
         write_text(args.cert_out, cert.to_json())
     return Outcome(0, {"result": "large", "certificate": cert.to_obj()}, "large: certificate found")
 
@@ -217,7 +214,7 @@ def cmd_large_check(args) -> Outcome:
 def cmd_large_minimal(args) -> Outcome:
     out = minimal_large_interval(args.x, args.n, budget=args.budget)
     payload = {"elements": [str(v) for v in out], "cardinality": len(out), "max": str(out.maximum)}
-    if args.out:
+    if args.out is not None:
         write_text(args.out, out.to_lines())
     return Outcome(0, payload, f"minimal interval [{out.minimum}, {out.maximum}], {len(out)} elements")
 
@@ -226,12 +223,12 @@ def cmd_large_pigeonhole(args) -> Outcome:
     from .extract import CountingFailure, ExtractionFailure, pigeonhole_extract
 
     x = load_set(args)
-    f = load_coloring(args)
+    f = read_json(args.coloring, ColoringTable.from_json)
     sentence = load_sentence(args)
     policy = SparsityPolicy(args.sparsity)
     try:
         out = pigeonhole_extract(
-            x, f, args.b, sentence, policy, strict=args.strict, budget=make_budget(args)
+            x, f, args.b, sentence, policy, strict=args.strict, budget=Budget(args.budget)
         )
     except CountingFailure as err:
         return Outcome(2, {"result": "counting-failure", "reason": str(err)}, str(err))
@@ -252,7 +249,7 @@ def cmd_large_decompose(args) -> Outcome:
 
     x = load_set(args)
     sentence = load_sentence(args)
-    out = decompose_mixed(x, args.n, args.m, sentence, budget=make_budget(args))
+    out = decompose_mixed(x, args.n, args.m, sentence, budget=Budget(args.budget))
     payload = {
         "blocks": [[str(v) for v in b] for b in out.blocks],
         "minima": [str(v) for v in out.minima],
@@ -265,7 +262,7 @@ def cmd_large_fuse(args) -> Outcome:
 
     sets = [read_set(p) for p in args.blocks]
     sentence = load_sentence(args)
-    out = fuse(sets[0], sets[1:], args.a, args.b, sentence, budget=make_budget(args))
+    out = fuse(sets[0], sets[1:], args.a, args.b, sentence, budget=Budget(args.budget))
     payload = {
         "fused": [str(v) for v in out.fused],
         "certificate": out.certificate.to_obj(),
@@ -285,14 +282,14 @@ def cmd_grouping_find(args) -> Outcome:
     from .grouping import ABSENT, FOUND, find_grouping
 
     z = load_set(args)
-    f = load_coloring(args)
+    f = read_json(args.coloring, ColoringTable.from_json)
     sentence = load_sentence(args)
     l0 = load_lspec(args.l0, sentence)
     l1 = load_lspec(args.l1, sentence)
-    out = find_grouping(z, f, l0, l1, sentence, make_budget(args))
+    out = find_grouping(z, f, l0, l1, sentence, Budget(args.budget))
     if out.status == FOUND:
         payload = {"result": "found", "blocks": [[str(v) for v in b] for b in out.witness.blocks]}
-        if args.witness_out:
+        if args.witness_out is not None:
             write_text(args.witness_out, out.witness.to_json())
         return Outcome(0, payload, f"grouping with {len(out.witness.blocks)} blocks")
     if out.status == ABSENT:
@@ -303,7 +300,7 @@ def cmd_grouping_find(args) -> Outcome:
 def cmd_grouping_check(args) -> Outcome:
     from .grouping import GroupingWitness, MalformedWitness, is_grouping
 
-    f = load_coloring(args)
+    f = read_json(args.coloring, ColoringTable.from_json)
     sentence = load_sentence(args)
     witness = read_json(args.witness, lambda text: GroupingWitness.from_json(text, f))
     l0 = load_lspec(args.l0, sentence)
@@ -323,6 +320,8 @@ def cmd_gamma(args) -> Outcome:
     z = load_set(args)
     sentence = load_sentence(args)
     statement = make_statement(args)
+    if args.mode == "exact" and (args.seed, args.trials) != (None, None):
+        raise UsageError("--seed and --trials apply to --mode sampled, not to exact")
     # Mode's own seed and trials stand in for an absent --seed or --trials
     mode = Mode(args.mode, **{k: getattr(args, k) for k in ("seed", "trials") if getattr(args, k) is not None})
     if args.sub == "large":
@@ -338,10 +337,10 @@ def cmd_em_extract(args) -> Outcome:
     from .ramsey import EmConstants, em_extract
 
     x = load_set(args)
-    f = load_coloring(args)
+    f = read_json(args.coloring, ColoringTable.from_json)
     sentence = load_sentence(args)
     constants = EmConstants.scaled(max(args.n, 1)) if args.scaled else EmConstants.faithful(max(args.n, 1))
-    out = em_extract(x, f, args.n, sentence, make_budget(args), constants)
+    out = em_extract(x, f, args.n, sentence, Budget(args.budget), constants)
     if out.status == FOUND:
         payload = {
             "result": "found",
@@ -357,14 +356,14 @@ def cmd_ads_q(args) -> Outcome:
     from .ramsey import QTotalityError, ads_q_coloring
 
     x = load_set(args)
-    f = load_coloring(args)
+    f = read_json(args.coloring, ColoringTable.from_json)
     sentence = load_sentence(args)
     try:
-        q = ads_q_coloring(x, f, args.n, sentence, successor=args.successor, budget=make_budget(args))
+        q = ads_q_coloring(x, f, args.n, sentence, successor=args.successor, budget=Budget(args.budget))
     except QTotalityError as err:
         return Outcome(1, {"result": "partial", "reason": str(err)}, str(err))
     payload = json.loads(q.to_json())
-    if args.out:
+    if args.out is not None:
         write_text(args.out, q.to_json())
     return Outcome(0, {"result": "total", "coloring": payload}, f"recoloring with {q.colors} cases")
 
@@ -374,9 +373,9 @@ def cmd_ads_extract(args) -> Outcome:
     from .ramsey import ads_extract
 
     x = load_set(args)
-    f = load_coloring(args)
+    f = read_json(args.coloring, ColoringTable.from_json)
     sentence = load_sentence(args)
-    out = ads_extract(x, f, args.n, sentence, make_budget(args))
+    out = ads_extract(x, f, args.n, sentence, Budget(args.budget))
     if out.status == FOUND:
         payload = {"result": "found", "subset": [str(v) for v in out.subset]}
         return Outcome(0, payload, f"homogeneous subset of {len(out.subset)} elements")
@@ -397,7 +396,7 @@ def cmd_lowerbound_tree(args) -> Outcome:
         mat = t.materialize(budget=cap)
         payload["elements"] = [str(v) for v in mat]
         human += f"\n{' '.join(str(v) for v in mat)}"
-    if args.export_theta:
+    if args.export_theta is not None:
         sentence = t.export_sentence()
         write_text(args.export_theta, sentence.to_json())
         human += f"\nseparation sentence written to {args.export_theta}"
@@ -426,7 +425,7 @@ def cmd_lowerbound_verify(args) -> Outcome:
     base = args.base
     rank = 2 * args.n - 1
     t = tree(base, rank)
-    report = verify_lower_bound(t, mode=args.mode, budget=make_budget(args))
+    report = verify_lower_bound(t, mode=args.mode, budget=Budget(args.budget))
     payload = {
         "status": report.status,
         "complete": report.complete,
@@ -506,7 +505,7 @@ def cmd_formula_eval(args) -> Outcome:
 
 
 def cmd_formula_weaken(args) -> Outcome:
-    if args.file:
+    if args.file is not None:
         sentence = read_json(args.file, PrefixedSentence.from_json)
     else:
         matrix = read_input("bad --text", lambda: parse(args.text))
@@ -518,7 +517,7 @@ def cmd_formula_weaken(args) -> Outcome:
         out = weakly_pi04_transform(sentence)
     except PrefixShapeError as err:
         raise UsageError(str(err)) from err
-    if args.out:
+    if args.out is not None:
         write_text(args.out, out.to_json())
     return Outcome(0, {"sentence": json.loads(out.to_json())}, out.text())
 
@@ -552,9 +551,10 @@ def positive(text: str) -> int:
 
 
 def _set_input(p):
-    """--set/--interval for the one set load_set reads."""
-    p.add_argument("--set", help="set file: one decimal per line, or a JSON array")
-    p.add_argument("--interval", help="LO:HI shorthand instead of --set")
+    """--set/--interval for the one set load_set reads: exactly one."""
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--set", help="set file: one decimal per line, or a JSON array")
+    group.add_argument("--interval", help="LO:HI shorthand instead of --set")
 
 
 def _size_cap(p, default: int):
@@ -568,10 +568,11 @@ def _common(p, theta=True, budget=True, coloring=False):
     if budget:
         p.add_argument("--budget", type=natural, default=None, help="search step budget")
     if theta:
-        p.add_argument("--theta", default="top", help="apartness formula text, or 'top'")
-        p.add_argument("--theta-file", help="JSON sentence file (overrides --theta)")
-        p.add_argument("--param-a", type=int, default=0)
-        p.add_argument("--param-A", default="")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--theta", help="apartness formula text, or 'top' (the default)")
+        group.add_argument("--theta-file", help="JSON sentence file, with its own a and A")
+        p.add_argument("--param-a", type=int, help="a of a --theta formula (default 0)")
+        p.add_argument("--param-A", help="A of a --theta formula as bits (default empty)")
     if coloring:
         p.add_argument("--coloring", required=True, help="coloring table JSON file")
 
@@ -652,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("large", "dense"):
         p = gamma.add_parser(name)
         _set_input(p)
-        p.add_argument("--gamma", default="custom", help="rt22|rt12|em|ads-asc|ads-desc|true|custom")
+        p.add_argument("--gamma", choices=[*GAMMA_PRESETS, "custom"], default="custom")
         p.add_argument("--arity", type=natural, help="--gamma custom only (default 2)")
         p.add_argument("--colors", type=natural, help="--gamma custom only (default 2)")
         p.add_argument("--psi0", help="--gamma custom only (default homogeneous)")
@@ -703,8 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = lower.add_parser("fx")
     p.add_argument("--base", type=int, default=3)
     p.add_argument("--rank", type=natural, required=True)
-    p.add_argument("--value", type=int, help="one element; omit for the whole table")
-    _size_cap(p, 10 ** 5)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--value", type=int, help="one element; omit for the whole table")
+    _size_cap(group, 10 ** 5)
     _common(p, theta=False, budget=False)
     p.set_defaults(handler=cmd_lowerbound_fx)
 
@@ -736,8 +738,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_formula_eval)
 
     p = formula.add_parser("weaken")
-    p.add_argument("--text", help="bounded core; the standard three-step prefix is assumed")
-    p.add_argument("--file", help="prefixed sentence JSON")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--text", help="bounded core; the standard three-step prefix is assumed")
+    group.add_argument("--file", help="prefixed sentence JSON")
     p.add_argument("--out")
     _common(p, theta=False, budget=False)
     p.set_defaults(handler=cmd_formula_weaken)
@@ -748,10 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 3
-    try:
         outcome = args.handler(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -121,6 +121,9 @@ def is_grouping(
     """Check the four grouping conditions; a malformed witness, a broken
     precondition and a transversal space past the ceiling each raise.
 
+    Apartness is asked of consecutive blocks only.  x apart from y is
+    holds_bounded(max x, min y, max y), which is antitone in its first
+    bound, so for blocks x < x' < y, x' apart from y implies x apart from y.
     Under TOP apartness is vacuous, so it is not asked: the witness's shape
     check and the first block's floor check already establish every
     precondition that t_apart would check again."""
@@ -133,9 +136,7 @@ def is_grouping(
         return False
     if not _cross_monochromatic(w.blocks, w.coloring):
         return False
-    return sentence.is_top or all(
-        t_apart(x, y, sentence) for i, x in enumerate(w.blocks) for y in w.blocks[i + 1:]
-    )
+    return sentence.is_top or all(t_apart(x, y, sentence) for x, y in zip(w.blocks, w.blocks[1:]))
 
 
 class SearchOutcome(Record):

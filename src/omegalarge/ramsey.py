@@ -384,10 +384,9 @@ def _em_join(blocks, f, n, sentence, budget, constants) -> SearchOutcome:
 
     minima = FinSet(tuple(p.minimum for p in pieces))
     reps = {p.minimum: p for p in pieces}
-    # blocks are cross-monochromatic, so minima stand in for whole pieces
-    tournament = ColoringTable.from_function(minima, 2, 2, f)
+    # blocks are cross-monochromatic, so f on the minima stands in for whole pieces
     budget.enter(f"representative selection at level {n}")
-    sel = find_transitive(minima, tournament, LargenessSpec(1, 1, TOP), budget)
+    sel = find_transitive(minima, f, LargenessSpec(1, 1, TOP), budget)
     if sel.status != FOUND:
         return SearchOutcome(sel.status, detail=f"representative selection at level {n}")
 

@@ -343,6 +343,12 @@ def recursive_grouping_witnesses(walk):
     yield from rec(0, [], [], None, False)
 
 
+def all_pairs_apart(blocks, sentence) -> bool:
+    """The apartness condition as is_grouping asked it before it read
+    consecutive blocks only: every pair of blocks, in order."""
+    return all(t_apart(x, y, sentence) for i, x in enumerate(blocks) for y in blocks[i + 1:])
+
+
 def product_cross_monochromatic(blocks, f) -> bool:
     """The cross-monochromaticity scan that is_grouping's direct scan over
     block pairs replaced: every arity-sized choice of blocks, in

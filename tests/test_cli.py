@@ -12,6 +12,7 @@ import pytest
 from omegalarge import cli
 from omegalarge.cli import main
 from omegalarge.formula import TOP, Pi03Sentence, parse
+from omegalarge.largeness import LargenessSpec, check_large
 from omegalarge.sets import ColoringTable, FinSet
 
 
@@ -27,10 +28,14 @@ def write_set(tmp_path, name, values):
     return str(path)
 
 
-def write_coloring(tmp_path, name, table):
+def write_text(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(table.to_json())
+    path.write_text(text)
     return str(path)
+
+
+def write_coloring(tmp_path, name, table):
+    return write_text(tmp_path, name, table.to_json())
 
 
 def test_large_check_certificate_roundtrip(tmp_path, capsys):
@@ -173,7 +178,7 @@ def test_theta_true_is_read_as_top(tmp_path, capsys):
     parsed = run(capsys, *argv, "--l1", "omega:0:3", "--theta", "true")
     assert time.perf_counter() - start < 0.1
     assert parsed == top and top[0] == 0
-    assert cli.load_sentence(argparse.Namespace(theta="true")) is TOP
+    assert cli.load_sentence(argparse.Namespace(theta="true", theta_file=None, param_a=None, param_A=None)) is TOP
 
 
 def test_grouping_absent(tmp_path, capsys):
@@ -556,7 +561,9 @@ def test_out_of_range_numbers_exit_3(tmp_path, capsys, argv):
 # coloring of [3,90] and its four blocks of 22 points, whose 22^4 transversals
 # pass the transversal ceiling.  "{PKIND}", "{PVAR}" and "{PTWICE}" are
 # prefixed sentences with a bad step kind, a number for a variable, and one
-# variable bound three times.  "{PLUS}", "{TIMES}" and "{AND}" are formula
+# variable bound three times, and "{P}" a well-formed one.  "{T}" is a θ
+# file, "{CERT}" a certificate that [3,10] is large at exponent 1, and
+# "{OUT}" a path to write to.  "{PLUS}", "{TIMES}" and "{AND}" are formula
 # texts: flat 3,000-term `+`, `*` and `and` chains, which print and weaken.
 # argv, exit code, and a fragment of the reason: of stderr on exit 3, else
 # of the JSON "reason"
@@ -612,6 +619,35 @@ EXIT_CONTRACT = [
     # a preset fixes the statement, so the custom statement's options have nothing to set
     (["gamma", "large", "--interval", "3:6", "--r", "1", "--gamma", "rt12", "--arity", "5"], 3,
      "--arity, --colors and --psi0 apply to --gamma custom, not to the preset 'rt12'"),
+    # an option that would do nothing next to another, or would be read as
+    # something else, is refused before any work; so is a missing input
+    (["large", "check", "--interval", "3:10", "--n", "1", "--set", "missing.txt"], 3,
+     "usage error: argument --set: not allowed with argument --interval"),
+    (["large", "check", "--interval", "3:10", "--n", "1", "--theta", "top", "--param-a", "5"], 3,
+     "usage error: --param-a and --param-A apply to a --theta formula, not to top"),
+    (["large", "check", "--interval", "3:10", "--n", "1", "--param-A", "1"], 3,
+     "usage error: --param-a and --param-A apply to a --theta formula, not to top"),
+    (["large", "check", "--interval", "3:10", "--n", "1", "--theta-file", "{T}", "--theta", "y < x"], 3,
+     "usage error: argument --theta: not allowed with argument --theta-file"),
+    (["large", "check", "--interval", "3:10", "--n", "1", "--theta-file", "{T}", "--param-a", "5"], 3,
+     "usage error: --param-a and --param-A apply to a --theta formula, not to --theta-file"),
+    (["large", "check", "--interval", "3:10", "--n", "1", "--verify", "{CERT}", "--cert-out", "{OUT}"], 3,
+     "usage error: --cert-out and --budget apply to a search, not to --verify"),
+    (["large", "check", "--interval", "3:10", "--n", "1", "--verify", "{CERT}", "--budget", "0"], 3,
+     "usage error: --cert-out and --budget apply to a search, not to --verify"),
+    (["gamma", "large", "--interval", "3:6", "--r", "1", "--gamma", "rt21"], 3,
+     "usage error: argument --gamma: invalid choice: 'rt21'"),
+    (["gamma", "large", "--interval", "3:6", "--r", "1", "--gamma", "rt12", "--mode", "exact", "--trials", "5"], 3,
+     "usage error: --seed and --trials apply to --mode sampled, not to exact"),
+    (["gamma", "dense", "--interval", "3:6", "--m", "1", "--gamma", "rt12", "--seed", "5"], 3,
+     "usage error: --seed and --trials apply to --mode sampled, not to exact"),
+    (["lowerbound", "fx", "--rank", "2", "--value", "5", "--budget", "0"], 3,
+     "usage error: argument --budget: not allowed with argument --value"),
+    (["formula", "weaken", "--file", "{P}", "--text", "y < z"], 3,
+     "usage error: argument --text: not allowed with argument --file"),
+    (["formula", "weaken"], 3, "usage error: one of the arguments --text --file is required"),
+    (["grouping", "find", "--coloring", "{C2}", "--l0", "card:1", "--l1", "card:1"], 3,
+     "usage error: one of the arguments --set --interval is required"),
 ]
 
 
@@ -643,6 +679,12 @@ def contract_argv(tmp_path, argv):
         "{PKIND}": lambda: prefixed("pkind.json", [["some", "x", None], ["forall", "y", None], ["exists", "z", None]]),
         "{PVAR}": lambda: prefixed("pvar.json", [["exists", 5, None], ["forall", "y", None], ["exists", "z", None]]),
         "{PTWICE}": lambda: prefixed("ptwice.json", [["exists", "x", None], ["forall", "x", None], ["exists", "x", None]]),
+        "{P}": lambda: prefixed("p.json", [["exists", "x", None], ["forall", "y", None], ["exists", "z", None]]),
+        "{T}": lambda: write_text(tmp_path, "t.json", Pi03Sentence(parse("x < y or z < y")).to_json()),
+        "{CERT}": lambda: write_text(
+            tmp_path, "cert.json", check_large(FinSet.interval(3, 10), LargenessSpec(1, 1, TOP)).to_json()
+        ),
+        "{OUT}": lambda: str(tmp_path / "out.json"),
         "{PLUS}": lambda: "x < y + " + " + ".join(map(str, range(1, 3000))),
         "{TIMES}": lambda: "x < y * " + " * ".join(map(str, range(1, 3000))),
         "{AND}": lambda: " and ".join(f"x < y + {i}" for i in range(3000)),
@@ -909,20 +951,49 @@ OPTIONS = {
 }
 
 
+# options that would shadow one another are declared mutually exclusive;
+# "required" marks a group of which one option must be given
+_SET_GROUP = ("required", "--set", "--interval")
+_THETA_GROUP = ("--theta", "--theta-file")
+GROUPS = {name: set() for name in OPTIONS} | {
+    "large check": {_SET_GROUP, _THETA_GROUP},
+    "large pigeonhole": {_SET_GROUP, _THETA_GROUP},
+    "large decompose": {_SET_GROUP, _THETA_GROUP},
+    "large fuse": {_THETA_GROUP},
+    "apart": {_THETA_GROUP},
+    "grouping find": {_SET_GROUP, _THETA_GROUP},
+    "grouping check": {_THETA_GROUP},
+    "gamma large": {_SET_GROUP, _THETA_GROUP},
+    "gamma dense": {_SET_GROUP, _THETA_GROUP},
+    "em extract": {_SET_GROUP, _THETA_GROUP},
+    "ads q": {_SET_GROUP, _THETA_GROUP},
+    "ads extract": {_SET_GROUP, _THETA_GROUP},
+    "lowerbound fx": {("--value", "--budget")},
+    "formula weaken": {("required", "--text", "--file")},
+}
+
+
 def _subcommands(parser, path=()):
-    """(subcommand path, its option strings but -h) for every leaf parser."""
+    """(subcommand path, (its option strings but -h, its mutually exclusive
+    groups)) for every leaf parser."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, child in action.choices.items():
                 yield from _subcommands(child, path + (name,))
             return
-    yield " ".join(path), {a.option_strings[-1] for a in parser._actions if a.option_strings} - {"--help"}
+    options = {a.option_strings[-1] for a in parser._actions if a.option_strings} - {"--help"}
+    groups = {
+        ("required",) * g.required + tuple(a.option_strings[-1] for a in g._group_actions)
+        for g in parser._mutually_exclusive_groups
+    }
+    yield " ".join(path), (options, groups)
 
 
 def test_each_subcommand_registers_only_the_options_its_handler_reads():
     found = dict(_subcommands(cli.build_parser()))
-    assert found == OPTIONS
-    assert sum(map(len, found.values())) == 169
+    assert {name: options for name, (options, _) in found.items()} == OPTIONS
+    assert {name: groups for name, (_, groups) in found.items()} == GROUPS
+    assert sum(len(options) for options, _ in found.values()) == 169
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from omegalarge import grouping
 from omegalarge.budget import Budget
-from omegalarge.formula import TOP, Pi03Sentence, parse
+from omegalarge.formula import TOP, Pi03Sentence, SecondOrderParam, parse
 from omegalarge.grouping import (
     ABSENT,
     EXHAUSTED,
@@ -26,7 +26,9 @@ from omegalarge.sets import ColoringTable, FinSet
 
 from oracles import (
     BruteForcePlain,
+    all_pairs_apart,
     product_cross_monochromatic,
+    random_formula,
     recursive_grouping_witnesses,
     recursive_include_first_dfs,
 )
@@ -464,6 +466,31 @@ def test_cross_scan_matches_product_scan(inputs):
     direct, product_loop = CountingColoring(f), CountingColoring(f)
     assert grouping._cross_monochromatic(blocks, direct) == product_cross_monochromatic(blocks, product_loop)
     assert direct.reads == product_loop.reads
+
+
+@st.composite
+def apartness_inputs(draw):
+    """An increasing family of blocks of [3,16] and a sentence: a random one,
+    or one whose apartness reads the left block's maximum."""
+    values = sorted(draw(st.lists(st.integers(3, 16), min_size=1, max_size=10, unique=True)))
+    bounds = (0, *(i for i in range(1, len(values)) if draw(st.booleans())), len(values))
+    blocks = tuple(FinSet(tuple(values[a:b])) for a, b in zip(bounds, bounds[1:]))
+    rng = draw(st.randoms(use_true_random=False))
+    text = draw(st.sampled_from([None, "x + 1 < y", "x + x < y", "z < x + y + 2"]))
+    theta = random_formula(rng, ["x", "y", "z"], rng.randrange(1, 10)) if text is None else parse(text)
+    param = SecondOrderParam(draw(st.text("01", max_size=20)))
+    return blocks, Pi03Sentence(theta, draw(st.integers(0, 3)), param)
+
+
+@given(apartness_inputs())
+@settings(max_examples=300, deadline=None)
+def test_consecutive_apartness_decides_like_all_pairs(inputs):
+    # under a constant coloring and count-1 requirements is_grouping's only
+    # open condition is apartness, which it asks of consecutive blocks only
+    blocks, sentence = inputs
+    w = GroupingWitness(blocks, pair_coloring(interval(3, 16), lambda x, y: 0))
+    card1 = LargenessSpec.card(1)
+    assert is_grouping(w, card1, card1, sentence) is all_pairs_apart(blocks, sentence)
 
 
 @pytest.mark.parametrize("count", [1, 2, 4])
