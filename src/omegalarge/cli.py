@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-import traceback
 
 # Only the modules behind `large check` load with the CLI; a handler that
 # needs extract, grouping, lowerbound or ramsey imports it when it runs.
@@ -571,7 +570,7 @@ def _common(p, theta=True, budget=True, coloring=False):
         group = p.add_mutually_exclusive_group()
         group.add_argument("--theta", help="apartness formula text, or 'top' (the default)")
         group.add_argument("--theta-file", help="JSON sentence file, with its own a and A")
-        p.add_argument("--param-a", type=int, help="a of a --theta formula (default 0)")
+        p.add_argument("--param-a", type=natural, help="a of a --theta formula (default 0)")
         p.add_argument("--param-A", help="A of a --theta formula as bits (default empty)")
     if coloring:
         p.add_argument("--coloring", required=True, help="coloring table JSON file")
@@ -732,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = formula.add_parser("eval")
     p.add_argument("text")
     p.add_argument("--env", help="comma-separated name=value bindings")
-    p.add_argument("--param-a", type=int, default=0)
+    p.add_argument("--param-a", type=natural, default=0)
     p.add_argument("--param-A", default="")
     _common(p, theta=False, budget=False)
     p.set_defaults(handler=cmd_formula_eval)
@@ -763,6 +762,8 @@ def main(argv=None) -> int:
     except SizeOverflow as err:
         outcome = Outcome(2, {"result": "overflow", "reason": str(err)}, f"overflow: {err}")
     except Exception as err:  # a fault of the program must never read as "false"
+        import traceback  # only a fault pays for loading it
+
         traceback.print_exc()
         reason = f"{type(err).__name__}: {err}"
         outcome = Outcome(4, {"result": "internal-error", "reason": reason}, f"internal error: {reason}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from itertools import combinations
-from string import Formatter
 from types import FunctionType
 from typing import Callable
 
@@ -390,12 +389,20 @@ _LAYOUT = {
     TVar: ("atom", "{name}"),
 }
 
-# node type -> its level and its pieces: (text, field or None, the field's level or None)
-_PIECES = {
-    kind: (_LEVELS.index(level), [(text, field, _LEVELS.index(spec) if spec else None)
-                                  for text, field, spec, _ in Formatter().parse(layout)])
-    for kind, (level, layout) in _LAYOUT.items()
-}
+def _pieces(layout: str) -> list[tuple[str, str | None, int | None]]:
+    """The pieces of a layout, in order: (text, field or None, the field's
+    level or None), a field with the text before it."""
+    out = []
+    while "{" in layout:
+        text, _, rest = layout.partition("{")
+        field, _, layout = rest.partition("}")
+        name, _, spec = field.partition(":")
+        out.append((text, name, _LEVELS.index(spec) if spec else None))
+    return out + [(layout, None, None)] if layout else out
+
+
+# node type -> its level and its pieces
+_PIECES = {kind: (_LEVELS.index(level), _pieces(layout)) for kind, (level, layout) in _LAYOUT.items()}
 
 
 def formula_text(phi: Formula | Term) -> str:
@@ -624,6 +631,8 @@ class Pi03Sentence(FrozenRecord):
     _cache: dict  # the compiled theta and the apartness memos
 
     def __post_init__(self) -> None:
+        if self.param_a < 0:
+            raise ValueError(f"a must be a natural number, not {self.param_a}")
         object.__setattr__(self, "_cache", {})
         extra = free_vars(self.theta) - {"x", "y", "z"}
         if extra:

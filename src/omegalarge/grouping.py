@@ -194,19 +194,19 @@ class GroupingWalk:
         self._least: dict[int, int] = {}
         self._fixed_least = l0.multiplier if l0.exponent == 0 else None
         # under TOP every block is apart from every earlier one, so the walk
-        # asks no apartness question and has no dead block start to jump
+        # asks no apartness question
         self._top = sentence.is_top
-        self._jump = minimal and not self._top
         # by position: the least last-block maximum known to make a block
-        # starting there not apart
-        self._dead = [inf] * len(z) if self._jump else []
+        # starting there not apart, which the minimal walk reads
+        self._dead = [inf] * len(z)
 
     def witnesses(self):
         if self.min_blocks > len(self.z):
             return
-        # each frame is the generator of one walk node; it yields witnesses
-        # and the arguments of its children, in the order a recursive walk
-        # would visit them
+        # each frame is the generator of one walk node (on the minimal walk,
+        # of a node and its skip chain); it yields witnesses and the
+        # arguments of its children, in the order a recursive walk would
+        # visit them
         stack = [self._node(0, (), (), None, False)]
         while stack:
             item = next(stack[-1], None)
@@ -230,18 +230,43 @@ class GroupingWalk:
         return GroupingWitness(tuple(FinSet(b) for b in blocks), self.f)
 
     def _cross_ok(self, blocks, v, established) -> Optional[list[int]]:
-        """Colors of v against every completed block, or None on clash."""
+        """Colors of v against every completed block, or None on clash.
+        Each pair is read once, and the scan stops at the first clash: a
+        color that differs from the block's first or from the established
+        one."""
         f = self.f
         out = []
         for i, b in enumerate(blocks):
-            colors = {f(u, v) for u in b}
-            if len(colors) != 1:
-                return None
-            c = colors.pop()
+            c = f(b[0], v)
             if established is not None and established[i] != c:
                 return None
+            for u in b[1:]:
+                if f(u, v) != c:
+                    return None
             out.append(c)
         return out
+
+    def _start(self, closed, p) -> Optional[list[int]]:
+        """Colors of a block starting at position p against the closed
+        blocks, or None if it is not cross-monochromatic with them or not
+        apart from the last one; a start not apart after m is kept in
+        `_dead`."""
+        v = self.z.elements[p]
+        cross = self._cross_ok(closed, v, None)
+        if cross is None or self._top or _apart(closed, v, v, self.sentence):
+            return cross
+        self._dead[p] = closed[-1][-1]
+        return None
+
+    def _extension(self, blocks, current, cur_cross, p) -> Optional[list[int]]:
+        """Colors of the open block extended by position p against the
+        closed blocks, or None if they differ from the established ones or
+        the block is no longer apart from the last closed one."""
+        v = self.z.elements[p]
+        cross = self._cross_ok(blocks, v, cur_cross)
+        if cross is None or self._top or _apart(blocks, current[0], v, self.sentence):
+            return cross
+        return None
 
     def _node(self, i, blocks, current, cur_cross, fresh):
         """One walk node: blocks are closed, current is the open block.
@@ -256,36 +281,42 @@ class GroupingWalk:
         Under TOP every one of these questions is true, so the walk does
         not ask them and the invariant holds all the same.
 
-        A node whose open block cannot reach l0's least size with the
-        elements from position i on has no witness below it.  Every witness
-        below closes the open block: a witness is tested where its last
-        block closes, and the open block closes there or where a new block
-        starts.  Below the node the open block gains elements only from
-        position i on, and once closed it satisfies l0 with minimum
-        current[0], so it holds at least l0's least size at that minimum.
+        A node with fewer than `need` elements left has no witness below
+        it.  Every witness below has min_blocks blocks or more, and each
+        block besides the closed ones and the open one takes an element
+        from position i on.  Every witness below also closes the open
+        block: a witness is tested where its last block closes, and the
+        open block closes there or where a new block starts.  Below the
+        node the open block gains elements only from position i on, and
+        once closed it satisfies l0 with minimum current[0], so it holds at
+        least l0's least size at that minimum.
 
-        The minimal walk jumps over dead block starts.  Let the node be
-        closeable with an open block ending at m.  Its skip child keeps the
-        same closed and open blocks, and the open block stays closeable: l0
-        reads only the block, and a skip child has elements left.  A minimal
-        walk never extends a closeable block, so every node p on the skip
-        chain is not fresh and tests no family, and its only child besides
-        the next skip is the start at e_p, which needs holds_bounded(m, e_p,
-        e_p).  Where that is false, the next skip is the node's only child,
-        and both cuts above only get stronger along the chain, since fewer
-        elements are left.  So the skip child may go straight to the first
-        position p whose start is apart, and the chain may end when there is
-        none: the walk yields the same witnesses in the same order, and the
-        jumped positions tick no budget step.  holds_bounded is antitone in
-        its first bound (a larger bound adds conjuncts), so a start that is
-        not apart after m is not apart after any larger maximum either; that
-        is what `_dead` keeps.
+        The minimal walk runs each skip chain in one node.  A node has at
+        most one child besides its skip child: the start at v where the
+        open block can close or none is open, else the extension by v,
+        since a minimal walk never extends a closeable block.  The skip
+        child keeps the closed and open blocks and the established colors,
+        and each later node on its chain
+        - is not fresh, so it tests no family;
+        - is closeable exactly where this node is: l0 reads only the open
+          block, and a node with a child has elements left;
+        - has the same `need` with fewer elements left, so the cut only
+          gets stronger along the chain.
+        So a chain node whose one child fails the cross and apartness
+        checks yields only the next skip, and a node may stand for its
+        whole chain: it yields the child of each chain position whose child
+        passes the checks, ticking one step for that chain node, and stops
+        where the cut would end the chain.  The walk yields the same
+        witnesses in the same order, and the jumped positions tick no
+        budget step.  holds_bounded is antitone in its first bound (a
+        larger bound adds conjuncts), so a start that is not apart after m
+        is not apart after any larger maximum either; that is what `_dead`
+        keeps.  The full walk (not `minimal`) visits every chain node.
         """
         self.budget.tick()
         elems = self.z.elements
         left = len(elems) - i
-        if len(blocks) + (1 if current else 0) + left < self.min_blocks:
-            return
+        need = self.min_blocks - len(blocks) - (1 if current else 0)
         if current:
             least = self._fixed_least or self._least.get(current[0])
             if least is None:
@@ -293,8 +324,9 @@ class GroupingWalk:
                 least = self._least[current[0]] = least_card(
                     current[0], self.l0.exponent, self.l0.multiplier, available
                 )
-            if len(current) + left < least:
-                return
+            need = max(need, least - len(current))
+        if left < need:
+            return
         # no block is open, or the open one satisfies l0 and so may close;
         # l0 is asked only where a family is tested or a block may start
         closeable = not current or ((fresh or left > 0) and _holds(self.l0, current))
@@ -306,34 +338,28 @@ class GroupingWalk:
                 yield w
         if left == 0:
             return
-        v = elems[i]
+        if self.minimal:
+            # this node and its skip chain, one child per position at most;
+            # no start is asked again at or above the maximum kept in `_dead`
+            dead, m = self._dead, closed[-1][-1] if closeable and closed else -1
+            for p in range(i, min(len(elems), len(elems) + 1 - need)):
+                if closeable:
+                    if m < dead[p] and (cross := self._start(closed, p)) is not None:
+                        if p > i:
+                            self.budget.tick()
+                        yield p + 1, closed, (elems[p],), cross, True
+                elif (cross := self._extension(blocks, current, cur_cross, p)) is not None:
+                    if p > i:
+                        self.budget.tick()
+                    yield p + 1, blocks, current + (elems[p],), cross, True
+            return
         # start a new block with v (closing the open one first); starting
         # before extending finds small witnesses without walking long spines
-        if closeable:
-            cross = self._cross_ok(closed, v, None)
-            if cross is not None and (self._top or _apart(closed, v, v, self.sentence)):
-                yield i + 1, closed, (v,), cross, True
-        # extend the open block; a minimal block stops once it can close
-        if current and not (self.minimal and closeable):
-            cross = self._cross_ok(blocks, v, cur_cross)
-            if cross is not None and (self._top or _apart(blocks, current[0], v, self.sentence)):
-                yield i + 1, blocks, current + (v,), cross, True
-        # skip v, straight to the next start that can be apart
-        if not (self._jump and current and closeable):
-            yield i + 1, blocks, current, cur_cross, False
-        elif (p := self._next_start(i + 1, current[-1])) < len(elems):
-            yield p, blocks, current, cur_cross, False
-
-    def _next_start(self, i: int, m: int) -> int:
-        """The first position from i on where a block can start apart from
-        a block ending at m, or len(z) if there is none."""
-        elems, dead = self.z.elements, self._dead
-        for p in range(i, len(elems)):
-            if m < dead[p]:
-                if self.sentence.holds_bounded(m, elems[p], elems[p]):
-                    return p
-                dead[p] = m
-        return len(elems)
+        if closeable and (cross := self._start(closed, i)) is not None:
+            yield i + 1, closed, (elems[i],), cross, True
+        if current and (cross := self._extension(blocks, current, cur_cross, i)) is not None:
+            yield i + 1, blocks, current + (elems[i],), cross, True
+        yield i + 1, blocks, current, cur_cross, False
 
 
 def find_grouping(

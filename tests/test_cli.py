@@ -648,6 +648,12 @@ EXIT_CONTRACT = [
     (["formula", "weaken"], 3, "usage error: one of the arguments --text --file is required"),
     (["grouping", "find", "--coloring", "{C2}", "--l0", "card:1", "--l1", "card:1"], 3,
      "usage error: one of the arguments --set --interval is required"),
+    # the constant a is a natural number, from the command line or a file
+    (["large", "check", "--interval", "3:10", "--n", "1", "--theta", "x < y + a", "--param-a", "-5"], 3,
+     "usage error: argument --param-a: invalid natural value: '-5'"),
+    (["formula", "eval", "a < 0", "--param-a", "-5"], 3, "usage error: argument --param-a: invalid natural value: '-5'"),
+    (["large", "check", "--interval", "3:10", "--n", "1", "--theta-file", "{TNEG}"], 3,
+     "a must be a natural number, not -5"),
 ]
 
 
@@ -681,6 +687,7 @@ def contract_argv(tmp_path, argv):
         "{PTWICE}": lambda: prefixed("ptwice.json", [["exists", "x", None], ["forall", "x", None], ["exists", "x", None]]),
         "{P}": lambda: prefixed("p.json", [["exists", "x", None], ["forall", "y", None], ["exists", "z", None]]),
         "{T}": lambda: write_text(tmp_path, "t.json", Pi03Sentence(parse("x < y or z < y")).to_json()),
+        "{TNEG}": lambda: write_text(tmp_path, "tneg.json", json.dumps({"theta": "x < y + a", "a": "-5", "A": ""})),
         "{CERT}": lambda: write_text(
             tmp_path, "cert.json", check_large(FinSet.interval(3, 10), LargenessSpec(1, 1, TOP)).to_json()
         ),

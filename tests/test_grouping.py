@@ -351,6 +351,19 @@ def test_dead_block_starts_are_jumped():
     assert out.status == ABSENT and out.steps <= 2 * len(z)
 
 
+def test_cross_clashes_are_jumped_under_top():
+    # under TOP the first block is (3, 4); every later start clashes with it
+    # up to 751, and every extension of (751,) with its established color
+    # up to 1502; each chain costs the one step of the node it lands on,
+    # not one step per position
+    z = interval(3, 1502)
+    f = pair_coloring(z, lambda x, y: int(x == 3 and y not in (751, 1502)))
+    card2 = LargenessSpec.card(2)
+    out = find_grouping(z, f, card2, card2, TOP, Budget(2 * len(z)))
+    assert out.status == FOUND and [b.elements for b in out.witness.blocks] == [(3, 4), (751, 1502)]
+    assert out.steps == 7
+
+
 class _CountedGets(dict):
     gets = 0
 
@@ -530,14 +543,14 @@ def test_top_asks_no_apartness_question(monkeypatch, sentence):
 # find_grouping on ColoringTable.random([3, 38], 2, 2, random.Random(seed))
 # at card:2/card:2 and budget 2,000, by seed: the witness blocks and steps
 PINNED_FINDS = [
-    (((3, 4), (5, 7)), 6), (((3, 4), (6, 8)), 7), (((3, 4), (7, 10)), 9), (((3, 4), (5, 13)), 12),
-    (((3, 4), (8, 13)), 12), (((3, 4), (6, 10)), 9), (((3, 4), (5, 14)), 13), (((3, 4), (5, 7)), 6),
-    (((3, 4), (5, 16)), 15), (((3, 4), (8, 12)), 11), (((3, 4), (10, 11)), 10), (((3, 4), (6, 9)), 8),
-    (((3, 4), (7, 14)), 13), (((3, 4), (5, 14)), 13), (((3, 4), (8, 10)), 9), (((3, 4), (6, 8)), 7),
-    (((3, 4), (5, 7)), 6), (((3, 4), (6, 7)), 6), (((3, 4), (6, 11)), 10), (((3, 4), (5, 6)), 5),
-    (((3, 4), (5, 15)), 14), (((3, 4), (5, 16)), 15), (((3, 4), (6, 12)), 11), (((3, 4), (10, 17)), 16),
-    (((3, 4), (9, 10)), 9), (((3, 4), (7, 8)), 7), (((3, 4), (5, 8)), 7), (((3, 4), (5, 11)), 10),
-    (((3, 4), (6, 7)), 6), (((3, 4), (6, 8)), 7), (((3, 4), (6, 11)), 10), (((3, 4), (5, 20)), 19),
+    (((3, 4), (5, 7)), 6), (((3, 4), (6, 8)), 7), (((3, 4), (7, 10)), 7), (((3, 4), (5, 13)), 6),
+    (((3, 4), (8, 13)), 7), (((3, 4), (6, 10)), 7), (((3, 4), (5, 14)), 6), (((3, 4), (5, 7)), 6),
+    (((3, 4), (5, 16)), 6), (((3, 4), (8, 12)), 7), (((3, 4), (10, 11)), 6), (((3, 4), (6, 9)), 7),
+    (((3, 4), (7, 14)), 7), (((3, 4), (5, 14)), 6), (((3, 4), (8, 10)), 7), (((3, 4), (6, 8)), 7),
+    (((3, 4), (5, 7)), 6), (((3, 4), (6, 7)), 6), (((3, 4), (6, 11)), 7), (((3, 4), (5, 6)), 5),
+    (((3, 4), (5, 15)), 6), (((3, 4), (5, 16)), 6), (((3, 4), (6, 12)), 7), (((3, 4), (10, 17)), 7),
+    (((3, 4), (9, 10)), 6), (((3, 4), (7, 8)), 6), (((3, 4), (5, 8)), 6), (((3, 4), (5, 11)), 6),
+    (((3, 4), (6, 7)), 6), (((3, 4), (6, 8)), 7), (((3, 4), (6, 11)), 7), (((3, 4), (5, 20)), 6),
 ]
 
 

@@ -137,3 +137,18 @@ def test_no_code_generator_is_loaded():
         "print(json.dumps([after_check, generators()]))"
     )
     assert after_check == [] and after_all == []
+
+
+# standard modules `large check` has no use for: `traceback` serves only an
+# internal error, and `string` only the printer's layouts, read without it
+UNUSED_BY_CHECK = ["string", "traceback"]
+
+
+def test_large_check_loads_no_module_it_does_not_use():
+    loaded_by_check = fresh(
+        "large_check()\nfrom omegalarge import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['large', 'check', '--interval', '3:14', '--n', '1', '--theta', 'x < y or z < y'])\n"
+        "print(json.dumps(sorted(m for m in " + repr(UNUSED_BY_CHECK) + " if m in sys.modules)))"
+    )
+    assert loaded_by_check == []

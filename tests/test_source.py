@@ -143,15 +143,18 @@ def test_formula_recurses_on_nesting_depth_only():
 
 
 def test_grouping_walk_nodes_build_no_finset():
-    # a node is the walk's unit of work: `_holds` answers a bare count
-    # (card:M, exponent 0 under TOP) from the open block's length, and only
-    # another requirement builds its set
+    # a node, with the skip chain it scans, is the walk's unit of work:
+    # `_holds` answers a bare count (card:M, exponent 0 under TOP) from the
+    # open block's length, and only another requirement builds its set; of
+    # the walk's methods only `_hit`, which tests a family, builds sets
     tree = ast.parse((SRC / "grouping.py").read_text())
     (walk,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GroupingWalk"]
-    (node,) = [n for n in walk.body if isinstance(n, ast.FunctionDef) and n.name == "_node"]
+    methods = [n for n in walk.body if isinstance(n, ast.FunctionDef) and n.name != "_hit"]
+    assert {"_node", "_start", "_extension", "_cross_ok"} <= {m.name for m in methods}
     builds = [
         f"grouping.py:{n.lineno} {ast.unparse(n)}"
-        for n in ast.walk(node)
+        for method in methods
+        for n in ast.walk(method)
         if isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] == "FinSet"
     ]
     assert not builds, "\n".join(builds)
