@@ -549,20 +549,17 @@ def positive(text: str) -> int:
     return value
 
 
-def _set_input(p):
-    """--set/--interval for the one set load_set reads: exactly one."""
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--set", help="set file: one decimal per line, or a JSON array")
-    group.add_argument("--interval", help="LO:HI shorthand instead of --set")
-
-
 def _size_cap(p, default: int):
     """--budget read as a cap on a size rather than on search steps: absent
     means `default`, and 0 caps every size at 0."""
     p.add_argument("--budget", type=natural, default=default, help=f"size cap (default {default})")
 
 
-def _common(p, theta=True, budget=True, coloring=False):
+def _finish(p, handler, set_input=False, theta=True, budget=True, coloring=False):
+    """The options a subcommand shares with others, after its own, and its
+    handler.  --set/--interval, for the one set load_set reads, are one
+    required group and come last: only --help and the candidates of an
+    ambiguous option prefix are listed in that order."""
     p.add_argument("--format", choices=["human", "json"], default="human")
     if budget:
         p.add_argument("--budget", type=natural, default=None, help="search step budget")
@@ -574,6 +571,11 @@ def _common(p, theta=True, budget=True, coloring=False):
         p.add_argument("--param-A", help="A of a --theta formula as bits (default empty)")
     if coloring:
         p.add_argument("--coloring", required=True, help="coloring table JSON file")
+    if set_input:
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--set", help="set file: one decimal per line, or a JSON array")
+        group.add_argument("--interval", help="LO:HI shorthand instead of --set")
+    p.set_defaults(handler=handler)
 
 
 @functools.cache
@@ -587,71 +589,58 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sub", required=True
     )
     p = large.add_parser("check")
-    _set_input(p)
     p.add_argument("--n", type=natural, required=True)
     p.add_argument("--k", type=positive, default=1)
     p.add_argument("--paranoid", action="store_true", help="all-pairs apartness in verification")
     p.add_argument("--cert-out", help="write the certificate JSON here")
     p.add_argument("--verify", help="verify this certificate file instead of searching")
-    _common(p)
-    p.set_defaults(handler=cmd_large_check)
+    _finish(p, cmd_large_check, set_input=True)
 
     p = large.add_parser("minimal")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--n", type=natural, required=True)
     p.add_argument("--out")
     _size_cap(p, 10 ** 6)
-    _common(p, theta=False, budget=False)
-    p.set_defaults(handler=cmd_large_minimal)
+    _finish(p, cmd_large_minimal, theta=False, budget=False)
 
     p = large.add_parser("pigeonhole")
-    _set_input(p)
     p.add_argument("--b", type=natural, required=True)
     p.add_argument("--sparsity", choices=[s.value for s in SparsityPolicy], default="none")
     p.add_argument("--strict", action="store_true", help="fail on counting failure instead of falling back")
-    _common(p, coloring=True)
-    p.set_defaults(handler=cmd_large_pigeonhole)
+    _finish(p, cmd_large_pigeonhole, set_input=True, coloring=True)
 
     p = large.add_parser("decompose")
-    _set_input(p)
     p.add_argument("--n", type=natural, required=True)
     p.add_argument("--m", type=natural, required=True)
-    _common(p)
-    p.set_defaults(handler=cmd_large_decompose)
+    _finish(p, cmd_large_decompose, set_input=True)
 
     p = large.add_parser("fuse")
     p.add_argument("--blocks", nargs="+", required=True, help="block set files, increasing")
     p.add_argument("--a", type=natural, required=True)
     p.add_argument("--b", type=natural, required=True)
-    _common(p)
-    p.set_defaults(handler=cmd_large_fuse)
+    _finish(p, cmd_large_fuse)
 
     p = sub.add_parser("apart")
     p.add_argument("--x", required=True, help="left set file")
     p.add_argument("--y", required=True, help="right set file")
-    _common(p, budget=False)
-    p.set_defaults(handler=cmd_apart)
+    _finish(p, cmd_apart, budget=False)
 
     grouping = sub.add_parser("grouping").add_subparsers(dest="sub", required=True)
     p = grouping.add_parser("find")
-    _set_input(p)
     p.add_argument("--l0", required=True, help="block requirement: card:M or omega:N[:K][:top]")
     p.add_argument("--l1", required=True, help="transversal requirement")
     p.add_argument("--witness-out")
-    _common(p, coloring=True)
-    p.set_defaults(handler=cmd_grouping_find)
+    _finish(p, cmd_grouping_find, set_input=True, coloring=True)
 
     p = grouping.add_parser("check")
     p.add_argument("--witness", required=True)
     p.add_argument("--l0", required=True)
     p.add_argument("--l1", required=True)
-    _common(p, budget=False, coloring=True)
-    p.set_defaults(handler=cmd_grouping_check)
+    _finish(p, cmd_grouping_check, budget=False, coloring=True)
 
     gamma = sub.add_parser("gamma").add_subparsers(dest="sub", required=True)
     for name in ("large", "dense"):
         p = gamma.add_parser(name)
-        _set_input(p)
         p.add_argument("--gamma", choices=[*GAMMA_PRESETS, "custom"], default="custom")
         p.add_argument("--arity", type=natural, help="--gamma custom only (default 2)")
         p.add_argument("--colors", type=natural, help="--gamma custom only (default 2)")
@@ -664,31 +653,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--s", type=positive, default=1)
         else:
             p.add_argument("--m", type=natural, required=True)
-        _common(p, budget=False)
-        p.set_defaults(handler=cmd_gamma)
+        _finish(p, cmd_gamma, set_input=True, budget=False)
 
     em = sub.add_parser("em").add_subparsers(dest="sub", required=True)
     p = em.add_parser("extract")
-    _set_input(p)
     p.add_argument("--n", type=natural, required=True)
     p.add_argument("--scaled", action="store_true", help="desk-scale internal constants")
-    _common(p, coloring=True)
-    p.set_defaults(handler=cmd_em_extract)
+    _finish(p, cmd_em_extract, set_input=True, coloring=True)
 
     ads = sub.add_parser("ads").add_subparsers(dest="sub", required=True)
     p = ads.add_parser("q")
-    _set_input(p)
     p.add_argument("--n", type=natural, required=True)
     p.add_argument("--successor", choices=["drop_max", "drop_min"], default="drop_max")
     p.add_argument("--out")
-    _common(p, coloring=True)
-    p.set_defaults(handler=cmd_ads_q)
+    _finish(p, cmd_ads_q, set_input=True, coloring=True)
 
     p = ads.add_parser("extract")
-    _set_input(p)
     p.add_argument("--n", type=natural, required=True)
-    _common(p, coloring=True)
-    p.set_defaults(handler=cmd_ads_extract)
+    _finish(p, cmd_ads_extract, set_input=True, coloring=True)
 
     lower = sub.add_parser("lowerbound").add_subparsers(dest="sub", required=True)
     p = lower.add_parser("tree")
@@ -697,8 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--materialize", action="store_true")
     p.add_argument("--export-theta", help="write the separation sentence JSON here")
     _size_cap(p, 10 ** 6)
-    _common(p, theta=False, budget=False)
-    p.set_defaults(handler=cmd_lowerbound_tree)
+    _finish(p, cmd_lowerbound_tree, theta=False, budget=False)
 
     p = lower.add_parser("fx")
     p.add_argument("--base", type=int, default=3)
@@ -706,43 +687,37 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--value", type=int, help="one element; omit for the whole table")
     _size_cap(group, 10 ** 5)
-    _common(p, theta=False, budget=False)
-    p.set_defaults(handler=cmd_lowerbound_fx)
+    _finish(p, cmd_lowerbound_fx, theta=False, budget=False)
 
     p = lower.add_parser("verify")
     p.add_argument("--n", type=positive, required=True)
     p.add_argument("--base", type=int, default=3)
     p.add_argument("--mode", choices=["exhaustive", "pruned"], default="exhaustive")
-    _common(p, theta=False)
-    p.set_defaults(handler=cmd_lowerbound_verify)
+    _finish(p, cmd_lowerbound_verify, theta=False)
 
     p = sub.add_parser("bounds-table")
     p.add_argument("--n-max", type=natural, required=True)
     p.add_argument("--k", type=natural, default=2)
-    _common(p, theta=False, budget=False)
-    p.set_defaults(handler=cmd_bounds_table)
+    _finish(p, cmd_bounds_table, theta=False, budget=False)
 
     formula = sub.add_parser("formula").add_subparsers(dest="sub", required=True)
     p = formula.add_parser("parse")
     p.add_argument("text")
-    _common(p, theta=False, budget=False)
-    p.set_defaults(handler=cmd_formula_parse)
+    _finish(p, cmd_formula_parse, theta=False, budget=False)
 
     p = formula.add_parser("eval")
     p.add_argument("text")
     p.add_argument("--env", help="comma-separated name=value bindings")
     p.add_argument("--param-a", type=natural, default=0)
     p.add_argument("--param-A", default="")
-    _common(p, theta=False, budget=False)
-    p.set_defaults(handler=cmd_formula_eval)
+    _finish(p, cmd_formula_eval, theta=False, budget=False)
 
     p = formula.add_parser("weaken")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--text", help="bounded core; the standard three-step prefix is assumed")
     group.add_argument("--file", help="prefixed sentence JSON")
     p.add_argument("--out")
-    _common(p, theta=False, budget=False)
-    p.set_defaults(handler=cmd_formula_weaken)
+    _finish(p, cmd_formula_weaken, theta=False, budget=False)
 
     return root
 

@@ -266,8 +266,8 @@ def fuse(
     large at exponent b+1, into one set large at exponent a+b.
 
     The result is the first block's maximum together with all later blocks;
-    its certificate is assembled recursively from the maxima certificate,
-    then re-verified independently.
+    its certificate is built in one pass over the maxima certificate,
+    directly in the fused set's coordinates, then re-verified independently.
     """
     _check_admissible(first, sentence)  # the least block, once the family is increasing
     budget = budget_or_unlimited(budget)
@@ -292,10 +292,16 @@ def fuse(
     if mcert is None:
         raise PreconditionError(f"maxima set is not large at exponent {b + 1}")
 
+    # each member once: the first one's maximum, then every later member in
+    # full; mpos[s] is member s's maximum's place in the fused set
+    vals, mpos = [first.maximum], [0]
+    for member in rest:
+        vals.extend(member.elements)
+        mpos.append(len(vals) - 1)
+    fused = FinSet(tuple(vals))
     # widened to the whole family, so later members past the maxima
     # certificate's block still belong to the fused set
-    out_vals, top = _w_assemble(family, member_certs, Block(0, len(family), mcert.blocks[0].cert), b)
-    fused = FinSet(out_vals)
+    top = _fused_block(maxima.elements, mpos, member_certs, Block(0, len(family), mcert.blocks[0].cert), b)
     certificate = Certificate(a + b, 1, (top,))
     spec_out = LargenessSpec(a + b, 1, sentence)
     if not verify_certificate(fused, certificate, spec_out):
@@ -303,27 +309,15 @@ def fuse(
     return FuseResult(fused, certificate)
 
 
-def _w_assemble(
-    family: list[FinSet], member_certs: list[Block], mblock: Block, bb: int
-) -> tuple[tuple[int, ...], Block]:
-    """Fused form of the members whose maxima lie in mblock: the first
-    member's maximum followed by the later members in full."""
-    lo, hi = mblock.lo, mblock.hi
-    vals: list[int] = [family[lo].maximum]
-    offsets = {}
-    for s in range(lo + 1, hi):
-        offsets[s] = len(vals)
-        vals.extend(family[s].elements)
+def _fused_block(maxima, mpos, member_certs: list[Block], mblock: Block, bb: int) -> Block:
+    """The fused set's certificate block for the members whose maxima lie in
+    mblock, in fused coordinates: it runs from the first member's maximum
+    through the last member.  At bb = 0 it is the second member's own block,
+    shifted once to that member's place."""
     if bb == 0:
-        inner = member_certs[lo + 1]
-        off = offsets[lo + 1]
-        block = Block(off + inner.lo, off + inner.hi, shift_cert(inner.cert, off))
-        return tuple(vals), block
+        inner, off = member_certs[mblock.lo + 1], mpos[mblock.lo] + 1
+        return Block(off + inner.lo, off + inner.hi, shift_cert(inner.cert, off))
     node = mblock.cert
     assert isinstance(node, Node)
-    children = []
-    for z in node.children:
-        _, sub_block = _w_assemble(family, member_certs, z, bb - 1)
-        pos = offsets[z.lo] + len(family[z.lo]) - 1
-        children.append(Block(pos + sub_block.lo, pos + sub_block.hi, shift_cert(sub_block.cert, pos)))
-    return tuple(vals), Block(0, len(vals), Node(vals[0], tuple(children)))
+    children = tuple(_fused_block(maxima, mpos, member_certs, z, bb - 1) for z in node.children)
+    return Block(mpos[mblock.lo], mpos[mblock.hi - 1] + 1, Node(maxima[mblock.lo], children))

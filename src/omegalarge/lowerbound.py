@@ -345,21 +345,21 @@ class BlockfreeView(_Blocks):
         self.rank = base_tree.rank - depth
 
     def iter_elements(self, budget: int = DEFAULT_SIZE_CAP) -> Iterator[int]:
-        # bases are discovered depth-first, children built as they are
-        # reached, but emitted in increasing order
-        bases: list[int] = []
-        stack = [iter((self.tree,))]
+        # bases are yielded depth-first, children built as they are reached;
+        # that order is increasing, as a node's base precedes its children's
+        # and they tile its interval from left to right
+        stack, count = [iter((self.tree,))], 0
         while stack:
             node = next(stack[-1], None)
             if node is None:
                 stack.pop()
                 continue
-            if len(bases) >= budget:
+            if count >= budget:
                 raise SizeOverflow("view iteration", budget)
-            bases.append(node.base)
+            count += 1
+            yield node.base
             if node.rank > self.depth:
                 stack.append(node.children())
-        yield from sorted(bases)
 
     def cardinality(self, cap: int = DEFAULT_SIZE_CAP) -> int:
         return sum(1 for _ in self.iter_elements(cap))
@@ -472,7 +472,7 @@ def _verify_pruned(t, n: int, budget: Budget) -> LowerBoundReport:
     if isinstance(t, BlockfreeView):
         return LowerBoundReport(CONSISTENT, False, skipped=1, detail="view too large")
     done = skipped = 0
-    witnesses = []
+    first = None  # the first counterexample's witness
 
     def sub_instances():
         # grandchildren and blockfree variants, far as sizes allow; bases of
@@ -494,17 +494,15 @@ def _verify_pruned(t, n: int, budget: Budget) -> LowerBoundReport:
         if sub is None or not _exportable(sub, PRUNED_SUB_CEILING):
             skipped += 1
             continue
-        if sub.rank % 2 != 1:
-            continue
-        status, witness = _class_check(sub, (sub.rank + 1) // 2, budget, PRUNED_SUB_CEILING)
+        # each has rank t.rank - 2, odd as t.rank is
+        _, witness = _class_check(sub, (sub.rank + 1) // 2, budget, PRUNED_SUB_CEILING)
         done += 1
-        if status == COUNTEREXAMPLE:
-            witnesses.append(witness)
+        first = witness if first is None else first  # None but on a counterexample
         if done + skipped > 64:
             break
-    if witnesses:
+    if first is not None:
         return LowerBoundReport(
-            COUNTEREXAMPLE, False, sub_instances=done, skipped=skipped, witness=witnesses[0],
+            COUNTEREXAMPLE, False, sub_instances=done, skipped=skipped, witness=first,
             detail="a sub-instance violates the claim",
         )
     return LowerBoundReport(

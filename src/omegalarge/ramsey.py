@@ -40,6 +40,11 @@ INCONCLUSIVE = "inconclusive"
 # the largest coloring and subset spaces an exhaustive check enumerates
 COLORING_CEILING = 2 ** 20
 SUBSET_CEILING = 2 ** 20
+# the highest level sampled density evaluates: each level nests one sampled
+# call about eight interpreter frames deep, so this level takes about 520 of
+# the default recursion limit of 1,000 and leaves the rest to the largeness
+# check at level 0 and to in-process callers such as the tests
+SAMPLED_LEVEL_CAP = 64
 
 
 class Verdict(FrozenRecord):
@@ -241,6 +246,16 @@ def is_n_dense(
     level below; sampled mode draws `trials` challenges per clause, asks
     each question one level down of a fresh sampled call, and can only
     refute or stay inconclusive.  A ceiling reads inconclusive.
+
+    Past SAMPLED_LEVEL_CAP, sampled mode answers from that level: false
+    there is false at every higher level, and anything else is a ceiling.
+    Proof: an (m+1)-dense set y is m-dense, since clause (b)'s one-part
+    partition asks y itself to be dense a level down; so y is not dense
+    at any level above one it is not dense at.  And a sampled false is a
+    definite refutation: by induction on the level, `sampled_below` answers
+    dense unless a sampled call refutes, so it holds of every dense set,
+    and each clause (a)-(d) is monotone in its level-below predicate, so a
+    challenge no set it accepts meets is met by no dense set either.
     """
     _check_admissible(z, sentence)
     if m < 0:
@@ -252,6 +267,11 @@ def is_n_dense(
         dense = _exact_dense(z, m, sentence, statement, {})
         return Verdict(TRUE if dense else FALSE, "exhaustive density recursion")
 
+    if m > SAMPLED_LEVEL_CAP:
+        capped = is_n_dense(z, SAMPLED_LEVEL_CAP, sentence, statement, mode)
+        if capped.value == FALSE:
+            return capped
+        raise CeilingExceeded(f"sampled density is capped at level {SAMPLED_LEVEL_CAP}")
     if m == 0:
         return Verdict(TRUE if _dense0(z, sentence) else FALSE, "level 0 is a largeness check")
 

@@ -6,9 +6,10 @@ decompositions over all subsets, formulas by ground substitution.  The
 exceptions are replaced code kept as the reference for what replaced it:
 the recursive grouping walk, the product-loop cross-monochromaticity scan,
 the recursive include-first subset search, the blockfree view's own copy
-of the separation test, the per-triple export table, the closure compiler
-and the recursive printer and renamer for formulas, and Γ-largeness and
-density clauses (a) and (c) over every coloring in `product` order.
+of the separation test and its collect-and-sort member walk, the per-triple
+export table, the closure compiler and the recursive printer and renamer
+for formulas, Γ-largeness and density clauses (a) and (c) over every
+coloring in `product` order, and fusion's level-by-level assembly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,16 @@ from math import comb
 
 from omegalarge import formula as fm
 from omegalarge import ramsey
-from omegalarge.largeness import LargenessSpec, SizeOverflow, check_large, t_apart
+from omegalarge.largeness import (
+    Block,
+    Certificate,
+    LargenessSpec,
+    Node,
+    SizeOverflow,
+    check_large,
+    shift_cert,
+    t_apart,
+)
 from omegalarge.ramsey import FALSE, INCONCLUSIVE, TRUE, Verdict
 from omegalarge.sets import ColoringTable, FinSet
 
@@ -424,6 +434,24 @@ def blockfree_separates(view, x: int, y: int, z: int) -> bool:
         view.same_block(y, z, c) and not view.same_block(x, y, c)
         for c in range(view.rank + 1)
     )
+
+
+def sorted_view_members(view, budget: int) -> list[int]:
+    """The blockfree view's members as its walk read them before it yielded
+    them in walk order: every base collected depth-first, then sorted."""
+    bases: list[int] = []
+    stack = [iter((view.tree,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        if len(bases) >= budget:
+            raise SizeOverflow("view iteration", budget)
+        bases.append(node.base)
+        if node.rank > view.depth:
+            stack.append(node.children())
+    return sorted(bases)
 
 
 # ---------------------------------------------------------------------------
@@ -956,6 +984,47 @@ def product_is_n_dense(z, m, sentence, statement, mode):
     if clause is not None:
         return Verdict(FALSE, ramsey._SAMPLED_REFUTATIONS[clause])
     return Verdict(INCONCLUSIVE, f"{mode.trials} trials per item found no counterexample")
+
+
+# ---------------------------------------------------------------------------
+# Fusion's certificate as it was assembled before it was built in the fused
+# set's coordinates: each level rebuilds its members' values and offsets and
+# shifts every subtree again
+# ---------------------------------------------------------------------------
+
+
+def _w_assemble(family, member_certs, mblock, bb):
+    lo, hi = mblock.lo, mblock.hi
+    vals = [family[lo].maximum]
+    offsets = {}
+    for s in range(lo + 1, hi):
+        offsets[s] = len(vals)
+        vals.extend(family[s].elements)
+    if bb == 0:
+        inner = member_certs[lo + 1]
+        off = offsets[lo + 1]
+        block = Block(off + inner.lo, off + inner.hi, shift_cert(inner.cert, off))
+        return tuple(vals), block
+    children = []
+    for z in mblock.cert.children:
+        _, sub_block = _w_assemble(family, member_certs, z, bb - 1)
+        pos = offsets[z.lo] + len(family[z.lo]) - 1
+        children.append(Block(pos + sub_block.lo, pos + sub_block.hi, shift_cert(sub_block.cert, pos)))
+    return tuple(vals), Block(0, len(vals), Node(vals[0], tuple(children)))
+
+
+def assembled_fusion(family, a: int, b: int, sentence):
+    """(fused set, certificate) of `extract.fuse` on an increasing, pairwise
+    apart family, or None where a member is not large at a or the maxima
+    are not large at b + 1."""
+    member_certs = [check_large(member, LargenessSpec(a, 1, sentence)) for member in family]
+    mcert = check_large(FinSet(tuple(m.maximum for m in family)), LargenessSpec(b + 1, 1, sentence))
+    if mcert is None or None in member_certs:
+        return None
+    vals, top = _w_assemble(
+        family, [c.blocks[0] for c in member_certs], Block(0, len(family), mcert.blocks[0].cert), b
+    )
+    return FinSet(vals), Certificate(a + b, 1, (top,))
 
 
 # ---------------------------------------------------------------------------

@@ -654,6 +654,9 @@ EXIT_CONTRACT = [
     (["formula", "eval", "a < 0", "--param-a", "-5"], 3, "usage error: argument --param-a: invalid natural value: '-5'"),
     (["large", "check", "--interval", "3:10", "--n", "1", "--theta-file", "{TNEG}"], 3,
      "a must be a natural number, not -5"),
+    # sampled density past its level cap answers from the cap, not past the recursion limit
+    (["gamma", "dense", "--interval", "3:6", "--m", "3000", "--mode", "sampled", "--trials", "1"], 1,
+     "sampled statement coloring admits no dense solution"),
 ]
 
 
@@ -980,20 +983,26 @@ GROUPS = {name: set() for name in OPTIONS} | {
 }
 
 
-def _subcommands(parser, path=()):
-    """(subcommand path, (its option strings but -h, its mutually exclusive
-    groups)) for every leaf parser."""
+def _leaf_parsers(parser, path=()):
+    """(subcommand path, its parser) for every leaf parser."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, child in action.choices.items():
-                yield from _subcommands(child, path + (name,))
+                yield from _leaf_parsers(child, path + (name,))
             return
-    options = {a.option_strings[-1] for a in parser._actions if a.option_strings} - {"--help"}
-    groups = {
-        ("required",) * g.required + tuple(a.option_strings[-1] for a in g._group_actions)
-        for g in parser._mutually_exclusive_groups
-    }
-    yield " ".join(path), (options, groups)
+    yield " ".join(path), parser
+
+
+def _subcommands(parser):
+    """(subcommand path, (its option strings but -h, its mutually exclusive
+    groups)) for every leaf parser."""
+    for name, leaf in _leaf_parsers(parser):
+        options = {a.option_strings[-1] for a in leaf._actions if a.option_strings} - {"--help"}
+        groups = {
+            ("required",) * g.required + tuple(a.option_strings[-1] for a in g._group_actions)
+            for g in leaf._mutually_exclusive_groups
+        }
+        yield name, (options, groups)
 
 
 def test_each_subcommand_registers_only_the_options_its_handler_reads():
@@ -1001,6 +1010,56 @@ def test_each_subcommand_registers_only_the_options_its_handler_reads():
     assert {name: options for name, (options, _) in found.items()} == OPTIONS
     assert {name: groups for name, (_, groups) in found.items()} == GROUPS
     assert sum(len(options) for options, _ in found.values()) == 169
+
+
+# (default, required) of every option whose default is not None or that
+# must be given; every other option defaults to None and may be left out
+_HUMAN = {"--format": ("human", False)}
+_REQ = (None, True)
+_GAMMA_DEFAULTS = _HUMAN | {"--gamma": ("custom", False), "--mode": ("exact", False)}
+DEFAULTS = {
+    "large check": _HUMAN | {"--n": _REQ, "--k": (1, False), "--paranoid": (False, False)},
+    "large minimal": _HUMAN | {"--x": _REQ, "--n": _REQ, "--budget": (10 ** 6, False)},
+    "large pigeonhole": _HUMAN | {"--b": _REQ, "--sparsity": ("none", False), "--strict": (False, False),
+                                 "--coloring": _REQ},
+    "large decompose": _HUMAN | {"--n": _REQ, "--m": _REQ},
+    "large fuse": _HUMAN | {"--blocks": _REQ, "--a": _REQ, "--b": _REQ},
+    "apart": _HUMAN | {"--x": _REQ, "--y": _REQ},
+    "grouping find": _HUMAN | {"--l0": _REQ, "--l1": _REQ, "--coloring": _REQ},
+    "grouping check": _HUMAN | {"--witness": _REQ, "--l0": _REQ, "--l1": _REQ, "--coloring": _REQ},
+    "gamma large": _GAMMA_DEFAULTS | {"--r": _REQ, "--s": (1, False)},
+    "gamma dense": _GAMMA_DEFAULTS | {"--m": _REQ},
+    "em extract": _HUMAN | {"--n": _REQ, "--scaled": (False, False), "--coloring": _REQ},
+    "ads q": _HUMAN | {"--n": _REQ, "--successor": ("drop_max", False), "--coloring": _REQ},
+    "ads extract": _HUMAN | {"--n": _REQ, "--coloring": _REQ},
+    "lowerbound tree": _HUMAN | {"--base": _REQ, "--rank": _REQ, "--materialize": (False, False),
+                                "--budget": (10 ** 6, False)},
+    "lowerbound fx": _HUMAN | {"--base": (3, False), "--rank": _REQ, "--budget": (10 ** 5, False)},
+    "lowerbound verify": _HUMAN | {"--n": _REQ, "--base": (3, False), "--mode": ("exhaustive", False)},
+    "bounds-table": _HUMAN | {"--n-max": _REQ, "--k": (2, False)},
+    "formula parse": _HUMAN,
+    "formula eval": _HUMAN | {"--param-a": (0, False), "--param-A": ("", False)},
+    "formula weaken": _HUMAN,
+}
+HANDLERS = {name: "cmd_" + name.replace(" ", "_").replace("-", "_") for name in OPTIONS} | {
+    "gamma large": "cmd_gamma", "gamma dense": "cmd_gamma",
+}
+
+
+def test_each_subcommand_keeps_its_defaults_requirements_and_handler():
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    found = {
+        name: {
+            a.option_strings[-1]: (a.default, a.required)
+            for a in leaf._actions
+            if a.option_strings and a.option_strings[-1] != "--help" and (a.default, a.required) != (None, False)
+        }
+        for name, leaf in leaves.items()
+    }
+    assert found == DEFAULTS
+    handlers = {name: leaf.get_default("handler") for name, leaf in leaves.items()}
+    assert {name: handler.__name__ for name, handler in handlers.items()} == HANDLERS
+    assert all(getattr(cli, name) is handlers[sub] for sub, name in HANDLERS.items())
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omegalarge import extract
 from omegalarge.extract import (
@@ -19,6 +21,8 @@ from omegalarge.largeness import (
     verify_certificate,
 )
 from omegalarge.sets import ColoringTable, FinSet, SparsityPolicy
+
+from oracles import assembled_fusion
 
 X38 = FinSet.interval(3, 38)
 
@@ -194,6 +198,47 @@ def test_fuse_preconditions():
     never = Pi03Sentence(parse("y < x"))
     with pytest.raises(PreconditionError):
         fuse(FinSet((3, 4)), [FinSet((9, 10))], 0, 0, never)  # not apart
+
+
+@st.composite
+def fusion_cases(draw):
+    """An increasing family of intervals, each at least min + 1 long when a
+    = 1, with gaps of 0 or 1; mostly singletons when a = 0, so that its
+    maxima can be large at exponent 2 and the fusion run with b = 1.  Under
+    a sentence the values stay below 130, as apartness checks grow fast."""
+    a, b = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+    sentence = draw(st.sampled_from((TOP, Pi03Sentence(parse("x < y or z < y")))))
+    lo, family = draw(st.integers(3, 5)), []
+    wide = b and not a  # many members, rarely more than one point apart
+    steps = st.tuples(st.sampled_from((0,) * (9 if wide else 3) + (1, 2)),
+                      st.sampled_from((0,) * (9 if wide else 3) + (1,)))
+    for extra, gap in draw(st.lists(steps, min_size=40 if wide else 2, max_size=60)):
+        size = (lo + 1 if a else 1) + extra
+        if lo + size > (3000 if sentence is TOP else 130):
+            break
+        family.append(FinSet.interval(lo, lo + size - 1))
+        lo += size + gap
+    return family, a, b, sentence
+
+
+SINGLES = [FinSet((v,)) for v in range(3, 39)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fusion_cases())
+@example((SINGLES, 0, 1, TOP))
+@example((SINGLES, 0, 1, Pi03Sentence(parse("y = x + 1 and true"))))
+def test_fuse_matches_the_level_by_level_assembly(case):
+    family, a, b, sentence = case
+    want = assembled_fusion(family, a, b, sentence)
+    try:
+        got = fuse(family[0], family[1:], a, b, sentence)
+    except PreconditionError:
+        assert want is None or not all(t_apart(x, y, sentence) for x, y in zip(family, family[1:]))
+        return
+    fused, certificate = want
+    assert got.fused == fused
+    assert got.certificate.to_json() == certificate.to_json()
 
 
 def test_fuse_with_sentence():

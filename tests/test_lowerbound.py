@@ -3,6 +3,8 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegalarge import lowerbound
 from omegalarge.cli import main
@@ -32,6 +34,7 @@ from oracles import (
     blockfree_separates,
     per_triple_separation_bits,
     plain_decompositions,
+    sorted_view_members,
     table_instance,
 )
 
@@ -151,6 +154,25 @@ def test_zero_blockfree_views():
     assert view.materialize().elements == (3, 4, 9, 19)
     assert is_minimal(view.materialize(), 1)
     assert view.zero_blockfree().materialize().elements == (3,)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(3, 7), st.integers(1, 3), st.data())
+def test_blockfree_views_list_the_members_of_the_sorted_walk(base, rank, data):
+    # rank 3 overflows past its second child; budgets cut the walk anywhere
+    depth = data.draw(st.integers(1, rank), label="depth")
+    budget = data.draw(st.sampled_from((0, 1, 5, 40, 10 ** 4)), label="budget")
+    view = BlockfreeView(tree(base, rank), depth)
+    try:
+        want = sorted_view_members(BlockfreeView(tree(base, rank), depth), budget)
+    except SizeOverflow as err:
+        with pytest.raises(SizeOverflow) as got:
+            view.materialize(budget)
+        assert str(got.value) == str(err)
+        return
+    assert list(view.iter_elements(budget)) == want
+    assert view.materialize(budget).elements == tuple(want)
+    assert view.cardinality(budget) == len(want)
 
 
 def test_blockfree_separates_keeps_its_answers():

@@ -199,6 +199,23 @@ def test_sampled_density_meets_the_subset_ceiling_before_drawing_a_coloring(monk
     assert out == Verdict("inconclusive", "subset space 2^120 exceeds ceiling 1048576")
 
 
+def test_sampled_density_past_its_cap_answers_from_the_cap(monkeypatch):
+    monkeypatch.setattr(ramsey, "SAMPLED_LEVEL_CAP", 0)
+    mode = Mode("sampled", seed=9, trials=2)
+    # [3,5] is not large at exponent 1, so it is dense at no level
+    assert is_n_dense(tiny(3, 4, 5), 7, TOP, RT1_2, mode) == Verdict("false", "level 0 is a largeness check")
+    assert is_n_dense(tiny(3, 4, 5, 6), 1, TOP, RT1_2, mode) == Verdict(
+        "inconclusive", "sampled density is capped at level 0"
+    )
+    monkeypatch.setattr(ramsey, "SAMPLED_LEVEL_CAP", 2)
+    for z in (tiny(3, 4, 5, 6), FinSet.interval(3, 12)):
+        capped = is_n_dense(z, 2, TOP, RT1_2, mode)
+        assert capped.value == "false"
+        assert all(is_n_dense(z, m, TOP, RT1_2, mode) == capped for m in (3, 10, 3000))
+    # exact mode keeps its own cap
+    assert is_n_dense(tiny(3, 4, 5, 6), 3, TOP, RT1_2) == Verdict("inconclusive", "exact density is capped at level 2")
+
+
 def test_density_rejects_a_negative_level_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(ramsey, "_source", lambda mode: calls.append(mode))
