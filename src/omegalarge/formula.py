@@ -443,7 +443,8 @@ class SecondOrderParam(FrozenRecord):
     bits: str = ""
 
     def __post_init__(self) -> None:
-        if self.bits.count("0") + self.bits.count("1") != len(self.bits):
+        # one pass: an ASCII string is over 0/1 iff deleting both leaves nothing
+        if not self.bits.isascii() or self.bits.encode().translate(None, b"01"):
             raise ValueError("bits must be a string over 0/1")
 
     @property

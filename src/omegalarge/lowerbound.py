@@ -168,37 +168,50 @@ class _Blocks:
         structural operations instead.
 
         Triples whose antecedent fails (x or z outside the set, or z < y)
-        are true; each member pair (x, z) fills its column of y <= z at
-        once.  As a bitmask over y, the column is the union over levels c of
-        z's c-block minus x's c-block, cut to x < y <= z.
+        are true; the table is built one x-plane at a time (`_table_bits`).
         """
         bound, theta = self._table_formula(ceiling)
         return Pi03Sentence(theta, 0, SecondOrderParam(self._table_bits(bound)))
 
     def _table_bits(self, bound: int) -> str:
-        """The export table below the bound, as the bits of A; its members
-        are below the bound, so it sizes the materialization too."""
+        """The export table below the bound, as the bits of A, one x-plane
+        at a time; its members are below the bound, so it sizes the
+        materialization too.
+
+        Plane x is one integer whose bit y*B + z is entry (x, y, z); a
+        non-member x's plane is all ones.  A member x's plane starts from
+        the base plane, one where z is no member or z < y.  For each member
+        y > x, `separates` adds the members z >= y that share more steps
+        with y than x does: if x and y share k steps, the members of y's
+        block k + 1 steps down.  Blocks are runs of consecutive members, so
+        the y > x that share exactly k steps with x are one run of rows:
+        past the end of x's block k + 1 steps down (past x itself when k is
+        x's whole path), up to the end of x's block k steps down.  So
+        rows[k], each member's row in its block k + 1 steps down, is built
+        once, and plane x ORs in one run of rows from each rows[k].
+        """
         members = self.materialize(budget=bound).elements
-        addrs = [(v, [self.block_of(v, c) for c in range(self.rank + 1)]) for v in members]
-        block_mask: dict[BlockAddress, int] = {}  # an address carries its level
-        for v, row in addrs:
-            for a in row:
-                if a is not None:
-                    block_mask[a] = block_mask.get(a, 0) | (1 << v)
-        # each member's block at every level as a mask; 0 where it has none
-        level_masks = [(v, tuple(block_mask.get(a, 0) for a in row)) for v, row in addrs]
-        bits = bytearray(b"1" * (bound ** 3))
-        for x, mx in level_masks:
-            xb = x * bound * bound
-            above_x = -(2 << x)  # bits y > x
-            for z, mz in level_masks:
-                col = 0
-                for in_z, in_x in zip(mz, mx):
-                    col |= in_z & ~in_x
-                col &= above_x & ((2 << z) - 1)
-                # entry (x, y, z) sits at xb + y*bound + z, for y = 0..z
-                bits[xb + z: xb + z + (z + 1) * bound: bound] = format(col, f"0{z + 1}b")[::-1].encode()
-        return bits.decode()
+        paths = {v: self._member_path(v) for v in members}
+        block: dict[tuple[int, ...], int] = {}  # a block's path: its members
+        for v, p in paths.items():
+            for k in range(len(p) + 1):
+                block[p[:k]] = block.get(p[:k], 0) | 1 << v
+        rows = [0] * (self.rank + 1)
+        for y, p in paths.items():
+            for k in range(len(p)):
+                rows[k] |= block[p[:k + 1]] >> y << y << y * bound
+        not_member = (1 << bound) - 1 - block[()]
+        base = sum(((1 << y) - 1 | not_member) << y * bound for y in range(bound))
+        width, ones = bound * bound, "1" * bound * bound
+        planes = [ones] * bound
+        for x, p in paths.items():
+            plane, lo = base, x
+            for k in range(len(p), -1, -1):
+                hi = block[p[:k]].bit_length() - 1  # the end of x's block k steps down
+                plane |= rows[k] & (1 << (hi + 1) * bound) - (1 << (lo + 1) * bound)
+                lo = hi
+            planes[x] = format(plane, f"0{width}b")[::-1]
+        return "".join(planes)
 
 
 class _SeparationTable:

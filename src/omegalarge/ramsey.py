@@ -244,7 +244,8 @@ def is_n_dense(
 
     Exact mode (levels up to 2) meets every challenge and memoises the
     level below; sampled mode draws `trials` challenges per clause, asks
-    each question one level down of a fresh sampled call, and can only
+    each question one level down of a fresh sampled call unless a
+    refutation kept in the same top-level call answers it, and can only
     refute or stay inconclusive.  A ceiling reads inconclusive.
 
     Past SAMPLED_LEVEL_CAP, sampled mode answers from that level: false
@@ -252,10 +253,12 @@ def is_n_dense(
     Proof: an (m+1)-dense set y is m-dense, since clause (b)'s one-part
     partition asks y itself to be dense a level down; so y is not dense
     at any level above one it is not dense at.  And a sampled false is a
-    definite refutation: by induction on the level, `sampled_below` answers
-    dense unless a sampled call refutes, so it holds of every dense set,
-    and each clause (a)-(d) is monotone in its level-below predicate, so a
-    challenge no set it accepts meets is met by no dense set either.
+    definite refutation: by induction on the level, the question one level
+    down answers dense unless a sampled call refutes at or below that level,
+    so it holds of every dense set, and each clause (a)-(d) is monotone in
+    its level-below predicate, so a challenge no set it accepts meets is met
+    by no dense set either.  So a kept refutation answers at its own level
+    and every level above it.
     """
     _check_admissible(z, sentence)
     if m < 0:
@@ -274,15 +277,38 @@ def is_n_dense(
         raise CeilingExceeded(f"sampled density is capped at level {SAMPLED_LEVEL_CAP}")
     if m == 0:
         return Verdict(TRUE if _dense0(z, sentence) else FALSE, "level 0 is a largeness check")
-
-    def sampled_below(y: FinSet) -> bool:
-        draw = Mode("sampled", source.rng.randrange(2 ** 30), max(1, mode.trials // 4))
-        return is_n_dense(y, m - 1, sentence, statement, draw).value != FALSE
-
-    clause = _failed_clause(z, sentence, statement, source, sampled_below)
+    clause = _sampled_failed_clause(z, m, sentence, statement, source, {})
     if clause is not None:
         return Verdict(FALSE, _SAMPLED_REFUTATIONS[clause])
     return Verdict(INCONCLUSIVE, f"{mode.trials} trials per item found no counterexample")
+
+
+def _sampled_failed_clause(
+    y: FinSet, level: int, sentence, statement, source: _Sampled, refuted: dict[FinSet, int]
+) -> Optional[str]:
+    """The clause y fails at level >= 1 against the draws of `source`, or
+    None.  Each question one level down draws its nested seed first, then
+    reads `refuted`, the least level at which each subset was refuted so far
+    in this top-level call: a refutation at or below the level asked answers
+    false (see `is_n_dense`).  Otherwise a fresh sampled check answers, a
+    ceiling it meets reading dense, and its refutation is kept.
+    """
+
+    def below(sub: FinSet) -> bool:
+        seed = source.rng.randrange(2 ** 30)  # drawn whether or not a refutation answers
+        if refuted.get(sub, level) < level:
+            return False
+        try:
+            dense = _dense0(sub, sentence) if level == 1 else _sampled_failed_clause(
+                sub, level - 1, sentence, statement,
+                _Sampled(random.Random(seed), max(1, source.trials // 4)), refuted) is None
+        except CeilingExceeded:
+            return True
+        if not dense:
+            refuted[sub] = level - 1
+        return dense
+
+    return _failed_clause(y, sentence, statement, source, below)
 
 
 # ---------------------------------------------------------------------------

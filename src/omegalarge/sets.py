@@ -102,7 +102,10 @@ class FinSet(FrozenRecord):
             except ValueError as err:
                 raise ValueError(f"{source}: bad JSON set: {err}") from err
             for pos, entry in enumerate(entries):
-                values.append(json_int(entry, f"{source}: JSON set entry {pos}"))
+                try:
+                    values.append(json_int(entry, ""))
+                except ValueError as err:  # the entry's label is built only here
+                    raise ValueError(f"{source}: JSON set entry {pos}{err}") from None
         else:
             for lineno, line in enumerate(text.splitlines(), start=1):
                 if not line.strip():

@@ -7,7 +7,7 @@ exceptions are replaced code kept as the reference for what replaced it:
 the recursive grouping walk, the product-loop cross-monochromaticity scan,
 the recursive include-first subset search, the blockfree view's own copy
 of the separation test and its collect-and-sort member walk, the per-triple
-export table, the closure compiler and the recursive printer and renamer
+and per-column export tables, the closure compiler and the recursive printer and renamer
 for formulas, Γ-largeness and density clauses (a) and (c) over every
 coloring in `product` order, and fusion's level-by-level assembly.
 """
@@ -543,8 +543,8 @@ class DescentNavigation:
 
 
 # ---------------------------------------------------------------------------
-# The export table as it was built before the bitmask columns: one level
-# scan per triple
+# The export table as it was built before the per-x planes: first one level
+# scan per triple, then one bitmask column over y per member pair (x, z)
 # ---------------------------------------------------------------------------
 
 
@@ -576,6 +576,35 @@ def per_triple_separation_bits(owner, ceiling: int) -> str:
                     ok = False
                 if not ok:
                     bits[base_idx + y * bound] = ord("0")
+    return bits.decode()
+
+
+def column_separation_bits(owner, bound: int) -> str:
+    """The bits of `owner`'s export table below `bound`, filled one member
+    pair at a time: triples whose antecedent fails (x or z outside the set,
+    or z < y) are true, and the column of y <= z for members x and z is the
+    union over levels c of z's c-block minus x's c-block, cut to
+    x < y <= z."""
+    members = owner.materialize(budget=bound).elements
+    addrs = [(v, [owner.block_of(v, c) for c in range(owner.rank + 1)]) for v in members]
+    block_mask = {}  # an address carries its level
+    for v, row in addrs:
+        for a in row:
+            if a is not None:
+                block_mask[a] = block_mask.get(a, 0) | (1 << v)
+    # each member's block at every level as a mask; 0 where it has none
+    level_masks = [(v, tuple(block_mask.get(a, 0) for a in row)) for v, row in addrs]
+    bits = bytearray(b"1" * (bound ** 3))
+    for x, mx in level_masks:
+        xb = x * bound * bound
+        above_x = -(2 << x)  # bits y > x
+        for z, mz in level_masks:
+            col = 0
+            for in_z, in_x in zip(mz, mx):
+                col |= in_z & ~in_x
+            col &= above_x & ((2 << z) - 1)
+            # entry (x, y, z) sits at xb + y*bound + z, for y = 0..z
+            bits[xb + z: xb + z + (z + 1) * bound: bound] = format(col, f"0{z + 1}b")[::-1].encode()
     return bits.decode()
 
 

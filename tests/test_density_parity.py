@@ -9,7 +9,12 @@ of the generator's draws shows.  A ceiling the earlier code raised as
 The groups of the formula psi0 were pinned later, from the tree interpreter
 that evaluated psi0 before the compiled function did.  One entry of each
 group in `REORDERED` was re-pinned, from `i` to `f`, when exact density
-began to try the cheap clauses first.
+began to try the cheap clauses first.  The reason digest of
+`sampled-top-true-dense2` was re-pinned, its letters unchanged, when
+sampled density began to keep its refutations: under seed 0 the set [3,8]
+is now refuted by clause (a) instead of (b), as the level-1 questions (a)
+asks of its subsets are answered by refutations found earlier in the same
+call, where fresh one-trial draws had missed some.
 
 Regenerate with `PYTHONPATH=src python tests/test_density_parity.py`.
 """

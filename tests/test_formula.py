@@ -125,6 +125,29 @@ def test_eval_examples():
     assert evaluate(parse("1 in A"), {}, param=param)
 
 
+@pytest.mark.parametrize("bits,ok", [
+    ("", True), ("0101", True), ("2", False), ("0a1", False), ("１", False), ("0 1", False), ("\x00", False),
+])
+def test_param_bits_are_a_string_over_0_1(bits, ok):
+    if ok:
+        assert SecondOrderParam(bits).bits == bits
+    else:
+        with pytest.raises(ValueError, match=r"^bits must be a string over 0/1$"):
+            SecondOrderParam(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=st.sampled_from("01") | st.characters(), max_size=12))
+def test_param_bits_check_agrees_with_counting_the_digits(bits):
+    try:
+        SecondOrderParam(bits)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (bits.count("0") + bits.count("1") == len(bits))
+
+
 def test_uncovered_variable_rejected():
     with pytest.raises(fm.UncoveredVariable):
         evaluate(parse("x < y"), {"x": 1})

@@ -32,6 +32,7 @@ from omegalarge.sets import FinSet
 from oracles import (
     DescentNavigation,
     blockfree_separates,
+    column_separation_bits,
     per_triple_separation_bits,
     plain_decompositions,
     sorted_view_members,
@@ -326,6 +327,8 @@ def test_export_sentence_reads_shifted_structure():
 @pytest.mark.parametrize("ceiling", [128, 256])
 @pytest.mark.parametrize("base,rank", [(b, r) for b in (3, 4, 5) for r in (1, 2)])
 def test_export_table_matches_per_triple_oracle(base, rank, ceiling):
+    # the per-x planes give the bits of the per-triple scan and of the
+    # per-pair columns they replaced, on a tree and its depth-1 view
     t = tree(base, rank)
     for owner in (t, t.zero_blockfree()):
         try:
@@ -334,7 +337,9 @@ def test_export_table_matches_per_triple_oracle(base, rank, ceiling):
             with pytest.raises(SizeOverflow):
                 owner.export_sentence(ceiling)
             continue
-        assert owner.export_sentence(ceiling).param_A.bits == want
+        bits = owner.export_sentence(ceiling).param_A.bits
+        assert bits == want
+        assert bits == column_separation_bits(owner, owner.max_value() + 2)
 
 
 def test_export_table_overflow_cases():

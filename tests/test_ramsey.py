@@ -1,6 +1,8 @@
 import random
+import time
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,55 @@ def test_sampled_density_past_its_cap_answers_from_the_cap(monkeypatch):
         assert all(is_n_dense(z, m, TOP, RT1_2, mode) == capped for m in (3, 10, 3000))
     # exact mode keeps its own cap
     assert is_n_dense(tiny(3, 4, 5, 6), 3, TOP, RT1_2) == Verdict("inconclusive", "exact density is capped at level 2")
+
+
+def test_sampled_density_keeps_its_refutations_through_the_levels():
+    # `gamma dense --interval 3:6 --gamma true --mode sampled --trials 1`
+    # took about x1.27 longer per level when every subset was asked again,
+    # one level down, in a fresh call; --m 64 did not finish in 2 minutes
+    z, mode = FinSet.interval(3, 6), Mode("sampled", seed=1729, trials=1)
+    start = time.perf_counter()
+    for m in (2, 14, 64):
+        assert is_n_dense(z, m, TOP, PSI_TRUE, mode) == Verdict("false", ramsey._SAMPLED_REFUTATIONS["a"])
+    assert time.perf_counter() - start < 1.0
+
+
+@given(
+    st.lists(st.integers(3, 9), min_size=1, max_size=5, unique=True),
+    st.sampled_from((PSI_TRUE, RT1_2, RtLikeStatement(2, 2, HOMOGENEOUS))),
+    st.sampled_from((None, 1, 2, 3)),
+    st.integers(1, 2),
+    st.integers(0, 2 ** 16),
+    st.integers(1, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_kept_refutations_never_refute_an_exactly_dense_set(points, statement, least, level, seed, trials):
+    # Level 0 is largeness (None), under which no set within the ceilings
+    # is exactly dense above level 0, or at least `least` points.  The level
+    # lemma holds for any level-0 predicate, and these make many sets dense.
+    z, mode = FinSet(tuple(sorted(points))), Mode("sampled", seed, trials)
+    dense0 = ramsey._dense0 if least is None else (lambda y, sentence: len(y) >= least)
+    with mock.patch.object(ramsey, "_dense0", dense0):
+        if is_n_dense(z, level, TOP, statement).value == "true":
+            assert is_n_dense(z, level, TOP, statement, mode).value != "false"
+        # and each refutation kept on the way is one exact mode makes too
+        kept = {}
+        ramsey._sampled_failed_clause(z, level, TOP, statement, ramsey._source(mode), kept)
+        assert all(is_n_dense(y, at, TOP, statement).value != "true" for y, at in kept.items())
+
+
+def test_a_kept_refutation_answers_at_its_own_level_and_above():
+    # with every set 0-dense, the only refutations are the ones kept
+    z = tiny(3, 4, 5)
+
+    def clause_at_level_1(kept_level):
+        source = ramsey._source(Mode("sampled", 0, 2))
+        kept = dict.fromkeys(ramsey._subsets(z), kept_level)
+        return ramsey._sampled_failed_clause(z, 1, TOP, PSI_TRUE, source, kept)
+
+    with mock.patch.object(ramsey, "_dense0", lambda y, sentence: True):
+        assert clause_at_level_1(1) is None  # a level-1 refutation says nothing at level 0
+        assert clause_at_level_1(0) == "a"
 
 
 def test_density_rejects_a_negative_level_before_any_work(monkeypatch):

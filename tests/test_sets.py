@@ -66,6 +66,18 @@ def test_finset_text_roundtrips():
     assert FinSet.parse(x.to_json()) == x
 
 
+@pytest.mark.parametrize("text,message", [
+    ('[3, 4.5]', 's.json: JSON set entry 1 is not an integer: 4.5'),
+    ('[3, true]', 's.json: JSON set entry 1 is not an integer: true'),
+    ('["3", "x4"]', 's.json: JSON set entry 1 is not a decimal numeral: "x4"'),
+    ('[{"a": 1}]', 's.json: JSON set entry 0 is not an integer: {"a": 1}'),
+])
+def test_a_bad_json_entry_is_named_by_its_position(text, message):
+    with pytest.raises(ValueError) as err:
+        FinSet.parse(text, source="s.json")
+    assert str(err.value) == message and err.value.__cause__ is None
+
+
 def test_sparsity_examples():
     assert is_sparse(FinSet((3, 65, 4 ** 65 + 1)), SparsityPolicy.EXP4)
     assert not is_sparse(FinSet((3, 4)), SparsityPolicy.EXP4)  # 4^3 = 64 >= 4
