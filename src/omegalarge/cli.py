@@ -56,6 +56,14 @@ class Outcome(Record):
     human: str
 
 
+# the exit code of each status a library call answers with
+EXIT = {
+    "found": 0, "absent": 1, "exhausted": 2,  # grouping and subset searches
+    "true": 0, "false": 1, "inconclusive": 2,  # Γ-largeness and density verdicts
+    "confirmed": 0, "counterexample": 1, "consistent": 2,  # lower-bound reports
+}
+
+
 # ---------------------------------------------------------------------------
 # input loading
 # ---------------------------------------------------------------------------
@@ -185,9 +193,7 @@ def make_statement(args) -> RtLikeStatement:
 # ---------------------------------------------------------------------------
 
 
-def cmd_large_check(args) -> Outcome:
-    x = load_set(args)
-    sentence = load_sentence(args)
+def cmd_large_check(args, x, sentence, budget) -> Outcome:
     spec = LargenessSpec(args.n, args.k, sentence)
     _check_admissible(x, sentence)  # verify_certificate would only reject the set
     if args.verify is not None:
@@ -200,7 +206,7 @@ def cmd_large_check(args) -> Outcome:
             {"verified": ok},
             "certificate accepted" if ok else "certificate rejected",
         )
-    cert = check_large(x, spec, budget=Budget(args.budget))
+    cert = check_large(x, spec, budget=budget)
     if cert is None:
         return Outcome(1, {"result": "not-large"}, "not large: no decomposition exists")
     if not verify_certificate(x, cert, spec, paranoid=args.paranoid):
@@ -218,17 +224,12 @@ def cmd_large_minimal(args) -> Outcome:
     return Outcome(0, payload, f"minimal interval [{out.minimum}, {out.maximum}], {len(out)} elements")
 
 
-def cmd_large_pigeonhole(args) -> Outcome:
+def cmd_large_pigeonhole(args, x, f, sentence, budget) -> Outcome:
     from .extract import CountingFailure, ExtractionFailure, pigeonhole_extract
 
-    x = load_set(args)
-    f = read_json(args.coloring, ColoringTable.from_json)
-    sentence = load_sentence(args)
     policy = SparsityPolicy(args.sparsity)
     try:
-        out = pigeonhole_extract(
-            x, f, args.b, sentence, policy, strict=args.strict, budget=Budget(args.budget)
-        )
+        out = pigeonhole_extract(x, f, args.b, sentence, policy, strict=args.strict, budget=budget)
     except CountingFailure as err:
         return Outcome(2, {"result": "counting-failure", "reason": str(err)}, str(err))
     except ExtractionFailure as err:
@@ -243,12 +244,10 @@ def cmd_large_pigeonhole(args) -> Outcome:
     return Outcome(0, payload, f"homogeneous subset of color {out.color}, {len(out.homogeneous)} elements")
 
 
-def cmd_large_decompose(args) -> Outcome:
+def cmd_large_decompose(args, x, sentence, budget) -> Outcome:
     from .extract import decompose_mixed
 
-    x = load_set(args)
-    sentence = load_sentence(args)
-    out = decompose_mixed(x, args.n, args.m, sentence, budget=Budget(args.budget))
+    out = decompose_mixed(x, args.n, args.m, sentence, budget=budget)
     payload = {
         "blocks": [[str(v) for v in b] for b in out.blocks],
         "minima": [str(v) for v in out.minima],
@@ -256,12 +255,11 @@ def cmd_large_decompose(args) -> Outcome:
     return Outcome(0, payload, f"{len(out.blocks)} apart blocks; minima set of {len(out.minima)}")
 
 
-def cmd_large_fuse(args) -> Outcome:
+def cmd_large_fuse(args, sentence, budget) -> Outcome:
     from .extract import fuse
 
     sets = [read_set(p) for p in args.blocks]
-    sentence = load_sentence(args)
-    out = fuse(sets[0], sets[1:], args.a, args.b, sentence, budget=Budget(args.budget))
+    out = fuse(sets[0], sets[1:], args.a, args.b, sentence, budget=budget)
     payload = {
         "fused": [str(v) for v in out.fused],
         "certificate": out.certificate.to_obj(),
@@ -269,38 +267,31 @@ def cmd_large_fuse(args) -> Outcome:
     return Outcome(0, payload, f"fused set of {len(out.fused)} elements at exponent {args.a + args.b}")
 
 
-def cmd_apart(args) -> Outcome:
-    x = read_set(args.x)
-    y = read_set(args.y)
-    sentence = load_sentence(args)
-    ok = t_apart(x, y, sentence)
+def cmd_apart(args, sentence) -> Outcome:
+    ok = t_apart(read_set(args.x), read_set(args.y), sentence)
     return Outcome(0 if ok else 1, {"apart": ok}, "apart" if ok else "not apart")
 
 
-def cmd_grouping_find(args) -> Outcome:
+def cmd_grouping_find(args, x, f, sentence, budget) -> Outcome:
     from .grouping import ABSENT, FOUND, find_grouping
 
-    z = load_set(args)
-    f = read_json(args.coloring, ColoringTable.from_json)
-    sentence = load_sentence(args)
     l0 = load_lspec(args.l0, sentence)
     l1 = load_lspec(args.l1, sentence)
-    out = find_grouping(z, f, l0, l1, sentence, Budget(args.budget))
+    out = find_grouping(x, f, l0, l1, sentence, budget)
+    code = EXIT[out.status]
     if out.status == FOUND:
         payload = {"result": "found", "blocks": [[str(v) for v in b] for b in out.witness.blocks]}
         if args.witness_out is not None:
             write_text(args.witness_out, out.witness.to_json())
-        return Outcome(0, payload, f"grouping with {len(out.witness.blocks)} blocks")
+        return Outcome(code, payload, f"grouping with {len(out.witness.blocks)} blocks")
     if out.status == ABSENT:
-        return Outcome(1, {"result": "absent", "detail": out.detail}, "no grouping exists")
-    return Outcome(2, {"result": "exhausted", "steps": out.steps}, "budget exhausted")
+        return Outcome(code, {"result": "absent", "detail": out.detail}, "no grouping exists")
+    return Outcome(code, {"result": "exhausted", "steps": out.steps}, "budget exhausted")
 
 
-def cmd_grouping_check(args) -> Outcome:
+def cmd_grouping_check(args, f, sentence) -> Outcome:
     from .grouping import GroupingWitness, MalformedWitness, is_grouping
 
-    f = read_json(args.coloring, ColoringTable.from_json)
-    sentence = load_sentence(args)
     witness = read_json(args.witness, lambda text: GroupingWitness.from_json(text, f))
     l0 = load_lspec(args.l0, sentence)
     l1 = load_lspec(args.l1, sentence)
@@ -313,52 +304,43 @@ def cmd_grouping_check(args) -> Outcome:
     return Outcome(0 if ok else 1, {"grouping": ok}, "valid grouping" if ok else "not a grouping")
 
 
-def cmd_gamma(args) -> Outcome:
+def cmd_gamma(args, x, sentence) -> Outcome:
     from .ramsey import Mode, is_large_gamma, is_n_dense
 
-    z = load_set(args)
-    sentence = load_sentence(args)
     statement = make_statement(args)
     if args.mode == "exact" and (args.seed, args.trials) != (None, None):
         raise UsageError("--seed and --trials apply to --mode sampled, not to exact")
     # Mode's own seed and trials stand in for an absent --seed or --trials
     mode = Mode(args.mode, **{k: getattr(args, k) for k in ("seed", "trials") if getattr(args, k) is not None})
     if args.sub == "large":
-        v = is_large_gamma(z, args.r, args.s, sentence, statement, mode)
+        v = is_large_gamma(x, args.r, args.s, sentence, statement, mode)
     else:
-        v = is_n_dense(z, args.m, sentence, statement, mode)
-    code = {"true": 0, "false": 1, "inconclusive": 2}[v.value]
-    return Outcome(code, {"verdict": v.value, "reason": v.reason}, f"{v.value}: {v.reason}")
+        v = is_n_dense(x, args.m, sentence, statement, mode)
+    return Outcome(EXIT[v.value], {"verdict": v.value, "reason": v.reason}, f"{v.value}: {v.reason}")
 
 
-def cmd_em_extract(args) -> Outcome:
-    from .grouping import ABSENT, FOUND
+def cmd_em_extract(args, x, f, sentence, budget) -> Outcome:
+    from .grouping import FOUND
     from .ramsey import EmConstants, em_extract
 
-    x = load_set(args)
-    f = read_json(args.coloring, ColoringTable.from_json)
-    sentence = load_sentence(args)
     constants = EmConstants.scaled(max(args.n, 1)) if args.scaled else EmConstants.faithful(max(args.n, 1))
-    out = em_extract(x, f, args.n, sentence, Budget(args.budget), constants)
+    out = em_extract(x, f, args.n, sentence, budget, constants)
+    code = EXIT[out.status]
     if out.status == FOUND:
         payload = {
             "result": "found",
             "subset": [str(v) for v in out.subset],
             "certificate": out.certificate.to_obj(),
         }
-        return Outcome(0, payload, f"transitive subset of {len(out.subset)} elements")
-    code = 1 if out.status == ABSENT else 2
+        return Outcome(code, payload, f"transitive subset of {len(out.subset)} elements")
     return Outcome(code, {"result": out.status, "stage": out.detail}, f"{out.status} at stage: {out.detail}")
 
 
-def cmd_ads_q(args) -> Outcome:
+def cmd_ads_q(args, x, f, sentence, budget) -> Outcome:
     from .ramsey import QTotalityError, ads_q_coloring
 
-    x = load_set(args)
-    f = read_json(args.coloring, ColoringTable.from_json)
-    sentence = load_sentence(args)
     try:
-        q = ads_q_coloring(x, f, args.n, sentence, successor=args.successor, budget=Budget(args.budget))
+        q = ads_q_coloring(x, f, args.n, sentence, successor=args.successor, budget=budget)
     except QTotalityError as err:
         return Outcome(1, {"result": "partial", "reason": str(err)}, str(err))
     payload = json.loads(q.to_json())
@@ -367,18 +349,15 @@ def cmd_ads_q(args) -> Outcome:
     return Outcome(0, {"result": "total", "coloring": payload}, f"recoloring with {q.colors} cases")
 
 
-def cmd_ads_extract(args) -> Outcome:
-    from .grouping import ABSENT, FOUND
+def cmd_ads_extract(args, x, f, sentence, budget) -> Outcome:
+    from .grouping import FOUND
     from .ramsey import ads_extract
 
-    x = load_set(args)
-    f = read_json(args.coloring, ColoringTable.from_json)
-    sentence = load_sentence(args)
-    out = ads_extract(x, f, args.n, sentence, Budget(args.budget))
+    out = ads_extract(x, f, args.n, sentence, budget)
+    code = EXIT[out.status]
     if out.status == FOUND:
         payload = {"result": "found", "subset": [str(v) for v in out.subset]}
-        return Outcome(0, payload, f"homogeneous subset of {len(out.subset)} elements")
-    code = 1 if out.status == ABSENT else 2
+        return Outcome(code, payload, f"homogeneous subset of {len(out.subset)} elements")
     return Outcome(code, {"result": out.status}, out.status)
 
 
@@ -418,13 +397,10 @@ def cmd_lowerbound_fx(args) -> Outcome:
     return Outcome(0, {"colors": colors}, human)
 
 
-def cmd_lowerbound_verify(args) -> Outcome:
+def cmd_lowerbound_verify(args, budget) -> Outcome:
     from .lowerbound import CONFIRMED, COUNTEREXAMPLE, tree, verify_lower_bound
 
-    base = args.base
-    rank = 2 * args.n - 1
-    t = tree(base, rank)
-    report = verify_lower_bound(t, mode=args.mode, budget=Budget(args.budget))
+    report = verify_lower_bound(tree(args.base, 2 * args.n - 1), mode=args.mode, budget=budget)
     payload = {
         "status": report.status,
         "complete": report.complete,
@@ -434,22 +410,27 @@ def cmd_lowerbound_verify(args) -> Outcome:
         "detail": report.detail,
     }
     if report.status == CONFIRMED:
-        return Outcome(0, payload, "confirmed: no homogeneous large subset")
-    if report.status == COUNTEREXAMPLE:
+        human = "confirmed: no homogeneous large subset"
+    elif report.status == COUNTEREXAMPLE:
         payload["witness"] = [str(v) for v in report.witness]
-        return Outcome(1, payload, "counterexample found")
-    return Outcome(2, payload, f"consistent with the claim ({report.detail})")
+        human = "counterexample found"
+    else:
+        human = f"consistent with the claim ({report.detail})"
+    return Outcome(EXIT[report.status], payload, human)
 
 
 def cmd_bounds_table(args) -> Outcome:
-    from .ramsey import bounds_table, bounds_tsv
+    from .ramsey import BOUNDS_TSV_HEADER, bounds_line, bounds_row
 
-    rows = bounds_table(args.n_max, args.k)
-    try:
-        human = bounds_tsv(rows).rstrip("\n")
+    rows, lines = [], [BOUNDS_TSV_HEADER]
+    try:  # row by row: the first row that cannot print ends the table
+        for n in range(args.n_max + 1):
+            rows.append(bounds_row(n, args.k))
+            lines.append(bounds_line(rows[-1]))
     except ValueError as err:  # an entry past the interpreter's int-to-str digit limit
         reason = f"a table entry is too long to print: {err}"
         return Outcome(2, {"result": "overflow", "reason": reason}, f"overflow: {reason}")
+    human = "\n".join(lines)
     payload = {
         "rows": [
             {
@@ -557,9 +538,10 @@ def _size_cap(p, default: int):
 
 def _finish(p, handler, set_input=False, theta=True, budget=True, coloring=False):
     """The options a subcommand shares with others, after its own, and its
-    handler.  --set/--interval, for the one set load_set reads, are one
-    required group and come last: only --help and the candidates of an
-    ambiguous option prefix are listed in that order."""
+    handler, with the names of the inputs main builds from those options
+    for it (see INPUTS).  --set/--interval, for the one set load_set reads,
+    are one required group and come last: only --help and the candidates of
+    an ambiguous option prefix are listed in that order."""
     p.add_argument("--format", choices=["human", "json"], default="human")
     if budget:
         p.add_argument("--budget", type=natural, default=None, help="search step budget")
@@ -575,7 +557,8 @@ def _finish(p, handler, set_input=False, theta=True, budget=True, coloring=False
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--set", help="set file: one decimal per line, or a JSON array")
         group.add_argument("--interval", help="LO:HI shorthand instead of --set")
-    p.set_defaults(handler=handler)
+    declared = {"x": set_input, "f": coloring, "sentence": theta, "budget": budget}
+    p.set_defaults(handler=handler, inputs=[name for name, on in declared.items() if on])
 
 
 @functools.cache
@@ -722,10 +705,20 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
+# how main builds each input that _finish declared for a handler, which
+# takes it by this name
+INPUTS = {
+    "x": load_set,
+    "f": lambda args: read_json(args.coloring, ColoringTable.from_json),
+    "sentence": load_sentence,
+    "budget": lambda args: Budget(args.budget),
+}
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        outcome = args.handler(args)
+        outcome = args.handler(args, **{name: INPUTS[name](args) for name in args.inputs})
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 3

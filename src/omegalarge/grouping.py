@@ -47,13 +47,19 @@ def _holds(spec: LargenessSpec, elements: tuple[int, ...]) -> bool:
     return check_large(FinSet(elements), spec) is not None
 
 
-def _every_transversal(spec: LargenessSpec, blocks: tuple[FinSet, ...]) -> bool:
-    """Is every set meeting all the blocks large at spec?  By superset
-    closure, the one-point-per-block selections decide it.  Under a bare
-    count each selection has one point per block, so the block count
-    answers; otherwise past TRANSVERSAL_CEILING selections it raises
-    CeilingExceeded."""
-    if spec.exponent == 0 and spec.sentence is TOP:
+def _every_transversal(spec: LargenessSpec, blocks: tuple[FinSet, ...], sentence: Pi03Sentence) -> bool:
+    """Is every set meeting all the blocks large at spec?  The blocks are
+    increasing and pairwise apart under `sentence`.  By superset closure,
+    the one-point-per-block selections decide it, and each has one point
+    per block.  At exponent 0 under TOP or under `sentence`, the block
+    count answers: a set is large at omega^0 * K iff it holds K points
+    whose consecutive ones are apart as singletons, and a selection's
+    points are.  For u in block x and v in the next block y, u <= max x
+    and min y <= v <= max y; x apart from y is holds_bounded(max x, min y,
+    max y), antitone in its first and third bounds and monotone in its
+    second, so it gives holds_bounded(u, v, v), u apart from v.  Otherwise
+    past TRANSVERSAL_CEILING selections it raises CeilingExceeded."""
+    if spec.exponent == 0 and spec.sentence in (TOP, sentence):
         return len(blocks) >= spec.multiplier
     count = 1
     for b in blocks:
@@ -126,17 +132,18 @@ def is_grouping(
     bound, so for blocks x < x' < y, x' apart from y implies x apart from y.
     Under TOP apartness is vacuous, so it is not asked: the witness's shape
     check and the first block's floor check already establish every
-    precondition that t_apart would check again."""
+    precondition that t_apart would check again.  It is asked before the
+    transversals, which _every_transversal reads as apart blocks."""
     _validate_witness(w)
     _check_admissible(w.blocks[0], sentence)  # the blocks increase
     _check_coloring((v for b in w.blocks for v in b.elements), w.coloring, 2)
     if not all(_holds(l0, b.elements) for b in w.blocks):
         return False
-    if not _every_transversal(l1, w.blocks):
+    if not (sentence.is_top or all(t_apart(x, y, sentence) for x, y in zip(w.blocks, w.blocks[1:]))):
         return False
-    if not _cross_monochromatic(w.blocks, w.coloring):
+    if not _every_transversal(l1, w.blocks, sentence):
         return False
-    return sentence.is_top or all(t_apart(x, y, sentence) for x, y in zip(w.blocks, w.blocks[1:]))
+    return _cross_monochromatic(w.blocks, w.coloring)
 
 
 class SearchOutcome(Record):
@@ -221,7 +228,7 @@ class GroupingWalk:
         if not blocks or len(blocks) < self.min_blocks:
             return None
         try:
-            ok = _every_transversal(self.l1, tuple(FinSet(b) for b in blocks))
+            ok = _every_transversal(self.l1, tuple(FinSet(b) for b in blocks), self.sentence)
         except CeilingExceeded:
             self.ceiling_hit = True  # could not decide: absence claims are off
             return None

@@ -330,11 +330,12 @@ class CanonicalTree(_Blocks):
         if v not in self._paths:
             path = None
             if self._reaches(v):
-                node, path = self, ()
+                node, steps = self, []
                 while v != node.base:
                     i = node._child_index(v)
-                    path += (i,)
+                    steps.append(i)
                     node = node.child(i)
+                path = tuple(steps)
             self._paths[v] = path
         return self._paths[v]
 
@@ -458,26 +459,22 @@ def verify_lower_bound(
 def _class_check(
     t, n: int, budget: Budget, ceiling: int = EXPORT_VALUE_CEILING
 ) -> tuple[str, Optional[FinSet]]:
-    """Complete check through the parity classes (see large_color_class)."""
+    """Complete check through the parity classes (see large_color_class);
+    SizeOverflow, before any work, when t's table passes the ceiling."""
     elems, sentence, colors = _instance(t, ceiling)
     found = large_color_class(elems, colors.__getitem__, LargenessSpec(n, 1, sentence), budget)
     return (CONFIRMED, None) if found is None else (COUNTEREXAMPLE, found[1])
-
-
-def _exportable(node, ceiling: int) -> bool:
-    try:
-        node._table_formula(ceiling)
-    except SizeOverflow:
-        return False
-    return True
 
 
 PRUNED_SUB_CEILING = 128
 
 
 def _verify_pruned(t, n: int, budget: Budget) -> LowerBoundReport:
-    if _exportable(t, EXPORT_VALUE_CEILING):
+    try:
         status, witness = _class_check(t, n, budget)
+    except SizeOverflow:
+        pass
+    else:
         return LowerBoundReport(status, True, sub_instances=1, witness=witness)
     # oversize: any offending subset would reduce, block by block, to an
     # offending subset of some block two levels down (or of the blockfree
@@ -489,7 +486,10 @@ def _verify_pruned(t, n: int, budget: Budget) -> LowerBoundReport:
 
     def sub_instances():
         # grandchildren and blockfree variants, far as sizes allow; bases of
-        # later siblings can themselves outgrow any budget
+        # later siblings can themselves outgrow any budget.  Under rank 1
+        # there are neither: the children are points, and none is visited
+        if t.rank < 2:
+            return
         try:
             for child in t.children():
                 try:
@@ -504,11 +504,15 @@ def _verify_pruned(t, n: int, budget: Budget) -> LowerBoundReport:
 
     for sub in sub_instances():
         budget.tick()
-        if sub is None or not _exportable(sub, PRUNED_SUB_CEILING):
+        if sub is None:  # past a size overflow
             skipped += 1
             continue
-        # each has rank t.rank - 2, odd as t.rank is
-        _, witness = _class_check(sub, (sub.rank + 1) // 2, budget, PRUNED_SUB_CEILING)
+        try:
+            # each has rank t.rank - 2, odd as t.rank is
+            _, witness = _class_check(sub, (sub.rank + 1) // 2, budget, PRUNED_SUB_CEILING)
+        except SizeOverflow:  # its table does not fit
+            skipped += 1
+            continue
         done += 1
         first = witness if first is None else first  # None but on a counterexample
         if done + skipped > 64:

@@ -591,22 +591,22 @@ class BoundsRow(FrozenRecord):
     lower: int
 
 
+def bounds_row(n: int, k: int = 2) -> BoundsRow:
+    """The exact integer bounds at exponent n."""
+    return BoundsRow(
+        n=n,
+        pigeonhole=2 * n,
+        grouping_chain=(2 * n, 4 * n + 1, 16 * n + 5, 16 ** k * (n + 1)),
+        em=FAITHFUL_BASE ** n,
+        ads=4 * n + 4,
+        rt22=FAITHFUL_BASE ** (4 * n + 4),
+        lower=max(0, 2 * n - 1),
+    )
+
+
 def bounds_table(n_max: int, k: int = 2) -> list[BoundsRow]:
     """Exact integer bound table, one row per exponent up to n_max."""
-    rows = []
-    for n in range(n_max + 1):
-        rows.append(
-            BoundsRow(
-                n=n,
-                pigeonhole=2 * n,
-                grouping_chain=(2 * n, 4 * n + 1, 16 * n + 5, 16 ** k * (n + 1)),
-                em=FAITHFUL_BASE ** n,
-                ads=4 * n + 4,
-                rt22=FAITHFUL_BASE ** (4 * n + 4),
-                lower=max(0, 2 * n - 1),
-            )
-        )
-    return rows
+    return [bounds_row(n, k) for n in range(n_max + 1)]
 
 
 BOUNDS_TSV_HEADER = (
@@ -614,11 +614,12 @@ BOUNDS_TSV_HEADER = (
 )
 
 
+def bounds_line(r: BoundsRow) -> str:
+    """The row's TSV line; ValueError past the interpreter's int-to-str
+    digit limit."""
+    chain = "\t".join(str(v) for v in r.grouping_chain)
+    return f"{r.n}\t{r.pigeonhole}\t{chain}\t{r.em}\t{r.ads}\t{r.rt22}\t{r.lower}"
+
+
 def bounds_tsv(rows: list[BoundsRow]) -> str:
-    lines = [BOUNDS_TSV_HEADER]
-    for r in rows:
-        chain = "\t".join(str(v) for v in r.grouping_chain)
-        lines.append(
-            f"{r.n}\t{r.pigeonhole}\t{chain}\t{r.em}\t{r.ads}\t{r.rt22}\t{r.lower}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([BOUNDS_TSV_HEADER, *map(bounds_line, rows)]) + "\n"

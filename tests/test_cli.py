@@ -565,6 +565,8 @@ def test_out_of_range_numbers_exit_3(tmp_path, capsys, argv):
 # file, "{CERT}" a certificate that [3,10] is large at exponent 1, and
 # "{OUT}" a path to write to.  "{PLUS}", "{TIMES}" and "{AND}" are formula
 # texts: flat 3,000-term `+`, `*` and `and` chains, which print and weaken.
+# "{C176}" is a constant pair coloring of [3,176] and "{W3}" its three
+# blocks of 58 points, [3,60], [61,118] and [119,176].
 # argv, exit code, and a fragment of the reason: of stderr on exit 3, else
 # of the JSON "reason"
 EXIT_CONTRACT = [
@@ -657,6 +659,14 @@ EXIT_CONTRACT = [
     # sampled density past its level cap answers from the cap, not past the recursion limit
     (["gamma", "dense", "--interval", "3:6", "--m", "3000", "--mode", "sampled", "--trials", "1"], 1,
      "sampled statement coloring admits no dense solution"),
+    # the table stops at its first row too long to print; a rank-1 tree past
+    # the table bound has no sub-instance to visit
+    (["bounds-table", "--n-max", "1000000000"], 2, "too long to print"),
+    (["lowerbound", "verify", "--n", "1", "--base", "100000000", "--mode", "pruned"], 2, "consistent"),
+    # apart blocks meet an exponent-0 requirement under their own sentence by
+    # their count, not by 58^3 selections
+    (["grouping", "check", "--coloring", "{C176}", "--witness", "{W3}", "--l0", "card:1", "--l1", "omega:0:3",
+      "--theta", "x < y or z < y"], 0, "valid grouping"),
 ]
 
 
@@ -682,6 +692,10 @@ def contract_argv(tmp_path, argv):
             tmp_path, "c3.json", ColoringTable.from_function(FinSet.interval(3, 90), 2, 1, lambda a, b: 0)
         ),
         "{W}": lambda: witness("w.json", [range(3 + 22 * i, 25 + 22 * i) for i in range(4)]),
+        "{C176}": lambda: write_coloring(
+            tmp_path, "c176.json", ColoringTable.from_function(FinSet.interval(3, 176), 2, 1, lambda a, b: 0)
+        ),
+        "{W3}": lambda: witness("w3.json", [range(3 + 58 * i, 61 + 58 * i) for i in range(3)]),
         "{W45}": lambda: witness("w45.json", [[4, 5]]),
         "{ONE}": lambda: write_set(tmp_path, "one.txt", [1]),
         "{Y}": lambda: write_set(tmp_path, "y.txt", [5, 6]),
@@ -715,6 +729,22 @@ def test_exit_code_contract(tmp_path, capsys, argv, want, fragment):
         (line,) = out.splitlines()
         obj = json.loads(line)
         assert obj["exit"] == code and fragment in obj["reason"]
+
+
+def test_each_status_word_exits_with_its_code(tmp_path, capsys):
+    # a library status the JSON carries, as `result`, `verdict` or `status`,
+    # decides the exit code through the one table
+    seen = set()
+    for argv, want, _ in EXIT_CONTRACT:
+        code, out, _ = run(capsys, *contract_argv(tmp_path, argv), "--format", "json")
+        if code == 3:
+            continue
+        obj = json.loads(out)
+        for word in (obj.get(key) for key in ("result", "verdict", "status")):
+            if isinstance(word, str) and word in cli.EXIT:
+                assert code == cli.EXIT[word] == want, (argv, word)
+                seen.add(word)
+    assert seen >= {"absent", "false", "inconclusive", "consistent", "exhausted"}
 
 
 def test_exit_code_contract_under_optimize(tmp_path):

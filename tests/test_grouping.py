@@ -21,7 +21,7 @@ from omegalarge.grouping import (
     find_transitive,
     is_grouping,
 )
-from omegalarge.largeness import LargenessSpec, PreconditionError, check_large, verify_certificate
+from omegalarge.largeness import LargenessSpec, PreconditionError, check_large, t_apart, verify_certificate
 from omegalarge.sets import ColoringTable, FinSet
 
 from oracles import (
@@ -130,9 +130,34 @@ def test_a_bare_count_answers_as_check_large_does():
             assert spec == LargenessSpec(0, max(m, 1), TOP)
             selections = product(*(b.elements for b in blocks))
             every = all(check_large(FinSet(sel), spec) is not None for sel in selections)
-            assert grouping._every_transversal(spec, blocks) == every
+            assert grouping._every_transversal(spec, blocks, TOP) == every
             for b in blocks:
                 assert grouping._holds(spec, b.elements) == (check_large(b, spec) is not None)
+
+
+def test_an_exponent_0_count_under_the_family_sentence_answers_as_check_large_does():
+    # blocks pairwise apart under a sentence meet omega:0:M under it iff
+    # there are M of them: one check_large per one-point-per-block selection
+    # must agree with the count
+    rng = random.Random(27)
+    families = overstated = 0
+    while families < 150:
+        sentence = Pi03Sentence(random_formula(rng, ["x", "y", "z"], rng.randrange(1, 8)))
+        points = sorted(rng.sample(range(3, 24), rng.randrange(2, 8)))
+        cuts = sorted(rng.sample(range(1, len(points)), rng.randrange(1, len(points))))
+        blocks = tuple(FinSet(tuple(points[a:b])) for a, b in zip([0, *cuts], [*cuts, len(points)]))
+        selections = list(product(*(b.elements for b in blocks)))
+        if not all(t_apart(x, y, sentence) for x, y in zip(blocks, blocks[1:])):
+            # the count needs apartness: without it, it may overstate
+            spec = LargenessSpec(0, len(blocks), sentence)
+            overstated += not all(check_large(FinSet(sel), spec) is not None for sel in selections)
+            continue
+        families += 1
+        for m in range(1, 6):
+            spec = LargenessSpec(0, m, sentence)
+            every = all(check_large(FinSet(sel), spec) is not None for sel in selections)
+            assert grouping._every_transversal(spec, blocks, sentence) == every == (len(blocks) >= m)
+    assert overstated > 0
 
 
 def test_transversal_largeness_requirement():

@@ -497,15 +497,23 @@ def _exports(owner, ceiling) -> bool:
     return True
 
 
+def _class_checks(owner, ceiling) -> bool:
+    try:
+        lowerbound._class_check(owner, 1, None, ceiling)
+    except SizeOverflow:
+        return False
+    return True
+
+
 def test_one_fit_test_for_export_and_verification():
     # {3}'s table has bound 5: it fits a ceiling of 5, not 4
     view = tree(3, 1).zero_blockfree()
     for ceiling in (4, 5, 6):
-        assert lowerbound._exportable(view, ceiling) == _exports(view, ceiling) == (ceiling >= 5)
+        assert _class_checks(view, ceiling) == _exports(view, ceiling) == (ceiling >= 5)
     # tree(6, 2) ends at 255, so its view's bound 257 passes 256; verifying
     # the view used to raise "export table bound" instead of answering
     view = tree(6, 2).zero_blockfree()
-    assert view.max_value() == 255 and not lowerbound._exportable(view, 256)
+    assert view.max_value() == 255 and not _class_checks(view, 256)
     report = verify_lower_bound(view, mode="pruned")
     assert (report.status, report.complete, report.skipped) == (CONSISTENT, False, 1)
 
