@@ -113,11 +113,12 @@ def read_set(path: str) -> FinSet:
 
 
 def read_input(what: str, build):
-    """build(), with a ValueError or KeyError, or input nested too deeply
-    to read, as a usage error that starts with `what`."""
+    """build(), with a ValueError, KeyError or OverflowError (a number past
+    the interpreter's index range), or input nested too deeply to read, as
+    a usage error that starts with `what`."""
     try:
         return build()
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError, OverflowError) as err:
         raise UsageError(f"{what}: {err}") from err
     except RecursionError as err:
         raise UsageError(f"{what}: nested too deeply to read") from err
@@ -323,7 +324,8 @@ def cmd_em_extract(args, x, f, sentence, budget) -> Outcome:
     from .grouping import FOUND
     from .ramsey import EmConstants, em_extract
 
-    constants = EmConstants.scaled(max(args.n, 1)) if args.scaled else EmConstants.faithful(max(args.n, 1))
+    # em_extract builds the faithful constants, once the set may hold an answer
+    constants = EmConstants.scaled(max(args.n, 1)) if args.scaled else None
     out = em_extract(x, f, args.n, sentence, budget, constants)
     code = EXIT[out.status]
     if out.status == FOUND:

@@ -9,7 +9,9 @@ terminates.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left
+from functools import reduce
 from itertools import combinations
 from types import FunctionType
 from typing import Callable
@@ -158,13 +160,19 @@ def rename_free(phi: Formula, mapping: dict[str, str]) -> Formula:
 
 KEYWORDS = {"forall", "exists", "and", "or", "not", "in", "true", "false"}
 
+# one token after any white space that str.isspace accepts in ASCII: a
+# numeral, a name or a symbol, else any other character, which is an error
+_TOKEN = re.compile(
+    r"[\t-\r\x1c-\x20]*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
+    r"|(?P<sym>->|<=|[<=+*^().])|(?P<bad>[^\t-\r\x1c-\x20]))"
+)
+
 
 def _is_variable_name(name) -> bool:
-    """Is name one identifier that a quantifier may bind: letters, digits,
-    `_` and `'`, led by a letter or `_`, and neither a keyword nor `a`/`A`?"""
-    if not isinstance(name, str) or not name or name in KEYWORDS or name in ("a", "A"):
-        return False
-    return (name[0].isalpha() or name[0] == "_") and all(c.isalnum() or c in "_'" for c in name)
+    """Is name one identifier that a quantifier may bind: one name token,
+    and neither a keyword nor `a`/`A`?"""
+    match = isinstance(name, str) and _TOKEN.fullmatch(name)
+    return bool(match) and match["ident"] == name and name not in KEYWORDS and name not in ("a", "A")
 
 
 class FormulaSyntaxError(ValueError):
@@ -184,41 +192,17 @@ class _Token(Record):
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-        elif text.startswith("->", i):
-            tokens.append(_Token("sym", "->", i))
-            i += 2
-        elif text.startswith("<=", i):
-            tokens.append(_Token("sym", "<=", i))
-            i += 2
-        elif c in "<=+*^().":
-            tokens.append(_Token("sym", c, i))
-            i += 1
-        else:
-            raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("eof", "", n))
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {match[kind]!r}", match.start(kind))
+        tokens.append(_Token(kind, match[kind], match.start(kind)))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    """Recursive descent: -> (right assoc) < or < and < not < atom."""
+    """Recursive descent over the grammar levels of the printer's table."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -238,26 +222,24 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.pos)
         return tok
 
-    def parse_formula(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().text == "->":
-            self.next()
-            return FImp(left, self.parse_formula())
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self.peek().text == "or":
-            self.next()
-            left = FOr(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_unary()
-        while self.peek().text == "and":
-            self.next()
-            left = FAnd(left, self.parse_unary())
-        return left
+    def parse_binary(self, level: int) -> Formula | Term:
+        """A chain of the binary operator at `level`, read in one loop and
+        grouped as the operator groups: the parser recurses once per binding
+        level, never once per chain link."""
+        op, kind, groups_right = _BINARY[level]
+        below, parts = level + 1, []  # the operands before the last one
+        while True:  # `and` chains `not` levels, `*` chains powers
+            node = (self.parse_binary(below) if below in _BINARY
+                    else self.parse_unary() if below == _NOT_LEVEL else self.parse_power())
+            if self.tokens[self.i].text != op:
+                break
+            parts.append(node)
+            self.i += 1
+        if not parts:
+            return node
+        if groups_right:
+            return reduce(lambda right, left: kind(left, right), reversed(parts), node)
+        return kind(reduce(kind, parts), node)
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
@@ -276,9 +258,9 @@ class _Parser:
                     self.peek().pos,
                 )
             self.next()
-            bound = self.parse_term()
+            bound = self.parse_binary(_TERM_LEVEL)
             self.expect(".")
-            return FQuant(tok.text, var.text, bound, self.parse_formula())
+            return FQuant(tok.text, var.text, bound, self.parse_binary(0))
         return self.parse_atom()
 
     def parse_atom(self) -> Formula:
@@ -295,15 +277,15 @@ class _Parser:
             save = self.i
             try:
                 self.next()
-                inner = self.parse_formula()
+                inner = self.parse_binary(0)
                 self.expect(")")
                 return inner
             except FormulaSyntaxError:
                 self.i = save
-        left = self.parse_term()
+        left = self.parse_binary(_TERM_LEVEL)
         tok = self.next()
         if tok.text in ("<", "=", "<="):
-            return FCmp(tok.text, left, self.parse_term())
+            return FCmp(tok.text, left, self.parse_binary(_TERM_LEVEL))
         if tok.text == "in":
             name = self.next()
             if name.text != "A":
@@ -312,20 +294,6 @@ class _Parser:
                 )
             return FIn(left)
         raise FormulaSyntaxError(f"expected comparison or 'in', found {tok.text!r}", tok.pos)
-
-    def parse_term(self) -> Term:
-        left = self.parse_factor()
-        while self.peek().text == "+":
-            self.next()
-            left = TAdd(left, self.parse_factor())
-        return left
-
-    def parse_factor(self) -> Term:
-        left = self.parse_power()
-        while self.peek().text == "*":
-            self.next()
-            left = TMul(left, self.parse_power())
-        return left
 
     def parse_power(self) -> Term:
         base = self.parse_primary()
@@ -342,7 +310,7 @@ class _Parser:
         if tok.kind == "num":
             return TConst(int(tok.text))
         if tok.text == "(":
-            inner = self.parse_term()
+            inner = self.parse_binary(_TERM_LEVEL)
             self.expect(")")
             return inner
         if tok.kind == "ident":
@@ -357,16 +325,17 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse a formula; print(parse(t)) reparses to an equal AST."""
     parser = _Parser(text)
-    phi = parser.parse_formula()
+    phi = parser.parse_binary(0)
     tok = parser.peek()
     if tok.kind != "eof":
         raise FormulaSyntaxError(f"trailing input {tok.text!r}", tok.pos)
     return phi
 
 
-# The parser's grammar levels, loosest first.  A quantifier's body reaches
-# as far right as the right side of `->`, so a quantifier sits at that level.
+# The grammar levels, loosest first.  A quantifier's body reaches as far
+# right as the right side of `->`, so a quantifier sits at that level.
 _LEVELS = ("->", "or", "and", "not", "+", "*", "^", "atom")
+_NOT_LEVEL, _TERM_LEVEL = _LEVELS.index("not"), _LEVELS.index("+")
 
 # node type -> its level and its text; `{field:level}` is an operand that
 # gets parentheses where it binds looser than the level, `{field}` a name
@@ -403,6 +372,16 @@ def _pieces(layout: str) -> list[tuple[str, str | None, int | None]]:
 
 # node type -> its level and its pieces
 _PIECES = {kind: (_LEVELS.index(level), _pieces(layout)) for kind, (level, layout) in _LAYOUT.items()}
+
+# level -> the binary operator there: its text, its node type, and whether
+# a chain of it groups to the right.  The binary operators are the nodes of
+# the fields left and right only; one groups to the right where its right
+# operand, not its left, may bind at its own level.
+_BINARY = {
+    level: (pieces[1][0].strip(), kind, pieces[1][2] == level)
+    for kind, (level, pieces) in _PIECES.items()
+    if kind._fields == ("left", "right")
+}
 
 
 def formula_text(phi: Formula | Term) -> str:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -28,6 +29,7 @@ from .largeness import (
     _check_coloring,
     check_large,
     is_large,
+    is_plain_large,
     verify_certificate,
 )
 from .record import FrozenRecord, Record
@@ -374,8 +376,13 @@ def em_extract(
     _check_coloring(x, f, 2)
     if n < 0:
         raise PreconditionError("exponent must be >= 0")
+    if constants is None:
+        # a set with a subset large at n is itself plainly large at n; the
+        # faithful constants reach (16^6+1)^(n-1), so they are built only after
+        if not is_plain_large(x.elements, n):
+            return SearchOutcome(ABSENT, detail=f"plain largeness at level {n}")
+        constants = EmConstants.faithful(max(n, 1))
     budget = budget_or_unlimited(budget)
-    constants = constants if constants is not None else EmConstants.faithful(max(n, 1))
     result = _em_level(x, f, n, sentence, budget, constants)
     if result.status == FOUND:
         if not is_transitive(f, result.subset.elements):
@@ -522,7 +529,8 @@ def interval_long(
 ) -> bool:
     """Does [v, w) hold a stretch through v, homogeneous with w in color i,
     apart from the tail from w on, and large at exponent k (one element
-    past it when `succ`)?"""
+    past it when `succ`)?  BudgetExceeded when the search for it runs out
+    of budget, which decides neither answer."""
     budget = budget_or_unlimited(budget)
     if f(v, w) != i:
         return False
@@ -558,6 +566,8 @@ def interval_long(
         anchor=v,
         accept=accept,
     )
+    if out.status == EXHAUSTED:
+        raise BudgetExceeded(budget.stage, budget.spent)
     return out.status == FOUND
 
 
@@ -592,7 +602,13 @@ class BoundsRow(FrozenRecord):
 
 
 def bounds_row(n: int, k: int = 2) -> BoundsRow:
-    """The exact integer bounds at exponent n."""
+    """The exact integer bounds at exponent n; ValueError, before any is
+    computed, when 16^k has more digits than the interpreter's int-to-str
+    limit lets print."""
+    # 16^k has more than floor(k * log10 16) digits, and 1.2041 < log10 16
+    limit, digits = sys.get_int_max_str_digits(), k * 12041 // 10000
+    if limit and digits >= limit:
+        raise ValueError(f"16^{k} has more than {digits} digits, past the limit of {limit}")
     return BoundsRow(
         n=n,
         pigeonhole=2 * n,

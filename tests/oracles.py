@@ -7,8 +7,8 @@ exceptions are replaced code kept as the reference for what replaced it:
 the recursive grouping walk, the product-loop cross-monochromaticity scan,
 the recursive include-first subset search, the blockfree view's own copy
 of the separation test and its collect-and-sort member walk, the per-triple
-and per-column export tables, the closure compiler and the recursive printer and renamer
-for formulas, Γ-largeness and density clauses (a) and (c) over every
+and per-column export tables, the closure compiler, the recursive printer and renamer
+and the one-method-per-operator parser for formulas, Γ-largeness and density clauses (a) and (c) over every
 coloring in `product` order, and fusion's level-by-level assembly.
 """
 
@@ -894,6 +894,200 @@ def recursive_rename_free(phi, mapping: dict):
         return fm.FQuant(phi.kind, phi.var, recursive_subst_term(phi.bound, mapping),
                          recursive_rename_free(phi.body, inner))
     raise TypeError(phi)
+
+
+# ---------------------------------------------------------------------------
+# The character-loop tokenizer and the one-method-per-operator parser that
+# formula.parse replaced.  They accept any Unicode letter, digit or space,
+# so they are the reference for ASCII text only.
+# ---------------------------------------------------------------------------
+
+
+def _descent_tokenize(text: str) -> list:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(fm._Token("num", text[i:j], i))
+            i = j
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            tokens.append(fm._Token("ident", text[i:j], i))
+            i = j
+        elif text.startswith("->", i):
+            tokens.append(fm._Token("sym", "->", i))
+            i += 2
+        elif text.startswith("<=", i):
+            tokens.append(fm._Token("sym", "<=", i))
+            i += 2
+        elif c in "<=+*^().":
+            tokens.append(fm._Token("sym", c, i))
+            i += 1
+        else:
+            raise fm.FormulaSyntaxError(f"unexpected character {c!r}", i)
+    tokens.append(fm._Token("eof", "", n))
+    return tokens
+
+
+class _DescentParser:
+    """Recursive descent: -> (right assoc) < or < and < not < atom."""
+
+    def __init__(self, text: str):
+        self.tokens = _descent_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, text: str):
+        tok = self.next()
+        if tok.text != text:
+            raise fm.FormulaSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.pos)
+        return tok
+
+    def parse_formula(self):
+        left = self.parse_or()
+        if self.peek().text == "->":
+            self.next()
+            return fm.FImp(left, self.parse_formula())
+        return left
+
+    def parse_or(self):
+        left = self.parse_and()
+        while self.peek().text == "or":
+            self.next()
+            left = fm.FOr(left, self.parse_and())
+        return left
+
+    def parse_and(self):
+        left = self.parse_unary()
+        while self.peek().text == "and":
+            self.next()
+            left = fm.FAnd(left, self.parse_unary())
+        return left
+
+    def parse_unary(self):
+        tok = self.peek()
+        if tok.text == "not":
+            self.next()
+            return fm.FNot(self.parse_unary())
+        if tok.text in ("forall", "exists"):
+            self.next()
+            var = self.next()
+            if var.kind != "ident" or not descent_variable_name(var.text):
+                raise fm.FormulaSyntaxError("expected a quantified variable name", var.pos)
+            if self.peek().text != "<":
+                raise fm.FormulaSyntaxError(
+                    "quantifier must carry an explicit bound: "
+                    f"{tok.text} {var.text} < term . formula",
+                    self.peek().pos,
+                )
+            self.next()
+            bound = self.parse_term()
+            self.expect(".")
+            return fm.FQuant(tok.text, var.text, bound, self.parse_formula())
+        return self.parse_atom()
+
+    def parse_atom(self):
+        tok = self.peek()
+        if tok.text == "true":
+            self.next()
+            return fm.TRUE
+        if tok.text == "false":
+            self.next()
+            return fm.FALSE
+        if tok.text == "(":
+            # may be a parenthesized formula or a parenthesized term in a
+            # comparison; try formula first, fall back on term
+            save = self.i
+            try:
+                self.next()
+                inner = self.parse_formula()
+                self.expect(")")
+                return inner
+            except fm.FormulaSyntaxError:
+                self.i = save
+        left = self.parse_term()
+        tok = self.next()
+        if tok.text in ("<", "=", "<="):
+            return fm.FCmp(tok.text, left, self.parse_term())
+        if tok.text == "in":
+            name = self.next()
+            if name.text != "A":
+                raise fm.FormulaSyntaxError(
+                    f"unknown set parameter {name.text!r}; only A is available", name.pos
+                )
+            return fm.FIn(left)
+        raise fm.FormulaSyntaxError(f"expected comparison or 'in', found {tok.text!r}", tok.pos)
+
+    def parse_term(self):
+        left = self.parse_factor()
+        while self.peek().text == "+":
+            self.next()
+            left = fm.TAdd(left, self.parse_factor())
+        return left
+
+    def parse_factor(self):
+        left = self.parse_power()
+        while self.peek().text == "*":
+            self.next()
+            left = fm.TMul(left, self.parse_power())
+        return left
+
+    def parse_power(self):
+        base = self.parse_primary()
+        if self.peek().text == "^":
+            self.next()
+            exp = self.next()
+            if exp.kind != "num":
+                raise fm.FormulaSyntaxError("exponent must be a numeral", exp.pos)
+            return fm.TPow(base, int(exp.text))
+        return base
+
+    def parse_primary(self):
+        tok = self.next()
+        if tok.kind == "num":
+            return fm.TConst(int(tok.text))
+        if tok.text == "(":
+            inner = self.parse_term()
+            self.expect(")")
+            return inner
+        if tok.kind == "ident":
+            if tok.text == "a":
+                return fm.TConstA()
+            if tok.text == "A" or tok.text in fm.KEYWORDS:
+                raise fm.FormulaSyntaxError(f"unexpected identifier {tok.text!r} in term", tok.pos)
+            return fm.TVar(tok.text)
+        raise fm.FormulaSyntaxError(f"expected a term, found {tok.text!r}", tok.pos)
+
+
+def descent_variable_name(name) -> bool:
+    if not isinstance(name, str) or not name or name in fm.KEYWORDS or name in ("a", "A"):
+        return False
+    return (name[0].isalpha() or name[0] == "_") and all(c.isalnum() or c in "_'" for c in name)
+
+
+def descent_parse(text: str):
+    parser = _DescentParser(text)
+    phi = parser.parse_formula()
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise fm.FormulaSyntaxError(f"trailing input {tok.text!r}", tok.pos)
+    return phi
 
 
 # ---------------------------------------------------------------------------

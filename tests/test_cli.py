@@ -420,8 +420,9 @@ def test_formula_commands(capsys):
         " or ".join(f"x + {i} = y" for i in range(600)),
         " and ".join(f"x < {i}" for i in range(600)),
         "not " * 600 + "x < y",
+        " -> ".join(f"x < {i}" for i in range(3000)),
     ],
-    ids=["or-600", "and-600", "not-600"],
+    ids=["or-600", "and-600", "not-600", "imp-3000"],
 )
 def test_formula_parse_prints_long_chains(capsys, text):
     # the printed text is compared, not the formula: equality of records
@@ -566,7 +567,8 @@ def test_out_of_range_numbers_exit_3(tmp_path, capsys, argv):
 # "{OUT}" a path to write to.  "{PLUS}", "{TIMES}" and "{AND}" are formula
 # texts: flat 3,000-term `+`, `*` and `and` chains, which print and weaken.
 # "{C176}" is a constant pair coloring of [3,176] and "{W3}" its three
-# blocks of 58 points, [3,60], [61,118] and [119,176].
+# blocks of 58 points, [3,60], [61,118] and [119,176].  "{HUGE}" is the
+# interval 3:10^400, whose bound is past the interpreter's index range.
 # argv, exit code, and a fragment of the reason: of stderr on exit 3, else
 # of the JSON "reason"
 EXIT_CONTRACT = [
@@ -667,6 +669,15 @@ EXIT_CONTRACT = [
     # their count, not by 58^3 selections
     (["grouping", "check", "--coloring", "{C176}", "--witness", "{W3}", "--l0", "card:1", "--l1", "omega:0:3",
       "--theta", "x < y or z < y"], 0, "valid grouping"),
+    # a budget that runs out decides no pair of the recoloring
+    (["ads", "q", "--interval", "3:12", "--n", "2", "--coloring", "{C2}", "--budget", "10"], 2,
+     "budget exhausted during homogeneous search"),
+    (["large", "check", "--interval", "{HUGE}", "--n", "1"], 3,
+     "usage error: bad --interval '3:1000000000000000"),
+    # answers that come before any work that grows with the exponent
+    (["em", "extract", "--interval", "3:8", "--n", "30000", "--coloring", "{C2}"], 1,
+     "absent at stage: plain largeness at level 30000"),
+    (["bounds-table", "--n-max", "0", "--k", "1000000000"], 2, "16^1000000000 has more than"),
 ]
 
 
@@ -712,6 +723,7 @@ def contract_argv(tmp_path, argv):
         "{PLUS}": lambda: "x < y + " + " + ".join(map(str, range(1, 3000))),
         "{TIMES}": lambda: "x < y * " + " * ".join(map(str, range(1, 3000))),
         "{AND}": lambda: " and ".join(f"x < y + {i}" for i in range(3000)),
+        "{HUGE}": lambda: "3:1" + "0" * 400,
     }
     return [files[a]() if a in files else a for a in argv]
 
@@ -928,8 +940,8 @@ def test_theta_deeper_than_the_recursion_limit_exits_3(tmp_path, capsys, theta, 
 @pytest.mark.parametrize(
     "theta",
     [" or ".join(f"x < y + {i}" for i in range(3000)), " and ".join(f"x < y + {i}" for i in range(3000)),
-     "x < y" + " + 1" * 1500],
-    ids=["or-3000", "and-3000", "plus-1500"],
+     "x < y" + " + 1" * 1500, " -> ".join(f"x < y + {i}" for i in range(3000))],
+    ids=["or-3000", "and-3000", "plus-1500", "imp-3000"],
 )
 @pytest.mark.parametrize("source", ["--theta", "--theta-file"])
 def test_flat_theta_chains_are_read(tmp_path, capsys, theta, source):

@@ -27,6 +27,8 @@ from omegalarge.sets import ColoringTable, FinSet, restrict_coloring
 
 from oracles import (
     closure_compile_formula,
+    descent_parse,
+    descent_variable_name,
     holds_bounded_literal,
     naive_eval,
     random_formula,
@@ -55,6 +57,61 @@ def test_parse_errors_carry_position():
         parse("x in B")
     with pytest.raises(FormulaSyntaxError):
         parse("x < y extra")
+
+
+@pytest.mark.parametrize("text,position", [("x < é", 4), ("x < ²", 4), ("x <\u00a0y", 3), ("x\u00e9 < y", 1)])
+def test_a_character_past_ascii_is_a_syntax_error_at_its_position(text, position):
+    # names, numerals and white space are ASCII by the grammar
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
+# tokens of the grammar and a few characters outside it, for token soups
+_SOUP = [
+    "x", "y", "z'", "_w", "v0", "a", "A", "0", "17", "->", "<=", "<", "=", "+", "*", "^", "(", ")", ".",
+    "and", "or", "not", "in", "forall", "exists", "true", "false", "-", ">", "?", "'", "\x00",
+]
+_PRINTED = st.builds(
+    lambda seed, size: formula_text(random_formula(random.Random(seed), ["x", "y", "z"], size)),
+    st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=12),
+)
+
+
+@st.composite
+def _damaged(draw):
+    """A printed formula with a span of up to four characters replaced by
+    a token or by nothing."""
+    text = draw(_PRINTED)
+    cut = draw(st.integers(min_value=0, max_value=len(text)))
+    end = draw(st.integers(min_value=cut, max_value=min(len(text), cut + 4)))
+    return text[:cut] + draw(st.sampled_from(["", *_SOUP])) + text[end:]
+
+
+_SOUPS = st.lists(
+    st.tuples(st.sampled_from(_SOUP), st.sampled_from(["", " ", "\t", "\n", "\x1c", "\x1f"])), max_size=16
+).map(lambda pairs: "".join(token + space for token, space in pairs))
+
+
+def _parsed(reader, text: str):
+    """The formula reader reads from text, or its syntax error's position
+    and message."""
+    try:
+        return reader(text)
+    except FormulaSyntaxError as err:
+        return err.position, str(err)
+
+
+@given(st.one_of(_PRINTED, _damaged(), _SOUPS, st.text(st.characters(max_codepoint=127), max_size=24)))
+@settings(max_examples=1000, deadline=None)
+def test_parser_matches_the_descent_oracle_on_ascii_text(text):
+    assert _parsed(parse, text) == _parsed(descent_parse, text)
+
+
+@given(st.one_of(st.sampled_from(_SOUP), st.text(st.characters(max_codepoint=127), max_size=6)))
+@settings(max_examples=300, deadline=None)
+def test_variable_names_match_the_descent_oracle_on_ascii_text(name):
+    assert fm._is_variable_name(name) == descent_variable_name(name)
 
 
 def test_print_parse_roundtrip_samples():
@@ -97,8 +154,9 @@ def test_printer_and_renamer_match_the_recursive_oracles():
         "x < " + " * ".join(f"(y + {i})" for i in range(3000)),
         " and ".join(f"x < y + {i}" for i in range(3000)),
         " or ".join(f"not x = {i} * y" for i in range(3000)),
+        " -> ".join(f"x < y + {i}" for i in range(3000)),
     ],
-    ids=["plus-3000", "times-3000", "and-3000", "or-3000"],
+    ids=["plus-3000", "times-3000", "and-3000", "or-3000", "imp-3000"],
 )
 def test_flat_chains_print_and_rename_past_the_recursion_limit(text):
     # texts are compared, not formulas: equality of records nested this
@@ -528,6 +586,13 @@ def test_weakly_pi04_transform_rejects_a_repeated_variable():
 def test_prefixed_sentence_json_rejects_a_bad_step(step, message):
     text = json.dumps({"prefix": [step], "matrix": "x < y"})
     with pytest.raises(ValueError, match=message):
+        PrefixedSentence.from_json(text)
+
+
+def test_prefixed_sentence_json_rejects_a_name_past_ascii():
+    # the prefix reads the same names as the parser
+    text = json.dumps({"prefix": [["exists", "é", None]], "matrix": "x < y"})
+    with pytest.raises(ValueError, match="variable must be a variable name"):
         PrefixedSentence.from_json(text)
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from itertools import combinations
 from math import comb
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalarge import ramsey
-from omegalarge.budget import Budget
+from omegalarge.budget import Budget, BudgetExceeded
 from omegalarge.formula import (
     BUILTIN_PSI0,
     HOMOGENEOUS,
@@ -358,6 +359,20 @@ def test_em_extract_rechecks_its_output(monkeypatch, check):
         em_extract(X38, f, 1, TOP, Budget(400_000), EmConstants.scaled(1))
 
 
+def test_em_extract_answers_a_set_not_plainly_large_before_its_default_constants(monkeypatch):
+    # a subset large at n would make the set plainly large at n; the
+    # faithful constants at n = 30000 would take seconds to build
+    x = FinSet.interval(3, 8)
+    f = ColoringTable.from_function(x, 2, 2, lambda a, b: 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(EmConstants, "faithful", mock.Mock(side_effect=AssertionError("built")))
+        out = em_extract(x, f, 30_000, TOP)
+        assert (out.status, out.detail) == (ABSENT, "plain largeness at level 30000")
+        assert em_extract(FinSet(()), f, 0, TOP).detail == "plain largeness at level 0"
+    # the same set at an exponent where it is plainly large builds them
+    assert em_extract(x, f, 1, TOP).detail.startswith("grouping at level 1 cannot start")
+
+
 def test_em_extract_cannot_walk_only_minimal_blocks():
     # Under the scaled constants l0 is exponent 0, so every minimal block is
     # a singleton, and level-1 recursion into a singleton is always absent:
@@ -516,6 +531,17 @@ def test_q_cases_match_predicate_evaluations():
             assert not ((power_k and not succ_k) and succ_k)
 
 
+def test_ads_q_reads_an_exhausted_budget_as_undecided():
+    # an exhausted stretch search decides no pair, so the recoloring is
+    # neither total nor partial; a budget that suffices changes nothing
+    z = FinSet.interval(3, 12)
+    f = _constant_transitive(z, 0)
+    for limit in (1, 3, 10, 30, 100):
+        with pytest.raises(BudgetExceeded):
+            ads_q_coloring(z, f, 2, TOP, budget=Budget(limit))
+    assert ads_q_coloring(z, f, 2, TOP, budget=Budget(10_000)) == ads_q_coloring(z, f, 2, TOP)
+
+
 def test_ads_extract_finds_homogeneous():
     z = FinSet.interval(3, 38)
     f = _constant_transitive(z, 1)
@@ -542,6 +568,22 @@ def test_bounds_row_zero():
     assert row.em == 1
     assert row.rt22 == (16 ** 6 + 1) ** 4
     assert row.lower == 0
+
+
+def test_bounds_row_refuses_an_entry_past_the_digit_limit_before_computing_it():
+    # 16^3571 has 4300 digits and 16^3572 has 4302
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert len(str(ramsey.bounds_row(0, 3571).grouping_chain[3])) == 4300
+        with pytest.raises(ValueError, match=r"16\^3572 has more than 4301 digits, past the limit of 4300"):
+            ramsey.bounds_row(0, 3572)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"16\^1000000000 has more than"):
+            ramsey.bounds_row(0, 10 ** 9)
+        assert time.perf_counter() - start < 0.1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_bounds_inequalities():

@@ -122,7 +122,7 @@ def test_theta_is_called_only_through_theta_at():
 # every other walk keeps its own stack, so a flat chain of any length is read
 # and printed and only nesting depth meets the interpreter's recursion limit
 SELF_CALLS = {
-    "_Parser.parse_formula": "once per nested `->` right side; callers of parse read a RecursionError as exit 3",
+    "_Parser.parse_binary": "once per binding level, never per chain link; callers of parse read a RecursionError as exit 3",
     "_Parser.parse_unary": "once per nested `not` or quantifier; callers of parse read a RecursionError as exit 3",
     "_ThetaSource.emit": "once per nesting level, never per chain link; its callers read a RecursionError as exit 3",
 }
