@@ -47,6 +47,12 @@ def _holds(spec: LargenessSpec, elements: tuple[int, ...]) -> bool:
     return check_large(FinSet(elements), spec) is not None
 
 
+def _by_count(spec: LargenessSpec, sentence: Pi03Sentence) -> bool:
+    """Does the block count alone decide spec for the transversals of
+    blocks apart under `sentence`?  See _every_transversal."""
+    return spec.exponent == 0 and spec.sentence in (TOP, sentence)
+
+
 def _every_transversal(spec: LargenessSpec, blocks: tuple[FinSet, ...], sentence: Pi03Sentence) -> bool:
     """Is every set meeting all the blocks large at spec?  The blocks are
     increasing and pairwise apart under `sentence`.  By superset closure,
@@ -59,7 +65,7 @@ def _every_transversal(spec: LargenessSpec, blocks: tuple[FinSet, ...], sentence
     max y), antitone in its first and third bounds and monotone in its
     second, so it gives holds_bounded(u, v, v), u apart from v.  Otherwise
     past TRANSVERSAL_CEILING selections it raises CeilingExceeded."""
-    if spec.exponent == 0 and spec.sentence in (TOP, sentence):
+    if _by_count(spec, sentence):
         return len(blocks) >= spec.multiplier
     count = 1
     for b in blocks:
@@ -168,16 +174,17 @@ class SearchOutcome(Record):
 
 
 class GroupingWalk:
-    """Generator-backed walk over the groupings of f on z.
+    """The walks over the groupings of f on z.
 
     Blocks are built by a start/extend/skip walk over the elements with
-    cross-monochromaticity and apartness pruning.  With `minimal`, an open
-    block that can already be closed is never extended: no block then has a
-    proper prefix satisfying l0, and every grouping whose blocks are minimal
-    l0-sets is still visited.  Otherwise blocks are arbitrary subsets and
-    every grouping is visited.  A walk that finishes without budget trouble
-    has enumerated all groupings of its kind.  The walk keeps its own stack,
-    so its depth is not bounded by the interpreter's recursion limit.
+    cross-monochromaticity and apartness pruning.  `witnesses()` is the
+    full walk: blocks are arbitrary subsets and every grouping is visited.
+    `first_minimal()` never extends an open block that can already be
+    closed: no block then has a proper prefix satisfying l0, and every
+    grouping whose blocks are minimal l0-sets is still visited.  A walk
+    that finishes without budget trouble has enumerated all groupings of
+    its kind.  Each walk keeps its own stack, so its depth is not bounded
+    by the interpreter's recursion limit.
     """
 
     def __init__(
@@ -188,32 +195,30 @@ class GroupingWalk:
         l1: LargenessSpec,
         sentence: Pi03Sentence,
         budget: Budget,
-        minimal: bool = False,
     ):
         _check_admissible(z, sentence)
         _check_coloring(z, f, 2)
         self.z, self.f, self.l0, self.l1, self.sentence = z, f, l0, l1, sentence
         self.budget = budget
-        self.minimal = minimal
         self.ceiling_hit = False
         self.min_blocks = _min_block_count(l0, l1, z)
+        # such an l1 has exponent 0, so min_blocks is its multiplier, and
+        # the block count that _hit tests first decides the transversals
+        self._l1_by_count = _by_count(l1, sentence)
         # l0's least size of a block, by block minimum, as the walk meets them
         self._least: dict[int, int] = {}
         self._fixed_least = l0.multiplier if l0.exponent == 0 else None
         # under TOP every block is apart from every earlier one, so the walk
         # asks no apartness question
         self._top = sentence.is_top
-        # by position: the least last-block maximum known to make a block
-        # starting there not apart, which the minimal walk reads
-        self._dead = [inf] * len(z)
 
     def witnesses(self):
+        """Every witness of the full walk, in the order a recursive walk
+        would visit them."""
         if self.min_blocks > len(self.z):
             return
-        # each frame is the generator of one walk node (on the minimal walk,
-        # of a node and its skip chain); it yields witnesses and the
-        # arguments of its children, in the order a recursive walk would
-        # visit them
+        # each frame is the generator of one walk node; it yields witnesses
+        # and the arguments of its children
         stack = [self._node(0, (), (), None, False)]
         while stack:
             item = next(stack[-1], None)
@@ -224,16 +229,90 @@ class GroupingWalk:
             else:
                 stack.append(self._node(*item))
 
+    def first_minimal(self) -> Optional[GroupingWitness]:
+        """The first witness of the minimal walk, or None where the walk
+        ends without one; a spent budget raises BudgetExceeded.
+
+        The walk runs depth first over a list of frames, one per node whose
+        skip chain is still being scanned, with the scan's cursor.  It runs
+        each skip chain in one node.  A node has at most one child besides
+        its skip child: the start at v where the open block can close or
+        none is open, else the extension by v, since the minimal walk never
+        extends a closeable block.  The skip child keeps the closed and open
+        blocks and the established colors, and each later node on its chain
+        - is not fresh, so it tests no family;
+        - is closeable exactly where this node is: l0 reads only the open
+          block, and a node with a child has elements left;
+        - has the same `need` with fewer elements left, so the cut only
+          gets stronger along the chain.
+        So a chain node whose one child fails the cross and apartness checks
+        has only the next skip for a child, and a node may stand for its
+        whole chain: it descends into the child of each chain position whose
+        child passes the checks, ticking one step for that chain node, and
+        stops where the cut would end the chain.  The walk meets the same
+        witnesses in the same order as one that visits every chain node, and
+        the jumped positions tick no budget step.  holds_bounded is antitone
+        in its first bound (a larger bound adds conjuncts), so a start that
+        is not apart after m is not apart after any larger maximum either;
+        that is what `dead` keeps.
+        """
+        elems = self.z.elements
+        n = len(elems)
+        if self.min_blocks > n:
+            return None
+        # by position: the least last-block maximum known to make a block
+        # starting there not apart
+        dead = [inf] * n
+        # a frame: [scan cursor, the node's position, the scan's end, whether
+        # the open block may close, the closed blocks (the open one among
+        # them if it may close), the open block, its colors, the last closed
+        # maximum a start must be apart from (-1 for none)]
+        frames: list[list] = []
+        node = (0, (), (), None, False)
+        while True:
+            if node is not None:
+                i, blocks, current, cur_cross, fresh = node
+                visit = self._visit(i, blocks, current, fresh)
+                if visit is not None:
+                    need, closeable, closed, w = visit
+                    if w is not None:
+                        return w
+                    if i < n:
+                        m = closed[-1][-1] if closeable and closed else -1
+                        frames.append([i, i, min(n, n + 1 - need), closeable, closed, current, cur_cross, m])
+            if not frames:
+                return None
+            # the next child on the last frame's skip chain; no start is
+            # asked at or above the maximum kept in `dead`
+            frame = frames[-1]
+            cursor, i, end, closeable, closed, current, cur_cross, m = frame
+            node = None
+            for p in range(cursor, end):
+                if closeable:
+                    if m < dead[p] and (cross := self._start(closed, p, dead)) is not None:
+                        node = p + 1, closed, (elems[p],), cross, True
+                        break
+                elif (cross := self._extension(closed, current, cur_cross, p)) is not None:
+                    node = p + 1, closed, current + (elems[p],), cross, True
+                    break
+            if node is None:
+                frames.pop()
+            else:
+                if p > i:
+                    self.budget.tick()  # the chain node p stands for
+                frame[0] = p + 1
+
     def _hit(self, blocks) -> Optional[GroupingWitness]:
         if not blocks or len(blocks) < self.min_blocks:
             return None
-        try:
-            ok = _every_transversal(self.l1, tuple(FinSet(b) for b in blocks), self.sentence)
-        except CeilingExceeded:
-            self.ceiling_hit = True  # could not decide: absence claims are off
-            return None
-        if not ok:
-            return None
+        if not self._l1_by_count:
+            try:
+                ok = _every_transversal(self.l1, tuple(FinSet(b) for b in blocks), self.sentence)
+            except CeilingExceeded:
+                self.ceiling_hit = True  # could not decide: absence claims are off
+                return None
+            if not ok:
+                return None
         return GroupingWitness(tuple(FinSet(b) for b in blocks), self.f)
 
     def _cross_ok(self, blocks, v, established) -> Optional[list[int]]:
@@ -253,16 +332,17 @@ class GroupingWalk:
             out.append(c)
         return out
 
-    def _start(self, closed, p) -> Optional[list[int]]:
+    def _start(self, closed, p, dead=None) -> Optional[list[int]]:
         """Colors of a block starting at position p against the closed
         blocks, or None if it is not cross-monochromatic with them or not
         apart from the last one; a start not apart after m is kept in
-        `_dead`."""
+        `dead`, if given."""
         v = self.z.elements[p]
         cross = self._cross_ok(closed, v, None)
         if cross is None or self._top or _apart(closed, v, v, self.sentence):
             return cross
-        self._dead[p] = closed[-1][-1]
+        if dead is not None:
+            dead[p] = closed[-1][-1]
         return None
 
     def _extension(self, blocks, current, cur_cross, p) -> Optional[list[int]]:
@@ -275,8 +355,12 @@ class GroupingWalk:
             return cross
         return None
 
-    def _node(self, i, blocks, current, cur_cross, fresh):
-        """One walk node: blocks are closed, current is the open block.
+    def _visit(self, i, blocks, current, fresh):
+        """Enter a walk node, one budget step: blocks are closed, current is
+        the open block.  None where the cut ends the node; else the elements
+        a witness below still needs, whether the open block may close, the
+        closed blocks with the open one if it may, and the node's witness if
+        it tests one.
 
         The open block y is apart from the last closed block x, so it may
         close as soon as it satisfies l0.  Apartness of x < y is
@@ -297,28 +381,6 @@ class GroupingWalk:
         node the open block gains elements only from position i on, and
         once closed it satisfies l0 with minimum current[0], so it holds at
         least l0's least size at that minimum.
-
-        The minimal walk runs each skip chain in one node.  A node has at
-        most one child besides its skip child: the start at v where the
-        open block can close or none is open, else the extension by v,
-        since a minimal walk never extends a closeable block.  The skip
-        child keeps the closed and open blocks and the established colors,
-        and each later node on its chain
-        - is not fresh, so it tests no family;
-        - is closeable exactly where this node is: l0 reads only the open
-          block, and a node with a child has elements left;
-        - has the same `need` with fewer elements left, so the cut only
-          gets stronger along the chain.
-        So a chain node whose one child fails the cross and apartness
-        checks yields only the next skip, and a node may stand for its
-        whole chain: it yields the child of each chain position whose child
-        passes the checks, ticking one step for that chain node, and stops
-        where the cut would end the chain.  The walk yields the same
-        witnesses in the same order, and the jumped positions tick no
-        budget step.  holds_bounded is antitone in its first bound (a
-        larger bound adds conjuncts), so a start that is not apart after m
-        is not apart after any larger maximum either; that is what `_dead`
-        keeps.  The full walk (not `minimal`) visits every chain node.
         """
         self.budget.tick()
         elems = self.z.elements
@@ -333,39 +395,32 @@ class GroupingWalk:
                 )
             need = max(need, least - len(current))
         if left < need:
-            return
+            return None
         # no block is open, or the open one satisfies l0 and so may close;
         # l0 is asked only where a family is tested or a block may start
         closeable = not current or ((fresh or left > 0) and _holds(self.l0, current))
         closed = blocks + (current,) if current and closeable else blocks
         # a candidate family is tested once, right after it changed
-        if fresh and closeable:
-            w = self._hit(closed)
-            if w is not None:
-                yield w
-        if left == 0:
+        return need, closeable, closed, self._hit(closed) if fresh and closeable else None
+
+    def _node(self, i, blocks, current, cur_cross, fresh):
+        """One node of the full walk: its witness, if it tests one, then the
+        arguments of its children.  Starting a new block with v (closing the
+        open one first) comes before extending, which finds small witnesses
+        without walking long spines; the skip child comes last."""
+        visit = self._visit(i, blocks, current, fresh)
+        if visit is None:
             return
-        if self.minimal:
-            # this node and its skip chain, one child per position at most;
-            # no start is asked again at or above the maximum kept in `_dead`
-            dead, m = self._dead, closed[-1][-1] if closeable and closed else -1
-            for p in range(i, min(len(elems), len(elems) + 1 - need)):
-                if closeable:
-                    if m < dead[p] and (cross := self._start(closed, p)) is not None:
-                        if p > i:
-                            self.budget.tick()
-                        yield p + 1, closed, (elems[p],), cross, True
-                elif (cross := self._extension(blocks, current, cur_cross, p)) is not None:
-                    if p > i:
-                        self.budget.tick()
-                    yield p + 1, blocks, current + (elems[p],), cross, True
+        _, closeable, closed, w = visit
+        if w is not None:
+            yield w
+        if i == len(self.z):
             return
-        # start a new block with v (closing the open one first); starting
-        # before extending finds small witnesses without walking long spines
+        v = self.z.elements[i]
         if closeable and (cross := self._start(closed, i)) is not None:
-            yield i + 1, closed, (elems[i],), cross, True
+            yield i + 1, closed, (v,), cross, True
         if current and (cross := self._extension(blocks, current, cur_cross, i)) is not None:
-            yield i + 1, blocks, current + (elems[i],), cross, True
+            yield i + 1, blocks, current + (v,), cross, True
         yield i + 1, blocks, current, cur_cross, False
 
 
@@ -392,9 +447,9 @@ def find_grouping(
     """
     budget = budget_or_unlimited(budget)
     budget.enter("grouping search")
-    walk = GroupingWalk(z, f, l0, l1, sentence, budget, minimal=True)
+    walk = GroupingWalk(z, f, l0, l1, sentence, budget)
     try:
-        w = next(walk.witnesses(), None)
+        w = walk.first_minimal()
     except BudgetExceeded:
         return SearchOutcome(EXHAUSTED, steps=budget.spent, detail="grouping search")
     if w is None:

@@ -376,11 +376,12 @@ def em_extract(
     _check_coloring(x, f, 2)
     if n < 0:
         raise PreconditionError("exponent must be >= 0")
+    # a set with a subset large at n is itself plainly large at n, whatever
+    # the constants; the faithful ones reach (16^6+1)^(n-1), so they are
+    # built only after
+    if not is_plain_large(x.elements, n):
+        return SearchOutcome(ABSENT, detail=f"plain largeness at level {n}")
     if constants is None:
-        # a set with a subset large at n is itself plainly large at n; the
-        # faithful constants reach (16^6+1)^(n-1), so they are built only after
-        if not is_plain_large(x.elements, n):
-            return SearchOutcome(ABSENT, detail=f"plain largeness at level {n}")
         constants = EmConstants.faithful(max(n, 1))
     budget = budget_or_unlimited(budget)
     result = _em_level(x, f, n, sentence, budget, constants)
@@ -394,8 +395,6 @@ def em_extract(
 
 
 def _em_level(x, f, n, sentence, budget, constants) -> SearchOutcome:
-    if not x.elements:
-        return SearchOutcome(ABSENT, detail="empty input")
     if n == 0:
         single = FinSet((x.minimum,))
         cert = check_large(single, LargenessSpec(0, 1, sentence), budget=budget)

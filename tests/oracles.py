@@ -4,8 +4,8 @@ Everything here re-derives answers straight from the definitions, sharing
 no search logic with the package: largeness by enumerating block
 decompositions over all subsets, formulas by ground substitution.  The
 exceptions are replaced code kept as the reference for what replaced it:
-the recursive grouping walk, the product-loop cross-monochromaticity scan,
-the recursive include-first subset search, the blockfree view's own copy
+the recursive grouping walk, the generator minimal walk, the product-loop
+cross-monochromaticity scan, the recursive include-first subset search, the blockfree view's own copy
 of the separation test and its collect-and-sort member walk, the per-triple
 and per-column export tables, the closure compiler, the recursive printer and renamer
 and the one-method-per-operator parser for formulas, Γ-largeness and density clauses (a) and (c) over every
@@ -15,11 +15,12 @@ coloring in `product` order, and fusion's level-by-level assembly.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from itertools import combinations, product
-from math import comb
+from math import comb, inf
 
 from omegalarge import formula as fm
-from omegalarge import ramsey
+from omegalarge import grouping, ramsey
 from omegalarge.largeness import (
     Block,
     Certificate,
@@ -27,6 +28,7 @@ from omegalarge.largeness import (
     Node,
     SizeOverflow,
     check_large,
+    least_card,
     shift_cert,
     t_apart,
 )
@@ -285,8 +287,10 @@ def plain_decompositions(values: tuple[int, ...], n: int, limit: int = 16):
 # ---------------------------------------------------------------------------
 
 
-def recursive_grouping_witnesses(walk):
-    """Witnesses of a GroupingWalk, visited by plain generator recursion.
+def recursive_grouping_witnesses(walk, minimal=False):
+    """Witnesses of a GroupingWalk's full walk (or, with `minimal`, of
+    its minimal walk, which never extends a block that may close), visited
+    by plain generator recursion.
 
     This is the walk as it was before it kept its own stack, with the
     block checks it had then: a block closes when it satisfies l0 and is
@@ -340,7 +344,7 @@ def recursive_grouping_witnesses(walk):
             cross = walk._cross_ok(base, v, None)
             if cross is not None and apart_start_ok(base, v):
                 yield from rec(i + 1, base, [v], cross, True)
-        if current and not (walk.minimal and closeable):
+        if current and not (minimal and closeable):
             cross = walk._cross_ok(blocks, v, cur_cross)
             if cross is not None and apart_extension_ok(blocks, current, v):
                 current.append(v)
@@ -351,6 +355,76 @@ def recursive_grouping_witnesses(walk):
     if walk.min_blocks is not None and walk.min_blocks > len(elems):
         return
     yield from rec(0, [], [], None, False)
+
+
+# ---------------------------------------------------------------------------
+# The generator minimal walk that GroupingWalk.first_minimal's frames replaced
+# ---------------------------------------------------------------------------
+
+
+def generator_minimal_witnesses(walk):
+    """Witnesses of a GroupingWalk's minimal walk, in order, as the walk
+    found them before `first_minimal` kept a list of frames: one generator
+    per node and its skip chain, driven by a stack of generators.  Each
+    node yields its witness, if it tests one, then the arguments of the
+    child of each chain position that passes the cross and apartness
+    checks, ticking one step for that position past the node's own.  It
+    reuses the walk's witness test, cross check and extension check, and
+    asks and keeps the starts' apartness itself, so only the traversal,
+    its `dead` table and its budget ticks are compared.
+    """
+    elems = walk.z.elements
+    if walk.min_blocks > len(elems):
+        return
+    dead = [inf] * len(elems)
+
+    def start(closed, p):
+        v = elems[p]
+        cross = walk._cross_ok(closed, v, None)
+        if cross is None or not closed or walk.sentence.holds_bounded(closed[-1][-1], v, v):
+            return cross
+        dead[p] = closed[-1][-1]
+        return None
+
+    def node(i, blocks, current, cur_cross, fresh):
+        walk.budget.tick()
+        left = len(elems) - i
+        need = walk.min_blocks - len(blocks) - (1 if current else 0)
+        if current:
+            available = len(elems) - bisect_left(elems, current[0])
+            least = least_card(current[0], walk.l0.exponent, walk.l0.multiplier, available)
+            need = max(need, least - len(current))
+        if left < need:
+            return
+        closeable = not current or ((fresh or left > 0) and grouping._holds(walk.l0, current))
+        closed = blocks + (current,) if current and closeable else blocks
+        if fresh and closeable:
+            w = walk._hit(closed)
+            if w is not None:
+                yield w
+        if left == 0:
+            return
+        m = closed[-1][-1] if closeable and closed else -1
+        for p in range(i, min(len(elems), len(elems) + 1 - need)):
+            if closeable:
+                if m < dead[p] and (cross := start(closed, p)) is not None:
+                    if p > i:
+                        walk.budget.tick()
+                    yield p + 1, closed, (elems[p],), cross, True
+            elif (cross := walk._extension(blocks, current, cur_cross, p)) is not None:
+                if p > i:
+                    walk.budget.tick()
+                yield p + 1, blocks, current + (elems[p],), cross, True
+
+    stack = [node(0, (), (), None, False)]
+    while stack:
+        item = next(stack[-1], None)
+        if item is None:
+            stack.pop()
+        elif isinstance(item, grouping.GroupingWitness):
+            yield item
+        else:
+            stack.append(node(*item))
 
 
 def all_pairs_apart(blocks, sentence) -> bool:

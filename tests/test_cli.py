@@ -677,6 +677,8 @@ EXIT_CONTRACT = [
     # answers that come before any work that grows with the exponent
     (["em", "extract", "--interval", "3:8", "--n", "30000", "--coloring", "{C2}"], 1,
      "absent at stage: plain largeness at level 30000"),
+    (["em", "extract", "--scaled", "--interval", "3:13", "--n", "2", "--coloring", "{C2}"], 1,
+     "absent at stage: plain largeness at level 2"),
     (["bounds-table", "--n-max", "0", "--k", "1000000000"], 2, "16^1000000000 has more than"),
 ]
 

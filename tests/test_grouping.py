@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalarge import grouping
-from omegalarge.budget import Budget
+from omegalarge.budget import Budget, BudgetExceeded
 from omegalarge.formula import TOP, Pi03Sentence, SecondOrderParam, parse
 from omegalarge.grouping import (
     ABSENT,
@@ -27,6 +27,7 @@ from omegalarge.sets import ColoringTable, FinSet
 from oracles import (
     BruteForcePlain,
     all_pairs_apart,
+    generator_minimal_witnesses,
     product_cross_monochromatic,
     random_formula,
     recursive_grouping_witnesses,
@@ -148,9 +149,13 @@ def test_an_exponent_0_count_under_the_family_sentence_answers_as_check_large_do
         blocks = tuple(FinSet(tuple(points[a:b])) for a, b in zip([0, *cuts], [*cuts, len(points)]))
         selections = list(product(*(b.elements for b in blocks)))
         if not all(t_apart(x, y, sentence) for x, y in zip(blocks, blocks[1:])):
-            # the count needs apartness: without it, it may overstate
+            # the count needs apartness: without it, it may overstate; the
+            # blocks are apart under TOP, but spec reads another sentence,
+            # so there the selections decide
             spec = LargenessSpec(0, len(blocks), sentence)
-            overstated += not all(check_large(FinSet(sel), spec) is not None for sel in selections)
+            every = all(check_large(FinSet(sel), spec) is not None for sel in selections)
+            assert grouping._every_transversal(spec, blocks, TOP) == every
+            overstated += not every
             continue
         families += 1
         for m in range(1, 6):
@@ -318,18 +323,52 @@ def _blocks(witnesses, limit):
     return [tuple(b.elements for b in w.blocks) for w in islice(witnesses, limit)]
 
 
+def _first(witness):
+    return None if witness is None else tuple(b.elements for b in witness.blocks)
+
+
 @given(walk_inputs(max_size=8), st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_walk_matches_recursive_walk(inputs, minimal):
-    # same witnesses in the same order; the walk cuts open blocks that
-    # cannot be filled, which the recursive walk does not, so it takes at
-    # most as many steps
-    stacked = GroupingWalk(*inputs, Budget(None), minimal=minimal)
-    recursive = GroupingWalk(*inputs, Budget(None), minimal=minimal)
-    assert _blocks(stacked.witnesses(), 200) == _blocks(
-        recursive_grouping_witnesses(recursive), 200
-    )
+    # same witnesses in the same order (the minimal walk's first one); the
+    # walks cut open blocks that cannot be filled, which the recursive walk
+    # does not, so they take at most as many steps
+    stacked = GroupingWalk(*inputs, Budget(None))
+    recursive = GroupingWalk(*inputs, Budget(None))
+    if minimal:
+        assert _first(stacked.first_minimal()) == _first(
+            next(recursive_grouping_witnesses(recursive, minimal=True), None)
+        )
+    else:
+        assert _blocks(stacked.witnesses(), 200) == _blocks(recursive_grouping_witnesses(recursive), 200)
     assert stacked.budget.spent <= recursive.budget.spent
+
+
+def _first_or_exhausted(walk, first):
+    try:
+        found = _first(first(walk))
+    except BudgetExceeded:
+        found = EXHAUSTED
+    return found, walk.budget.spent, walk.ceiling_hit
+
+
+@given(
+    walk_inputs(max_size=11),
+    st.sampled_from([None, "x + x < y", "z < x + y + 2"]),
+    st.sampled_from([None, 5, 20, 100]),
+)
+@settings(max_examples=200, deadline=None)
+def test_first_minimal_matches_generator_walk(inputs, theta, limit):
+    # the frame loop finds the generator walk's first witness with the same
+    # budget ticks, or runs out of budget at the same step; under the two
+    # θ a start is apart only after a small maximum, so `dead` is read
+    z, f, l0, l1, sentence = inputs
+    args = (z, f, l0, l1, sentence if theta is None else Pi03Sentence(parse(theta)))
+    looped = _first_or_exhausted(GroupingWalk(*args, Budget(limit)), GroupingWalk.first_minimal)
+    generated = _first_or_exhausted(
+        GroupingWalk(*args, Budget(limit)), lambda walk: next(generator_minimal_witnesses(walk), None)
+    )
+    assert looped == generated
 
 
 @given(walk_inputs(max_size=11))
@@ -351,9 +390,9 @@ def test_jump_reads_the_last_block_maximum(inputs, theta):
     # small m, so a jump that reads a later maximum skips live starts
     z, f, l0, l1, _ = inputs
     args = (z, f, l0, l1, Pi03Sentence(parse(theta)))
-    stacked = GroupingWalk(*args, Budget(None), minimal=True)
-    recursive = GroupingWalk(*args, Budget(None), minimal=True)
-    assert _blocks(stacked.witnesses(), 200) == _blocks(recursive_grouping_witnesses(recursive), 200)
+    stacked = GroupingWalk(*args, Budget(None))
+    recursive = GroupingWalk(*args, Budget(None))
+    assert _first(stacked.first_minimal()) == _first(next(recursive_grouping_witnesses(recursive, minimal=True), None))
     assert stacked.budget.spent <= recursive.budget.spent
 
 
@@ -387,6 +426,26 @@ def test_cross_clashes_are_jumped_under_top():
     out = find_grouping(z, f, card2, card2, TOP, Budget(2 * len(z)))
     assert out.status == FOUND and [b.elements for b in out.witness.blocks] == [(3, 4), (751, 1502)]
     assert out.steps == 7
+
+
+def test_card_find_builds_one_set_per_witness_block(monkeypatch):
+    # a card:2 transversal requirement under TOP is decided by the block
+    # count, so the only sets a find builds are its witness's blocks
+    z = interval(3, 38)
+    card2 = LargenessSpec.card(2)
+    colorings = [pair_coloring(z, lambda x, y: 0), pair_coloring(z, lambda x, y: (x + y) % 2)]
+    builds = []
+    post_init = FinSet.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FinSet, "__post_init__", counted)
+    for f in colorings:
+        builds.clear()
+        out = find_grouping(z, f, card2, card2, TOP, Budget(2_000))
+        assert out.status == FOUND and builds == list(out.witness.blocks)
 
 
 class _CountedGets(dict):

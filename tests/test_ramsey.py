@@ -404,12 +404,26 @@ def test_em_extract_faithful_constants_fail_honestly():
 
 @pytest.mark.parametrize("hi,status", [(20, EXHAUSTED), (5, ABSENT)])
 def test_em_extract_answers_absent_only_where_no_set_is_large(hi, status):
-    # the faithful walk cannot start on [3,hi]: [3,20] is large at exponent 1,
-    # so the walk decided nothing, while no subset of [3,5] is large at all
+    # the faithful walk cannot start on [3,20]: it is large at exponent 1,
+    # so the walk decided nothing; no subset of [3,5] is large at all, which
+    # plain largeness answers before any walk
     x = FinSet.interval(3, hi)
     f = ColoringTable.from_function(x, 2, 2, lambda a, b: 0)
     out = em_extract(x, f, 1, TOP, Budget(100_000), EmConstants.faithful(1))
-    assert out.status == status and out.detail.startswith("grouping at level 1")
+    stage = {EXHAUSTED: "grouping at level 1", ABSENT: "plain largeness at level 1"}[status]
+    assert out.status == status and out.detail.startswith(stage)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_em_extract_answers_plain_largeness_under_any_constants(n):
+    # [3,38] is the least interval above 3 plainly large at 2, so none of
+    # these holds a subset large at n, though the scaled walk spends its
+    # 200 steps on most of them without deciding that
+    for hi in (8, 11, 15, 37):
+        x = FinSet.interval(3, hi)
+        f = ColoringTable.from_function(x, 2, 2, lambda a, b: (a + b) % 2)
+        out = em_extract(x, f, n, TOP, Budget(200), EmConstants.scaled(n))
+        assert (out.status, out.detail, out.steps) == (ABSENT, f"plain largeness at level {n}", 0)
 
 
 def test_em_level_is_exhausted_when_a_join_is(monkeypatch):

@@ -146,11 +146,12 @@ def test_grouping_walk_nodes_build_no_finset():
     # a node, with the skip chain it scans, is the walk's unit of work:
     # `_holds` answers a bare count (card:M, exponent 0 under TOP) from the
     # open block's length, and only another requirement builds its set; of
-    # the walk's methods only `_hit`, which tests a family, builds sets
+    # the walk's methods only `_hit`, which tests a family, builds sets, so
+    # neither walk's loop builds any of its own
     tree = ast.parse((SRC / "grouping.py").read_text())
     (walk,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GroupingWalk"]
     methods = [n for n in walk.body if isinstance(n, ast.FunctionDef) and n.name != "_hit"]
-    assert {"_node", "_start", "_extension", "_cross_ok"} <= {m.name for m in methods}
+    assert {"first_minimal", "_visit", "_node", "_start", "_extension", "_cross_ok"} <= {m.name for m in methods}
     builds = [
         f"grouping.py:{n.lineno} {ast.unparse(n)}"
         for method in methods
