@@ -183,9 +183,13 @@ def _check_admissible(x: FinSet, sentence: Pi03Sentence) -> None:
 
 def _check_coloring(values: Iterable[int], f: ColoringTable, arity: int) -> None:
     """f colors the arity-tuples of the values (a set, or the points of a
-    family of blocks): it has that arity, and its domain covers them."""
+    family of blocks): it has that arity, and its domain covers them.  The
+    domain itself, or a set equal to it, is covered without a scan."""
     if f.arity != arity:
         raise PreconditionError(f"expects a coloring of arity {arity}, not {f.arity}")
+    domain = f.domain
+    if values is domain or isinstance(values, FinSet) and values.elements == domain.elements:
+        return
     if not f.covers(values):
         raise PreconditionError("the coloring's domain does not cover the set")
 

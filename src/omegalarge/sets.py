@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -186,12 +186,15 @@ class ColoringTable(FrozenRecord):
             raise ValueError(
                 f"table has {len(self.table)} entries, expected {expected}"
             )
-        for c in self.table:
+        for c in set(self.table):
             if not 0 <= c < self.colors:
+                # name the first offending entry in table order
+                c = next(c for c in self.table if not 0 <= c < self.colors)
                 raise ValueError(f"color {c} out of range 0..{self.colors - 1}")
         object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.domain.elements)})
-        # pair (i, j) sits at rank i*(2n-i-1)/2 + j-i-1: the row offset plus j
-        rows = (i * (2 * n - i - 1) // 2 - i - 1 for i in range(n)) if self.arity == 2 else ()
+        # pair (i, j) sits at rank i*(2n-i-1)/2 + j-i-1: the row offset plus
+        # j, and row i+1's offset is row i's plus n-i-2
+        rows = accumulate(range(n - 2, -1, -1), initial=-1) if self.arity == 2 and n else ()
         object.__setattr__(self, "_row", tuple(rows))
 
     @classmethod
@@ -226,6 +229,10 @@ class ColoringTable(FrozenRecord):
                     return self.table[_lex_rank(ps, len(pos))]
         except KeyError:
             pass
+        if k != self.arity:
+            raise KeyError(f"tuple {tuple(values)} has {k} values, not the coloring's arity {self.arity}")
+        if all(map(pos.__contains__, values)):
+            raise KeyError(f"tuple {tuple(values)} is not strictly increasing")
         raise KeyError(f"tuple {tuple(values)} not in coloring domain")
 
     def covers(self, values: Iterable[int]) -> bool:
@@ -273,7 +280,7 @@ class ColoringTable(FrozenRecord):
         )
 
 
-def _lex_rank(ps: list[int], n: int) -> int:
+def _lex_rank(ps: Sequence[int], n: int) -> int:
     """Rank of the increasing positions ps among len(ps)-subsets of range(n).
 
     Combinatorial number system: the tuples that agree with ps before slot
@@ -301,10 +308,25 @@ def restrict_coloring(f: ColoringTable, g: FinSet) -> ColoringTable:
     Entry (i0, ..., i_{n-1}) of the result is f at the corresponding
     elements of g, so only the order type of g survives.  A tuple of g
     outside f's domain is a ValueError.
+
+    Each value of g is mapped to its position in f's domain once, and each
+    entry is read at the rank of its position tuple, as a lookup would.
     """
-    elems = g.elements
-    try:
-        table = tuple(f(*(elems[i] for i in idx)) for idx in combinations(range(len(g)), f.arity))
-    except KeyError as err:
-        raise ValueError(f"restriction target is not a subset of the coloring domain: {err}") from None
-    return ColoringTable(FinSet(tuple(range(len(g)))), f.arity, f.colors, table)
+    elems, k, t = g.elements, f.arity, f.table
+    ps = [f._pos.get(v) for v in elems]
+    if None in ps and 0 < k <= len(ps):
+        # the first tuple that leaves the domain is the first tuple, or the
+        # one that ends at the first value outside it; f names it
+        try:
+            f(*elems[:k - 1], elems[max(ps.index(None), k - 1)])
+        except KeyError as err:
+            raise ValueError(f"restriction target is not a subset of the coloring domain: {err}") from None
+    if k == 1:
+        table = tuple(map(t.__getitem__, ps))
+    elif k == 2:
+        row = f._row
+        table = tuple(t[row[i] + j] for i, j in combinations(ps, 2))
+    else:
+        n = len(f._pos)
+        table = tuple(t[_lex_rank(c, n)] for c in combinations(ps, k))
+    return ColoringTable(FinSet(tuple(range(len(g)))), k, f.colors, table)

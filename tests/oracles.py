@@ -9,7 +9,9 @@ cross-monochromaticity scan, the recursive include-first subset search, the bloc
 of the separation test and its collect-and-sort member walk, the per-triple
 and per-column export tables, the closure compiler, the recursive printer and renamer
 and the one-method-per-operator parser for formulas, Γ-largeness and density clauses (a) and (c) over every
-coloring in `product` order, and fusion's level-by-level assembly.
+coloring in `product` order, fusion's level-by-level assembly, and the
+coloring table's per-entry range check, per-row offsets and per-tuple
+restriction.
 """
 
 from __future__ import annotations
@@ -476,6 +478,36 @@ def recursive_include_first_dfs(elems, budget, compatible, accept, bound_ok, anc
         return dfs(i + 1, chosen)
 
     return dfs(0, ())
+
+
+# ---------------------------------------------------------------------------
+# Coloring tables as ColoringTable built and restricted them entry by entry
+# ---------------------------------------------------------------------------
+
+
+def per_entry_color_check(table, colors: int) -> None:
+    """The range check ColoringTable's distinct-color check replaced:
+    every entry in table order, the first one out of range named."""
+    for c in table:
+        if not 0 <= c < colors:
+            raise ValueError(f"color {c} out of range 0..{colors - 1}")
+
+
+def generator_row_offsets(n: int) -> tuple[int, ...]:
+    """The pair row offsets as the per-row generator computed them: pair
+    (i, j) sits at rank i*(2n-i-1)/2 + j-i-1, the row offset plus j."""
+    return tuple(i * (2 * n - i - 1) // 2 - i - 1 for i in range(n))
+
+
+def per_tuple_restrict_coloring(f, g):
+    """restrict_coloring as one lookup of f per tuple of g, before it read
+    f's table by position."""
+    elems = g.elements
+    try:
+        table = tuple(f(*(elems[i] for i in idx)) for idx in combinations(range(len(g)), f.arity))
+    except KeyError as err:
+        raise ValueError(f"restriction target is not a subset of the coloring domain: {err}") from None
+    return ColoringTable(FinSet(tuple(range(len(g)))), f.arity, f.colors, table)
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,24 @@ def test_walk_rejects_a_coloring_that_misses_the_set():
         find_grouping(interval(3, 10), g, LargenessSpec.card(1), LargenessSpec.card(2), TOP)
 
 
+def test_a_walk_over_the_coloring_domain_scans_no_coverage(monkeypatch):
+    f = pair_coloring(interval(3, 10), lambda x, y: 0)
+    # the walk's set is scanned only when it is not the domain; the
+    # witness check scans the witness's points either way
+    scanned = []
+    covers = ColoringTable.covers
+    monkeypatch.setattr(ColoringTable, "covers", lambda self, values: scanned.append(values) or covers(self, values))
+    for z in (f.domain, interval(3, 10)):
+        find_grouping(z, f, LargenessSpec.card(1), LargenessSpec.card(2), TOP)
+    assert not any(isinstance(v, FinSet) for v in scanned)
+    find_grouping(interval(4, 10), f, LargenessSpec.card(1), LargenessSpec.card(2), TOP)
+    assert interval(4, 10) in scanned
+    # a set the domain misses is still refused, one of the domain's size too
+    for z in (FinSet((3, 4, 11)), FinSet((3, 4, 5, 6, 7, 8, 9, 11))):
+        with pytest.raises(PreconditionError):
+            find_grouping(z, f, LargenessSpec.card(1), LargenessSpec.card(2), TOP)
+
+
 def test_find_grouping_rechecks_its_witness(monkeypatch):
     z = interval(3, 10)
     f = pair_coloring(z, lambda x, y: 0)

@@ -13,7 +13,12 @@ from omegalarge.sets import (
     restrict_coloring,
 )
 
-from oracles import bf_transitive
+from oracles import (
+    bf_transitive,
+    generator_row_offsets,
+    per_entry_color_check,
+    per_tuple_restrict_coloring,
+)
 
 
 def test_finset_validation():
@@ -172,6 +177,77 @@ def test_coloring_lookup_matches_lexicographic_table(values, arity, rng):
     for t in bad:
         with pytest.raises(KeyError):
             f(*t)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((3,), r"tuple \(3,\) has 1 values, not the coloring's arity 2"),
+        ((3, 4, 5), r"tuple \(3, 4, 5\) has 3 values, not the coloring's arity 2"),
+        ((5, 3), r"tuple \(5, 3\) is not strictly increasing"),
+        ((4, 4), r"tuple \(4, 4\) is not strictly increasing"),
+        ((3, 9), r"tuple \(3, 9\) not in coloring domain"),
+        ((9, 3), r"tuple \(9, 3\) not in coloring domain"),
+    ],
+    ids=["arity-short", "arity-long", "decreasing", "repeated", "outside", "outside-decreasing"],
+)
+def test_a_coloring_miss_says_why(values, message):
+    f = ColoringTable.from_function(FinSet((3, 4, 5, 6)), 2, 2, lambda x, y: (x + y) % 2)
+    with pytest.raises(KeyError, match=message):
+        f(*values)
+
+
+def _inject(table: tuple, colors: int, at: int, kind: str) -> tuple:
+    """The table with the entry at position `at` out of range: negative,
+    equal to colors or above it."""
+    bad = {"negative": -1, "equal": colors, "above": colors + 3}[kind]
+    at %= len(table)
+    return table[:at] + (bad,) + table[at + 1:]
+
+
+@given(
+    st.lists(st.integers(0, 40), unique=True, max_size=9),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    # none, one or two entries out of range; with two, the first in table
+    # order is the one named
+    st.lists(st.tuples(st.integers(0, 200), st.sampled_from(["negative", "equal", "above"])), max_size=2),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_coloring_tables_match_the_per_entry_oracles(values, arity, colors, injected, data):
+    dom = FinSet(tuple(sorted(values)))
+    tuples = list(combinations(dom.elements, arity))
+    table = tuple(data.draw(st.lists(st.integers(0, colors - 1), min_size=len(tuples), max_size=len(tuples))))
+    for at, kind in injected if table else ():
+        table = _inject(table, colors, at, kind)
+    # the same tables are accepted and rejected, with the same message
+    try:
+        per_entry_color_check(table, colors)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            ColoringTable(dom, arity, colors, table)
+        assert str(got.value) == str(err)
+        return
+    f = ColoringTable(dom, arity, colors, table)
+    assert f._row == (generator_row_offsets(len(dom)) if arity == 2 else ())
+    assert [f(*t) for t in tuples] == list(table)
+    # every restriction, the empty set and the whole domain included
+    subsets = data.draw(st.lists(st.lists(st.sampled_from(values), unique=True), max_size=6)) if values else []
+    for sub in [(), dom.elements, *subsets]:
+        g = FinSet(tuple(sorted(sub)))
+        assert restrict_coloring(f, g) == per_tuple_restrict_coloring(f, g)
+    # a set outside the domain fails the same way (arity 0, or fewer
+    # points than the arity, has no tuple that leaves it)
+    outside = FinSet(tuple(sorted({*data.draw(st.lists(st.integers(0, 45), max_size=6)), 41})))
+    try:
+        expected = per_tuple_restrict_coloring(f, outside)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            restrict_coloring(f, outside)
+        assert str(got.value) == str(err)
+    else:
+        assert restrict_coloring(f, outside) == expected
 
 
 def test_coloring_json_reads_integers_only():
