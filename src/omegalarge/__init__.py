@@ -43,8 +43,7 @@ _BY_MODULE = {
         "is_large_gamma", "is_n_dense"
     ),
     "sets": (
-        "ColoringTable", "FinSet", "SparsityPolicy", "is_sparse", "is_transitive",
-        "restrict_coloring"
+        "ColoringTable", "FinSet", "SparsityPolicy", "is_sparse", "is_transitive"
     ),
 }
 

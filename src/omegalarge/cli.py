@@ -462,9 +462,12 @@ def cmd_formula_eval(args) -> Outcome:
         for item in args.env.split(","):
             try:
                 name, value = item.split("=")
-                env[name.strip()] = int(value)
+                name, value = name.strip(), natural(value)
             except ValueError as err:
-                raise UsageError(f"bad --env entry {item!r}") from err
+                raise UsageError(f"bad --env entry {item!r}: want name=natural") from err
+            if name in env:
+                raise UsageError(f"--env binds {name!r} twice")
+            env[name] = value
     param = read_input("bad --param-A", lambda: SecondOrderParam(args.param_A or ""))
     overflowed = []
 

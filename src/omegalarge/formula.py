@@ -17,7 +17,7 @@ from types import FunctionType
 from typing import Callable
 
 from .record import FrozenRecord, Record
-from .sets import ColoringTable, FinSet, is_transitive, json_int, json_typed, restrict_coloring
+from .sets import is_transitive, json_int, json_typed
 
 # ---------------------------------------------------------------------------
 # AST
@@ -452,6 +452,9 @@ def evaluate(
     Compiles phi over the names of env and calls the result once.
     """
     env = env or {}
+    for name, value in env.items():
+        if value < 0:
+            raise ValueError(f"{name} = {value} is not a natural number")
     return compile_formula(phi, list(env))(a, param.member)(*env.values())
 
 
@@ -732,21 +735,6 @@ class CeilingExceeded(ValueError):
     """An enumeration would pass its ceiling."""
 
 
-def _psi0_builtin(name: str, table) -> bool:
-    assert isinstance(table, ColoringTable)
-    if name == PSI_TRUE:
-        return True
-    if name == HOMOGENEOUS:
-        return len(set(table.table)) <= 1
-    if name == MONOTONE_ASCENDING:
-        return all(c == 1 for c in table.table)
-    if name == MONOTONE_DESCENDING:
-        return all(c == 0 for c in table.table)
-    if name == TRANSITIVE:
-        return is_transitive(table, table.domain.elements)
-    raise ValueError(f"unknown builtin {name!r}")
-
-
 class RtLikeStatement(FrozenRecord):
     """Arity, color count, and the per-restriction predicate psi0.
 
@@ -763,6 +751,8 @@ class RtLikeStatement(FrozenRecord):
     _bind_psi0: Callable | None = None
 
     def __post_init__(self) -> None:
+        if self.arity < 0:
+            raise ValueError("a statement's arity must be non-negative")
         if self.colors < 1:
             raise ValueError("a statement needs at least one color")
         if isinstance(self.psi0, str) and self.psi0 not in BUILTIN_PSI0:
@@ -780,26 +770,40 @@ class RtLikeStatement(FrozenRecord):
                 )
             object.__setattr__(self, "_bind_psi0", compile_formula(self.psi0, []))
 
-    def psi0_holds(self, table) -> bool:
-        """Evaluate psi0 on an already reindexed table."""
-        if isinstance(self.psi0, str):
-            return _psi0_builtin(self.psi0, table)
-        bits = "".join(str(c) for c in table.table)
-        return self._bind_psi0(len(table.domain), SecondOrderParam(bits).member)()
+    def psi0_holds(self, f, y) -> bool:
+        """psi0 of f restricted to y and reindexed to {0, ..., |y|-1},
+        read on the tuples of y's elements in place: only y's order type
+        reaches psi0.  y is a FinSet or an increasing tuple; a tuple of y
+        outside f's domain is a ValueError."""
+        elems, k = tuple(y), f.arity
+        # with arity 0, or fewer points than the arity, y has no tuple to leave the domain with
+        if k and len(elems) >= k and not f.covers(elems):
+            raise ValueError(f"restriction target {elems} is not a subset of the coloring domain")
+        if not isinstance(self.psi0, str):
+            bits = "".join(str(f(*t)) for t in combinations(elems, k))
+            return self._bind_psi0(len(elems), SecondOrderParam(bits).member)()
+        if self.psi0 == PSI_TRUE:
+            return True
+        if self.psi0 == TRANSITIVE:
+            return is_transitive(f, elems)
+        image = f.image(elems)
+        if self.psi0 == HOMOGENEOUS:
+            return len(image) <= 1
+        return image <= {1 if self.psi0 == MONOTONE_ASCENDING else 0}
 
     def solution_ok(self, f, y) -> bool:
         """Check psi0 on f restricted to every finite subset of y.
 
-        Builtins are hereditary, so the full restriction suffices; formula
-        psi0 requires enumerating subsets, at most 2^16 of them.
+        Builtins are hereditary, so y itself suffices; formula psi0
+        requires enumerating subsets, at most 2^16 of them.
         """
         if isinstance(self.psi0, str):
-            return self.psi0_holds(restrict_coloring(f, y))
+            return self.psi0_holds(f, y)
         if len(y) > 16:
             raise CeilingExceeded(f"subset enumeration over {len(y)} elements exceeds ceiling")
         for size in range(len(y) + 1):
             for sub in combinations(y.elements, size):
-                if not self.psi0_holds(restrict_coloring(f, FinSet(sub))):
+                if not self.psi0_holds(f, sub):
                     return False
         return True
 

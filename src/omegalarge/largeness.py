@@ -151,6 +151,8 @@ def _block_from(obj: dict) -> Block:
     c = json_typed(obj["cert"], dict, "a block's cert")
     if c["kind"] == "leaf":
         cert: Leaf | Node = Leaf(json_int(c["witness"], "witness"))
+    elif c["kind"] != "node":
+        raise ValueError(f"a block's cert kind must be leaf or node, not {json.dumps(c['kind'])}")
     else:
         children = json_typed(c["children"], list, "children")
         cert = Node(json_int(c["head"], "head"), tuple(_block_from(o) for o in children))

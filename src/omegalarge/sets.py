@@ -300,33 +300,3 @@ def is_transitive(f: ColoringTable, elements: Sequence[int]) -> bool:
                 if f(e[i], e[j]) == f(e[j], e[k]) != f(e[i], e[k]):
                     return False
     return True
-
-
-def restrict_coloring(f: ColoringTable, g: FinSet) -> ColoringTable:
-    """Reindex f to g: the result colors index tuples over {0, ..., |g|-1}.
-
-    Entry (i0, ..., i_{n-1}) of the result is f at the corresponding
-    elements of g, so only the order type of g survives.  A tuple of g
-    outside f's domain is a ValueError.
-
-    Each value of g is mapped to its position in f's domain once, and each
-    entry is read at the rank of its position tuple, as a lookup would.
-    """
-    elems, k, t = g.elements, f.arity, f.table
-    ps = [f._pos.get(v) for v in elems]
-    if None in ps and 0 < k <= len(ps):
-        # the first tuple that leaves the domain is the first tuple, or the
-        # one that ends at the first value outside it; f names it
-        try:
-            f(*elems[:k - 1], elems[max(ps.index(None), k - 1)])
-        except KeyError as err:
-            raise ValueError(f"restriction target is not a subset of the coloring domain: {err}") from None
-    if k == 1:
-        table = tuple(map(t.__getitem__, ps))
-    elif k == 2:
-        row = f._row
-        table = tuple(t[row[i] + j] for i, j in combinations(ps, 2))
-    else:
-        n = len(f._pos)
-        table = tuple(t[_lex_rank(c, n)] for c in combinations(ps, k))
-    return ColoringTable(FinSet(tuple(range(len(g)))), k, f.colors, table)

@@ -11,7 +11,7 @@ and per-column export tables, the closure compiler, the recursive printer and re
 and the one-method-per-operator parser for formulas, Γ-largeness and density clauses (a) and (c) over every
 coloring in `product` order, fusion's level-by-level assembly, and the
 coloring table's per-entry range check, per-row offsets and per-tuple
-restriction.
+restriction, and psi0 read on a reindexed restriction.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from omegalarge.largeness import (
     t_apart,
 )
 from omegalarge.ramsey import FALSE, INCONCLUSIVE, TRUE, Verdict
-from omegalarge.sets import ColoringTable, FinSet
+from omegalarge.sets import ColoringTable, FinSet, is_transitive
 
 # ---------------------------------------------------------------------------
 # Plain largeness by exhaustive decomposition enumeration (bitmask form)
@@ -500,14 +500,34 @@ def generator_row_offsets(n: int) -> tuple[int, ...]:
 
 
 def per_tuple_restrict_coloring(f, g):
-    """restrict_coloring as one lookup of f per tuple of g, before it read
-    f's table by position."""
+    """f restricted to g and reindexed to {0, ..., |g|-1}, one lookup of f
+    per tuple of g: the library's restriction, before it read f's table by
+    position and before psi0 read f on a candidate's tuples in place."""
     elems = g.elements
     try:
         table = tuple(f(*(elems[i] for i in idx)) for idx in combinations(range(len(g)), f.arity))
     except KeyError as err:
         raise ValueError(f"restriction target is not a subset of the coloring domain: {err}") from None
     return ColoringTable(FinSet(tuple(range(len(g)))), f.arity, f.colors, table)
+
+
+def table_psi0_holds(statement, table) -> bool:
+    """RtLikeStatement.psi0_holds as it read an already reindexed table,
+    such as per_tuple_restrict_coloring builds, before it read the coloring
+    on a candidate's tuples in place."""
+    name = statement.psi0
+    if not isinstance(name, str):
+        bits = "".join(str(c) for c in table.table)
+        return fm.evaluate(name, {}, len(table.domain), fm.SecondOrderParam(bits))
+    if name == fm.PSI_TRUE:
+        return True
+    if name == fm.HOMOGENEOUS:
+        return len(set(table.table)) <= 1
+    if name == fm.MONOTONE_ASCENDING:
+        return all(c == 1 for c in table.table)
+    if name == fm.MONOTONE_DESCENDING:
+        return all(c == 0 for c in table.table)
+    return is_transitive(table, table.domain.elements)
 
 
 # ---------------------------------------------------------------------------

@@ -656,6 +656,12 @@ EXIT_CONTRACT = [
     (["large", "check", "--interval", "3:10", "--n", "1", "--theta", "x < y + a", "--param-a", "-5"], 3,
      "usage error: argument --param-a: invalid natural value: '-5'"),
     (["formula", "eval", "a < 0", "--param-a", "-5"], 3, "usage error: argument --param-a: invalid natural value: '-5'"),
+    # and so is each --env value, which binds its name once
+    (["formula", "eval", "x + 1 = 0", "--env", "x=-1"], 3, "usage error: bad --env entry 'x=-1': want name=natural"),
+    (["formula", "eval", "x = 2", "--env", "x=1,x=2"], 3, "usage error: --env binds 'x' twice"),
+    # a certificate block is a leaf or a node, never read as the other
+    (["large", "check", "--interval", "3:10", "--n", "1", "--verify", "{CKIND}"], 3,
+     "a block's cert kind must be leaf or node, not \"twig\""),
     (["large", "check", "--interval", "3:10", "--n", "1", "--theta-file", "{TNEG}"], 3,
      "a must be a natural number, not -5"),
     # sampled density past its level cap answers from the cap, not past the recursion limit
@@ -721,6 +727,9 @@ def contract_argv(tmp_path, argv):
         "{CERT}": lambda: write_text(
             tmp_path, "cert.json", check_large(FinSet.interval(3, 10), LargenessSpec(1, 1, TOP)).to_json()
         ),
+        "{CKIND}": lambda: write_text(tmp_path, "ckind.json", json.dumps(
+            {"exponent": 1, "multiplier": 1, "blocks": [{"lo": 0, "hi": 1, "cert": {"kind": "twig", "witness": "3"}}]}
+        )),
         "{OUT}": lambda: str(tmp_path / "out.json"),
         "{PLUS}": lambda: "x < y + " + " + ".join(map(str, range(1, 3000))),
         "{TIMES}": lambda: "x < y * " + " * ".join(map(str, range(1, 3000))),

@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import weakref
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,8 @@ from omegalarge.formula import (
     parse,
     weakly_pi04_transform,
 )
-from omegalarge.sets import ColoringTable, FinSet, restrict_coloring
+from omegalarge import sets
+from omegalarge.sets import ColoringTable, FinSet
 
 from oracles import (
     closure_compile_formula,
@@ -31,9 +33,11 @@ from oracles import (
     descent_variable_name,
     holds_bounded_literal,
     naive_eval,
+    per_tuple_restrict_coloring,
     random_formula,
     recursive_formula_text,
     recursive_rename_free,
+    table_psi0_holds,
 )
 
 
@@ -181,6 +185,9 @@ def test_eval_examples():
     param = SecondOrderParam("010000")
     assert not evaluate(parse("5 in A"), {}, param=param)
     assert evaluate(parse("1 in A"), {}, param=param)
+    # an environment binds naturals only
+    with pytest.raises(ValueError, match="x = -1 is not a natural number"):
+        evaluate(parse("x + 1 = 0"), {"x": -1})
 
 
 @pytest.mark.parametrize("bits,ok", [
@@ -337,9 +344,10 @@ def test_formula_psi0_compiles_once_per_statement(monkeypatch):
     monkeypatch.setattr(fm, "compile_formula", lambda *args: compiled.append(args) or compile_formula(*args))
     stmt = RtLikeStatement(1, 2, parse("forall i < a . not i in A"))
     dom = FinSet((3, 4, 5))
-    assert stmt.psi0_holds(ColoringTable(dom, 1, 2, (0, 0, 0)))
-    assert not stmt.psi0_holds(ColoringTable(dom, 1, 2, (0, 0, 1)))
-    assert stmt.psi0_holds(ColoringTable(FinSet((3,)), 1, 2, (0,)))
+    f = ColoringTable(dom, 1, 2, (0, 0, 1))
+    assert stmt.psi0_holds(f, (3, 4))
+    assert not stmt.psi0_holds(f, dom)
+    assert stmt.psi0_holds(f, FinSet((3,)))
     assert len(compiled) == 1
 
 
@@ -452,43 +460,28 @@ def test_sentence_json_roundtrip():
     assert u.floor() == 5
 
 
-def _pairs_table(values, fn):
-    dom = FinSet(tuple(values))
-    return restrict_coloring(
-        ColoringTable.from_function(dom, 2, 2, fn), dom
-    )
-
-
 def test_builtin_psi0_transitive_matches_triple_scan():
     rng = random.Random(3)
     stmt = RtLikeStatement(2, 2, fm.TRANSITIVE)
     for size in range(2, 8):
         for _ in range(40):
-            colors = {}
-            vals = tuple(range(3, 3 + size))
-
-            def f(x, y):
-                return colors.setdefault((x, y), rng.randrange(2))
-
-            table = _pairs_table(vals, f)
+            dom = FinSet(tuple(range(3, 3 + size)))
+            f = ColoringTable.random(dom, 2, 2, rng)
+            idx = dom.elements
             direct = True
-            idx = table.domain.elements
             for i in range(size):
                 for j in range(i + 1, size):
                     for k in range(j + 1, size):
                         for c in range(2):
-                            if (
-                                table(idx[i], idx[j]) == c
-                                and table(idx[j], idx[k]) == c
-                                and table(idx[i], idx[k]) != c
-                            ):
+                            if f(idx[i], idx[j]) == c and f(idx[j], idx[k]) == c and f(idx[i], idx[k]) != c:
                                 direct = False
-            assert stmt.psi0_holds(table) == direct
+            assert stmt.psi0_holds(f, dom) == direct
 
 
 def test_builtin_psi0_order_isomorphism_invariance():
-    # psi0 must depend only on the index table, never raw domain values:
-    # exhaust all 2-colorings of pairs over up to 5 points for both domains
+    # psi0 must depend only on the order type of the candidate, never raw
+    # domain values: exhaust all 2-colorings of pairs over up to 5 points
+    # for both domains
     from itertools import product
     from math import comb
 
@@ -503,22 +496,79 @@ def test_builtin_psi0_order_isomorphism_invariance():
         for doms in shapes:
             pairs = comb(len(doms[0]), 2)
             for bits in product(range(2), repeat=pairs):
-                verdicts = [
-                    stmt.psi0_holds(restrict_coloring(ColoringTable(d, 2, 2, tuple(bits)), d))
-                    for d in doms
-                ]
+                verdicts = [stmt.psi0_holds(ColoringTable(d, 2, 2, tuple(bits)), d) for d in doms]
                 assert verdicts[0] == verdicts[1]
 
 
 def test_formula_psi0_reads_coded_table():
-    # "some pair has color 1": exists i < a * a . i in A  (a = domain size,
-    # table coded as bits in lexicographic order)
+    # "some pair has color 1": exists i < a * a . i in A  (a = candidate
+    # size, f on its pairs coded as bits in lexicographic order)
     stmt = RtLikeStatement(2, 2, parse("exists i < a * a . i in A"))
     dom = FinSet((3, 4, 5))
     all_zero = ColoringTable(dom, 2, 2, (0, 0, 0))
     one_hot = ColoringTable(dom, 2, 2, (0, 1, 0))
-    assert not stmt.psi0_holds(restrict_coloring(all_zero, dom))
-    assert stmt.psi0_holds(restrict_coloring(one_hot, dom))
+    assert not stmt.psi0_holds(all_zero, dom)
+    assert stmt.psi0_holds(one_hot, dom)
+    # (3, 5) is the one pair colored 1; the candidates without it read 0s
+    assert stmt.psi0_holds(one_hot, (3, 5))
+    assert not stmt.psi0_holds(one_hot, (3, 4)) and not stmt.psi0_holds(one_hot, (4, 5))
+
+
+def test_a_statement_refuses_a_negative_arity():
+    with pytest.raises(ValueError, match="arity must be non-negative"):
+        RtLikeStatement(-1, 2, fm.HOMOGENEOUS)
+
+
+# the second reads the order of the coded colors as well as a
+_PSI0_FORMULAS = ("exists i < a * a . i in A", "0 in A and not a in A")
+
+
+def _answer(call):
+    """call()'s answer, or ValueError where it raises one."""
+    try:
+        return call()
+    except ValueError:
+        return ValueError
+
+
+@given(
+    st.sampled_from(fm.BUILTIN_PSI0 + _PSI0_FORMULAS),
+    st.integers(0, 3),
+    st.lists(st.integers(0, 30), unique=True, max_size=7),
+    st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_psi0_read_in_place_matches_the_reindexed_table(psi0, arity, values, data):
+    formula = psi0 not in fm.BUILTIN_PSI0
+    arity = 2 if psi0 in fm.PAIR_PSI0 else arity
+    colors = 2 if formula else data.draw(st.integers(1, 3))
+    stmt = RtLikeStatement(arity, colors, parse(psi0) if formula else psi0)
+    dom = FinSet(tuple(sorted(values)))
+    f = ColoringTable.random(dom, arity, colors, data.draw(st.randoms(use_true_random=False)))
+    # a candidate inside the domain, and one that may leave it (arity 0, or
+    # fewer points than the arity, has no tuple that leaves it)
+    inside = data.draw(st.lists(st.sampled_from(values), unique=True)) if values else []
+    anywhere = data.draw(st.lists(st.integers(0, 35), unique=True, max_size=6))
+    for y in (FinSet(tuple(sorted(inside))), FinSet(tuple(sorted(anywhere)))):
+        want = _answer(lambda: table_psi0_holds(stmt, per_tuple_restrict_coloring(f, y)))
+        assert _answer(lambda: stmt.psi0_holds(f, y)) == want
+        assert _answer(lambda: stmt.psi0_holds(f, y.elements)) == want
+        # solution_ok asks it of y, or of each subset of y in size order
+        subs = [y] if not formula else [FinSet(s) for n in range(len(y) + 1) for s in combinations(y, n)]
+        want = _answer(lambda: all(table_psi0_holds(stmt, per_tuple_restrict_coloring(f, s)) for s in subs))
+        assert _answer(lambda: stmt.solution_ok(f, y)) == want
+
+
+def test_solution_ok_builds_no_table_or_set(monkeypatch):
+    built = []
+    for cls in (sets.FinSet, sets.ColoringTable):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, init=cls.__post_init__: built.append(self) or init(self))
+    dom = FinSet.interval(3, 9)
+    f = ColoringTable.from_function(dom, 2, 2, lambda x, y: (x * y) % 2)
+    built.clear()
+    for psi0 in (*fm.BUILTIN_PSI0, parse(_PSI0_FORMULAS[1])):
+        RtLikeStatement(2, 2, psi0).solution_ok(f, dom)
+    assert built == []
 
 
 def _std_prefix(matrix):

@@ -285,6 +285,12 @@ def test_certificate_json_roundtrip():
     again = Certificate.from_json(cert.to_json())
     assert again == cert
     assert verify_certificate(x, again, spec)
+    # a block's cert is a leaf or a node, at any depth; any other kind is
+    # named, not read as a node
+    obj = cert.to_obj()
+    obj["blocks"][0]["cert"]["children"][1]["cert"]["kind"] = "twig"
+    with pytest.raises(ValueError, match=r'^a block\'s cert kind must be leaf or node, not "twig"$'):
+        Certificate.from_obj(obj)
 
 
 def test_verify_apartness_consecutive_vs_paranoid():

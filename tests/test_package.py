@@ -34,7 +34,7 @@ EXPORTED = {
     "ramsey": "BoundsRow EmConstants Mode QTotalityError Verdict "
               "ads_extract ads_q_coloring bounds_table bounds_tsv em_extract is_large_gamma "
               "is_n_dense",
-    "sets": "ColoringTable FinSet SparsityPolicy is_sparse is_transitive restrict_coloring",
+    "sets": "ColoringTable FinSet SparsityPolicy is_sparse is_transitive",
 }
 NAMES = sorted(name for names in EXPORTED.values() for name in names.split())
 

@@ -10,7 +10,6 @@ from omegalarge.sets import (
     SparsityPolicy,
     is_sparse,
     is_transitive,
-    restrict_coloring,
 )
 
 from oracles import (
@@ -117,40 +116,34 @@ def test_coloring_table_basics():
     assert g.table == f.table and g.domain.elements == dom.elements
 
 
-def test_restrict_coloring_examples():
+def test_image_reads_a_subset_in_place():
     dom = FinSet((3, 4, 5))
     f = ColoringTable.from_function(dom, 1, 3, lambda v: v - 3)
-    fg = restrict_coloring(f, FinSet((3, 5)))
-    assert fg.domain.elements == (0, 1)
-    assert fg.table == (f(3), f(5))
-
-    whole = restrict_coloring(f, dom)
-    assert whole.table == f.table
+    assert f.image((3, 5)) == {f(3), f(5)} == {0, 2}
+    assert f.image(dom) == f.image() == {0, 1, 2}
 
     dom2 = FinSet((3, 4, 5, 6))
     f2 = ColoringTable.from_function(dom2, 2, 2, lambda x, y: (x + y) % 2)
-    fg2 = restrict_coloring(f2, FinSet((4, 6)))
-    assert fg2(0, 1) == f2(4, 6)
+    assert f2.image((4, 6)) == {f2(4, 6)} == {0}
 
-    with pytest.raises(ValueError):
-        restrict_coloring(f, FinSet((3, 6)))
+    with pytest.raises(KeyError, match="not in coloring domain"):
+        f.image((3, 6))
 
 
-def test_restrict_coloring_functorial():
-    # restricting to G then to H-as-indices equals restricting to H directly,
-    # exhaustively over a 6-element domain
+def test_reading_in_place_is_reading_the_restriction():
+    # the image and the triple scan of H read in f equal those of H's
+    # positions read in f restricted to G, for every H inside G, exhaustively
+    # over a 6-element domain
     dom = FinSet(tuple(range(3, 9)))
     f = ColoringTable.from_function(dom, 2, 3, lambda x, y: (x * y) % 3)
     for gsize in range(2, 7):
         for g_vals in combinations(dom.elements, gsize):
-            g = FinSet(g_vals)
-            fg = restrict_coloring(f, g)
+            fg = per_tuple_restrict_coloring(f, FinSet(g_vals))
             for hsize in range(2, gsize + 1):
                 for h_idx in combinations(range(gsize), hsize):
-                    h_vals = FinSet(tuple(g_vals[i] for i in h_idx))
-                    direct = restrict_coloring(f, h_vals)
-                    via_g = restrict_coloring(fg, FinSet(h_idx))
-                    assert direct.table == via_g.table
+                    h_vals = tuple(g_vals[i] for i in h_idx)
+                    assert f.image(h_vals) == fg.image(h_idx)
+                    assert is_transitive(f, h_vals) == is_transitive(fg, h_idx)
 
 
 @given(
@@ -232,22 +225,12 @@ def test_coloring_tables_match_the_per_entry_oracles(values, arity, colors, inje
     f = ColoringTable(dom, arity, colors, table)
     assert f._row == (generator_row_offsets(len(dom)) if arity == 2 else ())
     assert [f(*t) for t in tuples] == list(table)
-    # every restriction, the empty set and the whole domain included
+    # every subset's image is its restriction's, the empty set and the
+    # whole domain included
     subsets = data.draw(st.lists(st.lists(st.sampled_from(values), unique=True), max_size=6)) if values else []
     for sub in [(), dom.elements, *subsets]:
         g = FinSet(tuple(sorted(sub)))
-        assert restrict_coloring(f, g) == per_tuple_restrict_coloring(f, g)
-    # a set outside the domain fails the same way (arity 0, or fewer
-    # points than the arity, has no tuple that leaves it)
-    outside = FinSet(tuple(sorted({*data.draw(st.lists(st.integers(0, 45), max_size=6)), 41})))
-    try:
-        expected = per_tuple_restrict_coloring(f, outside)
-    except ValueError as err:
-        with pytest.raises(ValueError) as got:
-            restrict_coloring(f, outside)
-        assert str(got.value) == str(err)
-    else:
-        assert restrict_coloring(f, outside) == expected
+        assert f.image(g) == set(per_tuple_restrict_coloring(f, g).table)
 
 
 def test_coloring_json_reads_integers_only():

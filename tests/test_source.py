@@ -3,8 +3,8 @@
 code, a sentence calls its compiled θ only through `theta_at`, no nested
 function calls itself, formula.py recurses on nesting depth only, the
 grouping walk's nodes build no set, each input precondition is checked by
-its one owner, and every function and module-level name is called or named
-from somewhere."""
+its one owner, only the coloring table reads its own layout, and every
+function and module-level name is called or named from somewhere."""
 
 import ast
 import re
@@ -179,14 +179,36 @@ def _reads_precondition(node: ast.AST) -> bool:
 def test_each_input_precondition_has_one_owner():
     # a sentence's floor is read, and a coloring's domain tested for
     # coverage (by `covers` or by reading `.domain`), only by the helper
-    # that owns the precondition
+    # that owns the precondition: `_check_coloring` for a set a search
+    # walks, `psi0_holds` for the one candidate psi0 reads
     readers = sorted(
         (path.name, func)
         for path, tree in _sources()
         for func, node in _nodes(tree, (ast.Call, ast.Compare))
         if _reads_precondition(node)
     )
-    assert readers == [("largeness.py", "_check_admissible"), ("largeness.py", "_check_coloring")]
+    assert readers == [
+        ("formula.py", "psi0_holds"), ("largeness.py", "_check_admissible"), ("largeness.py", "_check_coloring")
+    ]
+
+
+# a coloring table's layout: its value-to-position index, its pair row
+# offsets and its tuple ranks
+LAYOUT = {"_pos", "_row", "_lex_rank"}
+
+
+def test_only_the_coloring_table_reads_its_layout():
+    # how the flat table is indexed is ColoringTable's decision; everything
+    # else reads colors through its lookup, `image` or `covers`
+    readers, table = [], None
+    for path, tree in _sources():
+        for node in tree.body:
+            if path.name == "sets.py" and isinstance(node, ast.ClassDef) and node.name == "ColoringTable":
+                table = node
+                continue
+            readers += [f"{path.name}:{line} {name}" for name, line in _mentions(node) if name in LAYOUT]
+    assert not readers, "\n".join(readers)
+    assert LAYOUT <= {name for name, _ in _mentions(table)}
 
 
 # a string that is a name or a dotted path of names (getattr, monkeypatch,
